@@ -479,11 +479,13 @@ def cmd_report(args) -> int:
             print(f"usage error: {path} not found", file=sys.stderr)
             return 1
         rep = json.loads(path.read_text())
+        if not rep["assertions"]:
+            print(f"{rep['study']}: no assertions in {path}")
         for a in rep["assertions"]:
             rows.append((rep["study"], a["name"], a["bound"], a["value"],
                          "PASS" if a["passed"] else "FAIL"))
     rows.sort(key=lambda r: (r[0], r[1]))
-    width = max(len(r[0]) + len(r[1]) for r in rows) + 2
+    width = max((len(r[0]) + len(r[1]) for r in rows), default=0) + 2
     for study, name, bound, value, verdict in rows:
         label = f"{study}.{name}"
         print(f"{label:<{width}} expected {bound:<12.6g} "

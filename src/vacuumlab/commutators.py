@@ -30,6 +30,7 @@ from .pressure import C2Approximant, PressureLaw
 from .rates import tv_divergence_estimate
 from .synth import ns_stress, stress_apply, stress_contract_grad
 from .testfn import TestFunction
+from .vacuum import build_vacuum_sets
 
 ATOL_FACTOR = 1e-13
 
@@ -171,10 +172,11 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     s_density = np.where(rho_e.values > atol, flux_div.values * dP, 0.0)
     s = Field(flux_div.grid, s_density)
 
+    phi_f = phi.phi(rho.grid)
     grids = {"r1": r1, "r2": r2, "r3": r3, "s": s}
     values = {}
     for name, dens in grids.items():
-        values[name] = _pair(restrict(phi.phi(rho.grid), dens.grid), dens)
+        values[name] = _pair(restrict(phi_f, dens.grid), dens)
     return CommutatorReport(values, kernel.epsilon,
                             {"gamma": law.gamma, "kappa": law.kappa,
                              "atol": atol, "phi": phi.kind})
@@ -207,7 +209,6 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    from .vacuum import build_vacuum_sets
     sets = build_vacuum_sets(rho, kernel, beta, atol)
     atol = sets.atol
 
@@ -291,13 +292,14 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     phi_f = restrict(phi.phi(rho.grid), sub)
     gphi = restrict(phi.grad(rho.grid), sub)
 
-    div_term = integrate(phi_f * gap_e * div(u_e))
+    div_u_e = div(u_e)
+    div_term = integrate(phi_f * gap_e * div_u_e)
     grad_term = integrate(gap_e * gphi.dot(u_e))
 
     delta = float(approx.delta)
     realized_gap = float(np.max(np.abs(gap_field.values)))
     if eps_ladder is None:
-        tv = lp_norm(div(mollify(u, kernel)), 1)
+        tv = lp_norm(div_u_e, 1)
     else:
         tv = tv_divergence_estimate(u, eps_ladder)["sup"]
     u3 = lp_norm(u, 3)

@@ -124,11 +124,6 @@ class GridSpec:
                 and abs(self.dt - other.dt) < _TIE * self.dt)
 
 
-def make_grid(spatial_dim: int, points_per_axis, extents) -> GridSpec:
-    return GridSpec(spatial_dim, tuple(int(n) for n in points_per_axis),
-                    tuple(float(e) for e in extents))
-
-
 class Field:
     """Sampled real field; values have shape grid.shape + (components,)."""
 
@@ -584,6 +579,7 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
         "shape": list(field.grid.shape),
         "extents": list(field.grid.extents),
         "t0": field.grid.t0,
+        "derived": field.grid.derived,
         "components": field.components,
         "format": fmt,
         "dtype": "<f8",
@@ -607,9 +603,11 @@ def load_field(path) -> Field:
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if header.get("schema") != "vacuumlab-field-1":
         raise ValueError("unrecognized field header")
+    # headers written before "derived" was recorded: infer it from t0
+    derived = header.get("derived", header["t0"] != 0.0)
     grid = GridSpec(header["spatial_dim"], tuple(header["shape"]),
                     tuple(header["extents"]), t0=header["t0"],
-                    derived=header["t0"] != 0.0)
+                    derived=derived)
     shape = tuple(header["shape"]) + (header["components"],)
     data = path.parent / header["data_file"]
     if header["format"] == "bin":

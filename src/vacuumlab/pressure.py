@@ -47,10 +47,6 @@ class PressureLaw:
     def sound_speed(self, rho):
         return np.sqrt(self.dp(np.asarray(rho, float)))
 
-    def holder_constant(self) -> float:
-        """Hoelder-(gamma-1) constant of p' on [0, inf)."""
-        return self.kappa * self.gamma
-
 
 @dataclass(frozen=True)
 class C2Approximant:

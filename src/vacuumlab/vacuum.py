@@ -10,7 +10,6 @@ version of the ratio bound fails.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .grids import (
     MollifierKernel,
     integrate,
     lp_norm,
+    make_mollifier,
     mollify,
     restrict,
 )
@@ -98,28 +98,6 @@ def ratio_condition(rho: Field, kernel: MollifierKernel, beta: float,
         ratio = (rho_e.values - r0.values) / rho_e.values
     ratio = np.where(mask[..., None], ratio, 0.0)
     return lp_norm(Field(rho_e.grid, ratio), q, mask=mask)
-
-
-def ratio_condition_ladder(rho: Field, kernels: list, beta: float, q: float,
-                           strict_band: bool = False) -> dict:
-    """Sweep the ratio norm over an epsilon ladder and fit its growth.
-
-    A clearly negative exponent against epsilon (values growing as the
-    ladder descends) flags failure of the uniform bound.
-    """
-    samples = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for ker in kernels:
-            samples.append((ker.epsilon,
-                            ratio_condition(rho, ker, beta, q,
-                                            strict_band=strict_band)))
-    fit = fit_rate(samples, window=(0, len(samples)))
-    return {
-        "samples": samples,
-        "growth_exponent": fit.exponent,
-        "stabilizes": bool(fit.degenerate or fit.exponent > -0.2),
-    }
 
 
 def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
@@ -440,5 +418,4 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
 
 
 def _spatial_mollifier(eps: float, grid: GridSpec) -> MollifierKernel:
-    from .grids import make_mollifier
     return make_mollifier(eps, grid.spatial_dim, grid, include_time=False)

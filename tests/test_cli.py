@@ -136,6 +136,24 @@ class TestReport:
         assert "ns.dissipation_sign" in out
         assert out.strip().endswith("overall: PASS")
 
+    def test_report_without_assertions(self, tmp_path, capsys):
+        main(["run", str(ns_config(tmp_path))])
+        main(["run", str(ns_config(tmp_path, outdir="empty"))])
+        capsys.readouterr()
+        path = tmp_path / "empty" / "report.json"
+        rep = json.loads(path.read_text())
+        rep["assertions"] = []
+        path.write_text(json.dumps(rep))
+        rc = main(["report", str(tmp_path / "empty")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ns: no assertions" in out
+        assert out.strip().endswith("overall: PASS")
+        rc = main(["report", str(tmp_path / "out"), str(tmp_path / "empty")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ns.dissipation_sign" in out and "no assertions" in out
+
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "not found" in capsys.readouterr().err

@@ -144,6 +144,25 @@ class TestSerialization:
         assert header["schema"] == "vacuumlab-field-1"
         assert header["dtype"] == "<f8"
 
+    def test_roundtrip_short_time_subgrid_at_origin(self, tmp_path, small_grid):
+        # a derived grid starting at t0 = 0 with fewer than 8 slices
+        sub = small_grid.time_subgrid(0, 4)
+        f = from_function(sub, lambda t, x: np.cos(x - t))
+        save_field(f, tmp_path / "field")
+        back = load_field(tmp_path / "field")
+        assert back.grid == sub
+        assert np.array_equal(back.values, f.values)
+
+    def test_header_without_derived_flag_infers_it(self, tmp_path, small_grid):
+        import json
+        sub = small_grid.time_subgrid(2, 6)
+        save_field(constant_field(sub, 1.0), tmp_path / "f")
+        path = tmp_path / "f.json"
+        header = json.loads(path.read_text())
+        del header["derived"]
+        path.write_text(json.dumps(header))
+        assert load_field(tmp_path / "f").grid == sub
+
 
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(min_value=-5, max_value=5, allow_nan=False))

@@ -46,12 +46,58 @@ class TestWeierstrass:
         with pytest.raises(ResolutionError):
             weierstrass_field(WeierstrassSpec(alpha=0.5, levels=12, seed=0),
                               small_grid)
+        # one short spatial axis is enough to trip the guard
+        with pytest.raises(ResolutionError, match="axis size 64"):
+            weierstrass_field(WeierstrassSpec(alpha=0.5, levels=8, seed=0),
+                              GridSpec(2, (512, 512, 64), (1.0, 1.0, 1.0)))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             WeierstrassSpec(alpha=1.5)
         with pytest.raises(ValueError):
             WeierstrassSpec(alpha=0.5, levels=4)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("grid,stride", [
+        (GridSpec(1, (520, 530), (1.0, 2.0)), 1),
+        (GridSpec(2, (260, 264, 272), (0.5, 1.0, 2.0), t0=0.25, derived=True), 3),
+    ], ids=["1d", "2d"])
+    def test_matches_direct_cosine_sum(self, grid, stride, seed):
+        spec = WeierstrassSpec(alpha=0.4, levels=8, seed=seed)
+        w = weierstrass_field(spec, grid, floor=0.1).values[..., 0]
+        want = direct_cosine_sum(spec, grid, stride)
+        # equal up to the constant shift that puts the minimum at the floor
+        gap = w[(slice(None, None, stride),) * w.ndim] - want
+        assert np.ptp(gap) <= 1e-13 * np.max(np.abs(w))
+        if stride == 1:
+            assert gap.mean() == pytest.approx(0.1 - want.min(), abs=1e-13)
+
+
+def direct_cosine_sum(spec, grid, stride):
+    """Oracle: the unshifted lacunary sum, one cosine per level over every
+    ``stride``-th node of each axis, with the same draws in the same order."""
+    rng = np.random.default_rng(spec.seed)
+    d = grid.spatial_dim
+    coords = np.meshgrid(*[grid.axis_coords(a)[::stride]
+                           for a in range(1 + d)], indexing="ij")
+    t = coords[0] / grid.extents[0]
+    xs = [coords[1 + a] / grid.extents[1 + a] for a in range(d)]
+    total = np.zeros(t.shape)
+    for j in range(spec.levels):
+        mag = spec.base_frequency * 2 ** j
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        if d == 1:
+            ks = [mag if rng.random() < 0.5 else -mag]
+        else:
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            ks = [int(round(mag * np.cos(angle))), int(round(mag * np.sin(angle)))]
+            if ks == [0, 0]:
+                ks = [mag, 0]
+        phase = mag * rng.uniform(-1.0, 1.0) * t
+        for k, x in zip(ks, xs):
+            phase = phase + k * x
+        total += 2.0 ** (-spec.alpha * j) * np.cos(2.0 * np.pi * phase + theta)
+    return total
 
 
 class TestVacuumProfiles:

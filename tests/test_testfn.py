@@ -126,3 +126,43 @@ class TestBoundaryCutoff:
         t = np.full_like(x, 0.5)
         total = np.trapezoid(np.abs(tf._grad(t, x)[0]), x)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+GRID_1D = GridSpec(1, (48, 40), (1.0, 1.0))
+GRID_2D = GridSpec(2, (24, 20, 28), (1.0, 1.0, 2.0))
+
+
+def _kinds(grid):
+    d = grid.spatial_dim
+    kinds = [spacetime_bump((0.5,) + (0.45,) * d, (0.35,) + (0.3,) * d),
+             time_bump(0.5, 0.3),
+             time_window(0.1, 0.9, 0.1)]
+    if d == 1:
+        kinds.append(boundary_cutoff(0.1, time_window(0.1, 0.9, 0.1)))
+    return kinds
+
+
+class TestSeparableEvaluation:
+    """phi/dt/grad on the open mesh agree with the closures on the full mesh."""
+
+    @pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+    def test_matches_full_meshgrid(self, grid):
+        mesh = grid.meshgrid()
+        for tf in _kinds(grid):
+            for name in ("phi", "dt"):
+                got = getattr(tf, name)(grid).values[..., 0]
+                want = np.broadcast_to(getattr(tf, "_" + name)(*mesh), grid.shape)
+                scale = float(np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (tf.kind, name)
+            got = tf.grad(grid).values
+            want = np.stack([np.broadcast_to(p, grid.shape)
+                             for p in tf._grad(*mesh)], axis=-1)
+            assert got.shape == grid.shape + (grid.spatial_dim,)
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (tf.kind, "grad")
+
+    def test_boundary_cutoff_is_nontrivial_on_grid(self):
+        # guards the oracle above against comparing two all-zero arrays
+        tf = _kinds(GRID_1D)[-1]
+        assert np.max(np.abs(tf.grad(GRID_1D).values)) > 1.0
+        assert np.max(np.abs(tf.dt(GRID_1D).values)) > 1.0
