@@ -6,7 +6,7 @@ report plus CSV/plot data into the configured output directory;
 table; ``export-field <field> <path>`` writes a named generator field
 to disk.  Exit codes: 0 all assertions passed, 2 assertion failure
 (with a machine-readable failure list on stdout), 1 usage or config
-error.
+error, or a study that raised (``<kind> study failed: <class>: <message>``).
 
 Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, VacuumLabError
 from .grids import GridSpec, from_function, make_mollifier, save_field
-from .pressure import PressureLaw, commutator_rate, make_c2_approximant
+from .pressure import PressureLaw, commutator_rate
 from .rates import fit_rate
 from .synth import WeierstrassSpec, simple_wave, vacuum_profile, weierstrass_field
 from .testfn import spacetime_bump
@@ -452,18 +452,19 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    kind = config["study"]["kind"]
     try:
-        outcome = _STUDIES[config["study"]["kind"]](config)
+        outcome = _STUDIES[kind](config)
     except (VacuumLabError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{kind} study failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
     report = _write_report(Path(config["study"]["output"]), config, outcome)
     if not report["passed"]:
         failures = [a for a in report["assertions"] if not a["passed"]]
         print(json.dumps({"failures": failures}, sort_keys=True))
         return 2
-    print(f"{config['study']['kind']}: all "
-          f"{len(report['assertions'])} assertions passed")
+    print(f"{kind}: all {len(report['assertions'])} assertions passed")
     return 0
 
 

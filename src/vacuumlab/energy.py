@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BoundaryConditionError
-from .grids import Field, GridSpec, MollifierKernel, integrate, mollify, restrict
+from .grids import Field, MollifierKernel, integrate, mollify
 from .pressure import PressureLaw
 from .commutators import energy_commutators
 from .synth import ns_stress, stress_apply, stress_contract_grad

@@ -411,7 +411,7 @@ def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Fiel
                 wfull = win.reshape((1,) + win.shape)
                 out = ndimage.convolve(v, wfull, mode="wrap")
         else:
-            out = _fft_circular_convolve(v, win, axes)
+            out = circular_convolve(v, win, axes)
         comps.append(out)
     vals = np.stack(comps, axis=-1)
     if kernel.include_time:
@@ -420,22 +420,23 @@ def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Fiel
     return Field(grid, vals)
 
 
-def _fft_circular_convolve(v: np.ndarray, win: np.ndarray,
-                           axes: tuple[int, ...]) -> np.ndarray:
-    shape = tuple(v.shape[a] for a in axes)
+def circular_convolve(values: np.ndarray, weights: np.ndarray,
+                      axes: tuple[int, ...]) -> np.ndarray:
+    """Periodic convolution over the trailing ``axes`` by the circular FFT.
+
+    ``weights`` is a centred odd-length stencil; leading axes broadcast.
+    """
+    shape = tuple(values.shape[a] for a in axes)
     kfull = np.zeros(shape)
     idx = np.ix_(*[
         (np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)) % s
-        for n, s in zip(win.shape, shape)
+        for n, s in zip(weights.shape, shape)
     ])
-    kfull[idx] = win
-    fv = np.fft.rfftn(v, axes=axes)
+    kfull[idx] = weights
+    fv = np.fft.rfftn(values, axes=axes)
     fk = np.fft.rfftn(kfull)
-    if len(axes) < v.ndim:
-        # spatial-only kernel: broadcast over the leading time axis
-        fk = fk.reshape((1,) * (v.ndim - len(axes)) + fk.shape)
-    out = np.fft.irfftn(fv * fk, s=shape, axes=axes)
-    return out
+    fv *= fk.reshape((1,) * (values.ndim - len(axes)) + fk.shape)
+    return np.fft.irfftn(fv, s=shape, axes=axes)
 
 
 def shift(field: Field, xi) -> Field:

@@ -8,14 +8,13 @@ the reproducibility record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
     Field,
     MollifierKernel,
-    align,
     div,
     lp_norm,
     make_mollifier,

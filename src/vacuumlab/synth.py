@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import AdmissibilityError, BlowupTimeError, ResolutionError
-from .grids import Field, GridSpec, constant_field, div, dspace, from_function
+from .grids import Field, GridSpec, constant_field, dspace, from_function
 from .pressure import PressureLaw
 
 

@@ -23,3 +23,18 @@ def smooth_pair(small_grid):
     u = from_function(small_grid,
                       lambda t, x: 0.2 * np.cos(2 * np.pi * (x - t)))
     return rho, u
+
+
+def direct_circular_convolve(values, weights, axes):
+    """Periodic convolution over ``axes`` as a sum of rolled copies.
+
+    ``weights`` is a centred odd-length stencil, one axis per entry of
+    ``axes``.  This is the direct-summation oracle for the FFT paths.
+    """
+    out = np.zeros(values.shape)
+    centre = [(n - 1) // 2 for n in weights.shape]
+    for idx in np.ndindex(weights.shape):
+        if weights[idx] != 0.0:
+            steps = [i - c for i, c in zip(idx, centre)]
+            out += weights[idx] * np.roll(values, steps, axis=axes)
+    return out

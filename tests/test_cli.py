@@ -120,6 +120,16 @@ factor_max = 0.001
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_study_error_names_kind_and_class(self, tmp_path, capsys):
+        # shipped defaults: Weierstrass level 8 reaches Nyquist at nx = 512
+        path = write_config(tmp_path, f"[study]\nkind = rates\n"
+                                      f"output = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rates study failed: ResolutionError: ")
+        assert "reaches Nyquist" in err
+        assert "config error" not in err
+
     def test_workers_env_validated(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("VACUUMLAB_WORKERS", "zero")
         assert main(["run", str(ns_config(tmp_path))]) == 1

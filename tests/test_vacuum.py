@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from conftest import direct_circular_convolve
+from hypothesis import given, settings, strategies as st
 
+from vacuumlab import vacuum
 from vacuumlab.errors import (
     ExponentRelationError,
     ResolutionError,
     VacuumSingularityError,
 )
 from vacuumlab.grids import (
+    Field,
     GridSpec,
     constant_field,
     from_function,
@@ -150,6 +154,50 @@ class TestQns:
         assert rep["forward_pass"] and rep["backward_pass"]
         assert rep["uniform_constant_plausible"]
         assert all(r["M_emp"] <= 1.2 for r in rep["per_rung"])
+
+
+def direct_ball_average(w, radius):
+    axes = tuple(range(1, len(w.grid.shape)))
+    return Field(w.grid, direct_circular_convolve(
+        w.values[..., 0], vacuum._ball_kernel(w.grid, radius), axes))
+
+
+class TestBallAverageOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n=st.integers(8, 40),
+           cells=st.integers(1, 19), zero_start=st.integers(0, 39),
+           zero_len=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_matches_direct_summation(self, dim, n, cells, zero_start,
+                                          zero_len, seed):
+        rng = np.random.default_rng(seed)
+        shape = (8, n) if dim == 1 else (8, n, n + 3)
+        g = GridSpec(dim, shape, (1.0,) * len(shape))
+        vals = rng.random(shape)
+        block = slice(zero_start % n, zero_start % n + zero_len)
+        vals[:, block] = 0.0  # exact vacuum, possibly the whole field
+        w = Field(g, vals)
+        radius = (min(cells, (n - 1) // 2) + 0.5) * min(g.spacings[1:])
+        fft = vacuum._ball_average(w, radius).values[..., 0]
+        direct = direct_ball_average(w, radius).values[..., 0]
+        scale = max(float(vals.max()), 1e-300)
+        assert np.max(np.abs(fft - direct)) <= 1e-13 * scale
+        assert np.all(fft[direct > 0.0] > 0.0)
+
+    @pytest.mark.parametrize("case", ["spikes", "abs"])
+    def test_qns_check_matches_direct_summation(self, case, monkeypatch):
+        if case == "spikes":
+            w = counterexample_field(8, 4096)
+        else:
+            g = GridSpec(1, (8, 2048), (1.0, 1.0))
+            w = from_function(g, lambda t, x: np.abs(np.sin(7 * x)) ** 0.5)
+        radii = [0.05, 0.02, 0.01, 0.005]
+        fft = qns_check(w, None, radii, C=1.0)
+        monkeypatch.setattr(vacuum, "_ball_average", direct_ball_average)
+        direct = qns_check(w, None, radii, C=1.0)
+        assert fft["empirical_C"] == pytest.approx(direct["empirical_C"],
+                                                   rel=1e-12)
+        assert fft["worst_witness"][:2] == direct["worst_witness"][:2]
+        assert fft["pass"] == direct["pass"]
 
 
 class TestCounterexample:
