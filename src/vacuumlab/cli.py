@@ -7,6 +7,10 @@ table; ``export-field <field> <path>`` writes a named generator field
 to disk.  Exit codes: 0 all assertions passed, 2 assertion failure
 (with a machine-readable failure list on stdout), 1 usage or config
 error, or a study that raised (``<kind> study failed: <class>: <message>``).
+``run`` creates the output directory before the study starts, so an
+output path that cannot be created is a config error.  ``report`` exits
+1 on a ``report.json`` that is not JSON or lacks the ``study`` or
+``assertions`` key.
 
 Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
@@ -421,7 +425,6 @@ _STUDIES = {
 # ---------------------------------------------------------------------------
 
 def _write_report(outdir: Path, config: dict, outcome: dict) -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema": REPORT_SCHEMA,
         "study": config["study"]["kind"],
@@ -452,6 +455,13 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    outdir = Path(config["study"]["output"])
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory: {exc}",
+              file=sys.stderr)
+        return 1
     kind = config["study"]["kind"]
     try:
         outcome = _STUDIES[kind](config)
@@ -459,13 +469,25 @@ def cmd_run(args) -> int:
         print(f"{kind} study failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    report = _write_report(Path(config["study"]["output"]), config, outcome)
+    report = _write_report(outdir, config, outcome)
     if not report["passed"]:
         failures = [a for a in report["assertions"] if not a["passed"]]
         print(json.dumps({"failures": failures}, sort_keys=True))
         return 2
     print(f"{kind}: all {len(report['assertions'])} assertions passed")
     return 0
+
+
+def _read_report(path: Path) -> dict:
+    """Load a study's ``report.json``; ValueError names what is wrong."""
+    rep = json.loads(path.read_text())
+    if not isinstance(rep, dict):
+        raise ValueError(f"top level is a JSON {type(rep).__name__}, "
+                         f"not an object")
+    for key in ("study", "assertions"):
+        if key not in rep:
+            raise ValueError(f"missing key {key!r}")
+    return rep
 
 
 def cmd_report(args) -> int:
@@ -479,7 +501,12 @@ def cmd_report(args) -> int:
         if not path.is_file():
             print(f"usage error: {path} not found", file=sys.stderr)
             return 1
-        rep = json.loads(path.read_text())
+        try:
+            rep = _read_report(path)
+        except ValueError as exc:  # includes JSON and UTF-8 decode errors
+            print(f"usage error: {path} is not a vacuumlab report: {exc}",
+                  file=sys.stderr)
+            return 1
         if not rep["assertions"]:
             print(f"{rep['study']}: no assertions in {path}")
         for a in rep["assertions"]:

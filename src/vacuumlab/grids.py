@@ -10,6 +10,11 @@ Conventions used throughout the package:
   distance greater than the kernel radius from both time boundaries).
   Shrunk grids keep the parent spacing and record their time origin, which
   is how fields on different (sub)domains are aligned for arithmetic.
+* ``mollify`` sums small jobs directly and sends large ones through the
+  circular FFT.  The direct branch drops kernel weights with
+  ``|w| <= DBL_EPSILON`` (the footprint rule of ``ndimage.convolve``) and
+  runs the rest as 1-D line convolutions, so a non-negative field is
+  exactly zero wherever the remaining weights see only zeros.
 """
 
 from __future__ import annotations
@@ -297,6 +302,29 @@ def _profile(r: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
+def _solve_theta(mass) -> float:
+    """Bisect for the steepness theta at which ``mass(theta)`` is 1.
+
+    ``mass`` decreases in theta and exceeds 1 at theta = 0.
+    """
+    lo, hi = 0.0, 1.0
+    while mass(hi) > 1.0:
+        hi *= 2.0
+        if hi > 1e8:
+            raise InfeasibleKernelError("steepness search did not bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent doubles: nothing left to halve
+        if mass(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
 def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
                    include_time: bool = True) -> MollifierKernel:
     """Build the unit-mass plateau kernel of radius ``epsilon`` on ``grid``.
@@ -339,20 +367,7 @@ def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
             f"no steepness gives unit mass (plateau {plateau_mass:.3g}, "
             f"full {full_mass:.3g})"
         )
-    lo, hi = 0.0, 1.0
-    while mass(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise InfeasibleKernelError("steepness search did not bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    theta = 0.5 * (lo + hi)
+    theta = _solve_theta(mass)
     w = _profile(r, theta) / epsilon ** dim
     # Remove the last floating-point sliver so the discrete integral is 1
     # to full precision (rescales transition nodes only).
@@ -381,6 +396,16 @@ def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Fiel
 
     Space-time kernels return a field on the interior time range; purely
     spatial kernels act slice-wise and keep the grid.
+
+    Jobs of at most ``_DIRECT_WORK_LIMIT`` (field nodes x kernel nodes) are
+    summed directly by ``_direct_convolve``: weights with
+    ``|w| <= DBL_EPSILON`` are dropped, as ``ndimage.convolve`` does, and
+    the rest run as one ``ndimage.convolve1d`` per distinct kernel row
+    along the last axis, rolled into place along the leading axes.  A
+    non-negative field therefore stays exactly zero wherever the kept
+    weights see only zeros.  Larger jobs use ``circular_convolve``, whose
+    rounding leaves values of order 1e-16 there instead.  ``method``
+    forces either branch ("direct" or "fft").
     """
     grid = field.grid
     if kernel.include_time:
@@ -401,23 +426,51 @@ def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Fiel
     nwork = field.grid.node_count * win.size
     use_direct = method == "direct" or (method == "auto" and nwork <= _DIRECT_WORK_LIMIT)
 
-    comps = []
-    for c in range(field.components):
-        v = field.values[..., c]
-        if use_direct:
-            if kernel.include_time:
-                out = ndimage.convolve(v, win, mode="wrap")
-            else:
-                wfull = win.reshape((1,) + win.shape)
-                out = ndimage.convolve(v, wfull, mode="wrap")
-        else:
-            out = circular_convolve(v, win, axes)
-        comps.append(out)
-    vals = np.stack(comps, axis=-1)
+    convolve = _direct_convolve if use_direct else circular_convolve
+    vals = np.stack([convolve(field.values[..., c], win, axes)
+                     for c in range(field.components)], axis=-1)
     if kernel.include_time:
         sub = grid.time_subgrid(j0, j1)
         return Field(sub, vals[j0:j1])
     return Field(grid, vals)
+
+
+def _direct_convolve(values: np.ndarray, weights: np.ndarray,
+                     axes: tuple[int, ...]) -> np.ndarray:
+    """Periodic direct summation over ``axes`` as 1-D line convolutions.
+
+    ``weights`` is a centred odd-length stencil, one axis per entry of
+    ``axes``.  Weights with ``|w| <= DBL_EPSILON`` are set to 0, the
+    footprint rule of ``ndimage.convolve``, so exact zeros of the result
+    match its.  Each nonzero row along the last axis, trimmed
+    symmetrically to its support, convolves the field once per distinct
+    row (``convolve1d`` halves the multiplies on symmetric rows); the
+    result is added rolled by every offset of that row along the leading
+    axes.
+    """
+    w = np.where(np.abs(weights) > np.finfo(float).eps, weights, 0.0)
+    c = w.shape[-1] // 2
+    rows = {}
+    for idx in np.ndindex(w.shape[:-1]):
+        nonzero = np.flatnonzero(w[idx])
+        if nonzero.size:
+            r = int(np.abs(nonzero - c).max())
+            row = w[idx][c - r:c + r + 1]
+            steps = tuple(i - n // 2 for i, n in zip(idx, w.shape))
+            rows.setdefault(row.tobytes(), (row, []))[1].append(steps)
+    lead = axes[:-1]
+    out = None
+    for row, offsets in rows.values():
+        line = ndimage.convolve1d(values, row, axis=axes[-1], mode="wrap")
+        for steps in offsets:
+            # with no leading axes there is one row and one offset, so the
+            # line itself can become the result
+            term = np.roll(line, steps, axis=lead) if lead else line
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out
 
 
 def circular_convolve(values: np.ndarray, weights: np.ndarray,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vacuumlab import cli
 from vacuumlab.cli import load_config, main
 from vacuumlab.errors import ConfigError
 from vacuumlab.grids import load_field
@@ -130,6 +131,20 @@ factor_max = 0.001
         assert "reaches Nyquist" in err
         assert "config error" not in err
 
+    def test_uncreatable_output_directory(self, tmp_path, monkeypatch,
+                                          capsys):
+        (tmp_path / "plain").write_text("a regular file\n")
+        path = ns_config(tmp_path, outdir="plain/out")
+
+        def study(config):
+            raise AssertionError("study ran before the output check")
+
+        monkeypatch.setitem(cli._STUDIES, "ns", study)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert len(err.strip().splitlines()) == 1
+
     def test_workers_env_validated(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("VACUUMLAB_WORKERS", "zero")
         assert main(["run", str(ns_config(tmp_path))]) == 1
@@ -163,6 +178,21 @@ class TestReport:
         out = capsys.readouterr().out
         assert rc == 0
         assert "ns.dissipation_sign" in out and "no assertions" in out
+
+    def test_report_not_json(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("{ not json")
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {tmp_path / 'report.json'} "
+                              f"is not a vacuumlab report: ")
+        assert "Expecting" in err
+
+    def test_report_without_assertions_key(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text(json.dumps({"study": "ns"}))
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {tmp_path / 'report.json'} is not a "
+                       f"vacuumlab report: missing key 'assertions'\n")
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from conftest import direct_circular_convolve
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
-from vacuumlab.errors import ResolutionError
+from vacuumlab import grids
+from vacuumlab.errors import InfeasibleKernelError, ResolutionError
 from vacuumlab.grids import (
     Field,
     GridSpec,
@@ -117,10 +119,107 @@ class TestMollifier:
         err = np.max(np.abs(fe.values[..., 0] - oracle))
         assert err <= 1e-13 * float(np.abs(f.values).max())
 
+    def test_theta_search_matches_full_bisection(self, monkeypatch):
+        # the search before it stopped on adjacent doubles: bitwise equal
+        # kernels, from fewer profile evaluations
+        def full_bisection(mass):
+            lo, hi = 0.0, 1.0
+            while mass(hi) > 1.0:
+                hi *= 2.0
+                if hi > 1e8:
+                    raise InfeasibleKernelError("did not bracket")
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mass(mid) > 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < 1e-16 * max(1.0, hi):
+                    break
+            return 0.5 * (lo + hi)
+
+        cases = [(GridSpec(1, (128, 256), (1.0, 1.0)), eps, inc)
+                 for eps in (0.025, 0.05, 0.1, 0.2) for inc in (False, True)]
+        cases += [(GridSpec(2, (24, 32, 40), (1.0, 1.0, 1.0)), eps, inc)
+                  for eps in (0.15, 0.2, 0.25) for inc in (False, True)]
+        calls = [0]
+        profile = grids._profile
+
+        def counted(r, theta):
+            calls[0] += 1
+            return profile(r, theta)
+
+        monkeypatch.setattr(grids, "_profile", counted)
+
+        def build():
+            calls[0] = 0
+            kernels = [make_mollifier(eps, g.spatial_dim + inc, g,
+                                      include_time=inc)
+                       for g, eps, inc in cases]
+            return kernels, calls[0]
+
+        new, new_calls = build()
+        monkeypatch.setattr(grids, "_solve_theta", full_bisection)
+        old, old_calls = build()
+        assert {k.weights.ndim for k in new} == {1, 2, 3}
+        for a, b in zip(new, old):
+            assert a.shape_parameter == b.shape_parameter
+            assert np.array_equal(a.weights, b.weights)
+        assert new_calls < old_calls / 2
+
     def test_spatial_only_kernel_keeps_time_extent(self, small_grid):
         f = from_function(small_grid, lambda t, x: np.cos(2 * np.pi * x))
         fe = mollify(f, make_mollifier(0.1, 1, small_grid, include_time=False))
         assert fe.grid.shape[0] == small_grid.shape[0]
+
+
+class TestDirectConvolve:
+    """``_direct_convolve`` against direct summation and ndimage.convolve."""
+
+    @staticmethod
+    def vacuum_field(rng, shape, zero_start, zero_len):
+        vals = rng.random(shape)
+        n = shape[1]
+        vals[:, zero_start % n:zero_start % n + zero_len] = 0.0
+        if rng.random() < 0.5:
+            vals[:shape[0] // 2] = 0.0  # a vacuum slab in time
+        return vals
+
+    @settings(max_examples=40, deadline=None)
+    @given(spatial_dim=st.sampled_from([1, 2]), include_time=st.booleans(),
+           half=st.integers(3, 6), nt=st.integers(14, 24),
+           n=st.integers(14, 40), zero_start=st.integers(0, 39),
+           zero_len=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_plateau_kernels(self, spatial_dim, include_time, half, nt, n,
+                             zero_start, zero_len, seed):
+        rng = np.random.default_rng(seed)
+        shape = (nt, n) if spatial_dim == 1 else (nt, n, n + 1)
+        g = GridSpec(spatial_dim, shape, tuple(map(float, shape)))  # h = 1
+        ker = make_mollifier(half + 0.5, spatial_dim + include_time, g,
+                             include_time=include_time)
+        win = ker.weights * ker.cell_volume
+        axes = tuple(range(0 if include_time else 1, len(shape)))
+        vals = self.vacuum_field(rng, shape, zero_start, zero_len)
+        out = grids._direct_convolve(vals, win, axes)
+        oracle = direct_circular_convolve(vals, win, axes)
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
+        nd = ndimage.convolve(vals, win.reshape((1,) * (len(shape) - win.ndim)
+                                                + win.shape), mode="wrap")
+        assert np.array_equal(out == 0.0, nd == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(widths=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_asymmetric_stencil_direction(self, widths, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(tuple(2 * k + 1 for k in widths))
+        weights /= weights.sum()  # unit mass, like a mollifier
+        shape = (9,) + tuple(2 * k + 3 + rng.integers(0, 6) for k in widths)
+        vals = self.vacuum_field(rng, shape, rng.integers(0, 8), 3)
+        axes = tuple(range(1, len(shape)))
+        out = grids._direct_convolve(vals, weights, axes)
+        oracle = direct_circular_convolve(vals, weights, axes)
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
 
 
 class TestCalculus:
