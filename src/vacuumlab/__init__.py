@@ -18,6 +18,7 @@ from .errors import (
 from .grids import (
     Field,
     GridSpec,
+    Mollification,
     MollifierKernel,
     from_function,
     integrate,

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import VacuumSingularityError
 from .grids import (
     Field,
+    Mollification,
     MollifierKernel,
     align,
     ddt,
@@ -23,7 +24,6 @@ from .grids import (
     grad,
     integrate,
     lp_norm,
-    mollify,
     restrict,
 )
 from .pressure import C2Approximant, PressureLaw
@@ -85,9 +85,9 @@ def pointwise_decomposition_check(f: Field, g: Field,
     """
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
-    fe = mollify(f, kernel)
-    ge = mollify(g, kernel)
-    fge = mollify(f * g, kernel)
+    moll = Mollification(kernel, f.grid)
+    fe, ge, fge = moll(f), moll(g), moll(f * g)
+    del moll  # free the kernel spectrum before the arithmetic
     sub = fe.grid
     f0 = restrict(f, sub)
     g0 = restrict(g, sub)
@@ -142,19 +142,37 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     s:  mass-flux divergence commutator weighted by P'(rho_e),
         with the integrand set to 0 on the numerical vacuum of rho_e.
     """
+    mollified = mollify_energy_inputs(rho, u, law, kernel)
+    return commutators_from_mollified(rho, law, kernel, phi, mollified, atol)
+
+
+def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
+                          kernel: MollifierKernel) -> tuple:
+    """(rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e) for one kernel.
+
+    One ``Mollification`` transforms the kernel once for all five fields.
+    Each input is built just before it is mollified and the spectrum is
+    freed on return, so neither is alive during the commutator arithmetic,
+    where the peak memory of ``energy_commutators`` lies.
+    """
     if float(rho.values.min()) < 0:
         raise VacuumSingularityError("density has negative samples")
-    d = u.components
-    if d != rho.grid.spatial_dim:
+    if u.components != rho.grid.spatial_dim:
         raise ValueError("u needs one component per spatial axis")
+    moll = Mollification(kernel, rho.grid)
+    return (moll(rho), moll(u), moll(rho * u), moll(_outer(rho * u, u)),
+            moll(rho.map(law.p)))
+
+
+def commutators_from_mollified(rho: Field, law: PressureLaw,
+                               kernel: MollifierKernel, phi: TestFunction,
+                               mollified: tuple,
+                               atol: float | None = None) -> CommutatorReport:
+    """``energy_commutators`` from the fields of ``mollify_energy_inputs``."""
     if atol is None:
         atol = ATOL_FACTOR * max(float(rho.values.max()), 1.0)
-
-    rho_e = mollify(rho, kernel)
-    u_e = mollify(u, kernel)
-    m_e = mollify(rho * u, kernel)
-    mm_e = mollify(_outer(rho * u, u), kernel)
-    p_e = mollify(rho.map(law.p), kernel)
+    rho_e, u_e, m_e, mm_e, p_e = mollified
+    d = u_e.components
 
     drift = ddt(rho_e * u_e - m_e)
     r1 = restrict(u_e, drift.grid).dot(drift)
@@ -183,8 +201,9 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
 def mollified_mass_residual(rho: Field, u: Field,
                             kernel: MollifierKernel) -> float:
     """L1 norm of d_t rho_e + div (rho u)_e; zero for exact solutions up to O(h^2)."""
-    rho_e = mollify(rho, kernel)
-    m_e = mollify(rho * u, kernel)
+    moll = Mollification(kernel, rho.grid)
+    rho_e, m_e = moll(rho), moll(rho * u)
+    del moll  # free the kernel spectrum before the arithmetic
     r = ddt(rho_e) + restrict(div(m_e), ddt(rho_e).grid)
     return lp_norm(r, 1)
 
@@ -210,15 +229,15 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     sets = build_vacuum_sets(rho, kernel, beta, atol)
     atol = sets.atol
 
-    rho_e = mollify(rho, kernel)
-    u_e = mollify(u, kernel)
-    m_e = mollify(rho * u, kernel)
+    moll = Mollification(kernel, rho.grid)
+    rho_e, u_e, m_e, p_e = moll(rho), moll(u), moll(rho * u), moll(rho.map(law.p))
+    del moll  # free the kernel spectrum before the arithmetic
     sub = rho_e.grid
     phi_f = restrict(phi.phi(rho.grid), sub)
     gphi = restrict(phi.grad(rho.grid), sub)
 
     # R = int grad(p(rho_e) - p(rho)_e) . phi u_e, by parts:
-    p_comm = rho_e.map(law.p) - mollify(rho.map(law.p), kernel)
+    p_comm = rho_e.map(law.p) - p_e
     R = -(integrate(p_comm * gphi.dot(u_e))
           + integrate(p_comm * phi_f * div(u_e)))
 
@@ -284,8 +303,9 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
                C ||phi||_C1 * delta * ||u||_L3.
     """
     gap_field = Field(rho.grid, approx.p(rho.values) - law.p(rho.values))
-    gap_e = mollify(gap_field, kernel)
-    u_e = mollify(u, kernel)
+    moll = Mollification(kernel, rho.grid)
+    gap_e, u_e = moll(gap_field), moll(u)
+    del moll  # free the kernel spectrum before the arithmetic
     sub = gap_e.grid
     phi_f = restrict(phi.phi(rho.grid), sub)
     gphi = restrict(phi.grad(rho.grid), sub)
@@ -329,11 +349,11 @@ def degenerate_viscosity_commutator(rho: Field, u: Field, mu: float, nu: float,
     """
     if mu <= 0 or nu < 0:
         raise ValueError("mu must be positive, nu non-negative")
-    rho_e = mollify(rho, kernel)
-    u_e = mollify(u, kernel)
+    moll = Mollification(kernel, rho.grid)
+    rho_e, u_e = moll(rho), moll(u)
+    rhoS_e = moll(Field(u.grid, rho.values * ns_stress(u, mu, nu).values))
+    del moll  # free the kernel spectrum before the arithmetic
     S_e = ns_stress(u_e, mu, nu)
-    rhoS = Field(u.grid, rho.values * ns_stress(u, mu, nu).values)
-    rhoS_e = mollify(rhoS, kernel)
     M = Field(rho_e.grid, rho_e.values * S_e.values) - rhoS_e
 
     sub = M.grid

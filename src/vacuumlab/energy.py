@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BoundaryConditionError
-from .grids import Field, MollifierKernel, integrate, mollify
+from .grids import Field, MollifierKernel, integrate
 from .pressure import PressureLaw
-from .commutators import energy_commutators
+from .commutators import commutators_from_mollified, mollify_energy_inputs
 from .synth import ns_stress, stress_apply, stress_contract_grad
 from .testfn import TestFunction, boundary_cutoff, time_window
 
@@ -97,11 +97,11 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     and flux (rho u)_e |u_e|^2 / 2 + rho_e u_e P'(rho_e) against phi;
     RHS is the sum of the four commutator integrals.  The continuum
     derivation is an algebraic identity for exact solutions, so the gap
-    must shrink at the quadrature order under grid refinement.
+    must shrink at the quadrature order under grid refinement.  Both
+    sides share one set of mollified fields.
     """
-    rho_e = mollify(rho, kernel)
-    u_e = mollify(u, kernel)
-    m_e = mollify(rho * u, kernel)
+    mollified = mollify_energy_inputs(rho, u, law, kernel)
+    rho_e, u_e, m_e = mollified[:3]
 
     kinetic = 0.5 * rho_e.values[..., 0] * np.sum(u_e.values ** 2, axis=-1)
     E_m = Field(rho_e.grid, kinetic + law.potential(np.maximum(rho_e.values[..., 0], 0.0)))
@@ -110,7 +110,7 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     F_m = Field(rho_e.grid, ke_flux + rho_e.values * dP * u_e.values)
 
     lhs = weak_pairing(E_m, F_m, phi)
-    report = energy_commutators(rho, u, law, kernel, phi)
+    report = commutators_from_mollified(rho, law, kernel, phi, mollified)
     rhs = float(sum(report.term_values.values()))
     gap = abs(lhs - rhs)
     return EnergyBudget(

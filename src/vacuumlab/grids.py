@@ -10,11 +10,18 @@ Conventions used throughout the package:
   distance greater than the kernel radius from both time boundaries).
   Shrunk grids keep the parent spacing and record their time origin, which
   is how fields on different (sub)domains are aligned for arithmetic.
-* ``mollify`` sums small jobs directly and sends large ones through the
-  circular FFT.  The direct branch drops kernel weights with
-  ``|w| <= DBL_EPSILON`` (the footprint rule of ``ndimage.convolve``) and
-  runs the rest as 1-D line convolutions, so a non-negative field is
-  exactly zero wherever the remaining weights see only zeros.
+* ``Mollification(kernel, grid)`` applies one kernel to every field of a
+  call: it validates the kernel against the grid and picks the branch
+  once.  Small jobs are summed directly; the direct branch drops kernel
+  weights with ``|w| <= DBL_EPSILON`` (the footprint rule of
+  ``ndimage.convolve``) and runs the rest as 1-D line convolutions, so a
+  non-negative field is exactly zero wherever the remaining weights see
+  only zeros.  Large jobs go through the circular FFT, with the kernel
+  spectrum built once and applied to every component of every field.
+  ``mollify(field, kernel)`` is the one-field shorthand.
+* Finite differences read shifted slices of the samples; periodic axes
+  wrap, and the non-periodic time axis loses the stencil width at both
+  ends.
 """
 
 from __future__ import annotations
@@ -391,48 +398,93 @@ def interior_time_slices(grid: GridSpec, epsilon: float) -> tuple[int, int]:
     return j0, j1
 
 
-def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Field:
-    """Convolve with the kernel; periodic in space, shrunk in time.
+class Mollification:
+    """One kernel applied to the fields of one grid; periodic in space,
+    shrunk in time.
 
-    Space-time kernels return a field on the interior time range; purely
-    spatial kernels act slice-wise and keep the grid.
-
-    Jobs of at most ``_DIRECT_WORK_LIMIT`` (field nodes x kernel nodes) are
+    Space-time kernels return fields on the interior time range; purely
+    spatial kernels act slice-wise and keep the grid.  Construction
+    validates the kernel against ``grid`` and picks the branch once.  Jobs
+    of at most ``_DIRECT_WORK_LIMIT`` (field nodes x kernel nodes) are
     summed directly by ``_direct_convolve``: weights with
     ``|w| <= DBL_EPSILON`` are dropped, as ``ndimage.convolve`` does, and
     the rest run as one ``ndimage.convolve1d`` per distinct kernel row
     along the last axis, rolled into place along the leading axes.  A
     non-negative field therefore stays exactly zero wherever the kept
-    weights see only zeros.  Larger jobs use ``circular_convolve``, whose
-    rounding leaves values of order 1e-16 there instead.  ``method``
-    forces either branch ("direct" or "fft").
+    weights see only zeros.  Larger jobs use the circular FFT: the kernel
+    spectrum is built here, once, and every component of every field is
+    multiplied by it; rounding leaves values of order 1e-16 where the
+    direct branch gives zeros.  ``method`` forces either branch ("direct"
+    or "fft").
+
+    The spectrum is as large as a field, so keep one object per call and
+    drop it before the call's arithmetic.
     """
-    grid = field.grid
-    if kernel.include_time:
-        if kernel.epsilon >= grid.extents[0] / 2:
-            raise DomainExhaustedError("kernel radius >= half the time extent")
-        j0, j1 = interior_time_slices(grid, kernel.epsilon)
-        if j1 <= j0:
-            raise DomainExhaustedError("no interior time slices left")
-        axes = tuple(range(len(grid.shape)))
-    else:
-        j0, j1 = 0, grid.shape[0]
-        axes = tuple(range(1, len(grid.shape)))
-    for h_grid, h_kernel in zip((grid.spacings[a] for a in axes), kernel.spacings):
-        if abs(h_grid - h_kernel) > _TIE * h_grid:
-            raise ValueError("kernel was built for different spacings")
 
-    win = kernel.weights * kernel.cell_volume
-    nwork = field.grid.node_count * win.size
-    use_direct = method == "direct" or (method == "auto" and nwork <= _DIRECT_WORK_LIMIT)
+    def __init__(self, kernel: MollifierKernel, grid: GridSpec,
+                 method: str = "auto"):
+        if method not in ("auto", "direct", "fft"):
+            raise ValueError(f"method must be 'auto', 'direct' or 'fft', "
+                             f"got {method!r}")
+        if kernel.include_time:
+            if kernel.epsilon >= grid.extents[0] / 2:
+                raise DomainExhaustedError("kernel radius >= half the time extent")
+            j0, j1 = interior_time_slices(grid, kernel.epsilon)
+            if j1 <= j0:
+                raise DomainExhaustedError("no interior time slices left")
+            axes = tuple(range(len(grid.shape)))
+        else:
+            j0, j1 = 0, grid.shape[0]
+            axes = tuple(range(1, len(grid.shape)))
+        for h_grid, h_kernel in zip((grid.spacings[a] for a in axes),
+                                    kernel.spacings):
+            if abs(h_grid - h_kernel) > _TIE * h_grid:
+                raise ValueError("kernel was built for different spacings")
 
-    convolve = _direct_convolve if use_direct else circular_convolve
-    vals = np.stack([convolve(field.values[..., c], win, axes)
-                     for c in range(field.components)], axis=-1)
-    if kernel.include_time:
-        sub = grid.time_subgrid(j0, j1)
-        return Field(sub, vals[j0:j1])
-    return Field(grid, vals)
+        self.grid = grid
+        self._include_time = kernel.include_time
+        self._rows = slice(j0, j1)
+        self._axes = axes
+        win = kernel.weights * kernel.cell_volume
+        nwork = grid.node_count * win.size
+        if method == "direct" or (method == "auto" and nwork <= _DIRECT_WORK_LIMIT):
+            self._window, self._spectrum = win, None
+        else:
+            shape = tuple(grid.shape[a] for a in axes)
+            self._window, self._spectrum = None, _kernel_spectrum(win, shape)
+
+    def _convolve(self, values: np.ndarray) -> np.ndarray:
+        if self._spectrum is None:
+            return _direct_convolve(values, self._window, self._axes)
+        return _apply_spectrum(values, self._spectrum, self._axes)
+
+    def __call__(self, field: Field) -> Field:
+        grid = field.grid
+        # ``rho * u`` lives on a derived ``align`` subgrid: compare the
+        # sampling, not the dataclass
+        if grid.shape != self.grid.shape or not self.grid.compatible(grid):
+            raise ValueError("field does not live on the mollification's grid")
+        rows = self._rows
+        if field.components == 1:
+            vals = self._convolve(field.values[..., 0])[rows, ..., None]
+        else:
+            vals = np.empty((rows.stop - rows.start,) + grid.shape[1:]
+                            + (field.components,))
+            for c in range(field.components):
+                vals[..., c] = self._convolve(field.values[..., c])[rows]
+        if self._include_time:
+            grid = grid.time_subgrid(rows.start, rows.stop)
+        return Field(grid, vals)
+
+
+def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Field:
+    """Convolve one field with the kernel; see ``Mollification``.
+
+    A call that mollifies several fields with one kernel should build one
+    ``Mollification`` and apply it to each, so the kernel spectrum is
+    transformed once.
+    """
+    return Mollification(kernel, field.grid, method)(field)
 
 
 def _direct_convolve(values: np.ndarray, weights: np.ndarray,
@@ -480,15 +532,26 @@ def circular_convolve(values: np.ndarray, weights: np.ndarray,
     ``weights`` is a centred odd-length stencil; leading axes broadcast.
     """
     shape = tuple(values.shape[a] for a in axes)
+    return _apply_spectrum(values, _kernel_spectrum(weights, shape), axes)
+
+
+def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """rfftn of the centred stencil, zero-padded and wrapped to ``shape``."""
     kfull = np.zeros(shape)
     idx = np.ix_(*[
         (np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)) % s
         for n, s in zip(weights.shape, shape)
     ])
     kfull[idx] = weights
+    return np.fft.rfftn(kfull)
+
+
+def _apply_spectrum(values: np.ndarray, spectrum: np.ndarray,
+                    axes: tuple[int, ...]) -> np.ndarray:
+    """Multiply the spectrum of ``values`` over ``axes`` by a kernel spectrum."""
+    shape = tuple(values.shape[a] for a in axes)
     fv = np.fft.rfftn(values, axes=axes)
-    fk = np.fft.rfftn(kfull)
-    fv *= fk.reshape((1,) * (values.ndim - len(axes)) + fk.shape)
+    fv *= spectrum.reshape((1,) * (values.ndim - len(axes)) + spectrum.shape)
     return np.fft.irfftn(fv, s=shape, axes=axes)
 
 
@@ -554,39 +617,69 @@ def integrate(field: Field, mask: np.ndarray | None = None) -> float:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def _central_diff(vals: np.ndarray, axis: int, h: float, order: int,
-                  periodic: bool) -> tuple[np.ndarray, int]:
-    if order == 2:
-        stencil = {1: 0.5, -1: -0.5}
-        trim = 1
-    elif order == 4:
-        stencil = {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}
-        trim = 2
-    else:
+_STENCILS = {
+    2: {1: 0.5, -1: -0.5},
+    4: {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12},
+}
+
+# Finite differences run in blocks of time slices of about this size, so
+# the block and its temporary stay in cache across the stencil terms.
+_FD_BLOCK_BYTES = 1 << 18
+
+
+def _central_diff(vals: np.ndarray, axis: int, h: float,
+                  order: int) -> tuple[np.ndarray, int]:
+    """Central difference along ``axis``; returns the values and the trim.
+
+    Axis 0 is time and not periodic: the result loses ``order // 2``
+    slices (the trim) at both ends.  The other axes are periodic.  Each
+    term ``c * vals[i + off]`` is one multiply of shifted slices into a
+    reused temporary, and the terms are summed in stencil order starting
+    from 0, so the result equals the sum of rolled copies bit for bit.
+    """
+    if order not in _STENCILS:
         raise ValueError("order must be 2 or 4")
-    out = np.zeros_like(vals)
-    for off, c in stencil.items():
-        out += c * np.roll(vals, -off, axis=axis)
-    out /= h
-    if periodic:
-        return out, 0
-    sl = [slice(None)] * vals.ndim
-    sl[axis] = slice(trim, vals.shape[axis] - trim)
-    return out[tuple(sl)], trim
+    trim = order // 2 if axis == 0 else 0
+    n = vals.shape[axis]
+    if n <= 2 * trim:
+        raise DomainExhaustedError("empty time range")
+
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    out = np.empty((vals.shape[0] - 2 * trim,) + vals.shape[1:])
+    step = max(1, min(len(out), _FD_BLOCK_BYTES // out[0].nbytes))
+    tmp = np.empty((step,) + out.shape[1:])
+    for a in range(0, out.shape[0], step):
+        block = out[a:a + step]
+        scratch = tmp[:len(block)]
+        for i, (off, c) in enumerate(_STENCILS[order].items()):
+            dst = scratch if i else block
+            if axis == 0:
+                lo = a + trim + off
+                np.multiply(vals[lo:lo + len(block)], c, out=dst)
+            else:
+                rows, k = vals[a:a + step], off % n
+                np.multiply(rows[along(k, n)], c, out=dst[along(0, n - k)])
+                np.multiply(rows[along(0, k)], c, out=dst[along(n - k, n)])
+            block += scratch if i else 0.0  # 0 + first term: -0.0 -> +0.0
+        block /= h
+    return out, trim
 
 
 def ddt(field: Field, order: int = 4) -> Field:
     """Time derivative; trims stencil-width slices at both ends."""
-    vals, trim = _central_diff(field.values, 0, field.grid.dt, order,
-                               periodic=False)
+    vals, trim = _central_diff(field.values, 0, field.grid.dt, order)
     sub = field.grid.time_subgrid(trim, field.grid.shape[0] - trim)
     return Field(sub, vals)
 
 
 def dspace(field: Field, axis: int, order: int = 4) -> Field:
     """Spatial derivative along periodic axis (1-based over space axes)."""
+    if not 1 <= axis <= field.grid.spatial_dim:
+        raise ValueError(f"axis must be a spatial axis, got {axis}")
     vals, _ = _central_diff(field.values, axis, field.grid.spacings[axis],
-                            order, periodic=True)
+                            order)
     return Field(field.grid, vals)
 
 

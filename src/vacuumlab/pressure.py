@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativityError
-from .grids import Field, MollifierKernel, lp_norm, mollify, restrict
+from .grids import Field, Mollification, MollifierKernel, lp_norm, mollify, restrict
 from .rates import RateFit, fit_rate, kernels_for_ladder
 
 
@@ -151,8 +151,9 @@ def pressure_commutator(rho: Field, law: PressureLaw,
                         kernel: MollifierKernel) -> Field:
     """Node-wise p_eps(rho) - p(rho_eps) on the shrunk domain."""
     _require_nonnegative(rho)
-    p_moll = mollify(rho.map(law.p), kernel)
-    rho_moll = mollify(rho, kernel)
+    moll = Mollification(kernel, rho.grid)
+    p_moll, rho_moll = moll(rho.map(law.p)), moll(rho)
+    del moll  # free the kernel spectrum before the arithmetic
     return p_moll - rho_moll.map(law.p)
 
 

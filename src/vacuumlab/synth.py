@@ -188,20 +188,23 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
                     f"time {t_star:.4g}"
                 )
 
-    tt, xx = grid.meshgrid()
-    x0 = xx.copy()
-    # Newton iteration for x0 + lambda(x0) t = x (all nodes at once)
+    tt = grid.axis_coords(0)[:, None]
+    xx = grid.axis_coords(1)[None, :]
+    x0 = np.broadcast_to(xx, grid.shape).copy()
+    # Newton iteration for x0 + lambda(x0) t = x (all nodes at once), with
+    # c = sqrt(kappa gamma) rho^((gamma-1)/2), lambda = u + c and
+    # d lambda / d rho = u'(rho) + c'(rho) = (gamma+1)/2 * c/rho
+    k = 2.0 * np.pi / L
+    c_scale = np.sqrt(law.kappa * g)
+    lam0 = u0 - 2.0 * c(rho0) / (g - 1.0)
     for _ in range(60):
-        r = rho_init(x0)
-        f = x0 + lam(x0) * tt - xx
-        dl = 2.0 * np.pi * amplitude / L * np.cos(2.0 * np.pi * x0 / L)
-        # d lambda / d x0 = (u'(rho)+c'(rho)) * rho_init'(x0)
-        dspeed = (np.sqrt(law.dp(r)) / r + 0.5 * law.kappa * law.gamma
-                  * (law.gamma - 1) * r ** (law.gamma - 2)
-                  / np.sqrt(law.dp(r)))
-        jac = 1.0 + dspeed * dl * tt
+        angle = k * x0
+        r = rho0 + amplitude * np.sin(angle)
+        cr = c_scale * r ** (0.5 * (g - 1.0))
+        f = x0 + (lam0 + (g + 1.0) / (g - 1.0) * cr) * tt - xx
+        jac = 1.0 + 0.5 * (g + 1.0) * cr / r * (k * amplitude * np.cos(angle)) * tt
         step = f / jac
-        x0 = x0 - step
+        x0 -= step
         if np.max(np.abs(step)) < 1e-14 * L:
             break
     rho = rho_init(x0)

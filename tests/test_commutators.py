@@ -82,6 +82,35 @@ class TestEnergyCommutators:
         with pytest.raises(VacuumSingularityError):
             energy_commutators(rho, u, law, make_mollifier(0.05, 2, GRID), PHI)
 
+    @pytest.mark.parametrize("spatial_dim,eps,forward", [(1, 0.15, 6),
+                                                         (2, 0.1, 11)])
+    def test_kernel_transformed_once_per_call(self, law, monkeypatch,
+                                              spatial_dim, eps, forward):
+        # one forward FFT per field component plus one for the kernel;
+        # both grids are large enough for the FFT branch
+        if spatial_dim == 1:
+            g = GridSpec(1, (256, 256), (1.0, 1.0))
+            rho, u = asym_pair(g)
+        else:
+            g = GridSpec(2, (32, 128, 128), (1.0, 1.0, 1.0))
+            rho = from_function(g, lambda t, x, y: 1.0 + 0.2 * np.sin(
+                2 * np.pi * (x + t)) * np.cos(2 * np.pi * y))
+            u = from_function(g, lambda t, x, y: (0.1 * np.cos(2 * np.pi * y),
+                                                  0.1 * np.sin(2 * np.pi * x)),
+                              components=2)
+        ker = make_mollifier(eps, 1 + spatial_dim, g)
+        phi = spacetime_bump((0.5,) * (1 + spatial_dim),
+                             (0.3,) * (1 + spatial_dim))
+        counts = {"rfftn": 0, "irfftn": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(np.fft, name), _name=name,
+                        **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        energy_commutators(rho, u, law, ker, phi)
+        assert counts == {"rfftn": forward, "irfftn": forward - 1}
+
     def test_component_mismatch(self, law):
         g = GridSpec(2, (16, 32, 32), (1.0, 1.0, 1.0))
         rho = constant_field(g, 1.0)

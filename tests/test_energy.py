@@ -12,7 +12,15 @@ from vacuumlab.energy import (
     weak_pairing,
 )
 from vacuumlab.errors import BoundaryConditionError
-from vacuumlab.grids import GridSpec, constant_field, from_function, make_mollifier
+from vacuumlab.commutators import energy_commutators
+from vacuumlab.grids import (
+    Field,
+    GridSpec,
+    constant_field,
+    from_function,
+    make_mollifier,
+    mollify,
+)
 from vacuumlab.synth import riemann_solution, shock_states, simple_wave
 from vacuumlab.testfn import spacetime_bump
 
@@ -116,6 +124,30 @@ class TestMollifiedBalance:
         budget = mollified_energy_balance(rho, u, law, ker, phi)
         assert budget.identity_gap < 1e-8
         assert set(budget.extras["terms"]) == {"r1", "r2", "r3", "s"}
+
+    def test_shared_mollification_is_bitwise_equal(self, law):
+        # the balance before it shared its mollified fields with the
+        # commutators: three mollify calls, then energy_commutators
+        g = GridSpec(1, (256, 256), (0.2, 1.0))
+        rho, u = simple_wave(law, 0.1, g)
+        phi = spacetime_bump((0.1, 0.5), (0.05, 0.3))
+        ker = make_mollifier(0.02, 2, g)
+        rho_e, u_e, m_e = (mollify(rho, ker), mollify(u, ker),
+                           mollify(rho * u, ker))
+        kinetic = 0.5 * rho_e.values[..., 0] * np.sum(u_e.values ** 2, axis=-1)
+        E_m = Field(rho_e.grid, kinetic + law.potential(
+            np.maximum(rho_e.values[..., 0], 0.0)))
+        ke_flux = 0.5 * np.sum(u_e.values ** 2, axis=-1)[..., None] * m_e.values
+        dP = law.dpotential(np.maximum(rho_e.values, 0.0))
+        F_m = Field(rho_e.grid, ke_flux + rho_e.values * dP * u_e.values)
+        lhs = weak_pairing(E_m, F_m, phi)
+        terms = energy_commutators(rho, u, law, ker, phi).term_values
+        rhs = float(sum(terms.values()))
+
+        budget = mollified_energy_balance(rho, u, law, ker, phi)
+        assert budget.residuals == [(phi.kind, ker.epsilon, lhs)]
+        assert budget.identity_gap == abs(lhs - rhs)
+        assert budget.extras == {"lhs": lhs, "rhs": rhs, "terms": terms}
 
     def test_non_solution_fields_leave_a_gap(self, law):
         g = GridSpec(1, (256, 256), (0.2, 1.0))

@@ -9,6 +9,7 @@ from vacuumlab.errors import InfeasibleKernelError, ResolutionError
 from vacuumlab.grids import (
     Field,
     GridSpec,
+    Mollification,
     constant_field,
     ddt,
     div,
@@ -173,6 +174,65 @@ class TestMollifier:
         assert fe.grid.shape[0] == small_grid.shape[0]
 
 
+class TestMollification:
+    """One ``Mollification`` per call against separate ``mollify`` calls."""
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("include_time", [False, True])
+    @pytest.mark.parametrize("components", [1, 2, 4])
+    @pytest.mark.parametrize("spatial_dim", [1, 2])
+    def test_reuse_is_bitwise_equal(self, spatial_dim, components,
+                                    include_time, method):
+        shape = (24, 40) if spatial_dim == 1 else (16, 20, 24)
+        g = GridSpec(spatial_dim, shape, (1.0,) * len(shape))
+        rng = np.random.default_rng(components)
+        fields = [Field(g, rng.random(shape + (components,)))
+                  for _ in range(3)]
+        ker = make_mollifier(0.2, spatial_dim + include_time, g,
+                             include_time=include_time)
+        # per component, each convolution from scratch (kernel included)
+        win = ker.weights * ker.cell_volume
+        axes = tuple(range(0 if include_time else 1, len(shape)))
+        conv = (grids._direct_convolve if method == "direct"
+                else grids.circular_convolve)
+        moll = Mollification(ker, g, method)
+        for f in fields:
+            a = moll(f)
+            b = mollify(f, ker, method=method)
+            want = np.stack([conv(f.values[..., c], win, axes)
+                             for c in range(components)], axis=-1)
+            j0 = a.grid.time_offset_from(g)
+            assert a.grid == b.grid
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.values.tobytes() == want[j0:j0 + a.grid.shape[0]].tobytes()
+
+    def test_accepts_derived_aligned_grid(self, small_grid, smooth_pair):
+        rho, u = smooth_pair
+        m = rho * u  # lives on a derived ``align`` subgrid
+        assert m.grid.derived and m.grid != small_grid
+        ker = make_mollifier(0.1, 2, small_grid)
+        a = Mollification(ker, small_grid)(m)
+        b = mollify(m, ker)
+        assert a.grid == b.grid
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_rejects_field_on_another_grid(self, small_grid):
+        ker = make_mollifier(0.1, 2, small_grid)
+        moll = Mollification(ker, small_grid)
+        other = GridSpec(1, (64, 32), (1.0, 1.0))
+        with pytest.raises(ValueError, match="grid"):
+            moll(constant_field(other, 1.0))
+        shorter = small_grid.time_subgrid(0, 32)
+        with pytest.raises(ValueError, match="grid"):
+            moll(constant_field(shorter, 1.0))
+
+    def test_unknown_method_rejected(self, small_grid):
+        f = constant_field(small_grid, 1.0)
+        ker = make_mollifier(0.1, 2, small_grid)
+        with pytest.raises(ValueError, match="method"):
+            mollify(f, ker, method="fast")
+
+
 class TestDirectConvolve:
     """``_direct_convolve`` against direct summation and ndimage.convolve."""
 
@@ -247,9 +307,51 @@ class TestCalculus:
         mid = df.grid.axis_coords(0)
         assert np.allclose(df.values[..., 0], 2.0 * mid[:, None], atol=1e-10)
 
+    def test_dspace_rejects_the_time_axis(self, small_grid):
+        f = from_function(small_grid, lambda t, x: np.sin(2 * np.pi * x))
+        for axis in (0, 2):
+            with pytest.raises(ValueError, match="spatial axis"):
+                dspace(f, axis)
+
     def test_div_equals_grad_in_1d(self, small_grid):
         f = from_function(small_grid, lambda t, x: np.sin(2 * np.pi * x))
         assert np.allclose(div(f).values, grad(f).values, atol=1e-12)
+
+
+def roll_central_diff(vals, axis, h, order, periodic):
+    """The finite-difference stencil as a sum of rolled copies (the
+    oracle for ``grids._central_diff``)."""
+    stencil = {2: {1: 0.5, -1: -0.5},
+               4: {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}}[order]
+    trim = order // 2
+    out = np.zeros_like(vals)
+    for off, c in stencil.items():
+        out += c * np.roll(vals, -off, axis=axis)
+    out /= h
+    if periodic:
+        return out, 0
+    sl = [slice(None)] * vals.ndim
+    sl[axis] = slice(trim, vals.shape[axis] - trim)
+    return out[tuple(sl)], trim
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(12, 16, 2), (10, 12, 14, 3)])
+def test_central_diff_matches_rolled_stencil_bitwise(shape, order, block_rows,
+                                                     monkeypatch):
+    rng = np.random.default_rng(order + len(shape))
+    vals = rng.standard_normal(shape)
+    # signed zeros: a -0.0 stencil term must sum as it does from zeros
+    vals[..., 0] = np.where(rng.random(shape[:-1]) < 0.5, -0.0, 0.0)
+    if block_rows is not None:  # several blocks of time slices, one short
+        monkeypatch.setattr(grids, "_FD_BLOCK_BYTES", block_rows * vals[0].nbytes)
+    for axis in range(len(shape) - 1):  # time is axis 0, not periodic
+        got = grids._central_diff(vals, axis, 0.1, order)
+        want = roll_central_diff(vals, axis, 0.1, order, periodic=axis > 0)
+        assert got[1] == want[1]
+        assert got[0].shape == want[0].shape
+        assert got[0].tobytes() == want[0].tobytes()
 
 
 class TestSerialization:

@@ -151,6 +151,40 @@ class TestExactSolutions:
             res.append(float(np.max(np.abs(r))))
         assert res[1] < res[0] / 2.5
 
+    @pytest.mark.parametrize("amplitude,u0", [(0.2, 0.0), (0.4, -0.3)])
+    def test_simple_wave_matches_general_newton_step(self, amplitude, u0):
+        # the Newton step before it used u' + c' = (gamma+1)/2 * c/rho
+        law = PressureLaw(gamma=1.4, kappa=0.7)
+        g = GridSpec(1, (96, 128), (0.1, 1.0))
+        L, gm = g.extents[1], law.gamma
+
+        def c(r):
+            return law.sound_speed(r)
+
+        def u_of_rho(r):
+            return u0 + 2.0 * (c(r) - c(1.0)) / (gm - 1.0)
+
+        def rho_init(x0):
+            return 1.0 + amplitude * np.sin(2.0 * np.pi * x0 / L)
+
+        tt, xx = g.meshgrid()
+        x0 = xx.copy()
+        for _ in range(60):
+            r = rho_init(x0)
+            f = x0 + (u_of_rho(r) + c(r)) * tt - xx
+            dl = 2.0 * np.pi * amplitude / L * np.cos(2.0 * np.pi * x0 / L)
+            dspeed = (np.sqrt(law.dp(r)) / r + 0.5 * law.kappa * gm
+                      * (gm - 1) * r ** (gm - 2) / np.sqrt(law.dp(r)))
+            step = f / (1.0 + dspeed * dl * tt)
+            x0 = x0 - step
+            if np.max(np.abs(step)) < 1e-14 * L:
+                break
+        rho_old = rho_init(x0)
+
+        rho, u = simple_wave(law, amplitude, g, u0=u0)
+        assert np.max(np.abs(rho.values[..., 0] - rho_old)) <= 1e-13
+        assert np.max(np.abs(u.values[..., 0] - u_of_rho(rho_old))) <= 1e-13
+
     def test_simple_wave_blowup_guard(self, law):
         g = GridSpec(1, (64, 128), (10.0, 1.0))
         with pytest.raises(BlowupTimeError):
