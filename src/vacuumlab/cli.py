@@ -16,9 +16,7 @@ Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
 the report so reruns are reproducible from the report alone, and
 reports avoid timestamps so identical configs produce byte-identical
-output.  The VACUUMLAB_WORKERS environment variable is validated as a
-positive integer; ladder entries are independent, but execution is
-sequential so that reductions are deterministic.
+output.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -81,17 +78,6 @@ _SCHEMA = {
                    "slope_min": (float, 0.9), "gap_max": (float, 1e-6),
                    "constant": (float, 1.0)},
 }
-
-
-def _validate_workers() -> int:
-    raw = os.environ.get("VACUUMLAB_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"VACUUMLAB_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError("VACUUMLAB_WORKERS must be >= 1")
-    return workers
 
 
 def _line_of(path: Path, needle: str) -> int:
@@ -450,7 +436,6 @@ def _write_report(outdir: Path, config: dict, outcome: dict) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        _validate_workers()
         config = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

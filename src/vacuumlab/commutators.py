@@ -63,11 +63,11 @@ def _kernel_offset_iter(kernel: MollifierKernel):
         yield tuple(int(i - h) for i, h in zip(idx, half)), float(w[tuple(idx)])
 
 
-def _shift_values(values: np.ndarray, steps, spatial_axes) -> np.ndarray:
-    """f(. - y) for node offsets: roll in space, plain index shift in time.
+def _shift_values(values: np.ndarray, steps) -> np.ndarray:
+    """f(. - y) for node offsets, by rolling every axis, time included.
 
-    The time axis is rolled too; callers must restrict to interior time
-    slices where the wrap cannot be reached.
+    Time is not periodic, so callers restrict the result to interior time
+    slices, which the wrap cannot reach.
     """
     out = values
     for axis, k in enumerate(steps):
@@ -95,10 +95,9 @@ def pointwise_decomposition_check(f: Field, g: Field,
     first = (fe - f0) * (ge - g0)
 
     conv = np.zeros(f.grid.shape + (f.values.shape[-1],))
-    spatial_axes = tuple(range(1, len(f.grid.shape)))
     for steps, wgt in _kernel_offset_iter(kernel):
-        df = _shift_values(f.values, steps, spatial_axes) - f.values
-        dg = _shift_values(g.values, steps, spatial_axes) - g.values
+        df = _shift_values(f.values, steps) - f.values
+        dg = _shift_values(g.values, steps) - g.values
         conv += wgt * df * dg
     rhs = first - restrict(Field(f.grid, conv), sub)
     return float(np.max(np.abs(lhs.values - rhs.values)))
@@ -107,11 +106,6 @@ def pointwise_decomposition_check(f: Field, g: Field,
 # ---------------------------------------------------------------------------
 # Energy-balance commutators
 # ---------------------------------------------------------------------------
-
-def _pair(phi_vals: Field, density: Field) -> float:
-    """Integrate phi * density over the density's (shrunk) grid."""
-    return integrate(phi_vals * density)
-
 
 def _tensor_divergence(T: np.ndarray, grid, d: int) -> Field:
     """div of a row-major d*d tensor field: out_i = sum_j d_j T_ij."""
@@ -188,11 +182,10 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     s_density = np.where(rho_e.values > atol, flux_div.values * dP, 0.0)
     s = Field(flux_div.grid, s_density)
 
-    phi_f = phi.phi(rho.grid)
-    grids = {"r1": r1, "r2": r2, "r3": r3, "s": s}
-    values = {}
-    for name, dens in grids.items():
-        values[name] = _pair(restrict(phi_f, dens.grid), dens)
+    # density first: the product lives on its grid, a slice range of rho_e's
+    phi_f = phi.phi(rho_e.grid)
+    densities = {"r1": r1, "r2": r2, "r3": r3, "s": s}
+    values = {name: integrate(dens * phi_f) for name, dens in densities.items()}
     return CommutatorReport(values, kernel.epsilon,
                             {"gamma": law.gamma, "kappa": law.kappa,
                              "atol": atol, "phi": phi.kind})
@@ -226,15 +219,14 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    sets = build_vacuum_sets(rho, kernel, beta, atol)
-    atol = sets.atol
-
     moll = Mollification(kernel, rho.grid)
     rho_e, u_e, m_e, p_e = moll(rho), moll(u), moll(rho * u), moll(rho.map(law.p))
     del moll  # free the kernel spectrum before the arithmetic
+    sets = build_vacuum_sets(rho, kernel, beta, atol, rho_e=rho_e)
+    atol = sets.atol
     sub = rho_e.grid
-    phi_f = restrict(phi.phi(rho.grid), sub)
-    gphi = restrict(phi.grad(rho.grid), sub)
+    phi_f = phi.phi(sub)
+    gphi = phi.grad(sub)
 
     # R = int grad(p(rho_e) - p(rho)_e) . phi u_e, by parts:
     p_comm = rho_e.map(law.p) - p_e
@@ -307,8 +299,8 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     gap_e, u_e = moll(gap_field), moll(u)
     del moll  # free the kernel spectrum before the arithmetic
     sub = gap_e.grid
-    phi_f = restrict(phi.phi(rho.grid), sub)
-    gphi = restrict(phi.grad(rho.grid), sub)
+    phi_f = phi.phi(sub)
+    gphi = phi.grad(sub)
 
     div_u_e = div(u_e)
     div_term = integrate(phi_f * gap_e * div_u_e)
@@ -357,8 +349,8 @@ def degenerate_viscosity_commutator(rho: Field, u: Field, mu: float, nu: float,
     M = Field(rho_e.grid, rho_e.values * S_e.values) - rhoS_e
 
     sub = M.grid
-    phi_f = restrict(phi.phi(rho.grid), sub)
-    gphi = restrict(phi.grad(rho.grid), sub)
+    phi_f = phi.phi(sub)
+    gphi = phi.grad(sub)
 
     first = integrate(stress_apply(M, u_e).dot(gphi))
     second = integrate(phi_f * stress_contract_grad(M, u_e))

@@ -6,15 +6,22 @@ boundary cutoff chi(d(x)/delta) for the unit interval.  All derivatives
 are closed-form, so pairing a field against a test function never costs
 finite-difference error on the test-function side.
 
-Evaluation on a grid is separable.  Every kind is a product of per-axis
-factors, so ``phi``, ``dt`` and ``grad`` call their closures on the open
-mesh of the grid's axis coordinates (time as shape ``(nt, 1[, 1])``,
-space as ``(1, nx[, 1])`` and ``(1, 1, ny)``) and only the final product
-fills ``grid.shape``.  Each factor costs O(n) for its own axis instead of
-O(nt * nx).  A new kind must therefore write its closures with
-broadcasting numpy operations that accept per-axis coordinate arrays as
-well as equal-shape point arrays; a closure that returns a shape smaller
-than the grid is broadcast to it.
+Every kind is a product of 1-D factors, one per axis:
+phi(t, x[, y]) = f_0(t) f_1(x) [f_2(y)].  A ``TestFunction`` stores one
+``(value, derivative)`` pair of callables per axis, time first; an axis
+past the end of ``factors`` is the constant 1, with derivative 0.  One
+product, taken in axis order from 1.0, gives phi (all values), d_t phi
+(the derivative on axis 0) and each component of grad phi (the
+derivative on that spatial axis).  A new kind only supplies its 1-D
+factors, written with broadcasting numpy operations.
+
+The pointwise evaluators ``_phi``, ``_dt`` and ``_grad`` take one
+coordinate array per axis.  On a grid, ``phi``, ``dt`` and ``grad`` pass
+the open mesh of the axis coordinates (time as shape ``(nt, 1[, 1])``,
+space as ``(1, nx[, 1])`` and ``(1, 1, ny)``), so each factor costs O(n)
+for its own axis and only the final product fills ``grid.shape``.  A
+pairing evaluates phi on the grid of its density, such as a shrunk time
+subgrid, so nothing is evaluated on the full grid and then cut down.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .grids import Field, GridSpec
-
 
 def _bump(s: np.ndarray) -> np.ndarray:
     """exp(1 - 1/(1-s^2)) on |s|<1, zero outside."""
@@ -86,15 +92,39 @@ def _fill(values, grid: GridSpec) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, float), grid.shape)
 
 
+# (value, derivative) callables of one axis
+Factor = tuple[Callable, Callable]
+# the factor of every axis past the end of ``factors``
+_ONE: Factor = (lambda z: 1.0, lambda z: 0.0)
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """phi(t, x[, y]) with evaluators for phi, d_t phi and grad phi."""
+    """phi(t, x[, y]) as a product of per-axis factors, time first."""
 
     kind: str
     params: dict
-    _phi: Callable = dc_field(repr=False, compare=False, default=None)
-    _dt: Callable = dc_field(repr=False, compare=False, default=None)
-    _grad: Callable = dc_field(repr=False, compare=False, default=None)
+    factors: tuple[Factor, ...] = dc_field(repr=False, compare=False)
+
+    def factor(self, axis: int) -> Factor:
+        return self.factors[axis] if axis < len(self.factors) else _ONE
+
+    def _product(self, coords, deriv_axis: int | None = None):
+        """prod_k f_k(z_k), with f_k' on ``deriv_axis``."""
+        out = 1.0
+        for axis, z in enumerate(coords):
+            value, deriv = self.factor(axis)
+            out = out * (deriv if axis == deriv_axis else value)(z)
+        return out
+
+    def _phi(self, *coords):
+        return self._product(coords)
+
+    def _dt(self, *coords):
+        return self._product(coords, 0)
+
+    def _grad(self, *coords) -> list:
+        return [self._product(coords, a) for a in range(1, len(coords))]
 
     def phi(self, grid: GridSpec) -> Field:
         return Field(grid, _fill(self._phi(*_open_mesh(grid)), grid))
@@ -107,6 +137,11 @@ class TestFunction:
         return Field(grid, np.stack([_fill(p, grid) for p in parts], axis=-1))
 
 
+def _bump_factor(c: float, r: float) -> Factor:
+    return (lambda z: _bump((z - c) / r),
+            lambda z: _bump_prime((z - c) / r) / r)
+
+
 def spacetime_bump(center, radius) -> TestFunction:
     """Product bump: prod_k B((z_k - c_k)/r_k); supported in the box |z-c| < r."""
     center = tuple(float(c) for c in center)
@@ -115,51 +150,14 @@ def spacetime_bump(center, radius) -> TestFunction:
         raise ValueError("center and radius must have equal length")
     if any(r <= 0 for r in radius):
         raise ValueError("radii must be positive")
-
-    def phi(*coords):
-        out = 1.0
-        for z, c, r in zip(coords, center, radius):
-            out = out * _bump((z - c) / r)
-        return out
-
-    def dt(*coords):
-        t, c0, r0 = coords[0], center[0], radius[0]
-        out = _bump_prime((t - c0) / r0) / r0
-        for z, c, r in zip(coords[1:], center[1:], radius[1:]):
-            out = out * _bump((z - c) / r)
-        return out
-
-    def grad(*coords):
-        parts = []
-        for a in range(1, len(coords)):
-            out = _bump((coords[0] - center[0]) / radius[0])
-            for b in range(1, len(coords)):
-                z, c, r = coords[b], center[b], radius[b]
-                if b == a:
-                    out = out * _bump_prime((z - c) / r) / r
-                else:
-                    out = out * _bump((z - c) / r)
-            parts.append(out)
-        return parts
-
     return TestFunction("bump", {"center": center, "radius": radius, "sup": 1.0},
-                        phi, dt, grad)
+                        tuple(_bump_factor(c, r) for c, r in zip(center, radius)))
 
 
 def time_bump(center: float, radius: float) -> TestFunction:
     """Bump in time only, constant 1 in space at the peak."""
-
-    def phi(*coords):
-        return _bump((coords[0] - center) / radius)
-
-    def dt(*coords):
-        return _bump_prime((coords[0] - center) / radius) / radius
-
-    def grad(*coords):
-        return [np.zeros_like(coords[0]) for _ in coords[1:]]
-
     return TestFunction("time_bump", {"center": center, "radius": radius, "sup": 1.0},
-                        phi, dt, grad)
+                        (_bump_factor(center, radius),))
 
 
 def time_window(t1: float, t2: float, nu: float) -> TestFunction:
@@ -171,58 +169,47 @@ def time_window(t1: float, t2: float, nu: float) -> TestFunction:
     if not 0 < 4 * nu < t2 - t1:
         raise ValueError("need t2 - t1 > 4 nu > 0")
 
-    def phi(*coords):
-        t = coords[0]
+    def value(t):
         up = smoothstep((t - t1 - nu) / nu)
         down = smoothstep((t2 - nu - t) / nu)
         return up * down
 
-    def dt(*coords):
-        t = coords[0]
+    def deriv(t):
         up = smoothstep((t - t1 - nu) / nu)
         down = smoothstep((t2 - nu - t) / nu)
         dup = smoothstep_prime((t - t1 - nu) / nu) / nu
         ddown = -smoothstep_prime((t2 - nu - t) / nu) / nu
         return dup * down + up * ddown
 
-    def grad(*coords):
-        return [np.zeros_like(coords[0]) for _ in coords[1:]]
-
     return TestFunction("time_window", {"t1": t1, "t2": t2, "nu": nu, "sup": 1.0},
-                        phi, dt, grad)
+                        ((value, deriv),))
 
 
 def boundary_cutoff(delta: float, theta: TestFunction) -> TestFunction:
-    """phi = chi(d(x)/delta) * Theta(t) on the unit interval.
+    """phi = chi(d(x)/delta) * Theta(t, x) on the unit interval.
 
     chi is 0 for s < 1 and 1 for s > 2 (a shifted smooth step), and
-    d(x) = min(x, 1-x) is the distance to the interval boundary.
+    d(x) = min(x, 1-x) is the distance to the interval boundary.  The cut
+    multiplies Theta's space factor, by the product rule for its
+    derivative.
     """
     if delta <= 0 or delta >= 0.25:
         raise ValueError("delta must lie in (0, 0.25)")
+    theta_x, dtheta_x = theta.factor(1)
 
-    def chi(s):
-        return smoothstep(np.asarray(s, float) - 1.0)
+    def cut(x):
+        return smoothstep(np.minimum(x, 1.0 - x) / delta - 1.0)
 
-    def chi_prime(s):
-        return smoothstep_prime(np.asarray(s, float) - 1.0)
-
-    def phi(*coords):
-        t, x = coords[0], coords[1]
-        d = np.minimum(x, 1.0 - x)
-        return chi(d / delta) * theta._phi(t, x)
-
-    def dt(*coords):
-        t, x = coords[0], coords[1]
-        d = np.minimum(x, 1.0 - x)
-        return chi(d / delta) * theta._dt(t, x)
-
-    def grad(*coords):
-        t, x = coords[0], coords[1]
-        d = np.minimum(x, 1.0 - x)
+    def dcut(x):
         dprime = np.where(x < 0.5, 1.0, -1.0)
-        return [chi_prime(d / delta) * dprime / delta * theta._phi(t, x)]
+        return smoothstep_prime(np.minimum(x, 1.0 - x) / delta - 1.0) * dprime / delta
+
+    def value(x):
+        return theta_x(x) * cut(x)
+
+    def deriv(x):
+        return dtheta_x(x) * cut(x) + theta_x(x) * dcut(x)
 
     return TestFunction("boundary_cutoff",
                         {"delta": delta, "theta": theta.params, "sup": 1.0},
-                        phi, dt, grad)
+                        (theta.factor(0), (value, deriv)))

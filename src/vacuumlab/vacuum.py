@@ -68,14 +68,17 @@ class VacuumSets:
 
 
 def build_vacuum_sets(rho: Field, kernel: MollifierKernel, beta: float,
-                      atol: float | None = None) -> VacuumSets:
+                      atol: float | None = None,
+                      rho_e: Field | None = None) -> VacuumSets:
+    """The A/B/C split of ``rho_e``, mollifying ``rho`` unless given it."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     if float(rho.values.min()) < 0:
         raise ValueError("density must be non-negative")
     if atol is None:
         atol = ATOL_FACTOR * max(float(rho.values.max()), 1.0)
-    rho_e = mollify(rho, kernel)
+    if rho_e is None:
+        rho_e = mollify(rho, kernel)
     r0 = restrict(rho, rho_e.grid)
     re = rho_e.values[..., 0]
     cut = kernel.epsilon ** beta
@@ -91,9 +94,9 @@ def ratio_condition(rho: Field, kernel: MollifierKernel, beta: float,
                     q: float, atol: float | None = None,
                     strict_band: bool = False) -> float:
     """||(rho_e - rho)/rho_e||_Lq over the thin band, 0 where masked out."""
-    sets = build_vacuum_sets(rho, kernel, beta, atol)
-    mask = sets.B_strict if strict_band else sets.B
     rho_e = mollify(rho, kernel)
+    sets = build_vacuum_sets(rho, kernel, beta, atol, rho_e=rho_e)
+    mask = sets.B_strict if strict_band else sets.B
     r0 = restrict(rho, rho_e.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (rho_e.values - r0.values) / rho_e.values

@@ -145,11 +145,6 @@ factor_max = 0.001
         assert err.startswith("config error: cannot create output directory")
         assert len(err.strip().splitlines()) == 1
 
-    def test_workers_env_validated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("VACUUMLAB_WORKERS", "zero")
-        assert main(["run", str(ns_config(tmp_path))]) == 1
-        assert "VACUUMLAB_WORKERS" in capsys.readouterr().err
-
 
 class TestReport:
     def test_consolidated_table(self, tmp_path, capsys):

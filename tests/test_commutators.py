@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vacuumlab import commutators, grids, vacuum
 from vacuumlab.commutators import (
     CommutatorReport,
     R_S_terms,
@@ -158,6 +159,30 @@ class TestRSTerms:
         ker = make_mollifier(0.05, 2, GRID)
         with pytest.raises(ValueError):
             R_S_terms(rho, u, law, ker, PHI, beta=1.5)
+
+    def test_density_mollified_once(self, law, monkeypatch):
+        # the vacuum sets reuse R_S_terms' rho_e, with the values of
+        # vacuum sets that mollify rho themselves
+        rho = from_function(GRID, lambda t, x:
+                            np.abs(np.sin(np.pi * x)) ** 1.5)
+        u = from_function(GRID, lambda t, x: 0.3 * np.sin(2 * np.pi * x + 0.7))
+        ker = make_mollifier(0.05, 2, GRID)
+        calls = []
+        apply = grids.Mollification.__call__
+        monkeypatch.setattr(grids.Mollification, "__call__",
+                            lambda self, f: calls.append(f) or apply(self, f))
+        rep = R_S_terms(rho, u, law, ker, PHI, beta=0.5)
+        assert len(calls) == 4
+
+        def own_rho_e(rho, kernel, beta, atol=None, rho_e=None):
+            return vacuum.build_vacuum_sets(rho, kernel, beta, atol)
+
+        monkeypatch.setattr(commutators, "build_vacuum_sets", own_rho_e)
+        calls.clear()
+        ref = R_S_terms(rho, u, law, ker, PHI, beta=0.5)
+        assert len(calls) == 5
+        assert rep.term_values == ref.term_values
+        assert rep.metadata == ref.metadata
 
 
 class TestDivMeasureTerm:

@@ -3,7 +3,7 @@ import pytest
 from conftest import direct_circular_convolve
 from hypothesis import given, settings, strategies as st
 
-from vacuumlab import vacuum
+from vacuumlab import grids, vacuum
 from vacuumlab.errors import (
     ExponentRelationError,
     ResolutionError,
@@ -74,6 +74,28 @@ class TestRatioCondition:
         rho = from_function(GRID, lambda t, x: np.abs(np.sin(np.pi * x)) ** 2)
         val = ratio_condition(rho, make_mollifier(0.05, 2, GRID), 0.5, 1)
         assert np.isfinite(val) and val >= 0.0
+
+    @pytest.mark.parametrize("strict_band", [False, True])
+    def test_density_mollified_once(self, monkeypatch, strict_band):
+        # the vacuum sets reuse ratio_condition's rho_e, with the value of
+        # vacuum sets that mollify rho themselves
+        rho = from_function(GRID, lambda t, x: np.abs(np.sin(np.pi * x)) ** 2)
+        ker = make_mollifier(0.05, 2, GRID)
+        calls = []
+        apply = grids.Mollification.__call__
+        monkeypatch.setattr(grids.Mollification, "__call__",
+                            lambda self, f: calls.append(f) or apply(self, f))
+        val = ratio_condition(rho, ker, 0.5, 2, strict_band=strict_band)
+        assert len(calls) == 1
+
+        def own_rho_e(rho, kernel, beta, atol=None, rho_e=None):
+            return build_vacuum_sets(rho, kernel, beta, atol)
+
+        monkeypatch.setattr(vacuum, "build_vacuum_sets", own_rho_e)
+        calls.clear()
+        ref = ratio_condition(rho, ker, 0.5, 2, strict_band=strict_band)
+        assert len(calls) == 2
+        assert val == ref
 
 
 class TestL1RatioLemma:
