@@ -9,6 +9,8 @@ centered differences on the grid rather than differentiating the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import iadd, imul, isub
 
 import numpy as np
 
@@ -17,10 +19,10 @@ from .grids import (
     Field,
     Mollification,
     MollifierKernel,
+    _central_diff,
     align,
     ddt,
     div,
-    dspace,
     grad,
     integrate,
     lp_norm,
@@ -107,22 +109,12 @@ def pointwise_decomposition_check(f: Field, g: Field,
 # Energy-balance commutators
 # ---------------------------------------------------------------------------
 
-def _tensor_divergence(T: np.ndarray, grid, d: int) -> Field:
-    """div of a row-major d*d tensor field: out_i = sum_j d_j T_ij."""
-    out = np.zeros(grid.shape + (d,))
-    for i in range(d):
-        for j in range(d):
-            comp = Field(grid, T[..., i * d + j])
-            out[..., i] += dspace(comp, 1 + j).values[..., 0]
-    return Field(grid, out)
-
-
 def _outer(a: Field, b: Field) -> Field:
     """Row-major outer product a_i b_j as a d*d-component field."""
     d = a.components
     grid, av, bv = align(a, b)
     vals = (av[..., :, None] * bv[..., None, :]).reshape(grid.shape + (d * d,))
-    return Field(grid, vals)
+    return Field._wrap(grid, vals)
 
 
 def energy_commutators(rho: Field, u: Field, law: PressureLaw,
@@ -162,31 +154,72 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
                                kernel: MollifierKernel, phi: TestFunction,
                                mollified: tuple,
                                atol: float | None = None) -> CommutatorReport:
-    """``energy_commutators`` from the fields of ``mollify_energy_inputs``."""
+    """``energy_commutators`` from the fields of ``mollify_energy_inputs``.
+
+    The densities are built on the plain arrays of the five mollified
+    fields, in place wherever an operand is no longer needed, and the
+    defect rho_e u_e - (rho u)_e is formed once for r1 and s.  Each term
+    is the pairing sum(density * phi) * cell_volume with phi evaluated on
+    rho_e's grid; r1 loses the time stencil's rows at both ends and is
+    paired on the rows it keeps.  The pressure law sees max(rho_e, 0),
+    since FFT rounding can leave rho_e slightly negative next to exact
+    vacuum.  Overflow anywhere in a density reaches its sum, which
+    ``CommutatorReport`` rejects; the s integrand is checked before the
+    vacuum mask drops nodes.
+    """
     if atol is None:
         atol = ATOL_FACTOR * max(float(rho.values.max()), 1.0)
-    rho_e, u_e, m_e, mm_e, p_e = mollified
-    d = u_e.components
+    grid = mollified[0].grid
+    rho_e, u_e, m_e, mm_e, p_e = (f.values for f in mollified)
+    d = u_e.shape[-1]
+    phi_v = phi.phi(grid).values[..., 0]
 
-    drift = ddt(rho_e * u_e - m_e)
-    r1 = restrict(u_e, drift.grid).dot(drift)
+    def diff(vals, axis):
+        return _central_diff(vals, axis, grid.spacings[axis], 4)[0]
 
-    tens = _outer(m_e, u_e) - mm_e
-    r2 = u_e.dot(_tensor_divergence(tens.values, tens.grid, d))
+    # imul, isub and iadd work in place on fresh arrays, and
+    # reduce(iadd, ...) sums the per-component arrays into the first
+    def pair(dens, rows=slice(None)):
+        return float(imul(dens, phi_v[rows]).sum() * grid.cell_volume)
 
-    p_comm = rho_e.map(law.p) - p_e
-    r3 = u_e.dot(grad(p_comm))
+    def tensor(i, j):
+        return isub(m_e[..., i] * u_e[..., j], mm_e[..., i * d + j])
 
-    flux_div = div(rho_e * u_e - m_e)
-    dP = law.dpotential(np.maximum(rho_e.values, 0.0))
-    s_density = np.where(rho_e.values > atol, flux_div.values * dP, 0.0)
-    s = Field(flux_div.grid, s_density)
+    def r2_row(i):
+        return imul(reduce(iadd, (diff(tensor(i, j), 1 + j) for j in range(d))),
+                    u_e[..., i])
 
-    # density first: the product lives on its grid, a slice range of rho_e's
-    phi_f = phi.phi(rho_e.grid)
-    densities = {"r1": r1, "r2": r2, "r3": r3, "s": s}
-    values = {name: integrate(dens * phi_f) for name, dens in densities.items()}
-    return CommutatorReport(values, kernel.epsilon,
+    defect = isub(rho_e * u_e, m_e)
+
+    # r1 = u_e . d_t(defect)
+    dt_defect, trim = _central_diff(defect, 0, grid.dt, 4)
+    rows = slice(trim, grid.shape[0] - trim)
+    dt_defect *= u_e[rows]
+    # one component: pair a view instead of a summed copy
+    r1 = pair(dt_defect[..., 0] if d == 1 else dt_defect.sum(axis=-1), rows)
+    del dt_defect
+
+    # r2 = u_e . div(m_e (x) u_e - (rho u (x) u)_e), one tensor row at a time
+    r2 = pair(reduce(iadd, (r2_row(i) for i in range(d))))
+
+    # r3 = u_e . grad(p(rho_e) - p(rho)_e)
+    rho_pos = np.maximum(rho_e[..., 0], 0.0)
+    p_comm = isub(law.p(rho_pos), p_e[..., 0])
+    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
+                            for j in range(d))))
+    del p_comm
+
+    # s = P'(rho_e) div(defect), set to 0 on the numerical vacuum
+    s_dens = reduce(iadd, (diff(defect[..., i], 1 + i) for i in range(d)))
+    del defect
+    s_dens *= law.dpotential(rho_pos)
+    if not np.isfinite(s_dens).all():
+        raise ValueError("s integrand is not finite")
+    np.copyto(s_dens, 0.0, where=rho_e[..., 0] <= atol)
+    s = pair(s_dens)
+
+    return CommutatorReport({"r1": r1, "r2": r2, "r3": r3, "s": s},
+                            kernel.epsilon,
                             {"gamma": law.gamma, "kappa": law.kappa,
                              "atol": atol, "phi": phi.kind})
 
@@ -197,7 +230,8 @@ def mollified_mass_residual(rho: Field, u: Field,
     moll = Mollification(kernel, rho.grid)
     rho_e, m_e = moll(rho), moll(rho * u)
     del moll  # free the kernel spectrum before the arithmetic
-    r = ddt(rho_e) + restrict(div(m_e), ddt(rho_e).grid)
+    drho = ddt(rho_e)
+    r = drho + restrict(div(m_e), drho.grid)
     return lp_norm(r, 1)
 
 
@@ -229,7 +263,7 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     gphi = phi.grad(sub)
 
     # R = int grad(p(rho_e) - p(rho)_e) . phi u_e, by parts:
-    p_comm = rho_e.map(law.p) - p_e
+    p_comm = rho_e.map(lambda r: law.p(np.maximum(r, 0.0))) - p_e
     R = -(integrate(p_comm * gphi.dot(u_e))
           + integrate(p_comm * phi_f * div(u_e)))
 

@@ -22,6 +22,16 @@ Conventions used throughout the package:
 * Finite differences read shifted slices of the samples; periodic axes
   wrap, and the non-periodic time axis loses the stencil width at both
   ends.
+* Finiteness is checked where values enter, not after every operation.
+  ``Field(grid, values)`` scans its values, so synthesis,
+  ``from_function``, ``load_field`` and user data are checked, and so is
+  ``Field.map``, which applies an arbitrary function.  Results computed
+  from checked fields (arithmetic, ``dot``, ``component``, ``restrict``
+  and the finite differences) are wrapped without a re-scan.  An overflow
+  in them is caught where the values leave: ``Mollification`` checks
+  what it returns (an FFT of finite values near 1e300 can overflow),
+  ``integrate`` and ``lp_norm`` reject any non-finite value, masked or
+  not, and reports check their scalars.
 """
 
 from __future__ import annotations
@@ -136,12 +146,32 @@ class GridSpec:
                 and abs(self.dt - other.dt) < _TIE * self.dt)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+
+
 class Field:
-    """Sampled real field; values have shape grid.shape + (components,)."""
+    """Sampled real field; values have shape grid.shape + (components,).
+
+    The public constructor rejects non-finite values.  ``Field._wrap``
+    skips that scan and is only for values computed from checked fields;
+    see the module docstring for where overflow is caught instead.
+    """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
+        self._store(grid, values)
+        _require_finite(self.values)
+
+    @classmethod
+    def _wrap(cls, grid: GridSpec, values: np.ndarray) -> "Field":
+        out = cls.__new__(cls)
+        out._store(grid, values)
+        return out
+
+    def _store(self, grid: GridSpec, values) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[..., None]
@@ -149,8 +179,6 @@ class Field:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
         values = np.ascontiguousarray(values)
         values.setflags(write=False)
         self.grid = grid
@@ -161,7 +189,7 @@ class Field:
         return self.values.shape[-1]
 
     def component(self, i: int) -> "Field":
-        return Field(self.grid, self.values[..., i])
+        return Field._wrap(self.grid, self.values[..., i])
 
     @property
     def scalar(self) -> np.ndarray:
@@ -183,7 +211,9 @@ class Field:
     def _binop(self, other, op):
         if isinstance(other, Field):
             grid, a, b = align(self, other)
-            return Field(grid, op(a, b))
+            return Field._wrap(grid, op(a, b))
+        if np.ndim(other) == 0 and np.isfinite(other):
+            return Field._wrap(self.grid, op(self.values, other))
         return Field(self.grid, op(self.values, other))
 
     def __add__(self, other):
@@ -205,12 +235,12 @@ class Field:
         return self.__mul__(other)
 
     def __neg__(self):
-        return Field(self.grid, -self.values)
+        return Field._wrap(self.grid, -self.values)
 
     def dot(self, other: "Field") -> "Field":
         """Component contraction; yields a scalar field."""
         grid, a, b = align(self, other)
-        return Field(grid, np.sum(a * b, axis=-1))
+        return Field._wrap(grid, np.sum(a * b, axis=-1))
 
 
 def align(*fields: Field):
@@ -245,7 +275,7 @@ def restrict(field: Field, grid: GridSpec) -> Field:
     j1 = j0 + grid.shape[0]
     if j0 < 0 or j1 > field.grid.shape[0]:
         raise ValueError("subgrid is not contained in the field's grid")
-    return Field(grid, field.values[j0:j1])
+    return Field._wrap(grid, field.values[j0:j1])
 
 
 def constant_field(grid: GridSpec, value, components: int = 1) -> Field:
@@ -592,6 +622,7 @@ def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    _require_finite(field.values)
     mag = field.magnitude()
     if mask is not None:
         if mask.shape != field.grid.shape:
@@ -606,8 +637,12 @@ def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
 
 
 def integrate(field: Field, mask: np.ndarray | None = None) -> float:
-    """Midpoint quadrature of a scalar field (signed)."""
+    """Midpoint quadrature of a scalar field (signed).
+
+    A non-finite value raises ``ValueError``, inside the mask or not.
+    """
     v = field.scalar
+    _require_finite(v)
     if mask is not None:
         v = np.where(mask, v, 0.0)
     return float(v.sum() * field.grid.cell_volume)
@@ -671,7 +706,7 @@ def ddt(field: Field, order: int = 4) -> Field:
     """Time derivative; trims stencil-width slices at both ends."""
     vals, trim = _central_diff(field.values, 0, field.grid.dt, order)
     sub = field.grid.time_subgrid(trim, field.grid.shape[0] - trim)
-    return Field(sub, vals)
+    return Field._wrap(sub, vals)
 
 
 def dspace(field: Field, axis: int, order: int = 4) -> Field:
@@ -680,7 +715,7 @@ def dspace(field: Field, axis: int, order: int = 4) -> Field:
         raise ValueError(f"axis must be a spatial axis, got {axis}")
     vals, _ = _central_diff(field.values, axis, field.grid.spacings[axis],
                             order)
-    return Field(field.grid, vals)
+    return Field._wrap(field.grid, vals)
 
 
 def grad(field: Field, order: int = 4) -> Field:
@@ -689,7 +724,7 @@ def grad(field: Field, order: int = 4) -> Field:
         raise ValueError("grad expects a scalar field")
     parts = [dspace(field, a, order).values[..., 0]
              for a in range(1, 1 + field.grid.spatial_dim)]
-    return Field(field.grid, np.stack(parts, axis=-1))
+    return Field._wrap(field.grid, np.stack(parts, axis=-1))
 
 
 def div(field: Field, order: int = 4) -> Field:
@@ -699,7 +734,7 @@ def div(field: Field, order: int = 4) -> Field:
         raise ValueError("div expects a d-component field")
     out = sum(dspace(field.component(i), 1 + i, order).values[..., 0]
               for i in range(d))
-    return Field(field.grid, out)
+    return Field._wrap(field.grid, out)
 
 
 def spacetime_gradient_norm(field: Field, order: int = 4) -> Field:

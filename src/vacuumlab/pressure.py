@@ -149,12 +149,16 @@ def _require_nonnegative(rho: Field) -> None:
 
 def pressure_commutator(rho: Field, law: PressureLaw,
                         kernel: MollifierKernel) -> Field:
-    """Node-wise p_eps(rho) - p(rho_eps) on the shrunk domain."""
+    """Node-wise p_eps(rho) - p(rho_eps) on the shrunk domain.
+
+    The law is applied to max(rho_eps, 0): FFT rounding can leave rho_eps
+    slightly negative next to exact vacuum.
+    """
     _require_nonnegative(rho)
     moll = Mollification(kernel, rho.grid)
     p_moll, rho_moll = moll(rho.map(law.p)), moll(rho)
     del moll  # free the kernel spectrum before the arithmetic
-    return p_moll - rho_moll.map(law.p)
+    return p_moll - rho_moll.map(lambda r: law.p(np.maximum(r, 0.0)))
 
 
 def commutator_rate(rho: Field, law: PressureLaw, q: float, eps_ladder,
@@ -180,11 +184,12 @@ def holder_remainder_bound(rho: Field, law: PressureLaw,
 
     The analytic constant is kappa (from integrating the Hoelder modulus
     of p'); the empirical worst ratio is returned alongside the verdict.
+    p(rho_e) is taken at max(rho_e, 0), as in ``pressure_commutator``.
     """
     _require_nonnegative(rho)
     re = mollify(rho, kernel)
     r0 = restrict(rho, re.grid)
-    lhs = np.abs(law.p(re.values) - law.p(r0.values)
+    lhs = np.abs(law.p(np.maximum(re.values, 0.0)) - law.p(r0.values)
                  - law.dp(r0.values) * (re.values - r0.values))
     gap = np.abs(r0.values - re.values) ** law.gamma
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -191,10 +191,12 @@ def boundary_cutoff(delta: float, theta: TestFunction) -> TestFunction:
     chi is 0 for s < 1 and 1 for s > 2 (a shifted smooth step), and
     d(x) = min(x, 1-x) is the distance to the interval boundary.  The cut
     multiplies Theta's space factor, by the product rule for its
-    derivative.
+    derivative.  Theta may have a time factor and one space factor.
     """
     if delta <= 0 or delta >= 0.25:
         raise ValueError("delta must lie in (0, 0.25)")
+    if len(theta.factors) > 2:
+        raise ValueError("the interval cutoff takes a Theta of (t, x) only")
     theta_x, dtheta_x = theta.factor(1)
 
     def cut(x):

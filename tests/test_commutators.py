@@ -5,6 +5,7 @@ from vacuumlab import commutators, grids, vacuum
 from vacuumlab.commutators import (
     CommutatorReport,
     R_S_terms,
+    commutators_from_mollified,
     degenerate_viscosity_commutator,
     divmeasure_pressure_term,
     energy_commutators,
@@ -12,7 +13,23 @@ from vacuumlab.commutators import (
     pointwise_decomposition_check,
 )
 from vacuumlab.errors import VacuumSingularityError
-from vacuumlab.grids import GridSpec, constant_field, from_function, make_mollifier
+from vacuumlab.energy import mollified_energy_balance
+from vacuumlab.grids import (
+    Field,
+    GridSpec,
+    Mollification,
+    constant_field,
+    ddt,
+    div,
+    dspace,
+    from_function,
+    grad,
+    integrate,
+    lp_norm,
+    make_mollifier,
+    mollify,
+    restrict,
+)
 from vacuumlab.pressure import make_c2_approximant
 from vacuumlab.synth import simple_wave
 from vacuumlab.testfn import spacetime_bump
@@ -53,6 +70,17 @@ class TestPointwiseDecomposition:
         gb = Field(g, gv)
         ker = make_mollifier(0.12, 2, g)
         assert pointwise_decomposition_check(fa, gb, ker) < 1e-10
+
+    def test_overflowing_product_raises(self):
+        # f g is finite node by node, but f_e g_e and the products of
+        # shifted differences overflow where the kernel sees both spikes
+        g = GridSpec(1, (48, 48), (1.0, 1.0))
+        x = np.arange(48)
+        fv = np.broadcast_to(1.0 + 1e200 * (x == 20), g.shape)
+        gv = np.broadcast_to(1.0 + 1e200 * (x == 21), g.shape)
+        ker = make_mollifier(0.12, 2, g)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            pointwise_decomposition_check(Field(g, fv), Field(g, gv), ker)
 
     def test_grid_mismatch(self):
         a = constant_field(GRID, 1.0)
@@ -120,7 +148,163 @@ class TestEnergyCommutators:
             energy_commutators(rho, u, law, make_mollifier(0.2, 3, g), PHI)
 
 
+def _oracle_tensor_divergence(T, grid, d):
+    """div of a row-major d*d tensor field: out_i = sum_j d_j T_ij."""
+    out = np.zeros(grid.shape + (d,))
+    for i in range(d):
+        for j in range(d):
+            comp = Field(grid, T[..., i * d + j])
+            out[..., i] += dspace(comp, 1 + j).values[..., 0]
+    return Field(grid, out)
+
+
+def _oracle_commutators(rho, law, phi, mollified, atol=None):
+    """The chained-Field formula of the four terms, kept as the oracle,
+    with the pressure law applied to max(rho_e, 0)."""
+    if atol is None:
+        atol = vacuum.ATOL_FACTOR * max(float(rho.values.max()), 1.0)
+    rho_e, u_e, m_e, mm_e, p_e = mollified
+    d = u_e.components
+
+    drift = ddt(rho_e * u_e - m_e)
+    r1 = restrict(u_e, drift.grid).dot(drift)
+
+    tens = commutators._outer(m_e, u_e) - mm_e
+    r2 = u_e.dot(_oracle_tensor_divergence(tens.values, tens.grid, d))
+
+    p_comm = rho_e.map(lambda r: law.p(np.maximum(r, 0.0))) - p_e
+    r3 = u_e.dot(grad(p_comm))
+
+    flux_div = div(rho_e * u_e - m_e)
+    dP = law.dpotential(np.maximum(rho_e.values, 0.0))
+    s_density = np.where(rho_e.values > atol, flux_div.values * dP, 0.0)
+    s = Field(flux_div.grid, s_density)
+
+    phi_f = phi.phi(rho_e.grid)
+    densities = {"r1": r1, "r2": r2, "r3": r3, "s": s}
+    return {name: integrate(dens * phi_f) for name, dens in densities.items()}
+
+
+def _oracle_case(spatial_dim, density):
+    if spatial_dim == 1:
+        g = GridSpec(1, (96, 128), (1.0, 1.0))
+    else:
+        g = GridSpec(2, (32, 48, 40), (1.0, 1.0, 1.3))
+    t, *xs = g.meshgrid()
+    if density == "positive":
+        rho = Field(g, 1.0 + 0.3 * np.sin(2 * np.pi * xs[0] + t)
+                    * np.cos(2 * np.pi * t) + 0.2 * np.cos(2 * np.pi * xs[-1]))
+    else:
+        rho = Field(g, np.maximum(np.sin(2 * np.pi * xs[0]), 0.0)
+                    * (1.0 + 0.3 * t))
+    u = Field(g, np.stack([0.2 * np.cos(2 * np.pi * (x - t))
+                           + 0.1 * np.sin(4 * np.pi * xs[0] + 1.0)
+                           for x in xs], axis=-1))
+    return g, rho, u
+
+
+class TestArrayCommutatorsOracle:
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("density", ["positive", "vacuum"])
+    @pytest.mark.parametrize("spatial_dim", [1, 2])
+    def test_matches_chained_field_formula(self, law, spatial_dim, density,
+                                           method):
+        g, rho, u = _oracle_case(spatial_dim, density)
+        ker = make_mollifier(0.12, 1 + spatial_dim, g)
+        moll = Mollification(ker, g, method)
+        mollified = (moll(rho), moll(u), moll(rho * u),
+                     moll(commutators._outer(rho * u, u)),
+                     moll(rho.map(law.p)))
+        if density == "vacuum":
+            # the vacuum-touching case must reach the exact-vacuum nodes
+            assert float(mollified[0].values.min()) <= 0.0
+        phi = spacetime_bump((0.5,) * (1 + spatial_dim),
+                             (0.35,) * (1 + spatial_dim))
+        got = commutators_from_mollified(rho, law, ker, phi, mollified)
+        want = _oracle_commutators(rho, law, phi, mollified)
+        assert set(got.term_values) == set(want)
+        for name, value in want.items():
+            assert got.term_values[name] == pytest.approx(value, rel=1e-14,
+                                                          abs=0.0), name
+
+    def test_no_field_built_in_the_arithmetic(self, law, monkeypatch):
+        g, rho, u = _oracle_case(2, "positive")
+        ker = make_mollifier(0.12, 3, g)
+        moll = Mollification(ker, g)
+        mollified = (moll(rho), moll(u), moll(rho * u),
+                     moll(commutators._outer(rho * u, u)),
+                     moll(rho.map(law.p)))
+        phi = spacetime_bump((0.5,) * 3, (0.35,) * 3)
+        built = []
+        init, wrap = Field.__init__, Field._wrap.__func__
+        monkeypatch.setattr(Field, "__init__", lambda self, grid, values:
+                            built.append(grid) or init(self, grid, values))
+        monkeypatch.setattr(Field, "_wrap", classmethod(
+            lambda cls, grid, values: built.append(grid) or wrap(cls, grid,
+                                                                 values)))
+        commutators_from_mollified(rho, law, ker, phi, mollified)
+        # the only Field is phi, evaluated on rho_e's grid
+        assert built == [mollified[0].grid]
+
+
+class TestVacuumPressure:
+    """FFT rounding leaves rho_e near -2e-16 next to exact vacuum; the
+    pressure law must see max(rho_e, 0) there instead of giving NaN."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        g = GridSpec(1, (512, 512), (1.0, 1.0))
+        rho = from_function(g, lambda t, x:
+                            np.maximum(np.sin(2 * np.pi * x), 0.0) + 0.0 * t)
+        u = from_function(g, lambda t, x: 0.2 * np.cos(2 * np.pi * (x - t)))
+        ker = make_mollifier(2.0 ** -3, 2, g)
+        assert float(mollify(rho, ker).values.min()) < 0.0
+        return rho, u, ker
+
+    def test_energy_commutators_finite(self, law, case):
+        rho, u, ker = case
+        rep = energy_commutators(rho, u, law, ker, PHI)
+        assert all(np.isfinite(v) for v in rep.term_values.values())
+
+    def test_r_s_terms_finite(self, law, case):
+        rho, u, ker = case
+        rep = R_S_terms(rho, u, law, ker, PHI, beta=0.5)
+        assert all(np.isfinite(v) for v in rep.term_values.values())
+
+
+class TestOverflow:
+    """Values near 1e200 overflow in the products; every entry point must
+    still raise ValueError rather than return a non-finite number."""
+
+    @pytest.fixture(scope="class")
+    def huge(self):
+        g = GridSpec(1, (64, 64), (1.0, 1.0))
+        rho = from_function(g, lambda t, x:
+                            1e200 * (1.5 + np.sin(2 * np.pi * x)) + 0.0 * t)
+        u = from_function(g, lambda t, x:
+                          1e200 * np.cos(2 * np.pi * (x - t)))
+        return rho, u, make_mollifier(0.1, 2, g)
+
+    @pytest.mark.parametrize("call", [
+        lambda rho, u, law, ker: energy_commutators(rho, u, law, ker, PHI),
+        lambda rho, u, law, ker: mollified_energy_balance(rho, u, law, ker,
+                                                          PHI),
+        lambda rho, u, law, ker: R_S_terms(rho, u, law, ker, PHI, beta=0.5),
+    ], ids=["energy_commutators", "mollified_energy_balance", "R_S_terms"])
+    def test_raises_value_error(self, law, huge, call):
+        rho, u, ker = huge
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            call(rho, u, law, ker)
+
+
 class TestMassResidual:
+    def test_equals_two_derivative_formula_bitwise(self, law):
+        rho, u = asym_pair(GRID)
+        ker = make_mollifier(0.05, 2, GRID)
+        rho_e, m_e = mollify(rho, ker), mollify(rho * u, ker)
+        r = ddt(rho_e) + restrict(div(m_e), ddt(rho_e).grid)
+        assert mollified_mass_residual(rho, u, ker) == lp_norm(r, 1)
+
     def test_exact_solution_residual_shrinks(self, law):
         res = []
         for n in (128, 256):

@@ -66,6 +66,63 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_entry_points_reject_non_finite(self, small_grid, bad):
+        vals = np.ones(small_grid.shape)
+        vals[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Field(small_grid, vals)
+        f = constant_field(small_grid, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            f * bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            f.map(lambda v: v * bad)
+
+    def test_wrapped_results_match_checked_ones(self, small_grid):
+        a = from_function(small_grid, lambda t, x: 1.0 + np.sin(2 * np.pi * x))
+        b = from_function(small_grid, lambda t, x: np.cos(2 * np.pi * (x - t)))
+        for got in (a + b, a * 2.0, -a, a.dot(b), a.component(0), ddt(a),
+                    dspace(a, 1), grad(a), div(b)):
+            ref = Field(got.grid, got.values)
+            assert type(got) is Field and got.grid == ref.grid
+            assert np.array_equal(got.values, ref.values)
+            assert not got.values.flags.writeable
+            assert got.values.flags.c_contiguous
+
+    def test_mollification_checks_its_output(self):
+        # finite input whose FFT overflows: the circular sum of 1e306
+        # over 64 x 64 nodes exceeds the largest double
+        g = GridSpec(1, (64, 64), (1.0, 1.0))
+        big = constant_field(g, 1e306)
+        ker = make_mollifier(0.1, 2, g)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            Mollification(ker, g, "fft")(big)
+
+
+class TestQuadrature:
+    """integrate and lp_norm reject a non-finite value wherever it sits."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_non_finite_value_raises(self, small_grid, bad, inside):
+        vals = np.ones(small_grid.shape)
+        vals[3, 5] = bad
+        field = Field._wrap(small_grid, vals)
+        mask = np.zeros(small_grid.shape, dtype=bool)
+        mask[2:6, 2:8] = True
+        if not inside:
+            mask = ~mask
+        with pytest.raises(ValueError, match="finite"):
+            integrate(field, mask=mask)
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(field, 2, mask=mask)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(field)
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(field, np.inf)
+
 
 class TestMollifier:
     def test_unit_mass(self, small_grid):

@@ -121,6 +121,13 @@ class TestBoundaryCutoff:
             with pytest.raises(ValueError):
                 boundary_cutoff(delta, theta)
 
+    def test_rejects_theta_with_a_y_factor(self):
+        # the interval cutoff would drop Theta's y factor
+        theta = spacetime_bump((0.5, 0.5, 0.5), (0.3, 0.3, 0.3))
+        with pytest.raises(ValueError):
+            boundary_cutoff(0.1, theta)
+        boundary_cutoff(0.1, spacetime_bump((0.5, 0.5), (0.3, 0.3)))
+
     def test_mass_of_gradient(self):
         # int |grad phi| dx over one boundary layer equals 1 (chi climbs 0 to 1)
         theta = time_window(0.1, 0.9, 0.05)
