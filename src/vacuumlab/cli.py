@@ -8,9 +8,10 @@ to disk.  Exit codes: 0 all assertions passed, 2 assertion failure
 (with a machine-readable failure list on stdout), 1 usage or config
 error, or a study that raised (``<kind> study failed: <class>: <message>``).
 ``run`` creates the output directory before the study starts, so an
-output path that cannot be created is a config error.  ``report`` exits
-1 on a ``report.json`` that is not JSON or lacks the ``study`` or
-``assertions`` key.
+output path that cannot be created is a config error.  So is a
+Weierstrass generator whose top level reaches the grid's Nyquist limit.
+``report`` exits 1 on a ``report.json`` that is not JSON or lacks the
+``study`` or ``assertions`` key.
 
 Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
@@ -81,8 +82,9 @@ _SCHEMA = {
 
 
 def _line_of(path: Path, needle: str) -> int:
+    """First line holding ``needle`` outside a comment; 0 if none does."""
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if needle in line:
+        if needle in line and not line.lstrip().startswith(("#", ";")):
             return lineno
     return 0
 
@@ -132,7 +134,32 @@ def load_config(path) -> dict:
     if config["study"]["kind"] not in STUDY_KINDS:
         raise ConfigError(f"{path}:{_line_of(path, 'kind')}: study kind must "
                           f"be one of {', '.join(STUDY_KINDS)}")
+    _check_nyquist(path, config)
     return config
+
+
+def _check_nyquist(path: Path, config: dict) -> None:
+    """Reject a Weierstrass generator whose top level reaches Nyquist.
+
+    ``weierstrass_field`` would raise ``ResolutionError`` once the study
+    had started; here the config names the ``levels`` key instead.  The
+    ``rates`` study always synthesises one; ``vacuum`` and ``qns`` do
+    when the generator kind is ``weierstrass``.
+    """
+    gen, kind = config["generator"], config["study"]["kind"]
+    if kind != "rates" and not (kind in ("vacuum", "qns")
+                                and gen["kind"] == "weierstrass"):
+        return
+    top = gen["base_frequency"] * 2 ** (gen["levels"] - 1)
+    limit = min(config["grid"]["nt"], config["grid"]["nx"]) // 2
+    if top >= limit:
+        line = _line_of(path, "levels")
+        key = (f"{path}:{line}: levels = {gen['levels']}" if line else
+               f"{path}: levels = {gen['levels']} (the default)")
+        raise ConfigError(
+            f"{key} puts frequency {top} (base_frequency * 2^(levels - 1)) "
+            f"at or above the Nyquist limit {limit} of the "
+            f"{config['grid']['nt']} x {config['grid']['nx']} grid")
 
 
 def _law(config) -> PressureLaw:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import VacuumSingularityError
 from .grids import (
     Field,
+    GridSpec,
     Mollification,
     MollifierKernel,
     _central_diff,
@@ -25,6 +26,7 @@ from .grids import (
     div,
     grad,
     integrate,
+    interior_time_slices,
     lp_norm,
     restrict,
 )
@@ -127,27 +129,67 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     r3: pressure-gradient commutator;
     s:  mass-flux divergence commutator weighted by P'(rho_e),
         with the integrand set to 0 on the numerical vacuum of rho_e.
+
+    Each term pairs a density with phi, so only phi's support box matters.
+    The inputs are mollified on that box widened by the reach of the
+    4th-order differences (``_STENCIL_REACH`` nodes), and the products
+    rho u, rho u (x) u and p(rho) are formed only where that mollification
+    reads; see ``Mollification`` for how a box is cut.  Values outside the
+    box are never formed: an overflow there cannot raise, and no reported
+    number depends on them.  ``mollified_energy_balance`` pairs the same
+    densities on the whole interior grid.
     """
-    mollified = mollify_energy_inputs(rho, u, law, kernel)
+    box = _pairing_box(phi, rho.grid, kernel)
+    mollified = mollify_energy_inputs(rho, u, law, kernel, box)
     return commutators_from_mollified(rho, law, kernel, phi, mollified, atol)
 
 
+# nodes a 4th-order central difference reads on each side
+_STENCIL_REACH = 2
+
+
+def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
+    """phi's support box on ``grid`` widened by ``_STENCIL_REACH``.
+
+    None when phi vanishes on every interior node: the whole-grid path
+    then pairs nothing and gives zero terms.
+    """
+    support = phi.support(grid)
+    if support is None:
+        return None
+    box = tuple((max(lo - _STENCIL_REACH, 0), min(hi + _STENCIL_REACH, n))
+                for (lo, hi), n in zip(support, grid.shape))
+    if kernel.include_time:
+        j0, j1 = interior_time_slices(grid, kernel.epsilon)
+        if box[0][1] <= j0 or box[0][0] >= j1:
+            return None
+    return box
+
+
 def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
-                          kernel: MollifierKernel) -> tuple:
+                          kernel: MollifierKernel, box=None) -> tuple:
     """(rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e) for one kernel.
 
-    One ``Mollification`` transforms the kernel once for all five fields.
-    Each input is built just before it is mollified and the spectrum is
-    freed on return, so neither is alive during the commutator arithmetic,
-    where the peak memory of ``energy_commutators`` lies.
+    One ``Mollification`` transforms the kernel once for all five fields;
+    with a ``box`` the fields cover only that box, and rho u is formed
+    once, from rho and u cut to what the mollification reads.  Each input
+    is built just before it is mollified and dropped once it is no
+    longer needed, and the spectrum is freed on return, so neither is
+    alive during the commutator arithmetic.
     """
     if float(rho.values.min()) < 0:
         raise VacuumSingularityError("density has negative samples")
     if u.components != rho.grid.spatial_dim:
         raise ValueError("u needs one component per spatial axis")
-    moll = Mollification(kernel, rho.grid)
-    return (moll(rho), moll(u), moll(rho * u), moll(_outer(rho * u, u)),
-            moll(rho.map(law.p)))
+    moll = Mollification(kernel, rho.grid, box=box)
+    rho, u = moll.crop(rho), moll.crop(u)
+    m = rho * u
+    m_e, mm_e = moll(m), moll(_outer(m, u))
+    del m
+    rho_e, u_e = moll(rho), moll(u)
+    p = rho.map(law.p)
+    del rho, u  # p is the only input alive while it is mollified
+    return rho_e, u_e, m_e, mm_e, moll(p)
 
 
 def commutators_from_mollified(rho: Field, law: PressureLaw,
@@ -159,28 +201,39 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     The densities are built on the plain arrays of the five mollified
     fields, in place wherever an operand is no longer needed, and the
     defect rho_e u_e - (rho u)_e is formed once for r1 and s.  Each term
-    is the pairing sum(density * phi) * cell_volume with phi evaluated on
-    rho_e's grid; r1 loses the time stencil's rows at both ends and is
-    paired on the rows it keeps.  The pressure law sees max(rho_e, 0),
-    since FFT rounding can leave rho_e slightly negative next to exact
-    vacuum.  Overflow anywhere in a density reaches its sum, which
-    ``CommutatorReport`` rejects; the s integrand is checked before the
-    vacuum mask drops nodes.
+    is the pairing sum(density * phi) * cell_volume over the nodes of
+    phi's support box on rho_e's grid, the same nodes whether that grid
+    is the whole interior or a box; r1 loses the time stencil's rows at
+    both ends and is paired on the support rows it keeps.  Outside the
+    support phi is 0, and on a box the spatial differences wrap there.
+    The pressure law sees max(rho_e, 0), since FFT rounding can leave
+    rho_e slightly negative next to exact vacuum.  Overflow anywhere in a
+    paired density reaches its sum, which ``CommutatorReport`` rejects;
+    the s integrand is checked before the vacuum mask drops nodes.
     """
     if atol is None:
         atol = ATOL_FACTOR * max(float(rho.values.max()), 1.0)
     grid = mollified[0].grid
     rho_e, u_e, m_e, mm_e, p_e = (f.values for f in mollified)
     d = u_e.shape[-1]
+    nt = grid.shape[0]
     phi_v = phi.phi(grid).values[..., 0]
+    support = phi.support(grid) or ((0, 0),) * len(grid.shape)
+    space = tuple(slice(lo, hi) for lo, hi in support[1:])
 
     def diff(vals, axis):
         return _central_diff(vals, axis, grid.spacings[axis], 4)[0]
 
     # imul, isub and iadd work in place on fresh arrays, and
     # reduce(iadd, ...) sums the per-component arrays into the first
-    def pair(dens, rows=slice(None)):
-        return float(imul(dens, phi_v[rows]).sum() * grid.cell_volume)
+    def pair(dens, trim=0):
+        # dens lacks ``trim`` rows at both ends of grid
+        t0 = max(support[0][0], trim)
+        t1 = max(min(support[0][1], nt - trim), t0)
+        on_dens = (slice(t0 - trim, t1 - trim),) + space
+        on_grid = (slice(t0, t1),) + space
+        return float(imul(dens[on_dens], phi_v[on_grid]).sum()
+                     * grid.cell_volume)
 
     def tensor(i, j):
         return isub(m_e[..., i] * u_e[..., j], mm_e[..., i * d + j])
@@ -193,10 +246,9 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
 
     # r1 = u_e . d_t(defect)
     dt_defect, trim = _central_diff(defect, 0, grid.dt, 4)
-    rows = slice(trim, grid.shape[0] - trim)
-    dt_defect *= u_e[rows]
+    dt_defect *= u_e[trim:nt - trim]
     # one component: pair a view instead of a summed copy
-    r1 = pair(dt_defect[..., 0] if d == 1 else dt_defect.sum(axis=-1), rows)
+    r1 = pair(dt_defect[..., 0] if d == 1 else dt_defect.sum(axis=-1), trim)
     del dt_defect
 
     # r2 = u_e . div(m_e (x) u_e - (rho u (x) u)_e), one tensor row at a time

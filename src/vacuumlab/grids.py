@@ -8,8 +8,10 @@ Conventions used throughout the package:
   ``sum(values) * cell_volume`` is exact for constants.
 * Mollified quantities live on the time-shrunk domain (interior slices at
   distance greater than the kernel radius from both time boundaries).
-  Shrunk grids keep the parent spacing and record their time origin, which
-  is how fields on different (sub)domains are aligned for arithmetic.
+* A derived grid (a shrunk time range, or a box of node ranges) records
+  its root grid and its node offset from it on every axis; its spacings
+  are the root's and its coordinates are the root's sliced, bit for bit.
+  Fields on different time ranges of one root align by time origin.
 * ``Mollification(kernel, grid)`` applies one kernel to every field of a
   call: it validates the kernel against the grid and picks the branch
   once.  Small jobs are summed directly; the direct branch drops kernel
@@ -19,6 +21,12 @@ Conventions used throughout the package:
   only zeros.  Large jobs go through the circular FFT, with the kernel
   spectrum built once and applied to every component of every field.
   ``mollify(field, kernel)`` is the one-field shorthand.
+* ``Mollification(kernel, grid, box=...)`` returns only a box of node
+  ranges and reads only the box widened by the kernel's half-width.
+  Time is always cut; a spatial axis only when the widened box fits
+  without wrapping, and otherwise (a constant spatial factor, say) it
+  stays whole and periodic.  The direct branch gives the whole result
+  cut down, bit for bit; the FFT branch agrees to rounding.
 * Finite differences read shifted slices of the samples; periodic axes
   wrap, and the non-periodic time axis loses the stencil width at both
   ends.
@@ -64,13 +72,20 @@ _TIE = 1e-12  # slack for grid-alignment comparisons
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform space-time grid: shape = (nt, nx[, ny]), extents = (T, L...)."""
+    """Uniform space-time grid: shape = (nt, nx[, ny]), extents = (T, L...).
+
+    A sub-grid keeps the grid it was cut from as ``root`` (a grid without
+    one is its own root) and the root index of its first node on every
+    axis as ``origin``, and samples at the root's coordinates.
+    """
 
     spatial_dim: int
     shape: tuple[int, ...]
     extents: tuple[float, ...]
     t0: float = 0.0
     derived: bool = False
+    root: GridSpec | None = None
+    origin: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.spatial_dim not in (1, 2):
@@ -88,6 +103,15 @@ class GridSpec:
             raise GridMemoryError(
                 f"grid has {self.node_count} nodes, cap is {MAX_NODES}"
             )
+        if self.root is None:
+            if self.origin:
+                raise ValueError("an origin needs a root grid")
+        elif (not self.derived or self.root.root is not None
+              or self.root.spatial_dim != self.spatial_dim
+              or len(self.origin) != naxes
+              or any(o < 0 or o + n > r for o, n, r in
+                     zip(self.origin, self.shape, self.root.shape))):
+            raise ValueError("sub-grid does not lie inside its root grid")
 
     @property
     def node_count(self) -> int:
@@ -95,11 +119,13 @@ class GridSpec:
 
     @property
     def spacings(self) -> tuple[float, ...]:
+        if self.root is not None:
+            return self.root.spacings
         return tuple(e / n for e, n in zip(self.extents, self.shape))
 
     @property
     def dt(self) -> float:
-        return self.extents[0] / self.shape[0]
+        return self.spacings[0]
 
     @property
     def cell_volume(self) -> float:
@@ -111,6 +137,9 @@ class GridSpec:
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Midpoint coordinates along one axis (time includes t0 offset)."""
+        if self.root is not None:
+            o = self.origin[axis]
+            return self.root.axis_coords(axis)[o:o + self.shape[axis]]
         h = self.spacings[axis]
         start = self.t0 if axis == 0 else 0.0
         return start + (np.arange(self.shape[axis]) + 0.5) * h
@@ -121,15 +150,28 @@ class GridSpec:
                         indexing="ij")
         )
 
+    def subgrid(self, box) -> "GridSpec":
+        """Sub-grid keeping node range ``[lo, hi)`` of every axis."""
+        box = tuple((int(lo), int(hi)) for lo, hi in box)
+        if len(box) != len(self.shape) or any(
+                lo < 0 or hi > n for (lo, hi), n in zip(box, self.shape)):
+            raise ValueError("box must give one node range inside each axis")
+        root = self if self.root is None else self.root
+        base = self.origin or (0,) * len(self.shape)
+        origin = tuple(b + lo for b, (lo, _) in zip(base, box))
+        h = root.spacings
+        extents = tuple(e if (lo, hi) == (0, n) else (hi - lo) * step
+                        for e, (lo, hi), n, step
+                        in zip(self.extents, box, self.shape, h))
+        return GridSpec(self.spatial_dim, tuple(hi - lo for lo, hi in box),
+                        extents, t0=root.t0 + origin[0] * h[0], derived=True,
+                        root=root, origin=origin)
+
     def time_subgrid(self, j0: int, j1: int) -> "GridSpec":
         """Sub-grid keeping time indices [j0, j1)."""
         if j1 <= j0:
             raise DomainExhaustedError("empty time range")
-        nt = j1 - j0
-        shape = (nt,) + self.shape[1:]
-        extents = (nt * self.dt,) + self.extents[1:]
-        return GridSpec(self.spatial_dim, shape, extents,
-                        t0=self.t0 + j0 * self.dt, derived=True)
+        return self.subgrid(((j0, j1),) + tuple((0, n) for n in self.shape[1:]))
 
     def time_offset_from(self, other: "GridSpec") -> int:
         """Index offset of this grid's first slice inside ``other``."""
@@ -140,10 +182,15 @@ class GridSpec:
         return k
 
     def compatible(self, other: "GridSpec") -> bool:
+        """Same spatial sampling (nodes, extents and position) and time step."""
         return (self.spatial_dim == other.spatial_dim
                 and self.shape[1:] == other.shape[1:]
                 and self.extents[1:] == other.extents[1:]
+                and self._space_origin() == other._space_origin()
                 and abs(self.dt - other.dt) < _TIE * self.dt)
+
+    def _space_origin(self) -> tuple[int, ...]:
+        return self.origin[1:] or (0,) * self.spatial_dim
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -447,12 +494,25 @@ class Mollification:
     direct branch gives zeros.  ``method`` forces either branch ("direct"
     or "fft").
 
-    The spectrum is as large as a field, so keep one object per call and
-    drop it before the call's arithmetic.
+    ``box`` (one node range ``(lo, hi)`` per axis of ``grid``) limits the
+    output to that box, on a sub-grid of ``grid``.  Time is always cut:
+    the output keeps the box's interior rows and reads them plus the
+    kernel's half-width on each side.  A spatial axis is cut the same way
+    only when the widened box lies inside it without wrapping; otherwise
+    it stays whole and periodic.  The branch is the one the whole grid
+    takes.  The direct branch gives the whole-grid result cut down, bit
+    for bit.  The FFT branch zero-pads cut axes to a fast length; the
+    centre of the padded circular result is exact on the box and equals
+    the whole-grid one to rounding.  A call takes fields on
+    ``input_grid``; ``crop`` cuts a field on ``grid`` down to it (with no
+    box the two grids are one).
+
+    The spectrum is as large as the (cut) input, so keep one object per
+    call and drop it before the call's arithmetic.
     """
 
     def __init__(self, kernel: MollifierKernel, grid: GridSpec,
-                 method: str = "auto"):
+                 method: str = "auto", box=None):
         if method not in ("auto", "direct", "fft"):
             raise ValueError(f"method must be 'auto', 'direct' or 'fft', "
                              f"got {method!r}")
@@ -472,39 +532,88 @@ class Mollification:
                 raise ValueError("kernel was built for different spacings")
 
         self.grid = grid
-        self._include_time = kernel.include_time
-        self._rows = slice(j0, j1)
         self._axes = axes
+        # per axis: the node range read from ``grid`` and the one returned
+        half = dict(zip(axes, kernel.half_widths))
+        read, kept = [], []
+        for a, n in enumerate(grid.shape):
+            lo, hi = (j0, j1) if a == 0 else (0, n)
+            k = half.get(a, 0)
+            if box is not None and (a == 0 or (box[a][0] >= k
+                                               and box[a][1] + k <= n)):
+                lo, hi = max(lo, box[a][0]), min(hi, box[a][1])
+                if hi <= lo:
+                    raise DomainExhaustedError(
+                        "box misses the interior time slices")
+                read.append((lo - k, hi + k))
+            else:
+                read.append((0, n))
+            kept.append((lo, hi))
+        self._read = tuple(slice(lo, hi) for lo, hi in read)
+        self._kept = tuple(slice(lo - r, hi - r)
+                           for (lo, hi), (r, _) in zip(kept, read))
+        if box is not None:
+            self.input_grid = grid.subgrid(read)
+            self._output_grid = grid.subgrid(kept)
+        else:
+            # a spatial kernel returns each field on its own grid
+            self.input_grid = grid
+            self._output_grid = (grid.time_subgrid(j0, j1)
+                                 if kernel.include_time else None)
+
         win = kernel.weights * kernel.cell_volume
         nwork = grid.node_count * win.size
         if method == "direct" or (method == "auto" and nwork <= _DIRECT_WORK_LIMIT):
             self._window, self._spectrum = win, None
         else:
-            shape = tuple(grid.shape[a] for a in axes)
-            self._window, self._spectrum = None, _kernel_spectrum(win, shape)
+            sizes = [hi - lo for lo, hi in read]
+            self._fft_shape = tuple(
+                sizes[a] if sizes[a] == grid.shape[a] else _fast_length(sizes[a])
+                for a in axes)
+            self._window = None
+            self._spectrum = _kernel_spectrum(win, self._fft_shape)
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
         if self._spectrum is None:
             return _direct_convolve(values, self._window, self._axes)
-        return _apply_spectrum(values, self._spectrum, self._axes)
+        return _apply_spectrum(values, self._spectrum, self._axes,
+                               self._fft_shape)
+
+    def crop(self, field: Field) -> Field:
+        """The part of a field on ``grid`` that is read, on ``input_grid``."""
+        if not _same_sampling(field.grid, self.grid):
+            raise ValueError("field does not live on the mollification's grid")
+        if self.input_grid is self.grid:
+            return field
+        return Field._wrap(self.input_grid, field.values[self._read])
 
     def __call__(self, field: Field) -> Field:
-        grid = field.grid
         # ``rho * u`` lives on a derived ``align`` subgrid: compare the
         # sampling, not the dataclass
-        if grid.shape != self.grid.shape or not self.grid.compatible(grid):
-            raise ValueError("field does not live on the mollification's grid")
-        rows = self._rows
+        if not _same_sampling(field.grid, self.input_grid):
+            raise ValueError("field does not live on the mollification's "
+                             "input grid")
+        kept = self._kept
         if field.components == 1:
-            vals = self._convolve(field.values[..., 0])[rows, ..., None]
+            vals = self._convolve(field.values[..., 0])[kept][..., None]
         else:
-            vals = np.empty((rows.stop - rows.start,) + grid.shape[1:]
+            vals = np.empty(tuple(s.stop - s.start for s in kept)
                             + (field.components,))
             for c in range(field.components):
-                vals[..., c] = self._convolve(field.values[..., c])[rows]
-        if self._include_time:
-            grid = grid.time_subgrid(rows.start, rows.stop)
-        return Field(grid, vals)
+                vals[..., c] = self._convolve(field.values[..., c])[kept]
+        return Field(self._output_grid or field.grid, vals)
+
+
+def _same_sampling(a: GridSpec, b: GridSpec) -> bool:
+    return (a.shape == b.shape and a.compatible(b)
+            and abs(a.t0 - b.t0) <= 1e-9 * a.dt)
+
+
+def _fast_length(n: int) -> int:
+    """Smallest length >= n with only the factors 2, 3 and 5."""
+    # imported here: only cut (padded) FFT axes need it
+    from scipy.fft import next_fast_len
+    return next_fast_len(n, real=True)
 
 
 def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Field:
@@ -577,10 +686,14 @@ def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _apply_spectrum(values: np.ndarray, spectrum: np.ndarray,
-                    axes: tuple[int, ...]) -> np.ndarray:
-    """Multiply the spectrum of ``values`` over ``axes`` by a kernel spectrum."""
-    shape = tuple(values.shape[a] for a in axes)
-    fv = np.fft.rfftn(values, axes=axes)
+                    axes: tuple[int, ...], shape=None) -> np.ndarray:
+    """Multiply the spectrum of ``values`` over ``axes`` by a kernel spectrum.
+
+    ``shape`` zero-pads ``values`` over ``axes`` first (default: none).
+    """
+    if shape is None:
+        shape = tuple(values.shape[a] for a in axes)
+    fv = np.fft.rfftn(values, s=shape, axes=axes)
     fv *= spectrum.reshape((1,) * (values.ndim - len(axes)) + spectrum.shape)
     return np.fft.irfftn(fv, s=shape, axes=axes)
 
@@ -753,7 +866,11 @@ def spacetime_gradient_norm(field: Field, order: int = 4) -> Field:
 # ---------------------------------------------------------------------------
 
 def save_field(field: Field, path, fmt: str = "bin") -> None:
-    """Write a field as raw little-endian float64 (or CSV) plus JSON header."""
+    """Write a field as raw little-endian float64 (or CSV) plus JSON header.
+
+    The header records a sub-grid's root grid and origin, so a field on a
+    box or a shrunk time range loads back on an equal grid.
+    """
     path = Path(path)
     header = {
         "schema": "vacuumlab-field-1",
@@ -762,6 +879,8 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
         "extents": list(field.grid.extents),
         "t0": field.grid.t0,
         "derived": field.grid.derived,
+        "root": _grid_header(field.grid.root),
+        "origin": list(field.grid.origin),
         "components": field.components,
         "format": fmt,
         "dtype": "<f8",
@@ -780,16 +899,32 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
         raise ValueError("fmt must be 'bin' or 'csv'")
 
 
+def _grid_header(grid: GridSpec | None) -> dict | None:
+    if grid is None:
+        return None
+    return {"shape": list(grid.shape), "extents": list(grid.extents),
+            "t0": grid.t0, "derived": grid.derived}
+
+
 def load_field(path) -> Field:
+    """Read a field written by ``save_field``; a sub-grid keeps its root
+    and origin.  A header that does not describe a valid grid raises
+    ``ValueError``."""
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if header.get("schema") != "vacuumlab-field-1":
         raise ValueError("unrecognized field header")
     # headers written before "derived" was recorded: infer it from t0
     derived = header.get("derived", header["t0"] != 0.0)
+    root = header.get("root")
+    if root is not None:
+        root = GridSpec(header["spatial_dim"], tuple(root["shape"]),
+                        tuple(root["extents"]), t0=root["t0"],
+                        derived=root["derived"])
     grid = GridSpec(header["spatial_dim"], tuple(header["shape"]),
                     tuple(header["extents"]), t0=header["t0"],
-                    derived=derived)
+                    derived=derived, root=root,
+                    origin=tuple(header.get("origin", ())))
     shape = tuple(header["shape"]) + (header["components"],)
     data = path.parent / header["data_file"]
     if header["format"] == "bin":

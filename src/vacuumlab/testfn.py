@@ -22,6 +22,8 @@ space as ``(1, nx[, 1])`` and ``(1, 1, ny)``), so each factor costs O(n)
 for its own axis and only the final product fills ``grid.shape``.  A
 pairing evaluates phi on the grid of its density, such as a shrunk time
 subgrid, so nothing is evaluated on the full grid and then cut down.
+``support`` reads the node box outside which phi vanishes off the same
+factors, one axis at a time.
 """
 
 from __future__ import annotations
@@ -125,6 +127,23 @@ class TestFunction:
 
     def _grad(self, *coords) -> list:
         return [self._product(coords, a) for a in range(1, len(coords))]
+
+    def support(self, grid: GridSpec) -> tuple[tuple[int, int], ...] | None:
+        """Node range ``[lo, hi)`` per axis outside which phi is 0 on ``grid``.
+
+        Read off the 1-D factors: phi is 0 at a node exactly when one
+        factor is.  A constant factor spans its whole axis.  None when phi
+        is 0 on every node.
+        """
+        box = []
+        for axis in range(len(grid.shape)):
+            z = grid.axis_coords(axis)
+            nonzero = np.flatnonzero(np.broadcast_to(self.factor(axis)[0](z),
+                                                     z.shape))
+            if nonzero.size == 0:
+                return None
+            box.append((int(nonzero[0]), int(nonzero[-1]) + 1))
+        return tuple(box)
 
     def phi(self, grid: GridSpec) -> Field:
         return Field(grid, _fill(self._phi(*_open_mesh(grid)), grid))

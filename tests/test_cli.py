@@ -65,6 +65,51 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="study kind"):
             load_config(path)
 
+    def test_nyquist_generator_rejected_with_shipped_rates_defaults(
+            self, tmp_path, capsys):
+        # default levels = 9 puts frequency 256 at the Nyquist limit of 512^2
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = rates\noutput = {out}\n")
+        with pytest.raises(ConfigError, match=r"levels = 9 \(the default\).*"
+                                              r"Nyquist limit 256"):
+            load_config(path)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_nyquist_check_names_the_levels_line(self, tmp_path):
+        path = write_config(tmp_path, "[study]\nkind = qns\noutput = o\n"
+                            "[grid]\nnt = 256\nnx = 2048\n"
+                            "[generator]\n; levels must stay below Nyquist\n"
+                            "levels = 8\n")
+        with pytest.raises(ConfigError, match=r"study\.ini:9: levels = 8 "
+                                              r".*frequency 128"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kind,generator,ok", [
+        ("rates", "weierstrass", False),
+        ("vacuum", "weierstrass", False),
+        ("qns", "weierstrass", False),
+        ("vacuum", "spikes", True),
+        ("qns", "abs", True),
+        ("budget", "weierstrass", True),
+    ])
+    def test_nyquist_check_applies_to_synthesised_generators(
+            self, tmp_path, kind, generator, ok):
+        path = write_config(tmp_path, f"[study]\nkind = {kind}\noutput = o\n"
+                            f"[generator]\nkind = {generator}\n")
+        if ok:
+            load_config(path)
+        else:
+            with pytest.raises(ConfigError, match="Nyquist"):
+                load_config(path)
+
+    def test_nyquist_limit_is_strict(self, tmp_path):
+        body = "[study]\nkind = rates\noutput = o\n[grid]\nnt = 514\nnx = 1024\n"
+        load_config(write_config(tmp_path, body))  # 256 < 514 // 2
+        with pytest.raises(ConfigError, match="Nyquist"):
+            load_config(write_config(tmp_path, body.replace("514", "513")))
+
     def test_ladder_parsing(self, tmp_path):
         path = write_config(tmp_path, "[study]\nkind = ns\noutput = o\n"
                             "[ladders]\neps = 0.1, 0.05, 0.025\n")
@@ -122,13 +167,15 @@ factor_max = 0.001
         assert "config error" in capsys.readouterr().err
 
     def test_study_error_names_kind_and_class(self, tmp_path, capsys):
-        # shipped defaults: Weierstrass level 8 reaches Nyquist at nx = 512
+        # levels = 8 clears Nyquist at nx = 512, but the default eps ladder
+        # reaches 2^-8 < 3h, which the study itself rejects
         path = write_config(tmp_path, f"[study]\nkind = rates\n"
-                                      f"output = {tmp_path / 'out'}\n")
+                                      f"output = {tmp_path / 'out'}\n"
+                                      f"[generator]\nlevels = 8\n")
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("rates study failed: ResolutionError: ")
-        assert "reaches Nyquist" in err
+        assert "under-resolves" in err
         assert "config error" not in err
 
     def test_uncreatable_output_directory(self, tmp_path, monkeypatch,

@@ -10,6 +10,7 @@ from vacuumlab.commutators import (
     divmeasure_pressure_term,
     energy_commutators,
     mollified_mass_residual,
+    mollify_energy_inputs,
     pointwise_decomposition_check,
 )
 from vacuumlab.errors import VacuumSingularityError
@@ -32,7 +33,7 @@ from vacuumlab.grids import (
 )
 from vacuumlab.pressure import make_c2_approximant
 from vacuumlab.synth import simple_wave
-from vacuumlab.testfn import spacetime_bump
+from vacuumlab.testfn import spacetime_bump, time_bump
 
 GRID = GridSpec(1, (256, 256), (1.0, 1.0))
 PHI = spacetime_bump((0.5, 0.5), (0.35, 0.35))
@@ -245,6 +246,90 @@ class TestArrayCommutatorsOracle:
         commutators_from_mollified(rho, law, ker, phi, mollified)
         # the only Field is phi, evaluated on rho_e's grid
         assert built == [mollified[0].grid]
+
+
+def _unwindowed(rho, u, law, ker, phi):
+    """The terms on the whole interior grid, with no box."""
+    mollified = mollify_energy_inputs(rho, u, law, ker)
+    return commutators_from_mollified(rho, law, ker, phi, mollified).term_values
+
+
+class TestWindowedCommutators:
+    """``energy_commutators`` mollifies and pairs only phi's support box."""
+
+    # (spatial_dim, density, eps, phi, whether x is cut): both axes cut;
+    # a bump near x = 0, whose widened box would wrap; a time bump, whose
+    # constant spatial factor keeps x whole
+    CASES = [
+        (1, "positive", 0.12, spacetime_bump((0.5, 0.5), (0.35, 0.35)), True),
+        (1, "vacuum", 0.12, spacetime_bump((0.5, 0.5), (0.35, 0.35)), True),
+        (1, "positive", 0.12, spacetime_bump((0.5, 0.05), (0.3, 0.2)), False),
+        (1, "vacuum", 0.12, time_bump(0.45, 0.3), False),
+        (2, "positive", 0.12,
+         spacetime_bump((0.5, 0.5, 0.6), (0.3, 0.3, 0.35)), True),
+        (2, "vacuum", 0.12, time_bump(0.5, 0.3), False),
+    ]
+    IDS = ["1d-cut", "1d-cut-vacuum", "1d-wrap", "1d-time-bump", "2d-cut",
+           "2d-time-bump"]
+
+    @pytest.mark.parametrize("spatial_dim,density,eps,phi,cut_x", CASES,
+                             ids=IDS)
+    def test_direct_terms_equal_unwindowed_bitwise(self, law, spatial_dim,
+                                                   density, eps, phi, cut_x):
+        g, rho, u = _oracle_case(spatial_dim, density)
+        ker = make_mollifier(eps, 1 + spatial_dim, g)
+        box = commutators._pairing_box(phi, g, ker)
+        moll = Mollification(ker, g, box=box)
+        assert moll._spectrum is None  # the direct branch
+        assert (moll.input_grid.shape[1] < g.shape[1]) == cut_x
+        assert moll.input_grid.shape[0] < g.shape[0]  # time is always cut
+        got = energy_commutators(rho, u, law, ker, phi).term_values
+        assert got == _unwindowed(rho, u, law, ker, phi)
+
+    @pytest.mark.parametrize("phi,cut_x", [
+        (spacetime_bump((0.5, 0.5), (0.3, 0.3)), True),
+        (spacetime_bump((0.5, 0.05), (0.3, 0.2)), False),
+        (time_bump(0.5, 0.3), False),
+    ], ids=["cut", "wrap", "time-bump"])
+    def test_fft_terms_match_unwindowed(self, law, phi, cut_x):
+        g = GridSpec(1, (256, 256), (1.0, 1.0))
+        rho, u = asym_pair(g)
+        ker = make_mollifier(0.11, 2, g)  # 57 x 57 nodes: the FFT branch
+        moll = Mollification(ker, g, box=commutators._pairing_box(phi, g, ker))
+        assert moll._spectrum is not None
+        assert (moll.input_grid.shape[1] < 256) == cut_x
+        got = energy_commutators(rho, u, law, ker, phi).term_values
+        want = _unwindowed(rho, u, law, ker, phi)
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+    def test_box_is_the_support_widened_by_the_stencil(self):
+        g = GridSpec(1, (64, 64), (1.0, 1.0))
+        phi = spacetime_bump((0.5, 0.5), (0.25, 0.25))
+        assert phi.support(g) == ((16, 48), (16, 48))
+        ker = make_mollifier(0.1, 2, g)
+        assert commutators._pairing_box(phi, g, ker) == ((14, 50), (14, 50))
+        edge = spacetime_bump((0.5, 0.02), (0.25, 0.05))
+        assert commutators._pairing_box(edge, g, ker)[1] == (0, 6)
+
+    def test_phi_off_the_interior_gives_zero_terms(self, law):
+        g, rho, u = _oracle_case(1, "positive")
+        ker = make_mollifier(0.12, 2, g)  # interior rows [12, 84) of 96
+        phi = spacetime_bump((0.04, 0.5), (0.04, 0.3))
+        assert commutators._pairing_box(phi, g, ker) is None
+        got = energy_commutators(rho, u, law, ker, phi).term_values
+        assert got == {"r1": 0.0, "r2": 0.0, "r3": 0.0, "s": 0.0}
+
+    def test_inputs_form_rho_u_once_and_match_separate_products(self, law):
+        g, rho, u = _oracle_case(2, "vacuum")
+        ker = make_mollifier(0.12, 3, g)
+        moll = Mollification(ker, g)
+        want = (moll(rho), moll(u), moll(rho * u),
+                moll(commutators._outer(rho * u, u)), moll(rho.map(law.p)))
+        got = mollify_energy_inputs(rho, u, law, ker)
+        for a, b in zip(got, want):
+            assert a.grid == b.grid
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestVacuumPressure:

@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from vacuumlab import grids
-from vacuumlab.errors import InfeasibleKernelError, ResolutionError
+from vacuumlab.errors import (
+    DomainExhaustedError,
+    InfeasibleKernelError,
+    ResolutionError,
+)
 from vacuumlab.grids import (
     Field,
     GridSpec,
@@ -290,6 +294,161 @@ class TestMollification:
             mollify(f, ker, method="fast")
 
 
+class TestSubgrid:
+    # extents that are not powers of two, so spacings and coordinates
+    # round differently depending on how they are computed
+    ROOT = GridSpec(2, (30, 40, 48), (0.7, 1.0, 1.3))
+
+    def test_coordinates_are_the_root_coordinates_sliced(self):
+        g = self.ROOT
+        sub = g.time_subgrid(3, 27).subgrid(((2, 20), (5, 31), (0, 48)))
+        assert sub.root == g and sub.origin == (5, 5, 0)
+        assert sub.spacings == g.spacings
+        for a, (lo, n) in enumerate(zip(sub.origin, sub.shape)):
+            want = g.axis_coords(a)[lo:lo + n]
+            assert sub.axis_coords(a).tobytes() == want.tobytes()
+        assert sub.t0 == g.t0 + 5 * g.dt
+        assert sub.time_offset_from(g) == 5
+
+    def test_uncut_axes_keep_extents_and_compatibility(self):
+        g = self.ROOT
+        sub = g.time_subgrid(4, 10)
+        assert sub.extents[1:] == g.extents[1:]
+        assert sub.compatible(g)
+        left = g.subgrid(((0, 30), (0, 20), (0, 48)))
+        right = g.subgrid(((0, 30), (20, 40), (0, 48)))
+        assert left.shape == right.shape and left.extents == right.extents
+        assert not left.compatible(right)  # same size, other nodes
+
+    def test_rejects_boxes_outside_the_grid(self):
+        with pytest.raises(ValueError, match="box"):
+            self.ROOT.subgrid(((0, 31), (0, 40), (0, 48)))
+        with pytest.raises(ValueError, match="box"):
+            self.ROOT.subgrid(((0, 30), (0, 40)))
+        with pytest.raises(ValueError, match="root"):
+            GridSpec(2, (4, 40, 48), (0.1, 1.0, 1.3), derived=True,
+                     root=self.ROOT, origin=(28, 0, 0))
+
+
+def _window_case(spatial_dim, vacuum):
+    if spatial_dim == 1:
+        g = GridSpec(1, (64, 96), (1.0, 1.3))
+    else:
+        g = GridSpec(2, (32, 40, 48), (1.0, 1.0, 1.3))
+    t, *xs = g.meshgrid()
+    w = np.sin(2 * np.pi * xs[0]) * (1.0 + 0.3 * np.cos(2 * np.pi * t))
+    if vacuum:
+        w = np.maximum(w, 0.0)  # exact zeros on half of every line
+    v = 0.5 + 0.2 * np.cos(2 * np.pi * (xs[-1] - t))
+    return g, Field(g, np.stack([w, v], axis=-1))
+
+
+def _cut_full(full: Field, part: Field) -> np.ndarray:
+    """The values of ``full`` on the nodes of ``part``'s box."""
+    box = tuple(slice(o - fo, o - fo + n) for o, fo, n in
+                zip(part.grid.origin, full.grid.origin or (0,) * 3,
+                    part.grid.shape))
+    return full.values[box]
+
+
+class TestMollificationBox:
+    """``Mollification(..., box=...)`` against the whole-grid result."""
+
+    # (spatial_dim, eps, box, shape of the output box): both axes cut; a
+    # spatial range too close to x = 0 to cut without wrapping; time only
+    # (a constant spatial factor); a box that overlaps the shrunk rows
+    CASES = [
+        (1, 0.1, ((20, 40), (30, 60)), (20, 30)),
+        (1, 0.1, ((20, 40), (2, 30)), (20, 96)),
+        (1, 0.1, ((10, 50), (0, 96)), (40, 96)),
+        (1, 0.1, ((0, 20), (30, 60)), (14, 30)),
+        (2, 0.15, ((8, 24), (10, 30), (0, 20)), (16, 20, 48)),
+        (2, 0.15, ((8, 24), (10, 30), (12, 36)), (16, 20, 24)),
+    ]
+    IDS = ["cut", "wrap-fallback", "time-only", "shrunk-rows", "2d-mixed",
+           "2d-cut"]
+
+    @pytest.mark.parametrize("vacuum", [False, True], ids=["positive", "vacuum"])
+    @pytest.mark.parametrize("spatial_dim,eps,box,shape", CASES, ids=IDS)
+    def test_direct_box_is_the_whole_result_cut_down(self, spatial_dim, eps,
+                                                     box, shape, vacuum):
+        g, f = _window_case(spatial_dim, vacuum)
+        ker = make_mollifier(eps, 1 + spatial_dim, g)
+        full = Mollification(ker, g, "direct")(f)
+        moll = Mollification(ker, g, "direct", box=box)
+        part = moll(moll.crop(f))
+        assert part.grid.shape == shape
+        assert part.grid.root == g
+        want = _cut_full(full, part)
+        assert part.values.tobytes() == want.tobytes()
+        if vacuum:
+            assert (part.values[..., 0] == 0.0).any()
+
+    @pytest.mark.parametrize("spatial_dim,eps,box,shape", CASES, ids=IDS)
+    def test_fft_box_matches_the_whole_result(self, spatial_dim, eps, box,
+                                              shape):
+        g, f = _window_case(spatial_dim, True)
+        ker = make_mollifier(eps, 1 + spatial_dim, g)
+        full = Mollification(ker, g, "fft")(f)
+        moll = Mollification(ker, g, "fft", box=box)
+        part = moll(moll.crop(f))
+        assert part.grid.shape == shape
+        want = _cut_full(full, part)
+        assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_fft_pads_a_cut_axis_of_prime_length(self):
+        g = GridSpec(1, (64, 256), (1.0, 1.0))
+        f = from_function(g, lambda t, x: np.sin(6 * np.pi * x + t) ** 2)
+        ker = make_mollifier(0.1, 2, g)  # spatial half-width 25
+        moll = Mollification(ker, g, "fft", box=((20, 40), (30, 77)))
+        assert moll.input_grid.shape[1] == 97  # prime: padded to 100
+        part = moll(moll.crop(f))
+        want = _cut_full(mollify(f, ker, "fft"), part)
+        assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_spatial_kernel_cuts_time_without_convolving_it(self, method):
+        g, f = _window_case(1, True)
+        ker = make_mollifier(0.1, 1, g, include_time=False)
+        full = Mollification(ker, g, method)(f)
+        moll = Mollification(ker, g, method, box=((5, 9), (30, 60)))
+        part = moll(moll.crop(f))
+        assert part.grid.shape == (4, 30)
+        want = _cut_full(full, part)
+        assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_takes_fields_on_the_cut_input_grid(self):
+        g, f = _window_case(1, False)
+        ker = make_mollifier(0.1, 2, g)
+        moll = Mollification(ker, g, box=((20, 40), (30, 60)))
+        cut = moll.crop(f)
+        assert cut.grid == moll.input_grid and cut.grid.shape == (32, 44)
+        assert cut.values.tobytes() == f.values[14:46, 23:67].tobytes()
+        # arithmetic on cut fields stays on the input grid
+        assert moll(cut * cut).grid == moll(cut).grid
+        with pytest.raises(ValueError, match="input grid"):
+            moll(f)
+
+    def test_box_missing_the_interior_rows_raises(self):
+        g, f = _window_case(1, False)
+        ker = make_mollifier(0.1, 2, g)  # interior rows [6, 58)
+        with pytest.raises(DomainExhaustedError, match="box"):
+            Mollification(ker, g, box=((0, 6), (30, 60)))
+
+    def test_rejects_field_on_another_grid(self):
+        g, f = _window_case(1, False)
+        ker = make_mollifier(0.1, 2, g)
+        moll = Mollification(ker, g, box=((20, 40), (30, 60)))
+        assert moll.input_grid == g.subgrid(((14, 46), (23, 67)))
+        # the input's size, on other nodes in space or in time
+        for other in (g.subgrid(((14, 46), (24, 68))),
+                      g.subgrid(((0, 32), (23, 67)))):
+            with pytest.raises(ValueError, match="grid"):
+                moll(constant_field(other, 1.0))
+            with pytest.raises(ValueError, match="grid"):
+                moll.crop(constant_field(other, 1.0))
+
+
 class TestDirectConvolve:
     """``_direct_convolve`` against direct summation and ndimage.convolve."""
 
@@ -435,6 +594,28 @@ class TestSerialization:
         back = load_field(tmp_path / "field")
         assert back.grid == sub
         assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_roundtrip_boxed_grid(self, tmp_path, fmt):
+        g = GridSpec(2, (30, 40, 48), (0.7, 1.0, 1.3))
+        sub = g.time_subgrid(3, 27).subgrid(((2, 20), (5, 31), (0, 48)))
+        f = from_function(sub, lambda t, x, y: np.cos(x - t) * y)
+        save_field(f, tmp_path / "field", fmt=fmt)
+        back = load_field(tmp_path / "field")
+        assert back.grid == sub
+        assert back.grid.axis_coords(1).tobytes() == sub.axis_coords(1).tobytes()
+        assert np.allclose(back.values, f.values, rtol=1e-15, atol=0.0)
+
+    def test_box_outside_its_root_is_rejected(self, tmp_path, small_grid):
+        import json
+        sub = small_grid.subgrid(((2, 6), (10, 20)))
+        save_field(constant_field(sub, 1.0), tmp_path / "f")
+        path = tmp_path / "f.json"
+        header = json.loads(path.read_text())
+        header["origin"] = [2, 60]
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="root"):
+            load_field(tmp_path / "f")
 
     def test_header_without_derived_flag_infers_it(self, tmp_path, small_grid):
         import json

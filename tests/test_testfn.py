@@ -372,3 +372,38 @@ class TestFactorOracle:
         x = np.array([0.12, 0.14, 0.3, 0.6])
         assert np.allclose(tf._grad(t, x)[0], fd_space_derivative(tf, t, x),
                            rtol=1e-5, atol=1e-8)
+
+
+class TestSupport:
+    """``support`` is the bounding box of phi's nonzero nodes on a grid."""
+
+    @pytest.mark.parametrize("tf", [
+        spacetime_bump((0.5, 0.5), (0.35, 0.35)),
+        spacetime_bump((0.3, 0.05), (0.2, 0.1)),
+        time_bump(0.4, 0.2),
+        time_window(0.1, 0.9, 0.05),
+        boundary_cutoff(0.1, spacetime_bump((0.5, 0.5), (0.3, 0.45))),
+    ], ids=["bump", "bump-at-edge", "time-bump", "time-window", "cutoff"])
+    def test_matches_nonzero_nodes(self, small_grid, tf):
+        nonzero = tf.phi(small_grid).values[..., 0] != 0.0
+        want = []
+        for axis in range(2):
+            idx = np.flatnonzero(nonzero.any(axis=1 - axis))
+            want.append((int(idx[0]), int(idx[-1]) + 1))
+        assert tf.support(small_grid) == tuple(want)
+
+    def test_constant_factor_spans_its_axis(self):
+        g = GridSpec(2, (16, 20, 24), (1.0, 1.0, 1.0))
+        lo, hi = time_bump(0.5, 0.25).support(g)[0]
+        assert time_bump(0.5, 0.25).support(g) == ((lo, hi), (0, 20), (0, 24))
+
+    def test_support_on_a_subgrid_is_cut_from_the_root(self, small_grid):
+        tf = spacetime_bump((0.5, 0.5), (0.2, 0.2))
+        sub = small_grid.subgrid(((10, 55), (15, 60)))
+        (t0, t1), (x0, x1) = tf.support(small_grid)
+        assert tf.support(sub) == ((t0 - 10, t1 - 10), (x0 - 15, x1 - 15))
+        cut = tf.phi(small_grid).values[10:55, 15:60]
+        assert tf.phi(sub).values.tobytes() == cut.tobytes()
+
+    def test_vanishing_phi_has_no_support(self, small_grid):
+        assert spacetime_bump((0.5, 0.5), (0.2, 1e-4)).support(small_grid) is None
