@@ -10,8 +10,10 @@ error, or a study that raised (``<kind> study failed: <class>: <message>``).
 ``run`` creates the output directory before the study starts, so an
 output path that cannot be created is a config error.  So is a
 Weierstrass generator whose top level reaches the grid's Nyquist limit.
-``report`` exits 1 on a ``report.json`` that is not JSON or lacks the
-``study`` or ``assertions`` key.
+So is a ``budget`` eps ladder with fewer than four feasible rungs.
+``report`` exits 1 on a ``report.json`` that is not JSON, lacks the
+``study`` or ``assertions`` key, or holds an assertion row without a
+string ``name``, numeric ``bound`` and ``value`` and a boolean ``passed``.
 
 Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
@@ -82,9 +84,13 @@ _SCHEMA = {
 
 
 def _line_of(path: Path, needle: str) -> int:
-    """First line holding ``needle`` outside a comment; 0 if none does."""
+    """First line that is the section header ``needle`` or assigns the key
+    ``needle`` (keys compare lower-cased, as configparser reads them); 0 if
+    none does.  A comment or a value that mentions ``needle`` is no match."""
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if needle in line and not line.lstrip().startswith(("#", ";")):
+        text = line.strip()
+        key = text.split("=", 1)[0].split(":", 1)[0].strip().lower()
+        if needle in (text, key):
             return lineno
     return 0
 
@@ -135,6 +141,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{_line_of(path, 'kind')}: study kind must "
                           f"be one of {', '.join(STUDY_KINDS)}")
     _check_nyquist(path, config)
+    _check_budget_rungs(path, config)
     return config
 
 
@@ -160,6 +167,42 @@ def _check_nyquist(path: Path, config: dict) -> None:
             f"{key} puts frequency {top} (base_frequency * 2^(levels - 1)) "
             f"at or above the Nyquist limit {limit} of the "
             f"{config['grid']['nt']} x {config['grid']['nx']} grid")
+
+
+# the budget study's grid extents (T, L), and the fewest rungs from which
+# ``fit_rate`` fits a rate
+_BUDGET_EXTENTS = (0.2, 1.0)
+_MIN_RUNGS = 4
+
+
+def _budget_rungs(config) -> tuple[float, list]:
+    """The least eps that spans 3 spacings on every budget-grid axis, and
+    the ladder's rungs from it up to 0.05 (which keeps the test-function
+    support inside the time-shrunk domain)."""
+    shape = (config["grid"]["nt"], config["grid"]["nx"])
+    floor = 3.0 * max(e / n for e, n in zip(_BUDGET_EXTENTS, shape))
+    return floor, [e for e in config["ladders"]["eps"] if floor <= e <= 0.05]
+
+
+def _check_budget_rungs(path: Path, config: dict) -> None:
+    """Reject a budget ladder with fewer feasible rungs than a fit needs.
+
+    The study would fit a degenerate rate, report ``rhs_decay`` as 0.0
+    and exit 2 after all its work; here the config names the ``eps`` key.
+    """
+    nt, nx = config["grid"]["nt"], config["grid"]["nx"]
+    # a zero axis is left to the grid's own error in the study
+    if config["study"]["kind"] != "budget" or 0 in (nt, nx):
+        return
+    floor, rungs = _budget_rungs(config)
+    if len(rungs) >= _MIN_RUNGS:
+        return
+    line = _line_of(path, "eps")
+    key = f"{path}:{line}: eps" if line else f"{path}: eps (the default)"
+    raise ConfigError(
+        f"{key} leaves {len(rungs)} feasible rungs, and the budget fit needs "
+        f"{_MIN_RUNGS}: on the {nt} x {nx} budget grid a rung must lie in "
+        f"[{floor:.6g}, 0.05]")
 
 
 def _law(config) -> PressureLaw:
@@ -314,7 +357,7 @@ def _study_budget(config) -> dict:
 
     gaps = []
     for scale in (1, 2, 4):
-        g = GridSpec(1, (nt * scale, nx * scale), (0.2, 1.0))
+        g = GridSpec(1, (nt * scale, nx * scale), _BUDGET_EXTENTS)
         rho, u = simple_wave(law, gen["amplitude"], g)
         ker = make_mollifier(0.02, 2, g)
         budget = mollified_energy_balance(rho, u, law, ker, phi)
@@ -322,17 +365,10 @@ def _study_budget(config) -> dict:
     order = float(np.log2(max(gaps[0][1], 1e-300)
                           / max(gaps[1][1], 1e-300)))
 
-    g = GridSpec(1, (nt, nx), (0.2, 1.0))
+    g = GridSpec(1, (nt, nx), _BUDGET_EXTENTS)
     rho, u = simple_wave(law, gen["amplitude"], g)
-    # kernels must fit the grid (>= 3 spacings per axis) and leave the
-    # test-function support inside the time-shrunk domain
-    feasible = [e for e in config["ladders"]["eps"]
-                if 3.0 * max(g.spacings) <= e <= 0.05]
-    if len(feasible) < 3:
-        raise ConfigError("eps ladder leaves fewer than 3 feasible rungs "
-                          "for the budget grid (need 3 spacings <= eps <= 0.05)")
     rhs_samples = []
-    for eps in feasible:
+    for eps in _budget_rungs(config)[1]:
         ker = make_mollifier(eps, 2, g)
         rep = energy_commutators(rho, u, law, ker, phi)
         rhs_samples.append((eps, rep.total()))
@@ -490,6 +526,19 @@ def cmd_run(args) -> int:
     return 0
 
 
+# key, accepted types and their description, for each assertion row
+_ASSERTION_KEYS = (("name", str, "a string"), ("bound", (int, float), "a number"),
+                   ("value", (int, float), "a number"), ("passed", bool, "a boolean"))
+
+
+def _check_type(where: str, value, types, kind: str) -> None:
+    # JSON true/false load as bool, which is an int: not a number here
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and types is not bool):
+        raise ValueError(f"{where} is a JSON {type(value).__name__}, "
+                         f"not {kind}")
+
+
 def _read_report(path: Path) -> dict:
     """Load a study's ``report.json``; ValueError names what is wrong."""
     rep = json.loads(path.read_text())
@@ -499,6 +548,15 @@ def _read_report(path: Path) -> dict:
     for key in ("study", "assertions"):
         if key not in rep:
             raise ValueError(f"missing key {key!r}")
+    _check_type("'study'", rep["study"], str, "a string")
+    _check_type("'assertions'", rep["assertions"], list, "a list")
+    for i, row in enumerate(rep["assertions"]):
+        where = f"assertions[{i}]"
+        _check_type(where, row, dict, "an object")
+        for key, types, kind in _ASSERTION_KEYS:
+            if key not in row:
+                raise ValueError(f"{where}: missing key {key!r}")
+            _check_type(f"{where}[{key!r}]", row[key], types, kind)
     return rep
 
 

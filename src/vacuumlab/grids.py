@@ -40,6 +40,13 @@ Conventions used throughout the package:
   what it returns (an FFT of finite values near 1e300 can overflow),
   ``integrate`` and ``lp_norm`` reject any non-finite value, masked or
   not, and reports check their scalars.
+* ``import vacuumlab`` loads numpy alone.  scipy loads on first use, in
+  three places: the direct branch of ``Mollification``
+  (``scipy.ndimage.convolve1d``); ``qns_check`` and
+  ``qns_mollifier_equivalence`` with a region mask that has a boundary
+  (``scipy.ndimage.distance_transform_edt``); and ``riemann_solution``,
+  through ``synth.solve_middle_state`` (``scipy.optimize.brentq``).  FFTs
+  use ``numpy.fft``, and padded FFT lengths come from a pure-Python search.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     DomainExhaustedError,
@@ -611,9 +617,16 @@ def _same_sampling(a: GridSpec, b: GridSpec) -> bool:
 
 def _fast_length(n: int) -> int:
     """Smallest length >= n with only the factors 2, 3 and 5."""
-    # imported here: only cut (padded) FFT axes need it
-    from scipy.fft import next_fast_len
-    return next_fast_len(n, real=True)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Field:
@@ -649,10 +662,12 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
             row = w[idx][c - r:c + r + 1]
             steps = tuple(i - n // 2 for i, n in zip(idx, w.shape))
             rows.setdefault(row.tobytes(), (row, []))[1].append(steps)
+    # imported here: only the direct branch needs scipy
+    from scipy.ndimage import convolve1d
     lead = axes[:-1]
     out = None
     for row, offsets in rows.values():
-        line = ndimage.convolve1d(values, row, axis=axes[-1], mode="wrap")
+        line = convolve1d(values, row, axis=axes[-1], mode="wrap")
         for steps in offsets:
             # with no leading axes there is one row and one offset, so the
             # line itself can become the result
@@ -871,6 +886,8 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
     The header records a sub-grid's root grid and origin, so a field on a
     box or a shrunk time range loads back on an equal grid.
     """
+    if fmt not in ("bin", "csv"):
+        raise ValueError("fmt must be 'bin' or 'csv'")
     path = Path(path)
     header = {
         "schema": "vacuumlab-field-1",
@@ -893,10 +910,8 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
     flat = field.values.astype("<f8")
     if fmt == "bin":
         data.write_bytes(flat.tobytes(order="C"))
-    elif fmt == "csv":
-        np.savetxt(data, flat.reshape(-1, field.components), delimiter=",")
     else:
-        raise ValueError("fmt must be 'bin' or 'csv'")
+        np.savetxt(data, flat.reshape(-1, field.components), delimiter=",")
 
 
 def _grid_header(grid: GridSpec | None) -> dict | None:
@@ -906,18 +921,37 @@ def _grid_header(grid: GridSpec | None) -> dict | None:
             "t0": grid.t0, "derived": grid.derived}
 
 
+# keys every field header holds, and every root grid record within one
+_HEADER_KEYS = ("spatial_dim", "shape", "extents", "t0", "components",
+                "format", "data_file")
+_ROOT_KEYS = ("shape", "extents", "t0", "derived")
+
+
+def _require_keys(record, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{where} lacks the key {key!r}")
+
+
 def load_field(path) -> Field:
     """Read a field written by ``save_field``; a sub-grid keeps its root
-    and origin.  A header that does not describe a valid grid raises
-    ``ValueError``."""
+    and origin.  A header that does not describe a valid grid (a missing
+    key, a format other than ``bin`` or ``csv``) raises ``ValueError``."""
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if header.get("schema") != "vacuumlab-field-1":
+    if not isinstance(header, dict) or header.get("schema") != "vacuumlab-field-1":
         raise ValueError("unrecognized field header")
+    _require_keys(header, _HEADER_KEYS, "field header")
+    if header["format"] not in ("bin", "csv"):
+        raise ValueError(f"field header names the unknown format "
+                         f"{header['format']!r}; expected 'bin' or 'csv'")
     # headers written before "derived" was recorded: infer it from t0
     derived = header.get("derived", header["t0"] != 0.0)
     root = header.get("root")
     if root is not None:
+        _require_keys(root, _ROOT_KEYS, "field header's root")
         root = GridSpec(header["spatial_dim"], tuple(root["shape"]),
                         tuple(root["extents"]), t0=root["t0"],
                         derived=root["derived"])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import optimize
 
 from .errors import AdmissibilityError, BlowupTimeError, ResolutionError
 from .grids import Field, GridSpec, constant_field, dspace, from_function
@@ -257,7 +256,9 @@ def solve_middle_state(spec: RiemannSpec) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise AdmissibilityError("no intermediate state found")
-    return float(optimize.brentq(eq, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # imported here: only the Riemann solutions need scipy
+    from scipy.optimize import brentq
+    return float(brentq(eq, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 def shock_states(law: PressureLaw, rho_l: float, rho_r: float,

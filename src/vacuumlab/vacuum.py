@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     ExponentRelationError,
@@ -227,6 +226,8 @@ def _region_distance(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     space = mask[0] if mask.ndim == len(grid.shape) else mask
     if space.all():
         return np.full(space.shape, min(grid.extents[1:]) / 2.0)
+    # imported here: only region masks with a boundary need scipy
+    from scipy import ndimage
     d = len(space.shape)
     tiled = np.tile(space, (3,) * d)
     dist = ndimage.distance_transform_edt(tiled,

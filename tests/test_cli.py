@@ -96,8 +96,12 @@ class TestLoadConfig:
     ])
     def test_nyquist_check_applies_to_synthesised_generators(
             self, tmp_path, kind, generator, ok):
+        # the default budget ladder leaves 3 feasible rungs at 512^2, a
+        # config error of its own; four feasible rungs isolate Nyquist
+        ladder = ("[ladders]\neps = 0.05, 0.04, 0.03, 0.02\n"
+                  if kind == "budget" else "")
         path = write_config(tmp_path, f"[study]\nkind = {kind}\noutput = o\n"
-                            f"[generator]\nkind = {generator}\n")
+                            f"[generator]\nkind = {generator}\n{ladder}")
         if ok:
             load_config(path)
         else:
@@ -109,6 +113,40 @@ class TestLoadConfig:
         load_config(write_config(tmp_path, body))  # 256 < 514 // 2
         with pytest.raises(ConfigError, match="Nyquist"):
             load_config(write_config(tmp_path, body.replace("514", "513")))
+
+    def test_budget_shipped_defaults_rejected(self, tmp_path, capsys):
+        # 512^2 admits eps = 2^-5, 2^-6, 2^-7 only; fit_rate needs 4 rungs
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = budget\noutput = {out}\n")
+        with pytest.raises(ConfigError, match=r"eps \(the default\) leaves 3 "
+                                              r"feasible rungs.*needs 4"):
+            load_config(path)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_budget_check_names_the_eps_line(self, tmp_path):
+        path = write_config(tmp_path, "[study]\nkind = budget\noutput = o\n"
+                            "[ladders]\n; eps must span 3 spacings\n"
+                            "eps = 0.05, 0.04, 0.03, 0.001\n")
+        with pytest.raises(ConfigError, match=r"study\.ini:6: eps leaves 3 "
+                                              r"feasible rungs"):
+            load_config(path)
+
+    def test_error_line_is_the_key_not_a_value_naming_it(self, tmp_path):
+        # the output path mentions eps before the eps key is set
+        path = write_config(tmp_path, "[study]\nkind = budget\n"
+                            "output = out/eps_study\n[ladders]\n"
+                            "EPS : 0.05, 0.04, 0.001\n")
+        with pytest.raises(ConfigError, match=r"study\.ini:5: eps leaves 2"):
+            load_config(path)
+
+    def test_budget_five_rungs_at_256_load(self, tmp_path):
+        path = write_config(tmp_path, "[study]\nkind = budget\noutput = o\n"
+                            "[grid]\nnt = 256\nnx = 256\n"
+                            "[ladders]\neps = 0.05, 0.04, 0.03, 0.025, 0.02\n")
+        cfg = load_config(path)
+        assert cli._budget_rungs(cfg)[1] == [0.05, 0.04, 0.03, 0.025, 0.02]
 
     def test_ladder_parsing(self, tmp_path):
         path = write_config(tmp_path, "[study]\nkind = ns\noutput = o\n"
@@ -235,6 +273,32 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == (f"usage error: {tmp_path / 'report.json'} is not a "
                        f"vacuumlab report: missing key 'assertions'\n")
+
+    @pytest.mark.parametrize("report,reason", [
+        ({"study": "x", "assertions": [{"name": "a"}]},
+         "assertions[0]: missing key 'bound'"),
+        ({"study": "x", "assertions": "oops"},
+         "'assertions' is a JSON str, not a list"),
+        ({"study": "x", "assertions": [3]},
+         "assertions[0] is a JSON int, not an object"),
+        ({"study": "x", "assertions": [{"name": "a", "bound": "1", "value": 0,
+                                        "passed": True}]},
+         "assertions[0]['bound'] is a JSON str, not a number"),
+        ({"study": "x", "assertions": [{"name": "a", "bound": 1, "value": True,
+                                        "passed": True}]},
+         "assertions[0]['value'] is a JSON bool, not a number"),
+        ({"study": "x", "assertions": [{"name": "a", "bound": 1, "value": 0.5,
+                                        "passed": 1}]},
+         "assertions[0]['passed'] is a JSON int, not a boolean"),
+        ({"study": ["x"], "assertions": []},
+         "'study' is a JSON list, not a string"),
+    ])
+    def test_malformed_assertions(self, tmp_path, capsys, report, reason):
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {tmp_path / 'report.json'} is not a "
+                       f"vacuumlab report: {reason}\n")
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1

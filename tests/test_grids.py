@@ -449,6 +449,31 @@ class TestMollificationBox:
                 moll.crop(constant_field(other, 1.0))
 
 
+class TestFastLength:
+    """The pure-Python 5-smooth search against ``scipy.fft.next_fast_len``."""
+
+    def test_matches_scipy_up_to_4096(self):
+        from scipy.fft import next_fast_len
+        got = [grids._fast_length(n) for n in range(1, 4097)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 4097)]
+
+    def test_matches_scipy_on_the_2048_ladder(self):
+        # the cut axes of criterion 8's five rungs, eps = 2^-4 ... 2^-8
+        from scipy.fft import next_fast_len
+        from vacuumlab import commutators, testfn
+        g = GridSpec(1, (2048, 2048), (1.0, 1.0))
+        phi = testfn.spacetime_bump((0.5, 0.5), (0.35, 0.35))
+        sizes = set()
+        for k in range(4, 9):
+            ker = make_mollifier(2.0 ** -k, 2, g)
+            box = commutators._pairing_box(phi, g, ker)
+            moll = Mollification(ker, g, "direct", box=box)
+            sizes |= {s.stop - s.start for s in moll._read} - {2048}
+        assert len(sizes) == 5
+        for n in sizes:
+            assert grids._fast_length(n) == next_fast_len(n, real=True)
+
+
 class TestDirectConvolve:
     """``_direct_convolve`` against direct summation and ndimage.convolve."""
 
@@ -606,25 +631,55 @@ class TestSerialization:
         assert back.grid.axis_coords(1).tobytes() == sub.axis_coords(1).tobytes()
         assert np.allclose(back.values, f.values, rtol=1e-15, atol=0.0)
 
-    def test_box_outside_its_root_is_rejected(self, tmp_path, small_grid):
+    @staticmethod
+    def edit_header(tmp_path, grid, edit):
+        """Save a constant field on ``grid`` as ``f``, then ``edit(header)``."""
         import json
-        sub = small_grid.subgrid(((2, 6), (10, 20)))
-        save_field(constant_field(sub, 1.0), tmp_path / "f")
+        save_field(constant_field(grid, 1.0), tmp_path / "f")
         path = tmp_path / "f.json"
         header = json.loads(path.read_text())
-        header["origin"] = [2, 60]
+        edit(header)
         path.write_text(json.dumps(header))
+
+    def test_box_outside_its_root_is_rejected(self, tmp_path, small_grid):
+        sub = small_grid.subgrid(((2, 6), (10, 20)))
+        self.edit_header(tmp_path, sub, lambda h: h.update(origin=[2, 60]))
         with pytest.raises(ValueError, match="root"):
             load_field(tmp_path / "f")
 
+    @pytest.mark.parametrize("key", ["spatial_dim", "shape", "extents", "t0",
+                                     "components", "format", "data_file"])
+    def test_header_missing_key_names_it(self, tmp_path, small_grid, key):
+        self.edit_header(tmp_path, small_grid, lambda h: h.pop(key))
+        with pytest.raises(ValueError, match=f"field header lacks the key '{key}'"):
+            load_field(tmp_path / "f")
+
+    def test_root_missing_key_names_it(self, tmp_path, small_grid):
+        sub = small_grid.subgrid(((2, 6), (10, 20)))
+        self.edit_header(tmp_path, sub, lambda h: h["root"].pop("extents"))
+        with pytest.raises(ValueError, match="root lacks the key 'extents'"):
+            load_field(tmp_path / "f")
+
+    def test_unknown_format_is_rejected(self, tmp_path, small_grid):
+        self.edit_header(tmp_path, small_grid, lambda h: h.update(format="xyz"))
+        with pytest.raises(ValueError, match=r"unknown format 'xyz'; "
+                                             r"expected 'bin' or 'csv'"):
+            load_field(tmp_path / "f")
+
+    def test_save_rejects_unknown_format_before_writing(self, tmp_path,
+                                                         small_grid):
+        with pytest.raises(ValueError, match="fmt must be"):
+            save_field(constant_field(small_grid, 1.0), tmp_path / "f", fmt="xyz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_header_that_is_not_an_object(self, tmp_path, small_grid):
+        (tmp_path / "f.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="unrecognized field header"):
+            load_field(tmp_path / "f")
+
     def test_header_without_derived_flag_infers_it(self, tmp_path, small_grid):
-        import json
         sub = small_grid.time_subgrid(2, 6)
-        save_field(constant_field(sub, 1.0), tmp_path / "f")
-        path = tmp_path / "f.json"
-        header = json.loads(path.read_text())
-        del header["derived"]
-        path.write_text(json.dumps(header))
+        self.edit_header(tmp_path, sub, lambda h: h.pop("derived"))
         assert load_field(tmp_path / "f").grid == sub
 
 
