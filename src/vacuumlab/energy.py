@@ -186,7 +186,9 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     carrying the 1/delta weight of chi') is measured; it must vanish
     linearly in delta when u vanishes at the endpoints and plateau at a
     nonzero level otherwise.  For each nu the windowed energy difference
-    |E(t1) - E(t2)| is measured with the finest delta.  Slice-wise
+    |E(t1) - E(t2)| is measured by pairing d_t Theta_nu with E over the
+    whole interval, with no boundary cutoff (the delta -> 0 limit of the
+    bulk term).  Slice-wise
     stability of int E dx near both window edges is reported so the
     slice comparison is trusted only for fields that are steady there.
     """
@@ -225,7 +227,6 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     # windowed energy difference over the whole interval (the delta -> 0
     # limit of the bulk term): d_t Theta has edge masses exactly -1 and
     # +1, so the pairing reads E(t2) - E(t1) up to O(nu)
-    delta_min = delta_ladder[-1]
     window_samples = []
     for nu_val in nu_ladder:
         theta_nu = time_window(t1, t2, nu_val)

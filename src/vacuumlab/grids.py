@@ -8,10 +8,11 @@ Conventions used throughout the package:
   ``sum(values) * cell_volume`` is exact for constants.
 * Mollified quantities live on the time-shrunk domain (interior slices at
   distance greater than the kernel radius from both time boundaries).
-* A derived grid (a shrunk time range, or a box of node ranges) records
-  its root grid and its node offset from it on every axis; its spacings
-  are the root's and its coordinates are the root's sliced, bit for bit.
-  Fields on different time ranges of one root align by time origin.
+* A sub-grid (a shrunk time range, or a box of node ranges) records its
+  root grid and its integer node offset from it on every axis; its
+  spacings are the root's and its coordinates are the root's sliced, bit
+  for bit.  Arithmetic between fields needs them on one grid (``==``);
+  ``restrict`` moves a field to a time range of its grid by node offset.
 * ``Mollification(kernel, grid)`` applies one kernel to every field of a
   call: it validates the kernel against the grid and picks the branch
   once.  Small jobs are summed directly; the direct branch drops kernel
@@ -73,7 +74,7 @@ MAX_NODES = 1 << 25
 # nodes) work estimate; larger jobs go through the circular FFT path.
 _DIRECT_WORK_LIMIT = 2e8
 
-_TIE = 1e-12  # slack for grid-alignment comparisons
+_TIE = 1e-12  # slack for kernel-resolution comparisons
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class GridSpec:
     shape: tuple[int, ...]
     extents: tuple[float, ...]
     t0: float = 0.0
-    derived: bool = False
     root: GridSpec | None = None
     origin: tuple[int, ...] = ()
 
@@ -99,11 +99,14 @@ class GridSpec:
         naxes = 1 + self.spatial_dim
         if len(self.shape) != naxes or len(self.extents) != naxes:
             raise ValueError("shape/extents must have one time and spatial_dim axes")
-        if any(e <= 0 for e in self.extents):
-            raise ValueError("extents must be positive")
+        if not all(0.0 < e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be positive and finite, "
+                             f"got {self.extents}")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if any(n < 1 for n in self.shape):
             raise ValueError("axis sizes must be positive")
-        if not self.derived and any(n < 8 for n in self.shape):
+        if self.root is None and any(n < 8 for n in self.shape):
             raise ValueError("root grids need at least 8 points per axis")
         if self.node_count > MAX_NODES:
             raise GridMemoryError(
@@ -112,7 +115,7 @@ class GridSpec:
         if self.root is None:
             if self.origin:
                 raise ValueError("an origin needs a root grid")
-        elif (not self.derived or self.root.root is not None
+        elif (self.root.root is not None
               or self.root.spatial_dim != self.spatial_dim
               or len(self.origin) != naxes
               or any(o < 0 or o + n > r for o, n, r in
@@ -156,21 +159,28 @@ class GridSpec:
                         indexing="ij")
         )
 
+    def _placement(self) -> tuple["GridSpec", tuple[int, ...]]:
+        """The root grid and this grid's node offset on it."""
+        if self.root is None:
+            return self, (0,) * len(self.shape)
+        return self.root, self.origin
+
     def subgrid(self, box) -> "GridSpec":
-        """Sub-grid keeping node range ``[lo, hi)`` of every axis."""
+        """Sub-grid keeping node range ``[lo, hi)`` of every axis (or self)."""
         box = tuple((int(lo), int(hi)) for lo, hi in box)
         if len(box) != len(self.shape) or any(
                 lo < 0 or hi > n for (lo, hi), n in zip(box, self.shape)):
             raise ValueError("box must give one node range inside each axis")
-        root = self if self.root is None else self.root
-        base = self.origin or (0,) * len(self.shape)
+        if all((lo, hi) == (0, n) for (lo, hi), n in zip(box, self.shape)):
+            return self
+        root, base = self._placement()
         origin = tuple(b + lo for b, (lo, _) in zip(base, box))
         h = root.spacings
         extents = tuple(e if (lo, hi) == (0, n) else (hi - lo) * step
                         for e, (lo, hi), n, step
                         in zip(self.extents, box, self.shape, h))
         return GridSpec(self.spatial_dim, tuple(hi - lo for lo, hi in box),
-                        extents, t0=root.t0 + origin[0] * h[0], derived=True,
+                        extents, t0=root.t0 + origin[0] * h[0],
                         root=root, origin=origin)
 
     def time_subgrid(self, j0: int, j1: int) -> "GridSpec":
@@ -181,22 +191,11 @@ class GridSpec:
 
     def time_offset_from(self, other: "GridSpec") -> int:
         """Index offset of this grid's first slice inside ``other``."""
-        off = (self.t0 - other.t0) / self.dt
-        k = int(round(off))
-        if abs(off - k) > 1e-9:
-            raise ValueError("grids are not time-aligned")
-        return k
-
-    def compatible(self, other: "GridSpec") -> bool:
-        """Same spatial sampling (nodes, extents and position) and time step."""
-        return (self.spatial_dim == other.spatial_dim
-                and self.shape[1:] == other.shape[1:]
-                and self.extents[1:] == other.extents[1:]
-                and self._space_origin() == other._space_origin()
-                and abs(self.dt - other.dt) < _TIE * self.dt)
-
-    def _space_origin(self) -> tuple[int, ...]:
-        return self.origin[1:] or (0,) * self.spatial_dim
+        root, origin = self._placement()
+        other_root, other_origin = other._placement()
+        if root != other_root:
+            raise ValueError("grids are cut from different root grids")
+        return origin[0] - other_origin[0]
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -207,7 +206,8 @@ def _require_finite(values: np.ndarray) -> None:
 class Field:
     """Sampled real field; values have shape grid.shape + (components,).
 
-    The public constructor rejects non-finite values.  ``Field._wrap``
+    Arithmetic between two fields needs them on one grid.  The public
+    constructor rejects non-finite values.  ``Field._wrap``
     skips that scan and is only for values computed from checked fields;
     see the module docstring for where overflow is caught instead.
     """
@@ -259,7 +259,7 @@ class Field:
     def map(self, fn) -> "Field":
         return Field(self.grid, fn(self.values))
 
-    # -- aligned arithmetic ------------------------------------------------
+    # -- arithmetic on one grid --------------------------------------------
 
     def _binop(self, other, op):
         if isinstance(other, Field):
@@ -272,8 +272,7 @@ class Field:
     def __add__(self, other):
         return self._binop(other, np.add)
 
-    def __radd__(self, other):
-        return self._binop(other, lambda a, b: b + a)
+    __radd__ = __add__  # IEEE addition and multiplication commute
 
     def __sub__(self, other):
         return self._binop(other, np.subtract)
@@ -284,8 +283,7 @@ class Field:
     def __mul__(self, other):
         return self._binop(other, np.multiply)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __neg__(self):
         return Field._wrap(self.grid, -self.values)
@@ -297,35 +295,23 @@ class Field:
 
 
 def align(*fields: Field):
-    """Slice fields to their common time range.
-
-    Returns ``(grid, values_a, values_b, ...)``; values broadcast over the
-    trailing component axis as usual.
-    """
-    g0 = fields[0].grid
+    """``(grid, values_a, values_b, ...)`` for fields on one grid; values
+    broadcast over the trailing component axis as usual."""
+    grid = fields[0].grid
     for f in fields[1:]:
-        if not g0.compatible(f.grid):
-            raise ValueError("fields live on incompatible grids")
-    t_lo = max(f.grid.t0 for f in fields)
-    t_hi = min(f.grid.t_end for f in fields)
-    if t_hi - t_lo < g0.dt * (1 - _TIE):
-        raise EmptyOverlapError("fields share no time slices")
-    out = []
-    grid = None
-    for f in fields:
-        j0 = int(round((t_lo - f.grid.t0) / g0.dt))
-        j1 = j0 + int(round((t_hi - t_lo) / g0.dt))
-        sub = f.grid.time_subgrid(j0, j1)
-        if grid is None:
-            grid = sub
-        out.append(f.values[j0:j1])
-    return (grid, *out)
+        if f.grid != grid:
+            raise ValueError("fields live on different grids; restrict them "
+                             "to one grid first")
+    return (grid, *(f.values for f in fields))
 
 
 def restrict(field: Field, grid: GridSpec) -> Field:
-    """Restrict a field to a time-aligned subgrid (e.g. the shrunk domain)."""
+    """Restrict a field to a time range of its grid (e.g. the shrunk domain)."""
     j0 = grid.time_offset_from(field.grid)
     j1 = j0 + grid.shape[0]
+    if (grid.shape[1:], grid._placement()[1][1:]) != (
+            field.grid.shape[1:], field.grid._placement()[1][1:]):
+        raise ValueError("restrict cannot change the spatial nodes")
     if j0 < 0 or j1 > field.grid.shape[0]:
         raise ValueError("subgrid is not contained in the field's grid")
     return Field._wrap(grid, field.values[j0:j1])
@@ -497,8 +483,7 @@ class Mollification:
     weights see only zeros.  Larger jobs use the circular FFT: the kernel
     spectrum is built here, once, and every component of every field is
     multiplied by it; rounding leaves values of order 1e-16 where the
-    direct branch gives zeros.  ``method`` forces either branch ("direct"
-    or "fft").
+    direct branch gives zeros.
 
     ``box`` (one node range ``(lo, hi)`` per axis of ``grid``) limits the
     output to that box, on a sub-grid of ``grid``.  Time is always cut:
@@ -510,18 +495,14 @@ class Mollification:
     for bit.  The FFT branch zero-pads cut axes to a fast length; the
     centre of the padded circular result is exact on the box and equals
     the whole-grid one to rounding.  A call takes fields on
-    ``input_grid``; ``crop`` cuts a field on ``grid`` down to it (with no
-    box the two grids are one).
+    ``input_grid``; ``crop`` cuts a field on ``grid`` down to it (with
+    nothing cut the two grids are one).
 
     The spectrum is as large as the (cut) input, so keep one object per
     call and drop it before the call's arithmetic.
     """
 
-    def __init__(self, kernel: MollifierKernel, grid: GridSpec,
-                 method: str = "auto", box=None):
-        if method not in ("auto", "direct", "fft"):
-            raise ValueError(f"method must be 'auto', 'direct' or 'fft', "
-                             f"got {method!r}")
+    def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None):
         if kernel.include_time:
             if kernel.epsilon >= grid.extents[0] / 2:
                 raise DomainExhaustedError("kernel radius >= half the time extent")
@@ -558,18 +539,11 @@ class Mollification:
         self._read = tuple(slice(lo, hi) for lo, hi in read)
         self._kept = tuple(slice(lo - r, hi - r)
                            for (lo, hi), (r, _) in zip(kept, read))
-        if box is not None:
-            self.input_grid = grid.subgrid(read)
-            self._output_grid = grid.subgrid(kept)
-        else:
-            # a spatial kernel returns each field on its own grid
-            self.input_grid = grid
-            self._output_grid = (grid.time_subgrid(j0, j1)
-                                 if kernel.include_time else None)
+        self.input_grid = grid.subgrid(read)
+        self._output_grid = grid.subgrid(kept)
 
         win = kernel.weights * kernel.cell_volume
-        nwork = grid.node_count * win.size
-        if method == "direct" or (method == "auto" and nwork <= _DIRECT_WORK_LIMIT):
+        if grid.node_count * win.size <= _DIRECT_WORK_LIMIT:
             self._window, self._spectrum = win, None
         else:
             sizes = [hi - lo for lo, hi in read]
@@ -587,16 +561,12 @@ class Mollification:
 
     def crop(self, field: Field) -> Field:
         """The part of a field on ``grid`` that is read, on ``input_grid``."""
-        if not _same_sampling(field.grid, self.grid):
+        if field.grid != self.grid:
             raise ValueError("field does not live on the mollification's grid")
-        if self.input_grid is self.grid:
-            return field
         return Field._wrap(self.input_grid, field.values[self._read])
 
     def __call__(self, field: Field) -> Field:
-        # ``rho * u`` lives on a derived ``align`` subgrid: compare the
-        # sampling, not the dataclass
-        if not _same_sampling(field.grid, self.input_grid):
+        if field.grid != self.input_grid:
             raise ValueError("field does not live on the mollification's "
                              "input grid")
         kept = self._kept
@@ -607,12 +577,7 @@ class Mollification:
                             + (field.components,))
             for c in range(field.components):
                 vals[..., c] = self._convolve(field.values[..., c])[kept]
-        return Field(self._output_grid or field.grid, vals)
-
-
-def _same_sampling(a: GridSpec, b: GridSpec) -> bool:
-    return (a.shape == b.shape and a.compatible(b)
-            and abs(a.t0 - b.t0) <= 1e-9 * a.dt)
+        return Field(self._output_grid, vals)
 
 
 def _fast_length(n: int) -> int:
@@ -629,14 +594,14 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def mollify(field: Field, kernel: MollifierKernel, method: str = "auto") -> Field:
+def mollify(field: Field, kernel: MollifierKernel) -> Field:
     """Convolve one field with the kernel; see ``Mollification``.
 
     A call that mollifies several fields with one kernel should build one
     ``Mollification`` and apply it to each, so the kernel spectrum is
     transformed once.
     """
-    return Mollification(kernel, field.grid, method)(field)
+    return Mollification(kernel, field.grid)(field)
 
 
 def _direct_convolve(values: np.ndarray, weights: np.ndarray,
@@ -884,7 +849,8 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
     """Write a field as raw little-endian float64 (or CSV) plus JSON header.
 
     The header records a sub-grid's root grid and origin, so a field on a
-    box or a shrunk time range loads back on an equal grid.
+    box or a shrunk time range loads back on an equal grid.  ``derived``
+    (whether the grid has a root) is written but not read back.
     """
     if fmt not in ("bin", "csv"):
         raise ValueError("fmt must be 'bin' or 'csv'")
@@ -895,7 +861,7 @@ def save_field(field: Field, path, fmt: str = "bin") -> None:
         "shape": list(field.grid.shape),
         "extents": list(field.grid.extents),
         "t0": field.grid.t0,
-        "derived": field.grid.derived,
+        "derived": field.grid.root is not None,
         "root": _grid_header(field.grid.root),
         "origin": list(field.grid.origin),
         "components": field.components,
@@ -918,13 +884,13 @@ def _grid_header(grid: GridSpec | None) -> dict | None:
     if grid is None:
         return None
     return {"shape": list(grid.shape), "extents": list(grid.extents),
-            "t0": grid.t0, "derived": grid.derived}
+            "t0": grid.t0, "derived": False}
 
 
 # keys every field header holds, and every root grid record within one
 _HEADER_KEYS = ("spatial_dim", "shape", "extents", "t0", "components",
                 "format", "data_file")
-_ROOT_KEYS = ("shape", "extents", "t0", "derived")
+_ROOT_KEYS = ("shape", "extents", "t0")
 
 
 def _require_keys(record, keys: tuple[str, ...], where: str) -> None:
@@ -938,7 +904,8 @@ def _require_keys(record, keys: tuple[str, ...], where: str) -> None:
 def load_field(path) -> Field:
     """Read a field written by ``save_field``; a sub-grid keeps its root
     and origin.  A header that does not describe a valid grid (a missing
-    key, a format other than ``bin`` or ``csv``) raises ``ValueError``."""
+    key, a format other than ``bin`` or ``csv``, no root and an axis under
+    8 nodes) raises ``ValueError``; ``derived`` is not read."""
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if not isinstance(header, dict) or header.get("schema") != "vacuumlab-field-1":
@@ -947,17 +914,13 @@ def load_field(path) -> Field:
     if header["format"] not in ("bin", "csv"):
         raise ValueError(f"field header names the unknown format "
                          f"{header['format']!r}; expected 'bin' or 'csv'")
-    # headers written before "derived" was recorded: infer it from t0
-    derived = header.get("derived", header["t0"] != 0.0)
     root = header.get("root")
     if root is not None:
         _require_keys(root, _ROOT_KEYS, "field header's root")
         root = GridSpec(header["spatial_dim"], tuple(root["shape"]),
-                        tuple(root["extents"]), t0=root["t0"],
-                        derived=root["derived"])
+                        tuple(root["extents"]), t0=root["t0"])
     grid = GridSpec(header["spatial_dim"], tuple(header["shape"]),
-                    tuple(header["extents"]), t0=header["t0"],
-                    derived=derived, root=root,
+                    tuple(header["extents"]), t0=header["t0"], root=root,
                     origin=tuple(header.get("origin", ())))
     shape = tuple(header["shape"]) + (header["components"],)
     data = path.parent / header["data_file"]

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from vacuumlab import grids
 from vacuumlab.grids import GridSpec, from_function
 from vacuumlab.pressure import PressureLaw
 
@@ -38,3 +41,9 @@ def direct_circular_convolve(values, weights, axes):
             steps = [i - c for i, c in zip(idx, centre)]
             out += weights[idx] * np.roll(values, steps, axis=axes)
     return out
+
+
+def force_branch(monkeypatch, branch):
+    """Send every ``Mollification`` down one branch, "direct" or "fft"."""
+    monkeypatch.setattr(grids, "_DIRECT_WORK_LIMIT",
+                        math.inf if branch == "direct" else -1)

@@ -216,6 +216,16 @@ factor_max = 0.001
         assert "under-resolves" in err
         assert "config error" not in err
 
+    @pytest.mark.parametrize("key", ["extent_t", "extent_x"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_extent_is_named(self, tmp_path, capsys, key, value):
+        path = ns_config(tmp_path, extra=f"{key} = {value}\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ns study failed: ValueError: extents must be "
+                              "positive and finite, got (")
+        assert value in err
+
     def test_uncreatable_output_directory(self, tmp_path, monkeypatch,
                                           capsys):
         (tmp_path / "plain").write_text("a regular file\n")

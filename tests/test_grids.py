@@ -1,6 +1,8 @@
+import operator
+
 import numpy as np
 import pytest
-from conftest import direct_circular_convolve
+from conftest import direct_circular_convolve, force_branch
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
@@ -51,6 +53,15 @@ class TestGridSpec:
         assert g.spatial_dim == 2
         assert len(g.spacings) == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_extents_and_t0(self, bad):
+        with pytest.raises(ValueError, match="extents must be positive and finite"):
+            GridSpec(1, (16, 32), (bad, 1.0))
+        with pytest.raises(ValueError, match="extents must be positive and finite"):
+            GridSpec(2, (16, 32, 32), (1.0, 1.0, bad))
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            GridSpec(1, (16, 32), (1.0, 1.0), t0=bad)
+
 
 class TestField:
     def test_arithmetic(self, small_grid):
@@ -83,6 +94,25 @@ class TestField:
                                                        match="finite"):
             f.map(lambda v: v * bad)
 
+    def test_products_live_on_the_operand_grid(self, small_grid, smooth_pair):
+        rho, u = smooth_pair
+        for got in (rho * u, rho + u, rho - u, rho.dot(u)):
+            assert got.grid is small_grid
+
+    def test_fields_on_different_time_ranges_need_restrict(self, small_grid):
+        a = from_function(small_grid, lambda t, x: 1.0 + np.sin(2 * np.pi * x))
+        sub = small_grid.time_subgrid(5, 40)
+        b = from_function(sub, lambda t, x: np.cos(2 * np.pi * (x - t)))
+        a_on_sub = a.values[5:40]  # the rows the time-overlap alignment took
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="restrict"):
+                op(a, b)
+            got = op(restrict(a, sub), b)
+            assert got.grid is sub
+            assert got.values.tobytes() == op(a_on_sub, b.values).tobytes()
+        with pytest.raises(ValueError, match="restrict"):
+            a.dot(b)
+
     def test_wrapped_results_match_checked_ones(self, small_grid):
         a = from_function(small_grid, lambda t, x: 1.0 + np.sin(2 * np.pi * x))
         b = from_function(small_grid, lambda t, x: np.cos(2 * np.pi * (x - t)))
@@ -94,15 +124,16 @@ class TestField:
             assert not got.values.flags.writeable
             assert got.values.flags.c_contiguous
 
-    def test_mollification_checks_its_output(self):
+    def test_mollification_checks_its_output(self, monkeypatch):
         # finite input whose FFT overflows: the circular sum of 1e306
         # over 64 x 64 nodes exceeds the largest double
         g = GridSpec(1, (64, 64), (1.0, 1.0))
         big = constant_field(g, 1e306)
         ker = make_mollifier(0.1, 2, g)
+        force_branch(monkeypatch, "fft")
         with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                        match="finite"):
-            Mollification(ker, g, "fft")(big)
+            Mollification(ker, g)(big)
 
 
 class TestQuadrature:
@@ -162,7 +193,8 @@ class TestMollifier:
     @pytest.mark.parametrize("include_time", [False, True])
     @pytest.mark.parametrize("case", ["smooth", "spikes"])
     def test_both_paths_match_direct_summation(self, method, include_time,
-                                               case):
+                                               case, monkeypatch):
+        force_branch(monkeypatch, method)
         if case == "smooth":
             g = GridSpec(1, (64, 512), (1.0, 1.0))
             f = from_function(g, lambda t, x: 2.0 + np.sin(2 * np.pi * x)
@@ -172,7 +204,7 @@ class TestMollifier:
             g = f.grid
         ker = make_mollifier(0.1, 2 if include_time else 1, g,
                              include_time=include_time)
-        fe = mollify(f, ker, method=method)
+        fe = mollify(f, ker)
         axes = (0, 1) if include_time else (1,)
         oracle = direct_circular_convolve(f.values[..., 0],
                                           ker.weights * ker.cell_volume, axes)
@@ -243,7 +275,8 @@ class TestMollification:
     @pytest.mark.parametrize("components", [1, 2, 4])
     @pytest.mark.parametrize("spatial_dim", [1, 2])
     def test_reuse_is_bitwise_equal(self, spatial_dim, components,
-                                    include_time, method):
+                                    include_time, method, monkeypatch):
+        force_branch(monkeypatch, method)
         shape = (24, 40) if spatial_dim == 1 else (16, 20, 24)
         g = GridSpec(spatial_dim, shape, (1.0,) * len(shape))
         rng = np.random.default_rng(components)
@@ -256,10 +289,10 @@ class TestMollification:
         axes = tuple(range(0 if include_time else 1, len(shape)))
         conv = (grids._direct_convolve if method == "direct"
                 else grids.circular_convolve)
-        moll = Mollification(ker, g, method)
+        moll = Mollification(ker, g)
         for f in fields:
             a = moll(f)
-            b = mollify(f, ker, method=method)
+            b = mollify(f, ker)
             want = np.stack([conv(f.values[..., c], win, axes)
                              for c in range(components)], axis=-1)
             j0 = a.grid.time_offset_from(g)
@@ -267,10 +300,10 @@ class TestMollification:
             assert a.values.tobytes() == b.values.tobytes()
             assert a.values.tobytes() == want[j0:j0 + a.grid.shape[0]].tobytes()
 
-    def test_accepts_derived_aligned_grid(self, small_grid, smooth_pair):
+    def test_takes_products_of_its_input_fields(self, small_grid, smooth_pair):
         rho, u = smooth_pair
-        m = rho * u  # lives on a derived ``align`` subgrid
-        assert m.grid.derived and m.grid != small_grid
+        m = rho * u  # lives on the operands' grid
+        assert m.grid is small_grid
         ker = make_mollifier(0.1, 2, small_grid)
         a = Mollification(ker, small_grid)(m)
         b = mollify(m, ker)
@@ -286,12 +319,6 @@ class TestMollification:
         shorter = small_grid.time_subgrid(0, 32)
         with pytest.raises(ValueError, match="grid"):
             moll(constant_field(shorter, 1.0))
-
-    def test_unknown_method_rejected(self, small_grid):
-        f = constant_field(small_grid, 1.0)
-        ker = make_mollifier(0.1, 2, small_grid)
-        with pytest.raises(ValueError, match="method"):
-            mollify(f, ker, method="fast")
 
 
 class TestSubgrid:
@@ -310,15 +337,59 @@ class TestSubgrid:
         assert sub.t0 == g.t0 + 5 * g.dt
         assert sub.time_offset_from(g) == 5
 
-    def test_uncut_axes_keep_extents_and_compatibility(self):
+    def test_uncut_axes_keep_extents_and_whole_box_is_the_grid(self):
         g = self.ROOT
         sub = g.time_subgrid(4, 10)
         assert sub.extents[1:] == g.extents[1:]
-        assert sub.compatible(g)
+        assert g.subgrid(((0, 30), (0, 40), (0, 48))) is g
+        assert sub.subgrid(((0, 6), (0, 40), (0, 48))) is sub
+        assert g.time_subgrid(0, 30) is g
         left = g.subgrid(((0, 30), (0, 20), (0, 48)))
         right = g.subgrid(((0, 30), (20, 40), (0, 48)))
         assert left.shape == right.shape and left.extents == right.extents
-        assert not left.compatible(right)  # same size, other nodes
+        assert left != right  # same size, other nodes
+
+    def test_restrict_keeps_the_spatial_nodes(self):
+        g = self.ROOT
+        left = g.subgrid(((0, 30), (0, 20), (0, 48)))
+        right = g.subgrid(((0, 30), (20, 40), (0, 48)))
+        f = constant_field(left, 1.0)
+        with pytest.raises(ValueError, match="spatial nodes"):
+            restrict(f, right)
+        with pytest.raises(ValueError, match="spatial nodes"):
+            restrict(f, right.time_subgrid(3, 9))
+        with pytest.raises(ValueError, match="spatial nodes"):
+            restrict(constant_field(g, 1.0), left)  # a box is not a time range
+        assert restrict(f, left.time_subgrid(3, 9)).grid.origin == (3, 0, 0)
+        with pytest.raises(ValueError, match="contained"):
+            restrict(constant_field(left.time_subgrid(3, 9), 1.0), left)
+
+    def test_time_offsets_are_exact_node_differences(self):
+        # t0 and dt = 0.7 / 30 are not dyadic, so t0 differences over dt
+        # miss integers by rounding
+        root = GridSpec(1, (30, 16), (0.7, 1.0), t0=0.1)
+        subs = [root.time_subgrid(j, 30) for j in range(30)]
+        for j, a in enumerate(subs):
+            assert type(a.time_offset_from(root)) is int
+            assert a.time_offset_from(root) == j
+            assert root.time_offset_from(a) == -j
+            for k, b in enumerate(subs):
+                assert a.time_offset_from(b) == j - k
+        boxed = root.subgrid(((4, 20), (3, 9)))
+        assert boxed.time_offset_from(subs[1]) == 3
+
+    def test_time_offsets_need_one_root(self):
+        root = GridSpec(1, (30, 16), (0.7, 1.0), t0=0.1)
+        # one step later in time: the same nodes as root's from index 1 on,
+        # but a different root
+        later = GridSpec(1, (29, 16), (0.7 * 29 / 30, 1.0),
+                         t0=0.1 + 0.7 / 30)
+        for a, b in ((later, root), (later.time_subgrid(2, 9), root),
+                     (root.time_subgrid(3, 9), later)):
+            with pytest.raises(ValueError, match="different root"):
+                a.time_offset_from(b)
+            with pytest.raises(ValueError, match="different root"):
+                restrict(constant_field(b, 1.0), a)
 
     def test_rejects_boxes_outside_the_grid(self):
         with pytest.raises(ValueError, match="box"):
@@ -326,8 +397,8 @@ class TestSubgrid:
         with pytest.raises(ValueError, match="box"):
             self.ROOT.subgrid(((0, 30), (0, 40)))
         with pytest.raises(ValueError, match="root"):
-            GridSpec(2, (4, 40, 48), (0.1, 1.0, 1.3), derived=True,
-                     root=self.ROOT, origin=(28, 0, 0))
+            GridSpec(2, (4, 40, 48), (0.1, 1.0, 1.3), root=self.ROOT,
+                     origin=(28, 0, 0))
 
 
 def _window_case(spatial_dim, vacuum):
@@ -371,11 +442,13 @@ class TestMollificationBox:
     @pytest.mark.parametrize("vacuum", [False, True], ids=["positive", "vacuum"])
     @pytest.mark.parametrize("spatial_dim,eps,box,shape", CASES, ids=IDS)
     def test_direct_box_is_the_whole_result_cut_down(self, spatial_dim, eps,
-                                                     box, shape, vacuum):
+                                                     box, shape, vacuum,
+                                                     monkeypatch):
+        force_branch(monkeypatch, "direct")
         g, f = _window_case(spatial_dim, vacuum)
         ker = make_mollifier(eps, 1 + spatial_dim, g)
-        full = Mollification(ker, g, "direct")(f)
-        moll = Mollification(ker, g, "direct", box=box)
+        full = Mollification(ker, g)(f)
+        moll = Mollification(ker, g, box=box)
         part = moll(moll.crop(f))
         assert part.grid.shape == shape
         assert part.grid.root == g
@@ -386,32 +459,36 @@ class TestMollificationBox:
 
     @pytest.mark.parametrize("spatial_dim,eps,box,shape", CASES, ids=IDS)
     def test_fft_box_matches_the_whole_result(self, spatial_dim, eps, box,
-                                              shape):
+                                              shape, monkeypatch):
+        force_branch(monkeypatch, "fft")
         g, f = _window_case(spatial_dim, True)
         ker = make_mollifier(eps, 1 + spatial_dim, g)
-        full = Mollification(ker, g, "fft")(f)
-        moll = Mollification(ker, g, "fft", box=box)
+        full = Mollification(ker, g)(f)
+        moll = Mollification(ker, g, box=box)
         part = moll(moll.crop(f))
         assert part.grid.shape == shape
         want = _cut_full(full, part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_fft_pads_a_cut_axis_of_prime_length(self):
+    def test_fft_pads_a_cut_axis_of_prime_length(self, monkeypatch):
+        force_branch(monkeypatch, "fft")
         g = GridSpec(1, (64, 256), (1.0, 1.0))
         f = from_function(g, lambda t, x: np.sin(6 * np.pi * x + t) ** 2)
         ker = make_mollifier(0.1, 2, g)  # spatial half-width 25
-        moll = Mollification(ker, g, "fft", box=((20, 40), (30, 77)))
+        moll = Mollification(ker, g, box=((20, 40), (30, 77)))
         assert moll.input_grid.shape[1] == 97  # prime: padded to 100
         part = moll(moll.crop(f))
-        want = _cut_full(mollify(f, ker, "fft"), part)
+        want = _cut_full(mollify(f, ker), part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("method", ["direct", "fft"])
-    def test_spatial_kernel_cuts_time_without_convolving_it(self, method):
+    def test_spatial_kernel_cuts_time_without_convolving_it(self, method,
+                                                            monkeypatch):
+        force_branch(monkeypatch, method)
         g, f = _window_case(1, True)
         ker = make_mollifier(0.1, 1, g, include_time=False)
-        full = Mollification(ker, g, method)(f)
-        moll = Mollification(ker, g, method, box=((5, 9), (30, 60)))
+        full = Mollification(ker, g)(f)
+        moll = Mollification(ker, g, box=((5, 9), (30, 60)))
         part = moll(moll.crop(f))
         assert part.grid.shape == (4, 30)
         want = _cut_full(full, part)
@@ -457,17 +534,18 @@ class TestFastLength:
         got = [grids._fast_length(n) for n in range(1, 4097)]
         assert got == [next_fast_len(n, real=True) for n in range(1, 4097)]
 
-    def test_matches_scipy_on_the_2048_ladder(self):
+    def test_matches_scipy_on_the_2048_ladder(self, monkeypatch):
         # the cut axes of criterion 8's five rungs, eps = 2^-4 ... 2^-8
         from scipy.fft import next_fast_len
         from vacuumlab import commutators, testfn
+        force_branch(monkeypatch, "direct")  # no kernel spectra needed
         g = GridSpec(1, (2048, 2048), (1.0, 1.0))
         phi = testfn.spacetime_bump((0.5, 0.5), (0.35, 0.35))
         sizes = set()
         for k in range(4, 9):
             ker = make_mollifier(2.0 ** -k, 2, g)
             box = commutators._pairing_box(phi, g, ker)
-            moll = Mollification(ker, g, "direct", box=box)
+            moll = Mollification(ker, g, box=box)
             sizes |= {s.stop - s.start for s in moll._read} - {2048}
         assert len(sizes) == 5
         for n in sizes:
@@ -681,6 +759,77 @@ class TestSerialization:
         sub = small_grid.time_subgrid(2, 6)
         self.edit_header(tmp_path, sub, lambda h: h.pop("derived"))
         assert load_field(tmp_path / "f").grid == sub
+
+    @pytest.mark.parametrize("cut,edit", [
+        (False, lambda h: h.pop("derived")),
+        (False, lambda h: h.update(derived=True)),
+        (True, lambda h: h.update(derived=False)),
+        (True, lambda h: h["root"].pop("derived")),
+        (True, lambda h: h["root"].update(derived=True)),
+    ], ids=["root-removed", "root-wrong", "sub-wrong", "sub-root-record-removed",
+            "sub-root-record-wrong"])
+    def test_derived_flag_is_not_read(self, tmp_path, small_grid, cut, edit):
+        grid = small_grid.subgrid(((2, 6), (10, 20))) if cut else small_grid
+        self.edit_header(tmp_path, grid, edit)
+        assert load_field(tmp_path / "f").grid == grid
+
+    def test_root_header_needs_8_nodes_per_axis(self, tmp_path, small_grid):
+        # a header with no root describes a root grid, whatever its t0
+        def drop_root(h):
+            h.update(root=None, origin=[])
+
+        self.edit_header(tmp_path, small_grid.time_subgrid(2, 6), drop_root)
+        with pytest.raises(ValueError, match="8 points"):
+            load_field(tmp_path / "f")
+
+    # the header bytes save_field has written since boxes got a root record
+    SUB_HEADER = """\
+{
+  "components": 1,
+  "data_file": "f.bin",
+  "derived": true,
+  "dtype": "<f8",
+  "extents": [
+    0.27999999999999997,
+    0.65
+  ],
+  "format": "bin",
+  "order": "C",
+  "origin": [
+    2,
+    1
+  ],
+  "root": {
+    "derived": false,
+    "extents": [
+      0.7,
+      1.3
+    ],
+    "shape": [
+      10,
+      8
+    ],
+    "t0": 0.1
+  },
+  "schema": "vacuumlab-field-1",
+  "shape": [
+    4,
+    4
+  ],
+  "spatial_dim": 1,
+  "t0": 0.24
+}
+"""
+
+    def test_saved_headers_keep_their_bytes(self, tmp_path):
+        import json
+        root = GridSpec(1, (10, 8), (0.7, 1.3), t0=0.1)
+        save_field(constant_field(root.subgrid(((2, 6), (1, 5))), 1.0),
+                   tmp_path / "f")
+        assert (tmp_path / "f.json").read_text() == self.SUB_HEADER
+        save_field(constant_field(root, 1.0), tmp_path / "r")
+        header = json.loads((tmp_path / "r.json").read_text())
+        assert header["derived"] is False and header["root"] is None
 
 
 @settings(max_examples=20, deadline=None)

@@ -60,7 +60,7 @@ class TestWeierstrass:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("grid,stride", [
         (GridSpec(1, (520, 530), (1.0, 2.0)), 1),
-        (GridSpec(2, (260, 264, 272), (0.5, 1.0, 2.0), t0=0.25, derived=True), 3),
+        (GridSpec(2, (260, 264, 272), (0.5, 1.0, 2.0), t0=0.25), 3),
     ], ids=["1d", "2d"])
     def test_matches_direct_cosine_sum(self, grid, stride, seed):
         spec = WeierstrassSpec(alpha=0.4, levels=8, seed=seed)
