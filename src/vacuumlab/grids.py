@@ -22,6 +22,11 @@ Conventions used throughout the package:
   only zeros.  Large jobs go through the circular FFT, with the kernel
   spectrum built once and applied to every component of every field.
   ``mollify(field, kernel)`` is the one-field shorthand.
+* A kernel that acts slice by slice (no time axis: a spatial
+  ``Mollification`` or ``circular_convolve``) convolves only the first
+  time slice when every slice has its bits, and broadcasts the result;
+  a time-independent field costs one slice, not one per time node.
+  Either branch gives the same bits as convolving every slice.
 * ``Mollification(kernel, grid, box=...)`` returns only a box of node
   ranges and reads only the box widened by the kernel's half-width.
   Time is always cut; a spatial axis only when the widened box fits
@@ -35,12 +40,12 @@ Conventions used throughout the package:
   ``Field(grid, values)`` scans its values, so synthesis,
   ``from_function``, ``load_field`` and user data are checked, and so is
   ``Field.map``, which applies an arbitrary function.  Results computed
-  from checked fields (arithmetic, ``dot``, ``component``, ``restrict``
-  and the finite differences) are wrapped without a re-scan.  An overflow
-  in them is caught where the values leave: ``Mollification`` checks
-  what it returns (an FFT of finite values near 1e300 can overflow),
-  ``integrate`` and ``lp_norm`` reject any non-finite value, masked or
-  not, and reports check their scalars.
+  from checked fields (arithmetic, ``dot``, ``component``, ``restrict``,
+  ``shift`` and the finite differences) are wrapped without a re-scan.
+  An overflow in them is caught where the values leave:
+  ``Mollification`` checks what it returns (an FFT of finite values near
+  1e300 can overflow), ``integrate`` and ``lp_norm`` reject any
+  non-finite value, masked or not, and reports check their scalars.
 * ``import vacuumlab`` loads numpy alone.  scipy loads on first use, in
   three places: the direct branch of ``Mollification``
   (``scipy.ndimage.convolve1d``); ``qns_check`` and
@@ -485,6 +490,10 @@ class Mollification:
     multiplied by it; rounding leaves values of order 1e-16 where the
     direct branch gives zeros.
 
+    A purely spatial kernel convolves a field whose time slices all have
+    the same bits once, on its first slice (see ``_slicewise``); the
+    result is the same, bit for bit, on either branch.
+
     ``box`` (one node range ``(lo, hi)`` per axis of ``grid``) limits the
     output to that box, on a sub-grid of ``grid``.  Time is always cut:
     the output keeps the box's interior rows and reads them plus the
@@ -554,10 +563,13 @@ class Mollification:
             self._spectrum = _kernel_spectrum(win, self._fft_shape)
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
+        axes = self._axes
         if self._spectrum is None:
-            return _direct_convolve(values, self._window, self._axes)
-        return _apply_spectrum(values, self._spectrum, self._axes,
-                               self._fft_shape)
+            return _slicewise(
+                lambda v: _direct_convolve(v, self._window, axes), values, axes)
+        return _slicewise(
+            lambda v: _apply_spectrum(v, self._spectrum, axes, self._fft_shape),
+            values, axes)
 
     def crop(self, field: Field) -> Field:
         """The part of a field on ``grid`` that is read, on ``input_grid``."""
@@ -578,6 +590,24 @@ class Mollification:
             for c in range(field.components):
                 vals[..., c] = self._convolve(field.values[..., c])[kept]
         return Field(self._output_grid, vals)
+
+
+def _slicewise(convolve, values: np.ndarray,
+               axes: tuple[int, ...]) -> np.ndarray:
+    """``convolve(values)`` for a convolution over ``axes``.
+
+    With axis 0 (time) not among ``axes`` the convolution acts slice by
+    slice.  If then every time slice has the bits of the first, only the
+    first is convolved and the result is broadcast along time, as a
+    read-only view.  Bits are compared as int64, so a -0.0 slice is not a
+    +0.0 one, and the comparison stops at the first slice that differs.
+    """
+    if 0 not in axes:
+        bits = values.view(np.int64)
+        if all(np.array_equal(bits[0], b) for b in bits[1:]):
+            first = convolve(values[:1])
+            return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
+    return convolve(values)
 
 
 def _fast_length(n: int) -> int:
@@ -649,9 +679,15 @@ def circular_convolve(values: np.ndarray, weights: np.ndarray,
     """Periodic convolution over the trailing ``axes`` by the circular FFT.
 
     ``weights`` is a centred odd-length stencil; leading axes broadcast.
+    Without axis 0 among ``axes``, values whose axis-0 slices all have the
+    same bits are convolved once, and the result is a read-only broadcast
+    view (see ``_slicewise``).
     """
+    values = np.asarray(values, dtype=float)
     shape = tuple(values.shape[a] for a in axes)
-    return _apply_spectrum(values, _kernel_spectrum(weights, shape), axes)
+    spectrum = _kernel_spectrum(weights, shape)
+    return _slicewise(lambda v: _apply_spectrum(v, spectrum, axes),
+                      values, axes)
 
 
 def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -704,7 +740,7 @@ def shift(field: Field, xi) -> Field:
     else:
         sub = grid.time_subgrid(-s, nt)
         out = vals[: nt + s]
-    return Field(sub, out)
+    return Field._wrap(sub, out)
 
 
 def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
@@ -905,7 +941,8 @@ def load_field(path) -> Field:
     """Read a field written by ``save_field``; a sub-grid keeps its root
     and origin.  A header that does not describe a valid grid (a missing
     key, a format other than ``bin`` or ``csv``, no root and an axis under
-    8 nodes) raises ``ValueError``; ``derived`` is not read."""
+    8 nodes, a ``t0`` or ``extents`` other than the ones its root and
+    origin give) raises ``ValueError``; ``derived`` is not read."""
     path = Path(path)
     header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     if not isinstance(header, dict) or header.get("schema") != "vacuumlab-field-1":
@@ -922,6 +959,14 @@ def load_field(path) -> Field:
     grid = GridSpec(header["spatial_dim"], tuple(header["shape"]),
                     tuple(header["extents"]), t0=header["t0"], root=root,
                     origin=tuple(header.get("origin", ())))
+    if root is not None:
+        placed = root.subgrid(tuple((o, o + n)
+                                    for o, n in zip(grid.origin, grid.shape)))
+        for key in ("t0", "extents"):
+            if getattr(grid, key) != getattr(placed, key):
+                raise ValueError(
+                    f"field header's {key!r} is {header[key]}, but its root "
+                    f"and origin give {getattr(placed, key)}")
     shape = tuple(header["shape"]) + (header["components"],)
     data = path.parent / header["data_file"]
     if header["format"] == "bin":

@@ -6,6 +6,9 @@ route, ball-average (quasi-nearly-subharmonic) checks with their
 mollifier equivalence, and the spike construction showing the L^p
 version of the ratio bound fails.  Ball averages use the circular FFT;
 ``vacuum_floor`` sets the numerical-vacuum threshold for every module.
+The spike field and its ladders mollify with spatial kernels, and its
+time slices are identical, so each ball average or mollification
+convolves one slice (see ``grids``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,18 @@ def vacuum_floor(w: Field) -> float:
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den where den > 0 (not ``vacuum_floor``); else inf or 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0, num / np.maximum(den, 1e-300),
-                        np.where(num > 0, np.inf, 0.0))
+    """num / den where den > 0 (not ``vacuum_floor``); else inf or 0.
+
+    A positive den under 1e-300 divides by 1e-300.  The quotient is formed
+    in one output buffer; the nodes with den not > 0 are then set.
+    """
+    out = np.maximum(den, 1e-300)
+    np.divide(num, out, out=out)
+    vac = ~(den > 0)
+    out[vac] = 0.0
+    vac &= num > 0
+    out[vac] = np.inf
+    return out
 
 
 @dataclass(frozen=True)

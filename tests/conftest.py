@@ -47,3 +47,23 @@ def force_branch(monkeypatch, branch):
     """Send every ``Mollification`` down one branch, "direct" or "fft"."""
     monkeypatch.setattr(grids, "_DIRECT_WORK_LIMIT",
                         math.inf if branch == "direct" else -1)
+
+
+def record_convolved_rows(monkeypatch):
+    """List, per call of either ``Mollification`` branch or of
+    ``circular_convolve``'s transform, the number of time slices it
+    convolves."""
+    rows = []
+    for name in ("_direct_convolve", "_apply_spectrum"):
+        def spy(values, *args, _inner=getattr(grids, name)):
+            rows.append(values.shape[0])
+            return _inner(values, *args)
+
+        monkeypatch.setattr(grids, name, spy)
+    return rows
+
+
+def convolve_every_slice(monkeypatch):
+    """Turn the repeated-slice rule off: every time slice is convolved."""
+    monkeypatch.setattr(grids, "_slicewise",
+                        lambda convolve, values, axes: convolve(values))

@@ -2,7 +2,12 @@ import operator
 
 import numpy as np
 import pytest
-from conftest import direct_circular_convolve, force_branch
+from conftest import (
+    convolve_every_slice,
+    direct_circular_convolve,
+    force_branch,
+    record_convolved_rows,
+)
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
@@ -526,6 +531,72 @@ class TestMollificationBox:
                 moll.crop(constant_field(other, 1.0))
 
 
+class TestRepeatedSlices:
+    """A spatial kernel on a field whose time slices have the same bits
+    convolves one slice, and gives the bits of convolving every slice."""
+
+    # (spatial_dim, box): whole grid, and a box cut on every axis
+    CASES = [(1, None), (1, ((5, 9), (30, 60))),
+             (2, None), (2, ((2, 6), (10, 30), (12, 36)))]
+    IDS = ["1d", "1d-box", "2d", "2d-box"]
+
+    @staticmethod
+    def time_constant(spatial_dim, components):
+        g, _ = _window_case(spatial_dim, False)
+        one = np.random.default_rng(components).random(g.shape[1:]
+                                                        + (components,))
+        one[:g.shape[1] // 3] = 0.0  # exact vacuum
+        return g, Field(g, np.broadcast_to(one, g.shape + (components,)))
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize("spatial_dim,box", CASES, ids=IDS)
+    def test_one_slice_gives_the_bits_of_every_slice(self, spatial_dim, box,
+                                                     components, method,
+                                                     monkeypatch):
+        force_branch(monkeypatch, method)
+        g, f = self.time_constant(spatial_dim, components)
+        ker = make_mollifier(0.1 if spatial_dim == 1 else 0.15, spatial_dim,
+                             g, include_time=False)
+        moll = Mollification(ker, g, box=box)
+        cut = moll.crop(f)
+        rows = record_convolved_rows(monkeypatch)
+        once = moll(cut)
+        assert rows == [1] * components
+        convolve_every_slice(monkeypatch)
+        every = moll(cut)
+        assert rows[components:] == [cut.grid.shape[0]] * components
+        assert once.grid == every.grid
+        assert once.values.tobytes() == every.values.tobytes()
+        assert once.values.flags.c_contiguous  # a copy, not a broadcast
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("change", ["one-node", "negative-zero"])
+    def test_slices_that_differ_are_all_convolved(self, change, method,
+                                                  monkeypatch):
+        force_branch(monkeypatch, method)
+        g, f = self.time_constant(1, 1)
+        vals = f.values.copy()
+        if change == "one-node":
+            vals[5, 50, 0] = np.nextafter(vals[5, 50, 0], 2.0)
+        else:
+            vals[-1, 3, 0] = -0.0  # equal to +0.0, other bits
+        ker = make_mollifier(0.1, 1, g, include_time=False)
+        rows = record_convolved_rows(monkeypatch)
+        mollify(Field(g, vals), ker)
+        assert rows == [g.shape[0]]
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_space_time_kernels_convolve_every_slice(self, method,
+                                                     monkeypatch):
+        force_branch(monkeypatch, method)
+        g, f = self.time_constant(1, 1)
+        ker = make_mollifier(0.1, 2, g)
+        rows = record_convolved_rows(monkeypatch)
+        mollify(f, ker)
+        assert rows == [g.shape[0]]
+
+
 class TestFastLength:
     """The pure-Python 5-smooth search against ``scipy.fft.next_fast_len``."""
 
@@ -602,6 +673,22 @@ class TestDirectConvolve:
 
 
 class TestCalculus:
+    def test_shift_rolls_space_and_cuts_time_without_a_rescan(
+            self, small_grid, monkeypatch):
+        f = from_function(small_grid, lambda t, x: np.sin(2 * np.pi * x) + t)
+        scans = []
+        monkeypatch.setattr(grids, "_require_finite", scans.append)
+        h = small_grid.spacings
+        ahead = grids.shift(f, (3 * h[0], 5 * h[1]))
+        behind = grids.shift(f, (-3 * h[0], -5 * h[1]))
+        assert scans == []
+        rolled = np.roll(f.values, -5, axis=1)
+        assert ahead.grid == small_grid.time_subgrid(0, 61)
+        assert ahead.values.tobytes() == rolled[3:].tobytes()
+        assert behind.grid == small_grid.time_subgrid(3, 64)
+        assert behind.values.tobytes() == np.roll(f.values, 5,
+                                                  axis=1)[:61].tobytes()
+
     def test_integrate_constant(self, small_grid):
         assert integrate(constant_field(small_grid, 3.0)) == pytest.approx(3.0)
 
@@ -772,6 +859,18 @@ class TestSerialization:
         grid = small_grid.subgrid(((2, 6), (10, 20))) if cut else small_grid
         self.edit_header(tmp_path, grid, edit)
         assert load_field(tmp_path / "f").grid == grid
+
+    @pytest.mark.parametrize("edit,key", [
+        ({"t0": 5.0}, "t0"),
+        ({"extents": [9, 9]}, "extents"),
+        ({"t0": 5.0, "extents": [9, 9]}, "t0"),
+    ], ids=["t0", "extents", "both"])
+    def test_sub_grid_header_must_agree_with_its_root(self, tmp_path,
+                                                      small_grid, edit, key):
+        sub = small_grid.subgrid(((2, 6), (10, 20)))
+        self.edit_header(tmp_path, sub, lambda h: h.update(edit))
+        with pytest.raises(ValueError, match=f"field header's '{key}' is "):
+            load_field(tmp_path / "f")
 
     def test_root_header_needs_8_nodes_per_axis(self, tmp_path, small_grid):
         # a header with no root describes a root grid, whatever its t0

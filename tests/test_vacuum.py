@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from conftest import direct_circular_convolve
+from conftest import (
+    convolve_every_slice,
+    direct_circular_convolve,
+    record_convolved_rows,
+)
 from hypothesis import given, settings, strategies as st
 
 from vacuumlab import grids, vacuum
@@ -205,6 +209,23 @@ class TestBallAverageOracle:
         assert np.max(np.abs(fft - direct)) <= 1e-13 * scale
         assert np.all(fft[direct > 0.0] > 0.0)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_repeated_slices_are_averaged_once(self, dim, monkeypatch):
+        if dim == 1:
+            w = counterexample_field(8, 4096)
+        else:
+            g = GridSpec(2, (8, 40, 48), (1.0, 1.0, 1.0))
+            w = from_function(g, lambda t, x, y: np.maximum(
+                np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), 0.0))
+        radius = 0.01 if dim == 1 else 0.1
+        rows = record_convolved_rows(monkeypatch)
+        once = vacuum._ball_average(w, radius)
+        assert rows == [1]
+        convolve_every_slice(monkeypatch)
+        every = vacuum._ball_average(w, radius)
+        assert rows == [1, 8]
+        assert once.values.tobytes() == every.values.tobytes()
+
     @pytest.mark.parametrize("case", ["spikes", "abs"])
     def test_qns_check_matches_direct_summation(self, case, monkeypatch):
         if case == "spikes":
@@ -220,6 +241,19 @@ class TestBallAverageOracle:
                                                    rel=1e-12)
         assert fft["worst_witness"][:2] == direct["worst_witness"][:2]
         assert fft["pass"] == direct["pass"]
+
+
+def test_guarded_ratio_matches_the_where_expression():
+    # zeros of both signs, subnormals, dens under 1e-300, negatives
+    values = [0.0, -0.0, 5e-324, 1e-310, 5e-301, 1e-300, 2e-300, 1e-200,
+              0.25, 1.0, 7.5, -1e-310, -2.0]
+    num, den = np.meshgrid(values, values, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        old = np.where(den > 0, num / np.maximum(den, 1e-300),
+                       np.where(num > 0, np.inf, 0.0))
+    new = vacuum._guarded_ratio(num, den)
+    assert np.isinf(new).any() and (new == 0.0).any()
+    assert new.tobytes() == old.tobytes()
 
 
 class TestCounterexample:
