@@ -355,18 +355,19 @@ def _study_budget(config) -> dict:
     nt, nx = config["grid"]["nt"], config["grid"]["nx"]
     phi = spacetime_bump((0.1, 0.5), (0.04, 0.3))
 
+    g = GridSpec(1, (nt, nx), _BUDGET_EXTENTS)
+    rho, u = simple_wave(law, gen["amplitude"], g)
     gaps = []
     for scale in (1, 2, 4):
-        g = GridSpec(1, (nt * scale, nx * scale), _BUDGET_EXTENTS)
-        rho, u = simple_wave(law, gen["amplitude"], g)
-        ker = make_mollifier(0.02, 2, g)
-        budget = mollified_energy_balance(rho, u, law, ker, phi)
+        fine = GridSpec(1, (nt * scale, nx * scale), _BUDGET_EXTENTS)
+        pair = (rho, u) if scale == 1 else simple_wave(law, gen["amplitude"],
+                                                       fine)
+        ker = make_mollifier(0.02, 2, fine)
+        budget = mollified_energy_balance(*pair, law, ker, phi)
         gaps.append((1.0 / (nx * scale), budget.identity_gap))
     order = float(np.log2(max(gaps[0][1], 1e-300)
                           / max(gaps[1][1], 1e-300)))
 
-    g = GridSpec(1, (nt, nx), _BUDGET_EXTENTS)
-    rho, u = simple_wave(law, gen["amplitude"], g)
     rhs_samples = []
     for eps in _budget_rungs(config)[1]:
         ker = make_mollifier(eps, 2, g)

@@ -22,6 +22,17 @@ Conventions used throughout the package:
   only zeros.  Large jobs go through the circular FFT, with the kernel
   spectrum built once and applied to every component of every field.
   ``mollify(field, kernel)`` is the one-field shorthand.
+* The FFT convolution is one engine, ``_fft_convolve``: ``rfft`` along
+  the contiguous last axis, ``fft`` along any middle axes, then the
+  pencils of the first transformed axis in blocks of ``_PENCIL_BLOCK``
+  columns (transform, multiply by the kernel spectrum, which is stored
+  one pencil per row, and invert while the block is in cache), then the
+  inverses of the other axes on the kept rows alone: a caller passes the
+  rows of the first axis it keeps, and the rest are never inverted.
+  Every 1-D transform runs in the order ``rfftn`` and ``irfftn`` use and
+  the product is the same elementwise one, so the result equals
+  ``irfftn(rfftn(v) * K)`` bit for bit; no full complex spectrum of the
+  padded field is held.
 * A kernel that acts slice by slice (no time axis: a spatial
   ``Mollification`` or ``circular_convolve``) convolves only the first
   time slice when every slice has its bits, and broadcasts the result;
@@ -374,15 +385,6 @@ class MollifierKernel:
         return float(self.weights.sum() * self.cell_volume)
 
 
-def _profile(r: np.ndarray, theta: float) -> np.ndarray:
-    out = np.zeros_like(r)
-    out[r <= 1.0 / 3.0] = 1.0
-    trans = (r > 1.0 / 3.0) & (r < 1.0)
-    s = (3.0 * r[trans] - 1.0) / 2.0
-    out[trans] = np.exp(theta * (1.0 - 1.0 / (1.0 - s ** 2)))
-    return out
-
-
 def _solve_theta(mass) -> float:
     """Bisect for the steepness theta at which ``mass(theta)`` is 1.
 
@@ -438,10 +440,23 @@ def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
     vol = float(np.prod(spacings))
     scale = vol / epsilon ** dim
 
-    def mass(theta):
-        return float(_profile(r, theta).sum() * scale)
+    # everything but one exp per transition node is the same for every
+    # theta the search tries, so it is computed once
+    plateau = r <= 1.0 / 3.0
+    trans = (r > 1.0 / 3.0) & (r < 1.0)
+    s = (3.0 * r[trans] - 1.0) / 2.0
+    exponent = 1.0 - 1.0 / (1.0 - s ** 2)
+    values = plateau.astype(float)
 
-    plateau_mass = float((r <= 1.0 / 3.0).sum() * scale)
+    def profile(theta):
+        """The profile at ``theta``, in a buffer the next call reuses."""
+        values[trans] = np.exp(theta * exponent)
+        return values
+
+    def mass(theta):
+        return float(profile(theta).sum() * scale)
+
+    plateau_mass = float(plateau.sum() * scale)
     full_mass = mass(0.0)
     if plateau_mass >= 1.0 or full_mass <= 1.0:
         raise InfeasibleKernelError(
@@ -449,11 +464,10 @@ def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
             f"full {full_mass:.3g})"
         )
     theta = _solve_theta(mass)
-    w = _profile(r, theta) / epsilon ** dim
+    w = profile(theta) / epsilon ** dim
     # Remove the last floating-point sliver so the discrete integral is 1
     # to full precision (rescales transition nodes only).
     m = float(w.sum() * vol)
-    trans = (r > 1.0 / 3.0) & (r < 1.0)
     excess = m - 1.0
     tw = float(w[trans].sum() * vol)
     if tw > 0:
@@ -488,7 +502,11 @@ class Mollification:
     weights see only zeros.  Larger jobs use the circular FFT: the kernel
     spectrum is built here, once, and every component of every field is
     multiplied by it; rounding leaves values of order 1e-16 where the
-    direct branch gives zeros.
+    direct branch gives zeros.  The FFT branch hands the engine
+    (``_fft_convolve``) the rows it keeps along the kernel's first axis
+    (time for a space-time kernel), and only those rows go through the
+    inverse transforms of the other axes; the result is
+    ``irfftn(rfftn(...) * spectrum)`` cut down, bit for bit.
 
     A purely spatial kernel convolves a field whose time slices all have
     the same bits once, on its first slice (see ``_slicewise``); the
@@ -563,13 +581,20 @@ class Mollification:
             self._spectrum = _kernel_spectrum(win, self._fft_shape)
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
+        """The kept box of one component convolved with the kernel."""
         axes = self._axes
         if self._spectrum is None:
             return _slicewise(
-                lambda v: _direct_convolve(v, self._window, axes), values, axes)
+                lambda v: _direct_convolve(v, self._window, axes),
+                values, axes)[self._kept]
+        # the engine cuts the first kernel axis itself, before inverting
+        # the others
+        first = axes[0]
+        rest = self._kept[:first] + (slice(None),) + self._kept[first + 1:]
         return _slicewise(
-            lambda v: _apply_spectrum(v, self._spectrum, axes, self._fft_shape),
-            values, axes)
+            lambda v: _fft_convolve(v, self._spectrum, self._fft_shape,
+                                    self._kept[first]),
+            values, axes)[rest]
 
     def crop(self, field: Field) -> Field:
         """The part of a field on ``grid`` that is read, on ``input_grid``."""
@@ -581,14 +606,12 @@ class Mollification:
         if field.grid != self.input_grid:
             raise ValueError("field does not live on the mollification's "
                              "input grid")
-        kept = self._kept
         if field.components == 1:
-            vals = self._convolve(field.values[..., 0])[kept][..., None]
+            vals = self._convolve(field.values[..., 0])[..., None]
         else:
-            vals = np.empty(tuple(s.stop - s.start for s in kept)
-                            + (field.components,))
+            vals = np.empty(self._output_grid.shape + (field.components,))
             for c in range(field.components):
-                vals[..., c] = self._convolve(field.values[..., c])[kept]
+                vals[..., c] = self._convolve(field.values[..., c])
         return Field(self._output_grid, vals)
 
 
@@ -684,34 +707,93 @@ def circular_convolve(values: np.ndarray, weights: np.ndarray,
     view (see ``_slicewise``).
     """
     values = np.asarray(values, dtype=float)
-    shape = tuple(values.shape[a] for a in axes)
+    if tuple(axes) != tuple(range(values.ndim - len(axes), values.ndim)):
+        raise ValueError("circular_convolve acts on the trailing axes")
+    shape = values.shape[values.ndim - len(axes):]
     spectrum = _kernel_spectrum(weights, shape)
-    return _slicewise(lambda v: _apply_spectrum(v, spectrum, axes),
+    return _slicewise(lambda v: _fft_convolve(v, spectrum, shape),
                       values, axes)
 
 
 def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """rfftn of the centred stencil, zero-padded and wrapped to ``shape``."""
+    """Spectrum of the centred stencil, zero-padded and wrapped to ``shape``,
+    laid out for ``_fft_convolve``.
+
+    Its values are those of ``np.fft.rfftn``.  Over one axis it is that 1-D
+    spectrum; over more, row ``c`` holds the pencil of the first axis at
+    flat column ``c`` of the others, shape ``(columns, shape[0])``.
+    """
     kfull = np.zeros(shape)
     idx = np.ix_(*[
         (np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)) % s
         for n, s in zip(weights.shape, shape)
     ])
     kfull[idx] = weights
-    return np.fft.rfftn(kfull)
+    spec = _forward(kfull, shape)
+    if len(shape) == 1:
+        return spec
+    spec = np.fft.fft(spec, axis=0)
+    return np.ascontiguousarray(spec.reshape(shape[0], -1).T)
 
 
-def _apply_spectrum(values: np.ndarray, spectrum: np.ndarray,
-                    axes: tuple[int, ...], shape=None) -> np.ndarray:
-    """Multiply the spectrum of ``values`` over ``axes`` by a kernel spectrum.
+def _forward(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """All of ``rfftn`` over the trailing ``len(shape)`` axes but the first
+    axis's transform: ``rfft`` along the last axis, then ``fft`` along the
+    middle axes from the last to the second, zero-padding to ``shape``."""
+    lead = values.ndim - len(shape)
+    spec = np.fft.rfft(values, shape[-1], axis=-1)
+    for a in range(len(shape) - 2, 0, -1):
+        spec = np.fft.fft(spec, shape[a], axis=lead + a)
+    return spec
 
-    ``shape`` zero-pads ``values`` over ``axes`` first (default: none).
+
+# The first transformed axis's pencils go through fft, the kernel product
+# and ifft this many at a time; a block and its two spectra stay in cache.
+# 64 timed a little faster than 32 and 128 on a 2048^2 space-time job.
+_PENCIL_BLOCK = 64
+
+
+def _fft_convolve(values: np.ndarray, spectrum: np.ndarray,
+                  shape: tuple[int, ...],
+                  keep: slice = slice(None)) -> np.ndarray:
+    """Circular convolution over the trailing ``len(shape)`` axes of
+    ``values``, zero-padded to ``shape``, with the kernel whose
+    ``_kernel_spectrum`` is ``spectrum``; only the rows ``keep`` of the
+    first transformed axis are returned.
+
+    The result equals ``irfftn(rfftn(values, shape, axes) * K, shape,
+    axes)[keep]`` bit for bit: every 1-D transform runs in the order
+    ``rfftn`` and ``irfftn`` use, on the same pencils, and the product is
+    the same elementwise one.  With more than one axis, the first axis's
+    pencils go ``_PENCIL_BLOCK`` at a time through ``fft`` (which gathers
+    the block, a narrow strip of columns, into contiguous pencils), the
+    product and ``ifft``, in two reused buffers; only the kept rows are
+    written back, into the forward spectrum whose block was already read.
+    The other axes are inverted on the kept rows alone.
     """
-    if shape is None:
-        shape = tuple(values.shape[a] for a in axes)
-    fv = np.fft.rfftn(values, s=shape, axes=axes)
-    fv *= spectrum.reshape((1,) * (values.ndim - len(axes)) + spectrum.shape)
-    return np.fft.irfftn(fv, s=shape, axes=axes)
+    lead = values.ndim - len(shape)
+    spec = _forward(values, shape)
+    if len(shape) == 1:
+        spec *= spectrum
+        return np.fft.irfft(spec, shape[-1], axis=-1)[..., keep]
+    n, rows = shape[0], spec.shape[lead]
+    cols = spec.reshape(-1, rows, len(spectrum))
+    step = min(_PENCIL_BLOCK, len(spectrum))
+    fwd = np.empty((step, n), complex)
+    inv = np.empty((step, n), complex)
+    for part in cols:
+        for c0 in range(0, len(spectrum), step):
+            c1 = min(c0 + step, len(spectrum))
+            f = np.fft.fft(part[:, c0:c1].T, n, axis=-1, out=fwd[:c1 - c0])
+            f *= spectrum[c0:c1]
+            g = np.fft.ifft(f, n, axis=-1, out=inv[:c1 - c0])
+            part[keep, c0:c1] = g[:, keep].T
+    kept = cols[:, keep]
+    spec = kept.reshape(spec.shape[:lead] + kept.shape[1:2]
+                        + spec.shape[lead + 1:])
+    for a in range(1, len(shape) - 1):
+        spec = np.fft.ifft(spec, shape[a], axis=lead + a)
+    return np.fft.irfft(spec, shape[-1], axis=-1)
 
 
 def shift(field: Field, xi) -> Field:

@@ -51,10 +51,10 @@ def force_branch(monkeypatch, branch):
 
 def record_convolved_rows(monkeypatch):
     """List, per call of either ``Mollification`` branch or of
-    ``circular_convolve``'s transform, the number of time slices it
+    ``circular_convolve``'s engine, the number of time slices it
     convolves."""
     rows = []
-    for name in ("_direct_convolve", "_apply_spectrum"):
+    for name in ("_direct_convolve", "_fft_convolve"):
         def spy(values, *args, _inner=getattr(grids, name)):
             rows.append(values.shape[0])
             return _inner(values, *args)

@@ -7,6 +7,7 @@ from vacuumlab import cli
 from vacuumlab.cli import load_config, main
 from vacuumlab.errors import ConfigError
 from vacuumlab.grids import load_field
+from vacuumlab.synth import simple_wave
 
 
 def write_config(tmp_path, body, name="study.ini"):
@@ -172,6 +173,36 @@ class TestRun:
         first = (tmp_path / "out" / "report.json").read_bytes()
         main(["run", str(cfg)])
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+    def test_budget_synthesizes_one_wave_per_grid(self, tmp_path,
+                                                  monkeypatch):
+        # the coarse pair serves both the gap ladder and the rhs ladder
+        cfg = write_config(tmp_path, f"""\
+[study]
+kind = budget
+output = {tmp_path / 'out'}
+[grid]
+nt = 256
+nx = 256
+[ladders]
+eps = 0.05, 0.04, 0.03, 0.025, 0.02
+""")
+        calls, waves = [], []
+
+        def counted(*args):
+            calls.append(args)
+            waves.append(simple_wave(*args))
+            return waves[-1]
+
+        monkeypatch.setattr(cli, "simple_wave", counted)
+        assert main(["run", str(cfg)]) == 0
+        assert [args[2].shape for args in calls] == [(256, 256), (512, 512),
+                                                     (1024, 1024)]
+        # a second synthesis on the coarse grid gives the same pair, bit for
+        # bit, so the report is the one a separate synthesis gave
+        again = simple_wave(*calls[0])
+        for fresh, reused in zip(again, waves[0]):
+            assert fresh.values.tobytes() == reused.values.tobytes()
 
     def test_failing_assertion_exit_code_and_json(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""\

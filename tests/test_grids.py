@@ -242,29 +242,78 @@ class TestMollifier:
         cases += [(GridSpec(2, (24, 32, 40), (1.0, 1.0, 1.0)), eps, inc)
                   for eps in (0.15, 0.2, 0.25) for inc in (False, True)]
         calls = [0]
-        profile = grids._profile
 
-        def counted(r, theta):
-            calls[0] += 1
-            return profile(r, theta)
+        def build(solve):
+            # count the mass evaluations the search makes
+            def counted(mass):
+                def counted_mass(theta):
+                    calls[0] += 1
+                    return mass(theta)
+                return solve(counted_mass)
 
-        monkeypatch.setattr(grids, "_profile", counted)
-
-        def build():
+            monkeypatch.setattr(grids, "_solve_theta", counted)
             calls[0] = 0
             kernels = [make_mollifier(eps, g.spatial_dim + inc, g,
                                       include_time=inc)
                        for g, eps, inc in cases]
             return kernels, calls[0]
 
-        new, new_calls = build()
-        monkeypatch.setattr(grids, "_solve_theta", full_bisection)
-        old, old_calls = build()
+        new, new_calls = build(grids._solve_theta)
+        old, old_calls = build(full_bisection)
         assert {k.weights.ndim for k in new} == {1, 2, 3}
         for a, b in zip(new, old):
             assert a.shape_parameter == b.shape_parameter
             assert np.array_equal(a.weights, b.weights)
         assert new_calls < old_calls / 2
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(1, (2048, 2048), (1.0, 1.0)),
+        GridSpec(1, (8, 32768), (1.0, 1.0)),
+        GridSpec(1, (256, 256), (0.2, 1.0)),
+        GridSpec(2, (32, 128, 128), (1.0, 1.0, 1.0)),
+    ], ids=["2048^2", "8x32768", "budget-256^2", "32x128^2"])
+    def test_kernels_equal_the_frozen_construction(self, grid):
+        # the profile's theta-independent work is done once per kernel;
+        # theta and the weights are those of a per-evaluation profile
+        def old_profile(r, theta):
+            out = np.zeros_like(r)
+            out[r <= 1.0 / 3.0] = 1.0
+            trans = (r > 1.0 / 3.0) & (r < 1.0)
+            s = (3.0 * r[trans] - 1.0) / 2.0
+            out[trans] = np.exp(theta * (1.0 - 1.0 / (1.0 - s ** 2)))
+            return out
+
+        def old_kernel(eps, include_time):
+            spacings = grid.spacings if include_time else grid.spacings[1:]
+            half = [int(np.floor(eps / h * (1 - 1e-12))) for h in spacings]
+            offsets = np.meshgrid(*[np.arange(-k, k + 1) * h
+                                    for k, h in zip(half, spacings)],
+                                  indexing="ij")
+            r = np.sqrt(sum(o ** 2 for o in offsets)) / eps
+            vol, dim = float(np.prod(spacings)), len(spacings)
+            scale = vol / eps ** dim
+            theta = grids._solve_theta(
+                lambda th: float(old_profile(r, th).sum() * scale))
+            w = old_profile(r, theta) / eps ** dim
+            trans = (r > 1.0 / 3.0) & (r < 1.0)
+            tw = float(w[trans].sum() * vol)
+            w[trans] *= 1.0 - (float(w.sum() * vol) - 1.0) / tw
+            return theta, w
+
+        built = 0
+        for eps in (2.0 ** -4, 0.05, 2.0 ** -5, 0.02, 2.0 ** -6, 2.0 ** -7,
+                    0.15, 0.1):
+            for include_time in (False, True):
+                try:
+                    ker = make_mollifier(eps, grid.spatial_dim + include_time,
+                                         grid, include_time=include_time)
+                except ResolutionError:
+                    continue
+                theta, w = old_kernel(eps, include_time)
+                assert ker.shape_parameter == theta
+                assert ker.weights.tobytes() == w.tobytes()
+                built += 1
+        assert built >= 4
 
     def test_spatial_only_kernel_keeps_time_extent(self, small_grid):
         f = from_function(small_grid, lambda t, x: np.cos(2 * np.pi * x))
@@ -670,6 +719,109 @@ class TestDirectConvolve:
         out = grids._direct_convolve(vals, weights, axes)
         oracle = direct_circular_convolve(vals, weights, axes)
         assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
+
+
+def _rfftn_oracle(values, weights, shape, keep=slice(None)):
+    """``irfftn(rfftn(values, shape, axes) * K, shape, axes)`` over the
+    trailing ``len(shape)`` axes, K the ``rfftn`` of the centred stencil
+    wrapped to ``shape``, on the rows ``keep`` of the first of them."""
+    axes = tuple(range(values.ndim - len(shape), values.ndim))
+    kfull = np.zeros(shape)
+    kfull[np.ix_(*[np.arange(-(n // 2), n // 2 + 1) % s
+                   for n, s in zip(weights.shape, shape)])] = weights
+    spec = np.fft.rfftn(values, shape, axes)
+    spec *= np.fft.rfftn(kfull)
+    out = np.fft.irfftn(spec, shape, axes)
+    return out[(slice(None),) * axes[0] + (keep,)]
+
+
+def _engine(values, weights, shape, keep=slice(None)):
+    return grids._fft_convolve(values, grids._kernel_spectrum(weights, shape),
+                               shape, keep)
+
+
+class TestFFTEngine:
+    """The blocked engine against ``rfftn``/``irfftn``, bit for bit."""
+
+    # values shape, transform shape, stencil shape, kept rows
+    CASES = {
+        "1d-spatial": ((6, 48), (48,), (9,), slice(None)),
+        "1d-spatial-padded": ((6, 40), (45,), (7,), slice(3, 37)),
+        "2d-space-time": ((40, 64), (40, 64), (9, 11), slice(4, 36)),
+        "2d-space-time-padded": ((37, 53), (40, 54), (9, 11), slice(4, 33)),
+        "2d-space-time-prime": ((41, 37), (41, 37), (7, 9), slice(3, 38)),
+        "3d-space-time": ((12, 20, 16), (12, 20, 16), (5, 7, 9), slice(2, 10)),
+        "3d-space-time-padded": ((12, 19, 15), (15, 20, 16), (5, 7, 9),
+                                 slice(2, 10)),
+        "2d-spatial-on-3d": ((3, 40, 20), (40, 20), (7, 9), slice(None)),
+        "2d-spatial-on-3d-padded-prime": ((3, 40, 23), (45, 23), (7, 9),
+                                          slice(5, 30)),
+    }
+
+    @pytest.mark.parametrize("block", [None, 1, 5])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_equals_rfftn_bitwise(self, case, block, monkeypatch):
+        # block 5 divides none of the column counts (33, 28, 19, 180, 162,
+        # 11, 12): the last block of each is partial
+        if block is not None:
+            monkeypatch.setattr(grids, "_PENCIL_BLOCK", block)
+        vshape, shape, wshape, keep = case
+        rng = np.random.default_rng(len(vshape) * 100 + vshape[-1])
+        values, weights = rng.standard_normal(vshape), rng.random(wshape)
+        got = _engine(values, weights, shape, keep)
+        want = _rfftn_oracle(values, weights, shape, keep)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.integers(0, 1), sizes=st.lists(st.integers(5, 24),
+                                                   min_size=1, max_size=3),
+           pads=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+           cut=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           block=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_shapes_equal_rfftn_bitwise(self, lead, sizes, pads, cut,
+                                               block, seed):
+        rng = np.random.default_rng(seed)
+        vshape = (3,) * lead + tuple(sizes)
+        shape = tuple(n + p for n, p in zip(sizes, pads))
+        wshape = tuple(2 * int(rng.integers(0, (n - 1) // 2 + 1)) + 1
+                       for n in sizes)
+        keep = slice(cut[0], sizes[0] - cut[1])
+        values, weights = rng.standard_normal(vshape), rng.random(wshape)
+        grids._PENCIL_BLOCK, default = block, grids._PENCIL_BLOCK
+        try:
+            got = _engine(values, weights, shape, keep)
+        finally:
+            grids._PENCIL_BLOCK = default
+        want = _rfftn_oracle(values, weights, shape, keep)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spatial_dim", [1, 2])
+    def test_mollification_on_a_box_equals_rfftn_bitwise(self, spatial_dim,
+                                                         monkeypatch):
+        # the engine gets the kept time rows, the other axes are cut after
+        force_branch(monkeypatch, "fft")
+        shape = (40, 64) if spatial_dim == 1 else (24, 32, 30)
+        g = GridSpec(spatial_dim, shape, (1.0,) * len(shape))
+        f = Field(g, np.random.default_rng(spatial_dim).random(shape))
+        ker = make_mollifier(0.13, 1 + spatial_dim, g)
+        box = ((6, 30), (20, 44)) if spatial_dim == 1 else \
+            ((5, 19), (12, 20), (0, 30))
+        moll = Mollification(ker, g, box=box)
+        got = moll(moll.crop(f))
+        start = [o - i for o, i in zip(got.grid.origin,
+                                       moll.input_grid.origin)]
+        want = _rfftn_oracle(moll.crop(f).values[..., 0],
+                             ker.weights * ker.cell_volume, moll._fft_shape,
+                             slice(start[0], start[0] + got.grid.shape[0]))
+        want = want[(slice(None),) + tuple(
+            slice(a, a + n) for a, n in zip(start[1:], got.grid.shape[1:]))]
+        assert moll._fft_shape[1] != shape[1]  # x is cut and padded
+        assert got.values[..., 0].tobytes() == want.tobytes()
+
+    def test_circular_convolve_needs_trailing_axes(self):
+        with pytest.raises(ValueError, match="trailing"):
+            grids.circular_convolve(np.ones((4, 8, 8)), np.ones((3,)), (1,))
 
 
 class TestCalculus:

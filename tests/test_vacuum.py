@@ -286,6 +286,42 @@ class TestCounterexample:
         assert strong["growth_per_i"] > weak["growth_per_i"] + 0.3
         assert weak["growth_per_i"] < 0.1
 
+    @pytest.mark.parametrize("p", [2.0, 1.05])
+    @pytest.mark.parametrize("varying", [False, True])
+    def test_blowup_equals_the_whole_grid_ratio_bitwise(self, p, varying):
+        # the ratio read on the spike's nodes alone gives the samples and
+        # the slope of a ratio formed on the whole grid and then masked
+        f = counterexample_field(10, 8192)
+        if varying:  # time slices that differ: the mask's order matters
+            f = Field(f.grid,
+                      f.values * (1.0 + 0.1 * np.arange(8))[:, None, None])
+        i_list = [4, 5, 6, 8, 10]
+        x = f.grid.axis_coords(1)
+        samples = []
+        for i in i_list:
+            eps = 1.0 / (2.0 * i * i)
+            fe = grids.mollify(f, make_mollifier(eps, 1, f.grid,
+                                                 include_time=False))
+            spike = (x >= 1.0 / i) & (x <= 1.0 / i + 2.0 ** (-i))
+            mask = np.broadcast_to(spike, f.grid.shape)
+            pos = mask & (f.values[..., 0] > 0.0)
+            ratio = np.where(pos, f.values[..., 0]
+                             / np.maximum(fe.values[..., 0], 1e-300), 0.0)
+            local = grids.lp_norm(Field(f.grid, ratio), p, mask=mask)
+            samples.append((i, eps, local / eps))
+        slope = float(np.polyfit(np.array(i_list, float),
+                                 np.log2([s[2] for s in samples]), 1)[0])
+        rep = counterexample_blowup(f, p, i_list)
+        assert rep["samples"] == samples
+        assert rep["growth_per_i"] == slope
+
+    def test_blowup_spike_without_nodes(self):
+        # at 605 nodes eps_10 = 1/200 spans 3 spacings, yet no node lies on
+        # [1/10, 1/10 + 2^-10]
+        f = constant_field(GridSpec(1, (8, 605), (1.0, 1.0)), 1.0)
+        with pytest.raises(ResolutionError, match="i=10 holds no grid node"):
+            counterexample_blowup(f, 2.0, [4, 6, 10])
+
     def test_blowup_validation(self):
         f = counterexample_field(8, 4096)
         with pytest.raises(ValueError):
