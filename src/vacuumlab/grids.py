@@ -14,13 +14,15 @@ Conventions used throughout the package:
   for bit.  Arithmetic between fields needs them on one grid (``==``);
   ``restrict`` moves a field to a time range of its grid by node offset.
 * ``Mollification(kernel, grid)`` applies one kernel to every field of a
-  call: it validates the kernel against the grid and picks the branch
-  once.  Small jobs are summed directly; the direct branch drops kernel
-  weights with ``|w| <= DBL_EPSILON`` (the footprint rule of
-  ``ndimage.convolve``) and runs the rest as 1-D line convolutions, so a
-  non-negative field is exactly zero wherever the remaining weights see
-  only zeros.  Large jobs go through the circular FFT, with the kernel
-  spectrum built once and applied to every component of every field.
+  call: it validates the kernel against the grid once, and picks the
+  branch per component when it convolves it.  A component is summed
+  directly only when it touches vacuum (it is non-negative with an exact
+  zero) and the job is small; the direct branch drops kernel weights
+  with ``|w| <= DBL_EPSILON`` (the footprint rule of ``ndimage.convolve``)
+  and runs the rest as 1-D line convolutions, so the field stays exactly
+  zero wherever the remaining weights see only zeros.  Every other
+  component goes through the circular FFT, with the kernel spectrum
+  built by the first such component and applied to the rest.
   ``mollify(field, kernel)`` is the one-field shorthand.
 * The FFT convolution is one engine, ``_fft_convolve``: ``rfft`` along
   the contiguous last axis, ``fft`` along any middle axes, then the
@@ -58,12 +60,13 @@ Conventions used throughout the package:
   1e300 can overflow), ``integrate`` and ``lp_norm`` reject any
   non-finite value, masked or not, and reports check their scalars.
 * ``import vacuumlab`` loads numpy alone.  scipy loads on first use, in
-  three places: the direct branch of ``Mollification``
-  (``scipy.ndimage.convolve1d``); ``qns_check`` and
-  ``qns_mollifier_equivalence`` with a region mask that has a boundary
-  (``scipy.ndimage.distance_transform_edt``); and ``riemann_solution``,
-  through ``synth.solve_middle_state`` (``scipy.optimize.brentq``).  FFTs
-  use ``numpy.fft``, and padded FFT lengths come from a pure-Python search.
+  three places: the direct branch of ``Mollification``, which only small
+  vacuum-touching fields take (``scipy.ndimage.convolve1d``);
+  ``qns_check`` and ``qns_mollifier_equivalence`` with a region mask that
+  has a boundary (``scipy.ndimage.distance_transform_edt``); and
+  ``riemann_solution``, through ``synth.solve_middle_state``
+  (``scipy.optimize.brentq``).  FFTs use ``numpy.fft``, and padded FFT
+  lengths come from a pure-Python search.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ from .errors import (
 # Total sample cap for a single field (nodes, not bytes).
 MAX_NODES = 1 << 25
 
-# Direct-summation convolution is used below this (field nodes x kernel
-# nodes) work estimate; larger jobs go through the circular FFT path.
+# A field that touches vacuum is summed directly, keeping its exact zeros,
+# when (whole-grid nodes x kernel nodes) is at most this; larger jobs, and
+# every field without vacuum, go through the circular FFT.
 _DIRECT_WORK_LIMIT = 2e8
 
 _TIE = 1e-12  # slack for kernel-resolution comparisons
@@ -492,17 +496,21 @@ class Mollification:
 
     Space-time kernels return fields on the interior time range; purely
     spatial kernels act slice-wise and keep the grid.  Construction
-    validates the kernel against ``grid`` and picks the branch once.  Jobs
-    of at most ``_DIRECT_WORK_LIMIT`` (field nodes x kernel nodes) are
-    summed directly by ``_direct_convolve``: weights with
-    ``|w| <= DBL_EPSILON`` are dropped, as ``ndimage.convolve`` does, and
-    the rest run as one ``ndimage.convolve1d`` per distinct kernel row
-    along the last axis, rolled into place along the leading axes.  A
-    non-negative field therefore stays exactly zero wherever the kept
-    weights see only zeros.  Larger jobs use the circular FFT: the kernel
-    spectrum is built here, once, and every component of every field is
-    multiplied by it; rounding leaves values of order 1e-16 where the
-    direct branch gives zeros.  The FFT branch hands the engine
+    validates the kernel against ``grid``; the branch is picked per
+    component, at call time.  A component is summed directly by
+    ``_direct_convolve`` only when both hold: the job is small (grid
+    nodes x kernel nodes at most ``_DIRECT_WORK_LIMIT``), and the
+    component touches vacuum (``_touches_vacuum``: non-negative with an
+    exact zero, -0.0 included).  Direct summation drops weights with
+    ``|w| <= DBL_EPSILON``, as ``ndimage.convolve`` does, and runs the
+    rest as one ``ndimage.convolve1d`` per distinct kernel row along the
+    last axis, rolled into place along the leading axes; the field
+    therefore stays exactly zero wherever the kept weights see only
+    zeros.  Every other component uses the circular FFT, the faster
+    branch: the kernel spectrum is built by the first component that
+    takes it (a call that only sums directly builds none), and every
+    later one is multiplied by it; rounding leaves values of order 1e-16
+    where direct summation gives zeros.  The FFT branch hands the engine
     (``_fft_convolve``) the rows it keeps along the kernel's first axis
     (time for a space-time kernel), and only those rows go through the
     inverse transforms of the other axes; the result is
@@ -517,11 +525,11 @@ class Mollification:
     the output keeps the box's interior rows and reads them plus the
     kernel's half-width on each side.  A spatial axis is cut the same way
     only when the widened box lies inside it without wrapping; otherwise
-    it stays whole and periodic.  The branch is the one the whole grid
-    takes.  The direct branch gives the whole-grid result cut down, bit
-    for bit.  The FFT branch zero-pads cut axes to a fast length; the
-    centre of the padded circular result is exact on the box and equals
-    the whole-grid one to rounding.  A call takes fields on
+    it stays whole and periodic.  The size rule is the whole grid's; the
+    vacuum test reads the cut input.  The direct branch gives the
+    whole-grid result cut down, bit for bit.  The FFT branch zero-pads
+    cut axes to a fast length; the centre of the padded circular result
+    is exact on the box and equals the whole-grid one to rounding.  A call takes fields on
     ``input_grid``; ``crop`` cuts a field on ``grid`` down to it (with
     nothing cut the two grids are one).
 
@@ -569,24 +577,23 @@ class Mollification:
         self.input_grid = grid.subgrid(read)
         self._output_grid = grid.subgrid(kept)
 
-        win = kernel.weights * kernel.cell_volume
-        if grid.node_count * win.size <= _DIRECT_WORK_LIMIT:
-            self._window, self._spectrum = win, None
-        else:
-            sizes = [hi - lo for lo, hi in read]
-            self._fft_shape = tuple(
-                sizes[a] if sizes[a] == grid.shape[a] else _fast_length(sizes[a])
-                for a in axes)
-            self._window = None
-            self._spectrum = _kernel_spectrum(win, self._fft_shape)
+        self._window = kernel.weights * kernel.cell_volume
+        self._small = grid.node_count * self._window.size <= _DIRECT_WORK_LIMIT
+        sizes = [hi - lo for lo, hi in read]
+        self._fft_shape = tuple(
+            sizes[a] if sizes[a] == grid.shape[a] else _fast_length(sizes[a])
+            for a in axes)
+        self._spectrum = None  # built by the first component that needs it
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
         """The kept box of one component convolved with the kernel."""
         axes = self._axes
-        if self._spectrum is None:
+        if self._small and _touches_vacuum(values):
             return _slicewise(
                 lambda v: _direct_convolve(v, self._window, axes),
                 values, axes)[self._kept]
+        if self._spectrum is None:
+            self._spectrum = _kernel_spectrum(self._window, self._fft_shape)
         # the engine cuts the first kernel axis itself, before inverting
         # the others
         first = axes[0]
@@ -613,6 +620,12 @@ class Mollification:
             for c in range(field.components):
                 vals[..., c] = self._convolve(field.values[..., c])
         return Field(self._output_grid, vals)
+
+
+def _touches_vacuum(values: np.ndarray) -> bool:
+    """Whether ``values`` are non-negative with at least one exact zero
+    (a -0.0 counts): the fields whose exact zeros direct summation keeps."""
+    return bool(values.min() == 0.0)
 
 
 def _slicewise(convolve, values: np.ndarray,
@@ -721,19 +734,23 @@ def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
     Its values are those of ``np.fft.rfftn``.  Over one axis it is that 1-D
     spectrum; over more, row ``c`` holds the pencil of the first axis at
-    flat column ``c`` of the others, shape ``(columns, shape[0])``.
+    flat column ``c`` of the others, shape ``(columns, shape[0])``.  Only
+    the first-axis rows the stencil occupies go through ``_forward``; the
+    pencils are zero elsewhere, so an exact zero may differ in sign from
+    ``rfftn``'s, and every other value is bit for bit the same.
     """
-    kfull = np.zeros(shape)
-    idx = np.ix_(*[
-        (np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)) % s
-        for n, s in zip(weights.shape, shape)
-    ])
-    kfull[idx] = weights
-    spec = _forward(kfull, shape)
+    wrapped = [np.arange(-(n - 1) // 2, (n - 1) // 2 + 1) % s
+               for n, s in zip(weights.shape, shape)]
     if len(shape) == 1:
-        return spec
-    spec = np.fft.fft(spec, axis=0)
-    return np.ascontiguousarray(spec.reshape(shape[0], -1).T)
+        kfull = np.zeros(shape)
+        kfull[wrapped[0]] = weights
+        return _forward(kfull, shape)
+    rows = np.zeros(weights.shape[:1] + shape[1:])
+    rows[(slice(None),) + np.ix_(*wrapped[1:])] = weights
+    part = _forward(rows, shape).reshape(len(rows), -1)
+    spec = np.zeros((part.shape[1], shape[0]), complex)
+    spec[:, wrapped[0]] = part.T
+    return np.fft.fft(spec, axis=-1, out=spec)
 
 
 def _forward(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -144,6 +144,11 @@ def constant_state(rho0: float, u0, grid: GridSpec) -> tuple[Field, Field]:
     return constant_field(grid, rho0), constant_field(grid, u0, components=d)
 
 
+# simple_wave's Newton iteration runs over blocks of time rows of about
+# this size, so a block and its temporaries stay in cache.
+_NEWTON_BLOCK_BYTES = 1 << 18
+
+
 def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
                 rho0: float = 1.0, u0: float = 0.0) -> tuple[Field, Field]:
     """Right-moving 1D simple wave: u = u0 + 2(c(rho) - c(rho0))/(gamma-1).
@@ -152,6 +157,13 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     along straight characteristics with speed u + c; the construction is
     valid strictly before the characteristic crossing time, which is
     computed and enforced.
+
+    Each node's foot x0 of its characteristic solves x0 + lambda(x0) t = x
+    by Newton's method.  Every iteration sweeps blocks of about
+    ``_NEWTON_BLOCK_BYTES`` of whole time rows in turn, and the loop stops
+    once the largest step over all blocks is below 1e-14 L; every node
+    thus takes the same iterations on the same operands as in one sweep
+    over the whole grid, and the result is the same bit for bit.
     """
     if grid.spatial_dim != 1:
         raise ValueError("simple waves are one-dimensional")
@@ -190,21 +202,47 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     tt = grid.axis_coords(0)[:, None]
     xx = grid.axis_coords(1)[None, :]
     x0 = np.broadcast_to(xx, grid.shape).copy()
-    # Newton iteration for x0 + lambda(x0) t = x (all nodes at once), with
+    # Newton iteration for x0 + lambda(x0) t = x, with
     # c = sqrt(kappa gamma) rho^((gamma-1)/2), lambda = u + c and
-    # d lambda / d rho = u'(rho) + c'(rho) = (gamma+1)/2 * c/rho
+    # d lambda / d rho = u'(rho) + c'(rho) = (gamma+1)/2 * c/rho.
     k = 2.0 * np.pi / L
     c_scale = np.sqrt(law.kappa * g)
     lam0 = u0 - 2.0 * c(rho0) / (g - 1.0)
+    # The temporaries are reused buffers; each in-place step is one
+    # operation of
+    #   f = x0 + (lam0 + (g+1)/(g-1) * cr) * t - x
+    #   jac = 1 + (g+1)/2 * cr / r * (k * amplitude * cos(k x0)) * t
+    # in that order (with commuted operands), so the bits are the same.
+    rows = max(1, _NEWTON_BLOCK_BYTES // x0[0].nbytes)
+    blocks = [slice(a, a + rows) for a in range(0, grid.shape[0], rows)]
+    buffers = np.empty((4, min(rows, grid.shape[0])) + grid.shape[1:])
     for _ in range(60):
-        angle = k * x0
-        r = rho0 + amplitude * np.sin(angle)
-        cr = c_scale * r ** (0.5 * (g - 1.0))
-        f = x0 + (lam0 + (g + 1.0) / (g - 1.0) * cr) * tt - xx
-        jac = 1.0 + 0.5 * (g + 1.0) * cr / r * (k * amplitude * np.cos(angle)) * tt
-        step = f / jac
-        x0 -= step
-        if np.max(np.abs(step)) < 1e-14 * L:
+        largest = 0.0
+        for b in blocks:
+            xb, tb = x0[b], tt[b]
+            angle, r, f, jac = (buf[:len(xb)] for buf in buffers)
+            np.multiply(xb, k, out=angle)
+            np.sin(angle, out=r)
+            r *= amplitude
+            r += rho0
+            cr = r ** (0.5 * (g - 1.0))
+            cr *= c_scale
+            np.multiply(cr, (g + 1.0) / (g - 1.0), out=f)
+            f += lam0
+            f *= tb
+            f += xb
+            f -= xx
+            np.multiply(cr, 0.5 * (g + 1.0), out=jac)
+            jac /= r
+            np.cos(angle, out=angle)
+            angle *= k * amplitude
+            jac *= angle
+            jac *= tb
+            jac += 1.0
+            f /= jac  # the Newton step
+            xb -= f
+            largest = max(largest, float(np.abs(f, out=f).max()))
+        if largest < 1e-14 * L:
             break
     rho = rho_init(x0)
     return Field(grid, rho), Field(grid, u_of_rho(rho))

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vacuumlab import grids
 from vacuumlab.grids import GridSpec, from_function
 from vacuumlab.pressure import PressureLaw
+
+# CI runs ``--hypothesis-profile=ci``: every run draws the same examples,
+# so a failure there replays locally with the same flag
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")
@@ -44,9 +49,12 @@ def direct_circular_convolve(values, weights, axes):
 
 
 def force_branch(monkeypatch, branch):
-    """Send every ``Mollification`` down one branch, "direct" or "fft"."""
+    """Send every component of every ``Mollification`` down one branch,
+    "direct" or "fft", whatever its size and whether it touches vacuum."""
+    direct = branch == "direct"
     monkeypatch.setattr(grids, "_DIRECT_WORK_LIMIT",
-                        math.inf if branch == "direct" else -1)
+                        math.inf if direct else -1)
+    monkeypatch.setattr(grids, "_touches_vacuum", lambda values: direct)
 
 
 def record_convolved_rows(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vacuumlab import cli
+from vacuumlab import cli, grids
 from vacuumlab.cli import load_config, main
 from vacuumlab.errors import ConfigError
 from vacuumlab.grids import load_field
@@ -203,6 +203,27 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
         again = simple_wave(*calls[0])
         for fresh, reused in zip(again, waves[0]):
             assert fresh.values.tobytes() == reused.values.tobytes()
+
+    @pytest.mark.parametrize("kind,body,touches_vacuum", [
+        ("budget", "[grid]\nnt = 256\nnx = 256\n[ladders]\n"
+                   "eps = 0.05, 0.04, 0.03, 0.025, 0.02\n", False),
+        ("vacuum", "[grid]\nnt = 64\nnx = 2048\n[generator]\n"
+                   "kind = spikes\ni_max = 8\n[ladders]\n"
+                   "eps = 0.2, 0.1, 0.05, 0.025\n", True),
+    ])
+    def test_only_vacuum_fields_are_summed_directly(self, tmp_path,
+                                                    monkeypatch, kind, body,
+                                                    touches_vacuum):
+        # budget's simple waves have rho >= 0.95 and take the FFT; the
+        # vacuum study's spikes touch vacuum and keep their exact zeros
+        cfg = write_config(tmp_path, f"[study]\nkind = {kind}\n"
+                                     f"output = {tmp_path / 'out'}\n{body}")
+        calls = []
+        direct = grids._direct_convolve
+        monkeypatch.setattr(grids, "_direct_convolve",
+                            lambda *args: calls.append(1) or direct(*args))
+        assert main(["run", str(cfg)]) == 0
+        assert bool(calls) == touches_vacuum
 
     def test_failing_assertion_exit_code_and_json(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""\

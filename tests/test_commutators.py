@@ -278,11 +278,14 @@ class TestWindowedCommutators:
     @pytest.mark.parametrize("spatial_dim,density,eps,phi,cut_x", CASES,
                              ids=IDS)
     def test_direct_terms_equal_unwindowed_bitwise(self, law, spatial_dim,
-                                                   density, eps, phi, cut_x):
+                                                   density, eps, phi, cut_x,
+                                                   monkeypatch):
+        force_branch(monkeypatch, "direct")
         g, rho, u = _oracle_case(spatial_dim, density)
         ker = make_mollifier(eps, 1 + spatial_dim, g)
         box = commutators._pairing_box(phi, g, ker)
         moll = Mollification(ker, g, box=box)
+        moll(moll.crop(u))
         assert moll._spectrum is None  # the direct branch
         assert (moll.input_grid.shape[1] < g.shape[1]) == cut_x
         assert moll.input_grid.shape[0] < g.shape[0]  # time is always cut
@@ -299,6 +302,7 @@ class TestWindowedCommutators:
         rho, u = asym_pair(g)
         ker = make_mollifier(0.11, 2, g)  # 57 x 57 nodes: the FFT branch
         moll = Mollification(ker, g, box=commutators._pairing_box(phi, g, ker))
+        moll(moll.crop(rho))
         assert moll._spectrum is not None
         assert (moll.input_grid.shape[1] < 256) == cut_x
         got = energy_commutators(rho, u, law, ker, phi).term_values

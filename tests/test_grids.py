@@ -375,6 +375,128 @@ class TestMollification:
             moll(constant_field(shorter, 1.0))
 
 
+def record_branches(monkeypatch):
+    """Count the calls of each ``Mollification`` branch, of the kernel
+    spectrum and of the vacuum test."""
+    calls = {"_direct_convolve": 0, "_fft_convolve": 0,
+             "_kernel_spectrum": 0, "_touches_vacuum": 0}
+    for name in calls:
+        def spy(*args, _name=name, _inner=getattr(grids, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(grids, name, spy)
+    return calls
+
+
+class TestBranchRule:
+    """A component is summed directly only when the job is small and the
+    component touches vacuum (non-negative with an exact zero)."""
+
+    @staticmethod
+    def case(include_time):
+        g = GridSpec(1, (32, 64), (1.0, 1.0))
+        ker = make_mollifier(0.1, 1 + include_time, g,
+                             include_time=include_time)
+        x = g.meshgrid()[1]
+        return g, ker, 1.5 + np.sin(2 * np.pi * x)
+
+    @pytest.mark.parametrize("include_time", [False, True])
+    def test_zero_free_positive_field_takes_the_fft(self, include_time,
+                                                    monkeypatch):
+        g, ker, positive = self.case(include_time)
+        calls = record_branches(monkeypatch)
+        Mollification(ker, g)(Field(g, positive))
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == (0, 1)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("width", [1, 20])
+    @pytest.mark.parametrize("include_time", [False, True])
+    def test_vacuum_field_is_summed_directly_and_keeps_its_zeros(
+            self, include_time, width, zero, monkeypatch):
+        g, ker, values = self.case(include_time)
+        values[:, 10:10 + width] = zero
+        calls = record_branches(monkeypatch)
+        moll = Mollification(ker, g)
+        out = moll(Field(g, values))
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == (1, 0)
+        # exact zeros wherever the kept weights (|w| > DBL_EPSILON) see
+        # only zeros
+        axes = (0, 1) if include_time else (1,)
+        seen = np.abs(ker.weights * ker.cell_volume) > np.finfo(float).eps
+        reach = direct_circular_convolve((values != 0).astype(float),
+                                         seen.astype(float), axes)
+        j0 = out.grid.time_offset_from(g)
+        off = reach[j0:j0 + out.grid.shape[0]] == 0.0
+        assert off.any() == (width == 20)
+        assert (out.values[..., 0][off] == 0.0).all()
+        assert (out.values[..., 0][~off] > 0.0).all()
+
+    def test_signed_field_with_zeros_takes_the_fft(self, monkeypatch):
+        g, ker, _ = self.case(False)
+        signed = np.sin(2 * np.pi * g.meshgrid()[1])
+        signed[:, :5] = 0.0
+        calls = record_branches(monkeypatch)
+        Mollification(ker, g)(Field(g, signed))
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == (0, 1)
+
+    def test_all_direct_mollification_builds_no_spectrum(self, monkeypatch):
+        g, ker, values = self.case(True)
+        values[:, 20:40] = 0.0
+        calls = record_branches(monkeypatch)
+        moll = Mollification(ker, g)
+        for f in (Field(g, values), Field(g, np.stack([values] * 3, -1))):
+            moll(f)
+        assert calls["_direct_convolve"] == 4
+        assert (calls["_kernel_spectrum"], calls["_fft_convolve"]) == (0, 0)
+        assert moll._spectrum is None
+
+    def test_components_pick_their_own_branch(self, monkeypatch):
+        g, ker, positive = self.case(True)
+        vacuum = positive.copy()
+        vacuum[:, 20:40] = 0.0
+        both = np.stack([vacuum, positive, positive], axis=-1)
+        calls = record_branches(monkeypatch)
+        moll = Mollification(ker, g)
+        got = moll(Field(g, both))
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == (1, 2)
+        assert calls["_kernel_spectrum"] == 1  # built once, on first use
+        for c, values in enumerate((vacuum, positive)):
+            alone = mollify(Field(g, values), ker)
+            assert got.values[..., c].tobytes() == alone.values[..., 0].tobytes()
+
+    def test_large_job_skips_the_vacuum_test(self, monkeypatch):
+        g, ker, values = self.case(True)
+        values[:, 20:40] = 0.0
+        monkeypatch.setattr(grids, "_DIRECT_WORK_LIMIT",
+                            g.node_count * ker.weights.size - 1)
+        calls = record_branches(monkeypatch)
+        Mollification(ker, g)(Field(g, values))
+        assert calls["_touches_vacuum"] == 0
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == (0, 1)
+
+    @pytest.mark.parametrize("vacuum", [False, True])
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_force_branch_sends_every_component(self, method, vacuum,
+                                                monkeypatch):
+        force_branch(monkeypatch, method)
+        g, ker, values = self.case(True)
+        if vacuum:
+            values[:, 20:40] = 0.0
+        calls = record_branches(monkeypatch)
+        Mollification(ker, g)(Field(g, np.stack([values, -values], -1)))
+        want = (2, 0) if method == "direct" else (0, 2)
+        assert (calls["_direct_convolve"], calls["_fft_convolve"]) == want
+
+    @pytest.mark.parametrize("values,touches", [
+        ([1.0, 0.0, 2.0], True), ([1.0, -0.0, 2.0], True),
+        ([0.0, 0.0, 0.0], True), ([1.0, 1e-300, 2.0], False),
+        ([1.0, 0.0, -1e-300], False), ([1.0, 2.0, 3.0], False),
+    ])
+    def test_touches_vacuum(self, values, touches):
+        assert grids._touches_vacuum(np.array(values)) is touches
+
+
 class TestSubgrid:
     # extents that are not powers of two, so spacings and coordinates
     # round differently depending on how they are computed
@@ -818,6 +940,32 @@ class TestFFTEngine:
             slice(a, a + n) for a, n in zip(start[1:], got.grid.shape[1:]))]
         assert moll._fft_shape[1] != shape[1]  # x is cut and padded
         assert got.values[..., 0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("wshape,shape", [
+        ((9,), (48,)), ((51, 11), (256, 256)), ((9, 11), (40, 54)),
+        ((7, 9), (41, 37)), ((5, 7, 9), (15, 20, 16)), ((7, 9), (45, 23)),
+        ((57, 57), (256, 256)),
+    ])
+    def test_kernel_spectrum_equals_the_whole_array_transform(self, wshape,
+                                                               shape):
+        # the old construction: the whole zero-padded array through
+        # ``_forward``, ``fft`` along the first axis and a transposed copy
+        weights = np.random.default_rng(len(shape)).random(wshape)
+        kfull = np.zeros(shape)
+        kfull[np.ix_(*[np.arange(-(n // 2), n // 2 + 1) % s
+                       for n, s in zip(wshape, shape)])] = weights
+        want = grids._forward(kfull, shape)
+        if len(shape) > 1:
+            want = np.ascontiguousarray(
+                np.fft.fft(want, axis=0).reshape(shape[0], -1).T)
+        got = grids._kernel_spectrum(weights, shape)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert (got == want).all()
+        # bit for bit wherever the value is not zero (a zero may differ in
+        # sign)
+        nonzero = want.view(float) != 0.0
+        assert (got.view(np.int64)[nonzero]
+                == want.view(np.int64)[nonzero]).all()
 
     def test_circular_convolve_needs_trailing_axes(self):
         with pytest.raises(ValueError, match="trailing"):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+
+from vacuumlab import synth
 
 from vacuumlab.errors import AdmissibilityError, BlowupTimeError, ResolutionError
 from vacuumlab.grids import GridSpec, ddt, dspace, from_function, lp_norm
@@ -185,10 +189,74 @@ class TestExactSolutions:
         assert np.max(np.abs(rho.values[..., 0] - rho_old)) <= 1e-13
         assert np.max(np.abs(u.values[..., 0] - u_of_rho(rho_old))) <= 1e-13
 
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    @pytest.mark.parametrize("shape", [(256, 256), (1024, 1024),
+                                       (1000, 1000), (999, 1000)])
+    def test_simple_wave_blocks_equal_one_sweep_bitwise(self, law, shape,
+                                                        block_rows,
+                                                        monkeypatch):
+        # blocks of 1 and 7 rows: every block count is odd on some grid,
+        # and 7 rows leave a partial last block on all four
+        if block_rows is not None:
+            monkeypatch.setattr(synth, "_NEWTON_BLOCK_BYTES",
+                                block_rows * shape[1] * 8)
+        g = GridSpec(1, shape, (0.2, 1.0))
+        rho, u = simple_wave(law, 0.1, g, u0=0.3)
+        want = _one_sweep_simple_wave(law, 0.1, shape, 0.3)
+        for got, old in zip((rho, u), want):
+            assert got.values[..., 0].tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.4, 1.95])
+    def test_simple_wave_blocks_equal_one_sweep_for_any_gamma(self, gamma,
+                                                              monkeypatch):
+        # c(rho)'s exponent (gamma - 1) / 2 across (0, 0.5)
+        monkeypatch.setattr(synth, "_NEWTON_BLOCK_BYTES", 5 * 128 * 8)
+        law = PressureLaw(gamma=gamma, kappa=0.7)
+        g = GridSpec(1, (64, 128), (0.1, 1.0))
+        rho, u = simple_wave(law, 0.2, g)
+        want = _one_sweep_simple_wave(law, 0.2, g.shape, 0.0, T=0.1)
+        for got, old in zip((rho, u), want):
+            assert got.values[..., 0].tobytes() == old.tobytes()
+
     def test_simple_wave_blowup_guard(self, law):
         g = GridSpec(1, (64, 128), (10.0, 1.0))
         with pytest.raises(BlowupTimeError):
             simple_wave(law, 0.5, g)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_sweep_simple_wave(law, amplitude, shape, u0, T=0.2):
+    """(rho, u) of ``simple_wave`` on ``GridSpec(1, shape, (T, 1))`` as it
+    ran its Newton iteration before it was blocked: over all nodes at
+    once, with new temporaries for every operation."""
+    g = GridSpec(1, shape, (T, 1.0))
+    L, gm, rho0 = g.extents[1], law.gamma, 1.0
+
+    def c(r):
+        return law.sound_speed(r)
+
+    def u_of_rho(r):
+        return u0 + 2.0 * (c(r) - c(rho0)) / (gm - 1.0)
+
+    tt = g.axis_coords(0)[:, None]
+    xx = g.axis_coords(1)[None, :]
+    x0 = np.broadcast_to(xx, g.shape).copy()
+    k = 2.0 * np.pi / L
+    c_scale = np.sqrt(law.kappa * gm)
+    lam0 = u0 - 2.0 * c(rho0) / (gm - 1.0)
+    for _ in range(60):
+        angle = k * x0
+        r = rho0 + amplitude * np.sin(angle)
+        cr = c_scale * r ** (0.5 * (gm - 1.0))
+        f = x0 + (lam0 + (gm + 1.0) / (gm - 1.0) * cr) * tt - xx
+        jac = 1.0 + 0.5 * (gm + 1.0) * cr / r * (k * amplitude
+                                                 * np.cos(angle)) * tt
+        step = f / jac
+        x0 -= step
+        if np.max(np.abs(step)) < 1e-14 * L:
+            break
+    rho = rho0 + amplitude * np.sin(2.0 * np.pi * x0 / L)
+    return rho, u_of_rho(rho)
 
 
 class TestRiemann:
