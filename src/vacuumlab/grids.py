@@ -538,6 +538,8 @@ class Mollification:
     """
 
     def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None):
+        if box is not None:  # ``_fast_length`` needs Python ints
+            box = tuple((int(lo), int(hi)) for lo, hi in box)
         if kernel.include_time:
             if kernel.epsilon >= grid.extents[0] / 2:
                 raise DomainExhaustedError("kernel radius >= half the time extent")
@@ -633,17 +635,25 @@ def _slicewise(convolve, values: np.ndarray,
     """``convolve(values)`` for a convolution over ``axes``.
 
     With axis 0 (time) not among ``axes`` the convolution acts slice by
-    slice.  If then every time slice has the bits of the first, only the
-    first is convolved and the result is broadcast along time, as a
-    read-only view.  Bits are compared as int64, so a -0.0 slice is not a
-    +0.0 one, and the comparison stops at the first slice that differs.
+    slice.  If then every time slice has the bits of the first
+    (``repeats_first_slice``), only the first is convolved and the result
+    is broadcast along time, as a read-only view.
     """
-    if 0 not in axes:
-        bits = values.view(np.int64)
-        if all(np.array_equal(bits[0], b) for b in bits[1:]):
-            first = convolve(values[:1])
-            return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
+    if 0 not in axes and repeats_first_slice(values):
+        first = convolve(values[:1])
+        return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
     return convolve(values)
+
+
+def repeats_first_slice(values: np.ndarray) -> bool:
+    """Whether every slice along axis 0 has the bits of the first.
+
+    Floats are compared as int64, so a -0.0 slice is not a +0.0 one;
+    other arrays (masks) by value.  The comparison stops at the first
+    slice that differs.
+    """
+    bits = values.view(np.int64) if values.dtype == np.float64 else values
+    return all(np.array_equal(bits[0], b) for b in bits[1:])
 
 
 def _fast_length(n: int) -> int:

@@ -8,7 +8,9 @@ version of the ratio bound fails.  Ball averages use the circular FFT;
 ``vacuum_floor`` sets the numerical-vacuum threshold for every module.
 The spike field and its ladders mollify with spatial kernels, and its
 time slices are identical, so each ball average or mollification
-convolves one slice (see ``grids``).
+convolves one slice (see ``grids``).  The QNS checks then form their
+ratios and maxima on that one slice too, and each rung of the spike
+ladder mollifies only the box of the spike it reads.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .errors import (
 from .grids import (
     Field,
     GridSpec,
+    Mollification,
     MollifierKernel,
     circular_convolve,
     lp_norm,
     make_mollifier,
     mollify,
+    repeats_first_slice,
     restrict,
 )
 from .rates import RateFit, fit_rate
@@ -261,6 +265,48 @@ def _region_distance(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
     return dist[center]
 
 
+def _qns_region(w: Field, region_mask: np.ndarray | None):
+    """The region mask (everywhere if None), the distance of its nodes to
+    its complement, and the time slices a ratio maximum needs: the first
+    alone when ``w`` and the mask repeat their first slice, else all."""
+    if float(w.values.min()) < 0:
+        raise ValueError("w must be non-negative")
+    if region_mask is None:
+        region_mask = np.ones(w.grid.shape, dtype=bool)
+    region_mask = np.broadcast_to(region_mask, w.grid.shape)
+    dist = _region_distance(w.grid, region_mask)
+    # a spatial kernel leaves every slice of such a field with the same
+    # bits, so every ratio slice repeats the first and so do its maxima
+    constant = (repeats_first_slice(w.values[..., 0])
+                and repeats_first_slice(region_mask))
+    return region_mask, dist, slice(0, 1) if constant else slice(None)
+
+
+def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
+                    rows: slice, radius_ladder, eps0: float):
+    """Worst ratio of w to its ball average over the allowed region nodes
+    of the time slices ``rows``, and its witness (None if no ratio beats 0).
+
+    ``np.argmax`` returns the first maximum, and with repeated slices that
+    lies in the first, so one slice gives the witness of all of them.
+    """
+    worst = 0.0
+    witness = None
+    for r in radius_ladder:
+        avg = _ball_average(w, r)
+        allowed = region_mask[rows] & (dist[None, ...] * eps0 >= r)
+        if not allowed.any():
+            continue
+        ratio = np.where(allowed, _guarded_ratio(w.values[rows, ..., 0],
+                                                 avg.values[rows, ..., 0]),
+                         0.0)
+        idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        if ratio[idx] > worst:
+            worst = float(ratio[idx])
+            witness = (tuple(int(i) for i in idx), float(r), worst)
+    return worst, witness
+
+
 def qns_check(w: Field, region_mask: np.ndarray | None,
               radius_ladder: list, C: float,
               eps0: float = 0.25) -> dict:
@@ -268,42 +314,34 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
 
     Radii are only tested at nodes farther than r/eps0 from the region
     boundary.  Returns the empirical constant (worst ratio of the value
-    to its ball average) and the witness node.
+    to its ball average) and the witness node.  Ball averages cover every
+    time slice; when ``w`` and the region mask repeat their first slice
+    bit for bit (a time-independent field), the ratios and their maximum
+    are formed on that slice alone, with the same result.
     """
-    if float(w.values.min()) < 0:
-        raise ValueError("w must be non-negative")
-    if region_mask is None:
-        region_mask = np.ones(w.grid.shape, dtype=bool)
-    dist = _region_distance(w.grid, region_mask)
-    worst = 0.0
-    witness = None
-    for r in radius_ladder:
-        avg = _ball_average(w, r)
-        allowed = region_mask & (dist[None, ...] * eps0 >= r)
-        if not allowed.any():
-            continue
-        ratio = np.where(allowed, _guarded_ratio(w.values[..., 0],
-                                                 avg.values[..., 0]), 0.0)
-        idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[idx] > worst:
-            worst = float(ratio[idx])
-            witness = (tuple(int(i) for i in idx), float(r), worst)
+    region_mask, dist, rows = _qns_region(w, region_mask)
+    worst, witness = _ball_ratio_max(w, region_mask, dist, rows,
+                                     radius_ladder, eps0)
     return {"pass": worst <= C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
 
 def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
                          region_mask: np.ndarray, dist: np.ndarray,
-                         eps0: float) -> float:
-    """sup of w / w_e over region nodes clear of the region boundary."""
+                         rows: slice, eps0: float) -> float:
+    """sup of w / w_e over region nodes clear of the region boundary, on
+    the time slices ``rows`` of a spatial kernel's result (a space-time
+    kernel's slices differ in their rounding, so it reads them all)."""
     we = mollify(w, ker)
     w0 = restrict(w, we.grid)
     j0 = we.grid.time_offset_from(w.grid)
-    allowed = (region_mask[j0:j0 + we.grid.shape[0]]
+    if ker.include_time:
+        rows = slice(None)
+    allowed = (region_mask[j0:j0 + we.grid.shape[0]][rows]
                & (dist[None, ...] * eps0 >= ker.epsilon))
     if not allowed.any():
         return 0.0
-    ratio = _guarded_ratio(w0.values[..., 0], we.values[..., 0])
+    ratio = _guarded_ratio(w0.values[rows, ..., 0], we.values[rows, ..., 0])
     return float(np.max(np.where(allowed, ratio, 0.0)))
 
 
@@ -324,17 +362,15 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
     """
     N = w.grid.spatial_dim
     omega = unit_ball_volume(N)
-    if region_mask is None:
-        region_mask = np.ones(w.grid.shape, dtype=bool)
-    dist = _region_distance(w.grid, region_mask)
+    region_mask, dist, rows = _qns_region(w, region_mask)
 
     per_rung = []
     for ker in kernel_ladder:
-        M_emp = _mollifier_ratio_max(w, ker, region_mask, dist, eps0)
-        C_emp = qns_check(w, region_mask, [ker.epsilon / 3.0], C=np.inf,
-                          eps0=eps0)["empirical_C"]
-        C_ball = qns_check(w, region_mask, [ker.epsilon], C=np.inf,
-                           eps0=eps0)["empirical_C"]
+        M_emp = _mollifier_ratio_max(w, ker, region_mask, dist, rows, eps0)
+        C_emp, _ = _ball_ratio_max(w, region_mask, dist, rows,
+                                   [ker.epsilon / 3.0], eps0)
+        C_ball, _ = _ball_ratio_max(w, region_mask, dist, rows,
+                                    [ker.epsilon], eps0)
         per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
                          "C_emp": C_emp, "C_ball": C_ball})
     if C is None:
@@ -401,10 +437,16 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
     growth is fitted as log2(value) against i and approaches 1 - 1/p for
     p > 1, flattening as p drops to 1 (where no blow-up occurs).
 
-    The ratio is formed on the spike's nodes alone (a run of x nodes, on
-    every time slice), in the order a mask over the whole grid reads
-    them, so the norm is the masked whole-grid one bit for bit.  A spike
-    that holds no node raises ``ResolutionError``.
+    Each rung mollifies only the spike's box: its run of x nodes on every
+    time slice, read with the kernel's half-width on each side (the whole
+    line when that widened run would wrap).  The size rule that picks the
+    branch is the whole grid's, so a spike field's rungs take the branches
+    of mollifying the whole line; a direct rung is the whole-line result
+    cut down, bit for bit, and an FFT rung zero-pads the box and agrees
+    with it to rounding.  The ratio is
+    formed on the box in the order a mask over the whole grid reads it,
+    so the norm is the masked whole-grid one of the same f_e bit for bit.
+    A spike that holds no node raises ``ResolutionError``.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -425,7 +467,11 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
             raise ResolutionError(f"spike i={i} holds no grid node")
         a, b = nodes[0], nodes[-1] + 1
         spike = f.grid.subgrid(((0, f.grid.shape[0]), (a, b)))
-        fe = mollify(f, _spatial_mollifier(eps, f.grid)).values[:, a:b, 0]
+        moll = Mollification(_spatial_mollifier(eps, f.grid), f.grid,
+                             box=((0, f.grid.shape[0]), (a, b)))
+        fe = moll(moll.crop(f)).values[..., 0]
+        if fe.shape[1] != b - a:  # the widened box wraps: the whole line
+            fe = fe[:, a:b]
         fs = f.values[:, a:b, 0]
         pos = fs > 0.0
         if np.any(pos & (fe <= 0.0)):

@@ -657,6 +657,21 @@ class TestMollificationBox:
         want = _cut_full(mollify(f, ker), part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_numpy_integer_bounds(self, monkeypatch):
+        # bounds as np.flatnonzero gives them, on a cut axis the FFT pads
+        force_branch(monkeypatch, "fft")
+        g = GridSpec(1, (64, 256), (1.0, 1.0))
+        f = from_function(g, lambda t, x: np.sin(6 * np.pi * x + t) ** 2)
+        ker = make_mollifier(0.1, 2, g)
+        box = ((20, 40), (30, 77))
+        moll = Mollification(ker, g, box=tuple(
+            (np.int64(lo), np.int64(hi)) for lo, hi in box))
+        ref = Mollification(ker, g, box=box)
+        assert moll.input_grid == ref.input_grid
+        assert moll._fft_shape == ref._fft_shape == (32, 100)
+        assert (moll(moll.crop(f)).values.tobytes()
+                == ref(ref.crop(f)).values.tobytes())
+
     @pytest.mark.parametrize("method", ["direct", "fft"])
     def test_spatial_kernel_cuts_time_without_convolving_it(self, method,
                                                             monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     convolve_every_slice,
     direct_circular_convolve,
+    force_branch,
     record_convolved_rows,
 )
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,91 @@ class TestBallAverageOracle:
         assert fft["pass"] == direct["pass"]
 
 
+def _hexed(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+class TestOneSliceMaxima:
+    """Ratio maxima of a field and region mask that repeat their first
+    time slice are formed on that slice, with the bits of all slices."""
+
+    @staticmethod
+    def record_ratio_rows(monkeypatch):
+        rows = []
+        ratio = vacuum._guarded_ratio
+        monkeypatch.setattr(vacuum, "_guarded_ratio", lambda num, den: (
+            rows.append(num.shape[0]) or ratio(num, den)))
+        return rows
+
+    @staticmethod
+    def case(name):
+        """(field, region mask, ball radii, spatial kernel ladder)."""
+        if name == "spikes":
+            w = counterexample_field(8, 4096)
+            return w, None, [0.05, 0.02, 0.01], spatial_kernels(
+                w.grid, [0.08, 0.04, 0.02, 0.01])
+        # the qns study's generator and region
+        g = GridSpec(1, (8, 2048), (1.0, 1.0))
+        w = from_function(g, lambda t, x: np.abs(x - 0.5))
+        x = g.axis_coords(1)
+        region = np.broadcast_to((x > 0.1) & (x < 0.9), g.shape).copy()
+        radii = [0.02, 0.01, 0.005]
+        return w, region, radii, spatial_kernels(g, [3.0 * r for r in radii])
+
+    @staticmethod
+    def evaluate(w, region, radii, ladder):
+        return (qns_check(w, region, radii, C=1.0),
+                qns_mollifier_equivalence(w, region, ladder, M=3.0, C=1.0))
+
+    @pytest.mark.parametrize("name", ["spikes", "abs"])
+    def test_one_slice_gives_the_bits_of_every_slice(self, name,
+                                                     monkeypatch):
+        w, region, radii, ladder = self.case(name)
+        rows = self.record_ratio_rows(monkeypatch)
+        once = self.evaluate(w, region, radii, ladder)
+        assert rows and set(rows) == {1}
+        monkeypatch.setattr(vacuum, "repeats_first_slice", lambda v: False)
+        rows.clear()
+        every = self.evaluate(w, region, radii, ladder)
+        assert set(rows) == {w.grid.shape[0]}
+        assert once[0]["worst_witness"] is not None
+        assert _hexed(once) == _hexed(every)
+
+    @pytest.mark.parametrize("change", ["one-ulp", "negative-zero",
+                                        "region", "space-time-kernel"])
+    def test_inputs_that_vary_in_time_take_every_slice(self, change,
+                                                       monkeypatch):
+        w, region, radii, ladder = self.case("spikes")
+        if change == "space-time-kernel":
+            # 64 slices, so the kernel fits in time and keeps rows 6..57
+            w = counterexample_field(8, 4096, time_points=64)
+            ladder = [ladder[0], make_mollifier(0.1, 2, w.grid)]
+        vals = w.values.copy()
+        region = np.ones(w.grid.shape, dtype=bool)
+        if change == "one-ulp":
+            vals[5, 1500, 0] = np.nextafter(vals[5, 1500, 0], 2.0)
+        elif change == "negative-zero":
+            vals[-1, 3, 0] = -0.0  # equal to +0.0, other bits
+        elif change == "region":
+            region[3, 2000:2100] = False
+        w = Field(w.grid, vals)
+        rows = self.record_ratio_rows(monkeypatch)
+        self.evaluate(w, region, radii, ladder)
+        if change == "space-time-kernel":
+            # the mollifier ratio reads its 52 interior rows; the ball
+            # averages act slice-wise and still read one
+            assert rows == [1] * 3 + [1, 1, 1] + [52, 1, 1]
+        else:
+            assert set(rows) == {w.grid.shape[0]}
+
+
 def test_guarded_ratio_matches_the_where_expression():
     # zeros of both signs, subnormals, dens under 1e-300, negatives
     values = [0.0, -0.0, 5e-324, 1e-310, 5e-301, 1e-300, 2e-300, 1e-200,
@@ -314,6 +400,86 @@ class TestCounterexample:
         rep = counterexample_blowup(f, p, i_list)
         assert rep["samples"] == samples
         assert rep["growth_per_i"] == slope
+
+    @staticmethod
+    def spike_box(f, i):
+        x = f.grid.axis_coords(1)
+        nodes = np.flatnonzero((x >= 1.0 / i) & (x <= 1.0 / i + 2.0 ** (-i)))
+        return int(nodes[0]), int(nodes[-1]) + 1
+
+    @staticmethod
+    def short_line():
+        """Spikes 2..4 on a line of length 0.8: spike 2's box widened by
+        eps_2 = 1/8 would pass its end, so rung 2 reads the whole line."""
+        g = GridSpec(1, (8, 1000), (1.0, 0.8))
+        x = g.axis_coords(1)
+        spikes = sum((x >= 1.0 / i) & (x <= 1.0 / i + 2.0 ** (-i))
+                     for i in (2, 3, 4))
+        return Field(g, np.broadcast_to(spikes, g.shape).astype(float))
+
+    @pytest.mark.parametrize("branch", ["direct", "fft"])
+    @pytest.mark.parametrize("case", ["spikes", "wrap"])
+    def test_each_rung_mollifies_its_spike_box(self, case, branch,
+                                               monkeypatch):
+        # f_e on spike i is the whole-grid one cut to the spike's nodes:
+        # bit for bit by direct summation, to rounding by the padded FFT
+        force_branch(monkeypatch, branch)
+        if case == "spikes":
+            f, i_list = counterexample_field(10, 8192), [4, 6, 8, 10]
+        else:
+            f, i_list = self.short_line(), [2, 3, 4]
+        rungs = []
+        apply = grids.Mollification.__call__
+        monkeypatch.setattr(grids.Mollification, "__call__",
+                            lambda self, g: rungs.append(apply(self, g))
+                            or rungs[-1])
+        counterexample_blowup(f, 2.0, i_list)
+        monkeypatch.setattr(grids.Mollification, "__call__", apply)
+        assert len(rungs) == len(i_list)
+        wraps = []
+        for i, fe in zip(i_list, rungs):
+            a, b = self.spike_box(f, i)
+            ker = make_mollifier(1.0 / (2.0 * i * i), 1, f.grid,
+                                 include_time=False)
+            wraps.append(b + ker.half_widths[0] > f.grid.shape[1])
+            if wraps[-1]:
+                assert fe.grid == f.grid
+                got = fe.values[:, a:b]
+            else:
+                assert fe.grid == f.grid.subgrid(((0, 8), (a, b)))
+                got = fe.values
+            want = grids.mollify(f, ker).values[:, a:b]
+            if branch == "direct" or wraps[-1]:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want)))
+        assert wraps == [case == "wrap", False, False, False][:len(i_list)]
+
+    # the per-rung branches (F: FFT, D: direct) are those of mollifying
+    # the whole line, which the size rule reads
+    @pytest.mark.parametrize("i_max,nx,i_list,branches", [
+        (12, 1 << 15, range(6, 13), "FDDDDDD"),
+        (10, 1 << 13, range(4, 11), "DDDDDDD"),
+    ])
+    def test_each_rung_convolves_one_slice_of_its_box(self, i_max, nx,
+                                                      i_list, branches,
+                                                      monkeypatch):
+        calls = []
+        for name, tag in (("_direct_convolve", "D"), ("_fft_convolve", "F")):
+            def spy(values, *args, _inner=getattr(grids, name), _tag=tag):
+                calls.append((_tag, values.shape))
+                return _inner(values, *args)
+
+            monkeypatch.setattr(grids, name, spy)
+        f = counterexample_field(i_max, nx)
+        counterexample_blowup(f, 2.0, i_list)
+        assert "".join(tag for tag, _ in calls) == branches
+        for i, (_, shape) in zip(i_list, calls):
+            a, b = self.spike_box(f, i)
+            k = make_mollifier(1.0 / (2.0 * i * i), 1, f.grid,
+                               include_time=False).half_widths[0]
+            assert shape == (1, b - a + 2 * k)
 
     def test_blowup_spike_without_nodes(self):
         # at 605 nodes eps_10 = 1/200 spans 3 spacings, yet no node lies on
