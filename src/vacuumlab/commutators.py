@@ -118,15 +118,16 @@ def _outer(a: Field, b: Field) -> Field:
 
 
 def energy_commutators(rho: Field, u: Field, law: PressureLaw,
-                       kernel: MollifierKernel, phi: TestFunction,
-                       atol: float | None = None) -> CommutatorReport:
+                       kernel: MollifierKernel,
+                       phi: TestFunction) -> CommutatorReport:
     """The four commutator integrals of the mollified energy balance.
 
     r1: time-derivative commutator of the momentum;
     r2: transport commutator;
     r3: pressure-gradient commutator;
     s:  mass-flux divergence commutator weighted by P'(rho_e),
-        with the integrand set to 0 on the numerical vacuum of rho_e.
+        with the integrand set to 0 on the numerical vacuum of rho_e
+        (``vacuum_floor(rho)``).
 
     Each term pairs a density with phi, so only phi's support box matters.
     The inputs are mollified on that box widened by the reach of the
@@ -139,7 +140,7 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     """
     box = _pairing_box(phi, rho.grid, kernel)
     mollified = mollify_energy_inputs(rho, u, law, kernel, box)
-    return commutators_from_mollified(rho, law, kernel, phi, mollified, atol)
+    return commutators_from_mollified(rho, law, kernel, phi, mollified)
 
 
 # nodes a 4th-order central difference reads on each side
@@ -192,8 +193,7 @@ def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
 
 def commutators_from_mollified(rho: Field, law: PressureLaw,
                                kernel: MollifierKernel, phi: TestFunction,
-                               mollified: tuple,
-                               atol: float | None = None) -> CommutatorReport:
+                               mollified: tuple) -> CommutatorReport:
     """``energy_commutators`` from the fields of ``mollify_energy_inputs``.
 
     The densities are built on the plain arrays of the five mollified
@@ -209,8 +209,7 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     paired density reaches its sum, which ``CommutatorReport`` rejects;
     the s integrand is checked before the vacuum mask drops nodes.
     """
-    if atol is None:
-        atol = vacuum_floor(rho)
+    atol = vacuum_floor(rho)
     grid = mollified[0].grid
     rho_e, u_e, m_e, mm_e, p_e = (f.values for f in mollified)
     d = u_e.shape[-1]
@@ -220,7 +219,7 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     space = tuple(slice(lo, hi) for lo, hi in support[1:])
 
     def diff(vals, axis):
-        return _central_diff(vals, axis, grid.spacings[axis], 4)[0]
+        return _central_diff(vals, axis, grid.spacings[axis])[0]
 
     # imul, isub and iadd work in place on fresh arrays, and
     # reduce(iadd, ...) sums the per-component arrays into the first
@@ -243,7 +242,7 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     defect = isub(rho_e * u_e, m_e)
 
     # r1 = u_e . d_t(defect)
-    dt_defect, trim = _central_diff(defect, 0, grid.dt, 4)
+    dt_defect, trim = _central_diff(defect, 0, grid.dt)
     dt_defect *= u_e[trim:nt - trim]
     # one component: pair a view instead of a summed copy
     r1 = pair(dt_defect[..., 0] if d == 1 else dt_defect.sum(axis=-1), trim)
@@ -290,8 +289,8 @@ def mollified_mass_residual(rho: Field, u: Field,
 # ---------------------------------------------------------------------------
 
 def R_S_terms(rho: Field, u: Field, law: PressureLaw,
-              kernel: MollifierKernel, phi: TestFunction, beta: float,
-              atol: float | None = None) -> CommutatorReport:
+              kernel: MollifierKernel, phi: TestFunction,
+              beta: float) -> CommutatorReport:
     """Localized pressure-gradient term R and mass-flux term S.
 
     R is evaluated in integrated-by-parts form.  S is reported whole and
@@ -306,8 +305,7 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     moll = Mollification(kernel, rho.grid)
     rho_e, u_e, m_e, p_e = moll(rho), moll(u), moll(rho * u), moll(rho.map(law.p))
     del moll  # free the kernel spectrum before the arithmetic
-    sets = build_vacuum_sets(rho, kernel, beta, atol, rho_e=rho_e)
-    atol = sets.atol
+    sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
     sub = rho_e.grid
     phi_f = phi.phi(sub)
     gphi = phi.grad(sub)
@@ -347,7 +345,8 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
         "S_B_gap": S_band - S_band_lead,
     }
     return CommutatorReport(values, kernel.epsilon,
-                            {"gamma": law.gamma, "beta": beta, "atol": atol,
+                            {"gamma": law.gamma, "beta": beta,
+                             "atol": sets.atol,
                              "measure_A": sets.measure("A"),
                              "measure_B": sets.measure("B"),
                              "measure_C": sets.measure("C"),

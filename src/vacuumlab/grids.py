@@ -46,9 +46,9 @@ Conventions used throughout the package:
   without wrapping, and otherwise (a constant spatial factor, say) it
   stays whole and periodic.  The direct branch gives the whole result
   cut down, bit for bit; the FFT branch agrees to rounding.
-* Finite differences read shifted slices of the samples; periodic axes
-  wrap, and the non-periodic time axis loses the stencil width at both
-  ends.
+* Finite differences are the one 4th-order central stencil, read as
+  shifted slices of the samples; periodic axes wrap, and the
+  non-periodic time axis loses 2 slices at both ends.
 * Finiteness is checked where values enter, not after every operation.
   ``Field(grid, values)`` scans its values, so synthesis,
   ``from_function``, ``load_field`` and user data are checked, and so is
@@ -890,29 +890,26 @@ def integrate(field: Field, mask: np.ndarray | None = None) -> float:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-_STENCILS = {
-    2: {1: 0.5, -1: -0.5},
-    4: {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12},
-}
+# The 4th-order central difference: offset -> coefficient.  Its terms are
+# summed in this order, which fixes the bits of every derivative.
+_STENCIL = {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}
 
 # Finite differences run in blocks of time slices of about this size, so
 # the block and its temporary stay in cache across the stencil terms.
 _FD_BLOCK_BYTES = 1 << 18
 
 
-def _central_diff(vals: np.ndarray, axis: int, h: float,
-                  order: int) -> tuple[np.ndarray, int]:
-    """Central difference along ``axis``; returns the values and the trim.
+def _central_diff(vals: np.ndarray, axis: int,
+                  h: float) -> tuple[np.ndarray, int]:
+    """4th-order central difference along ``axis``: values and trim.
 
-    Axis 0 is time and not periodic: the result loses ``order // 2``
-    slices (the trim) at both ends.  The other axes are periodic.  Each
-    term ``c * vals[i + off]`` is one multiply of shifted slices into a
-    reused temporary, and the terms are summed in stencil order starting
+    Axis 0 is time and not periodic: the result loses 2 slices (the trim)
+    at both ends.  The other axes are periodic.  Each term
+    ``c * vals[i + off]`` is one multiply of shifted slices into a reused
+    temporary, and the terms are summed in ``_STENCIL`` order starting
     from 0, so the result equals the sum of rolled copies bit for bit.
     """
-    if order not in _STENCILS:
-        raise ValueError("order must be 2 or 4")
-    trim = order // 2 if axis == 0 else 0
+    trim = 2 if axis == 0 else 0
     n = vals.shape[axis]
     if n <= 2 * trim:
         raise DomainExhaustedError("empty time range")
@@ -926,7 +923,7 @@ def _central_diff(vals: np.ndarray, axis: int, h: float,
     for a in range(0, out.shape[0], step):
         block = out[a:a + step]
         scratch = tmp[:len(block)]
-        for i, (off, c) in enumerate(_STENCILS[order].items()):
+        for i, (off, c) in enumerate(_STENCIL.items()):
             dst = scratch if i else block
             if axis == 0:
                 lo = a + trim + off
@@ -940,47 +937,46 @@ def _central_diff(vals: np.ndarray, axis: int, h: float,
     return out, trim
 
 
-def ddt(field: Field, order: int = 4) -> Field:
+def ddt(field: Field) -> Field:
     """Time derivative; trims stencil-width slices at both ends."""
-    vals, trim = _central_diff(field.values, 0, field.grid.dt, order)
+    vals, trim = _central_diff(field.values, 0, field.grid.dt)
     sub = field.grid.time_subgrid(trim, field.grid.shape[0] - trim)
     return Field._wrap(sub, vals)
 
 
-def dspace(field: Field, axis: int, order: int = 4) -> Field:
+def dspace(field: Field, axis: int) -> Field:
     """Spatial derivative along periodic axis (1-based over space axes)."""
     if not 1 <= axis <= field.grid.spatial_dim:
         raise ValueError(f"axis must be a spatial axis, got {axis}")
-    vals, _ = _central_diff(field.values, axis, field.grid.spacings[axis],
-                            order)
+    vals, _ = _central_diff(field.values, axis, field.grid.spacings[axis])
     return Field._wrap(field.grid, vals)
 
 
-def grad(field: Field, order: int = 4) -> Field:
+def grad(field: Field) -> Field:
     """Spatial gradient of a scalar field; components = spatial_dim."""
     if field.components != 1:
         raise ValueError("grad expects a scalar field")
-    parts = [dspace(field, a, order).values[..., 0]
+    parts = [dspace(field, a).values[..., 0]
              for a in range(1, 1 + field.grid.spatial_dim)]
     return Field._wrap(field.grid, np.stack(parts, axis=-1))
 
 
-def div(field: Field, order: int = 4) -> Field:
+def div(field: Field) -> Field:
     """Spatial divergence of a vector field."""
     d = field.grid.spatial_dim
     if field.components != d:
         raise ValueError("div expects a d-component field")
-    out = sum(dspace(field.component(i), 1 + i, order).values[..., 0]
+    out = sum(dspace(field.component(i), 1 + i).values[..., 0]
               for i in range(d))
     return Field._wrap(field.grid, out)
 
 
-def spacetime_gradient_norm(field: Field, order: int = 4) -> Field:
+def spacetime_gradient_norm(field: Field) -> Field:
     """|(d_t w, grad w)| as a scalar field on the time-trimmed grid."""
     if field.components != 1:
         raise ValueError("expects a scalar field")
-    gt = ddt(field, order)
-    parts = [restrict(dspace(field, a, order), gt.grid).values[..., 0]
+    gt = ddt(field)
+    parts = [restrict(dspace(field, a), gt.grid).values[..., 0]
              for a in range(1, 1 + field.grid.spatial_dim)]
     total = gt.values[..., 0] ** 2 + sum(p ** 2 for p in parts)
     return Field(gt.grid, np.sqrt(total))

@@ -165,10 +165,8 @@ def _check_ladder(eps_ladder) -> list[float]:
     return eps
 
 
-def kernels_for_ladder(grid, eps_ladder, include_time: bool = True
-                       ) -> list[MollifierKernel]:
-    dim = (1 if include_time else 0) + grid.spatial_dim
-    return [make_mollifier(e, dim, grid, include_time=include_time)
+def kernels_for_ladder(grid, eps_ladder) -> list[MollifierKernel]:
+    return [make_mollifier(e, 1 + grid.spatial_dim, grid)
             for e in _check_ladder(eps_ladder)]
 
 

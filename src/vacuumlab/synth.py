@@ -416,7 +416,7 @@ def riemann_solution(spec: RiemannSpec, grid: GridSpec,
 # Viscous stress
 # ---------------------------------------------------------------------------
 
-def ns_stress(u: Field, mu: float, nu: float, order: int = 4) -> Field:
+def ns_stress(u: Field, mu: float, nu: float) -> Field:
     """S = mu (grad u + grad u^T - (2/3) div u I) + nu div u I.
 
     Returned as a d*d-component field, row-major (S_ij at index i*d + j);
@@ -430,7 +430,7 @@ def ns_stress(u: Field, mu: float, nu: float, order: int = 4) -> Field:
     gradu = np.empty(u.grid.shape + (d, d))
     for i in range(d):
         for j in range(d):
-            gradu[..., i, j] = dspace(u.component(i), 1 + j, order).values[..., 0]
+            gradu[..., i, j] = dspace(u.component(i), 1 + j).values[..., 0]
     divu = np.trace(gradu, axis1=-2, axis2=-1)
     eye = np.eye(d)
     S = mu * (gradu + np.swapaxes(gradu, -1, -2)
@@ -439,14 +439,14 @@ def ns_stress(u: Field, mu: float, nu: float, order: int = 4) -> Field:
     return Field(u.grid, S.reshape(u.grid.shape + (d * d,)))
 
 
-def stress_contract_grad(S: Field, u: Field, order: int = 4) -> Field:
+def stress_contract_grad(S: Field, u: Field) -> Field:
     """Node-wise S : grad u (the viscous dissipation density)."""
     d = u.grid.spatial_dim
     out = np.zeros(u.grid.shape)
     for i in range(d):
         for j in range(d):
             out += (S.values[..., i * d + j]
-                    * dspace(u.component(i), 1 + j, order).values[..., 0])
+                    * dspace(u.component(i), 1 + j).values[..., 0])
     return Field(u.grid, out)
 
 

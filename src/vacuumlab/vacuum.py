@@ -41,19 +41,25 @@ from .rates import RateFit, fit_rate
 
 ATOL_FACTOR = 1e-13
 
+# A QNS check tests radius r only at region nodes at least r / EPS0 from
+# the region's boundary: its clearance from where the tested bound ends.
+EPS0 = 0.25
+
 
 def vacuum_floor(w: Field) -> float:
-    """Numerical-vacuum threshold of ``w``.  The ratios of mollified fields
-    still test ``> 0.0``: this floor would move the benchmark's recorded
-    numbers, so they move to it when those are re-recorded."""
+    """Numerical-vacuum threshold of ``w``, for the vacuum sets and the
+    commutators' vacuum mask.  The w/w_e quotient (``_guarded_ratio``)
+    still tests ``> 0.0``: this floor would move the benchmark's recorded
+    numbers, so the quotient moves to it when those are re-recorded."""
     return ATOL_FACTOR * max(float(w.values.max()), 1.0)
 
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den where den > 0 (not ``vacuum_floor``); else inf or 0.
-
-    A positive den under 1e-300 divides by 1e-300.  The quotient is formed
-    in one output buffer; the nodes with den not > 0 are then set.
+    """num / den where den > 0 (not ``vacuum_floor``); else inf where
+    num > 0, and 0.  The module's one quotient by a mollified field: the
+    relative defect of w >= 0 is ``_guarded_ratio(w_e - w, w_e)``, never
+    inf.  A positive den under 1e-300 divides by 1e-300.  The quotient is
+    formed in one output buffer; the nodes with den not > 0 are then set.
     """
     out = np.maximum(den, 1e-300)
     np.divide(num, out, out=out)
@@ -96,15 +102,14 @@ class VacuumSets:
 
 
 def build_vacuum_sets(rho: Field, kernel: MollifierKernel, beta: float,
-                      atol: float | None = None,
                       rho_e: Field | None = None) -> VacuumSets:
-    """The A/B/C split of ``rho_e``, mollifying ``rho`` unless given it."""
+    """The A/B/C split of ``rho_e``, mollifying ``rho`` unless given it;
+    A is where ``rho_e`` is at most ``vacuum_floor(rho)``."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     if float(rho.values.min()) < 0:
         raise ValueError("density must be non-negative")
-    if atol is None:
-        atol = vacuum_floor(rho)
+    atol = vacuum_floor(rho)
     if rho_e is None:
         rho_e = mollify(rho, kernel)
     r0 = restrict(rho, rho_e.grid)
@@ -119,16 +124,15 @@ def build_vacuum_sets(rho: Field, kernel: MollifierKernel, beta: float,
 
 
 def ratio_condition(rho: Field, kernel: MollifierKernel, beta: float,
-                    q: float, atol: float | None = None,
-                    strict_band: bool = False) -> float:
+                    q: float, strict_band: bool = False) -> float:
     """||(rho_e - rho)/rho_e||_Lq over the thin band, 0 where masked out."""
     rho_e = mollify(rho, kernel)
-    sets = build_vacuum_sets(rho, kernel, beta, atol, rho_e=rho_e)
+    sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
     mask = sets.B_strict if strict_band else sets.B
     r0 = restrict(rho, rho_e.grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (rho_e.values - r0.values) / rho_e.values
-    ratio = np.where(mask[..., None], ratio, 0.0)
+    ratio = np.where(mask[..., None],
+                     _guarded_ratio(rho_e.values - r0.values, rho_e.values),
+                     0.0)
     return lp_norm(Field(rho_e.grid, ratio), q, mask=mask)
 
 
@@ -157,9 +161,7 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
             raise VacuumSingularityError(
                 "mollified field vanishes inside the region"
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs((we.values - w0.values) / we.values)
-        ratio = np.where(we.values > 0.0, ratio, 0.0)
+        ratio = np.abs(_guarded_ratio(we.values - w0.values, we.values))
         values.append(lp_norm(Field(we.grid, ratio), 1, mask=mask))
     eps = [k.epsilon for k in kernel_ladder]
     span = math.log2(eps[0] / eps[-1])
@@ -187,18 +189,18 @@ class ReciprocalReport:
 
 
 def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
-                                  kernel_ladder: list,
-                                  atol: float | None = None) -> ReciprocalReport:
+                                  kernel_ladder: list) -> ReciprocalReport:
     """Bound ||(w_e - w)/w_e||_Lr by ||w_e - w||_Lq * ||1/w||_Lp per rung.
 
-    Requires 1/p + 1/q <= 1/r; the left side must also decay along the
-    ladder when the reciprocal norm is finite.
+    Requires 1/p + 1/q <= 1/r and w >= 0; the left side must also decay
+    along the ladder when the reciprocal norm is finite.  1/w is taken
+    where w exceeds ``vacuum_floor(w)``.
     """
     if 1.0 / p + 1.0 / q > 1.0 / r + 1e-12:
         raise ExponentRelationError("need 1/p + 1/q <= 1/r")
-    if atol is None:
-        atol = vacuum_floor(w)
-    pos = w.values[..., 0] > atol
+    if float(w.values.min()) < 0:
+        raise ValueError("w must be non-negative")
+    pos = w.values[..., 0] > vacuum_floor(w)
     recip = np.where(pos, 1.0 / np.where(pos, w.values[..., 0], 1.0), 0.0)
     recip_norm = lp_norm(Field(w.grid, recip), p, mask=pos)
 
@@ -208,9 +210,7 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
         we = mollify(w, ker)
         w0 = restrict(w, we.grid)
         diff = we - w0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = diff.values / we.values
-        ratio = np.where(we.values > 0.0, ratio, 0.0)
+        ratio = _guarded_ratio(diff.values, we.values)
         lhs = lp_norm(Field(we.grid, ratio), r)
         bound = lp_norm(diff, q) * recip_norm
         entries.append({"epsilon": ker.epsilon, "lhs": lhs, "bound": bound,
@@ -283,7 +283,7 @@ def _qns_region(w: Field, region_mask: np.ndarray | None):
 
 
 def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
-                    rows: slice, radius_ladder, eps0: float):
+                    rows: slice, radius_ladder):
     """Worst ratio of w to its ball average over the allowed region nodes
     of the time slices ``rows``, and its witness (None if no ratio beats 0).
 
@@ -294,7 +294,7 @@ def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
     witness = None
     for r in radius_ladder:
         avg = _ball_average(w, r)
-        allowed = region_mask[rows] & (dist[None, ...] * eps0 >= r)
+        allowed = region_mask[rows] & (dist[None, ...] * EPS0 >= r)
         if not allowed.any():
             continue
         ratio = np.where(allowed, _guarded_ratio(w.values[rows, ..., 0],
@@ -308,12 +308,11 @@ def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
 
 
 def qns_check(w: Field, region_mask: np.ndarray | None,
-              radius_ladder: list, C: float,
-              eps0: float = 0.25) -> dict:
+              radius_ladder: list, C: float) -> dict:
     """w(x) <= (C/|B_r|) int_{B_r(x)} w for region nodes and ladder radii.
 
-    Radii are only tested at nodes farther than r/eps0 from the region
-    boundary.  Returns the empirical constant (worst ratio of the value
+    A radius r is only tested at nodes at least r / ``EPS0`` (4r) from
+    the region boundary.  Returns the empirical constant (worst ratio of the value
     to its ball average) and the witness node.  Ball averages cover every
     time slice; when ``w`` and the region mask repeat their first slice
     bit for bit (a time-independent field), the ratios and their maximum
@@ -321,14 +320,14 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
     """
     region_mask, dist, rows = _qns_region(w, region_mask)
     worst, witness = _ball_ratio_max(w, region_mask, dist, rows,
-                                     radius_ladder, eps0)
+                                     radius_ladder)
     return {"pass": worst <= C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
 
 def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
                          region_mask: np.ndarray, dist: np.ndarray,
-                         rows: slice, eps0: float) -> float:
+                         rows: slice) -> float:
     """sup of w / w_e over region nodes clear of the region boundary, on
     the time slices ``rows`` of a spatial kernel's result (a space-time
     kernel's slices differ in their rounding, so it reads them all)."""
@@ -338,7 +337,7 @@ def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
     if ker.include_time:
         rows = slice(None)
     allowed = (region_mask[j0:j0 + we.grid.shape[0]][rows]
-               & (dist[None, ...] * eps0 >= ker.epsilon))
+               & (dist[None, ...] * EPS0 >= ker.epsilon))
     if not allowed.any():
         return 0.0
     ratio = _guarded_ratio(w0.values[rows, ..., 0], we.values[rows, ..., 0])
@@ -347,8 +346,7 @@ def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
 
 def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
                               kernel_ladder: list, M: float,
-                              C: float | None = None,
-                              eps0: float = 0.25) -> dict:
+                              C: float | None = None) -> dict:
     """Both directions of the ball-average / mollifier comparison.
 
     Forward: a fixed ball-average constant C implies w <= (3^N C /
@@ -366,11 +364,11 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
 
     per_rung = []
     for ker in kernel_ladder:
-        M_emp = _mollifier_ratio_max(w, ker, region_mask, dist, rows, eps0)
+        M_emp = _mollifier_ratio_max(w, ker, region_mask, dist, rows)
         C_emp, _ = _ball_ratio_max(w, region_mask, dist, rows,
-                                   [ker.epsilon / 3.0], eps0)
+                                   [ker.epsilon / 3.0])
         C_ball, _ = _ball_ratio_max(w, region_mask, dist, rows,
-                                    [ker.epsilon], eps0)
+                                    [ker.epsilon])
         per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
                          "C_emp": C_emp, "C_ball": C_ball})
     if C is None:
@@ -450,6 +448,8 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
+    if float(f.values.min()) < 0:
+        raise ValueError("f must be non-negative")
     i_list = [int(i) for i in i_list]
     if len(i_list) < 3:
         raise ValueError("need at least 3 ladder entries")
@@ -472,12 +472,10 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
         fe = moll(moll.crop(f)).values[..., 0]
         if fe.shape[1] != b - a:  # the widened box wraps: the whole line
             fe = fe[:, a:b]
-        fs = f.values[:, a:b, 0]
-        pos = fs > 0.0
-        if np.any(pos & (fe <= 0.0)):
+        # inf exactly where f > 0 and f_e is vacuum
+        ratio = _guarded_ratio(f.values[:, a:b, 0], fe)
+        if np.isinf(ratio).any():
             raise VacuumSingularityError("mollified field vanishes on a spike")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(pos, fs / np.maximum(fe, 1e-300), 0.0)
         # lp_norm rejects a non-finite ratio
         local = lp_norm(Field._wrap(spike, ratio), p)
         samples.append((i, eps, local / eps))

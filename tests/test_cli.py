@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from vacuumlab import cli, grids
+from vacuumlab import cli, energy, grids
 from vacuumlab.cli import load_config, main
 from vacuumlab.errors import ConfigError
-from vacuumlab.grids import load_field
+from vacuumlab.grids import Field, load_field
 from vacuumlab.synth import simple_wave
 
 
@@ -155,6 +155,30 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg["ladders"]["eps"] == [0.1, 0.05, 0.025]
 
+    @pytest.mark.parametrize("kind,key,generator", [
+        ("rates", "eps", "levels = 8"),
+        ("vacuum", "eps", "kind = abs"),
+        ("counterexample", "i", ""),
+        ("budget", "eps", ""),
+        ("qns", "radius", "kind = abs"),
+        ("boundary", "delta", ""),
+        ("boundary", "nu", ""),
+    ])
+    def test_empty_ladder_is_a_config_error(self, tmp_path, capsys, kind,
+                                            key, generator):
+        # each generator clears the Nyquist check, so only the empty
+        # ladder stands between the config and the study
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = {kind}\n"
+                            f"output = {out}\n[generator]\n{generator}\n"
+                            f"[ladders]\n; no rungs\n{key} = ,\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: {path}:8: {key!r} needs at least one "
+                       f"value\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_ns_study_passes_and_writes_report(self, tmp_path, capsys):
@@ -224,6 +248,31 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
                             lambda *args: calls.append(1) or direct(*args))
         assert main(["run", str(cfg)]) == 0
         assert bool(calls) == touches_vacuum
+
+    def test_no_violation_reports_the_faster_end(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # flow through the right end only: the row reports the speed its
+        # verdict tests, not the left end's
+        acoustic, speeds = cli._acoustic_pair, []
+
+        def right_flow(config, grid, law):
+            rho, u = acoustic(config, grid, law)
+            x = grid.axis_coords(1)
+            u = Field(grid, u.values + 5e-3 * x[None, :, None] ** 20)
+            speeds.append(energy._boundary_speed(u))
+            return rho, u
+
+        monkeypatch.setattr(cli, "_acoustic_pair", right_flow)
+        cfg = write_config(tmp_path, "[study]\nkind = boundary\n"
+                                     f"output = {tmp_path / 'out'}\n")
+        main(["run", str(cfg)])  # exit 2: the other rows see the flow
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        row, = (a for a in report["assertions"] if a["name"] == "no_violation")
+        (left, right), = speeds
+        assert left < 1e-6 < 4e-3 < right < energy.BOUNDARY_TOL
+        assert row["value"] == right
+        assert row["bound"] == energy.BOUNDARY_TOL
+        assert row["passed"]
 
     def test_failing_assertion_exit_code_and_json(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""\

@@ -160,11 +160,10 @@ def _oracle_tensor_divergence(T, grid, d):
     return Field(grid, out)
 
 
-def _oracle_commutators(rho, law, phi, mollified, atol=None):
+def _oracle_commutators(rho, law, phi, mollified):
     """The chained-Field formula of the four terms, kept as the oracle,
     with the pressure law applied to max(rho_e, 0)."""
-    if atol is None:
-        atol = vacuum.ATOL_FACTOR * max(float(rho.values.max()), 1.0)
+    atol = vacuum.ATOL_FACTOR * max(float(rho.values.max()), 1.0)
     rho_e, u_e, m_e, mm_e, p_e = mollified
     d = u_e.components
 
@@ -450,8 +449,8 @@ class TestRSTerms:
         rep = R_S_terms(rho, u, law, ker, PHI, beta=0.5)
         assert len(calls) == 4
 
-        def own_rho_e(rho, kernel, beta, atol=None, rho_e=None):
-            return vacuum.build_vacuum_sets(rho, kernel, beta, atol)
+        def own_rho_e(rho, kernel, beta, rho_e=None):
+            return vacuum.build_vacuum_sets(rho, kernel, beta)
 
         monkeypatch.setattr(commutators, "build_vacuum_sets", own_rho_e)
         calls.clear()

@@ -1013,12 +1013,12 @@ class TestCalculus:
         mask[:, : small_grid.shape[1] // 2] = True
         assert lp_norm(f, 2, mask=mask) == pytest.approx(2.0 / np.sqrt(2), rel=1e-12)
 
-    @pytest.mark.parametrize("order,tol", [(2, 2e-3), (4, 2e-6)])
+    @pytest.mark.parametrize("order,tol", [(4, 2e-6)])
     def test_spatial_derivative_order(self, order, tol):
         g = GridSpec(1, (8, 256), (1.0, 1.0))
         f = from_function(g, lambda t, x: np.sin(2 * np.pi * x))
         exact = from_function(g, lambda t, x: 2 * np.pi * np.cos(2 * np.pi * x))
-        err = lp_norm(dspace(f, 1, order=order) - exact, np.inf)
+        err = lp_norm(dspace(f, 1) - exact, np.inf)
         assert err < tol
 
     def test_ddt_shrinks_time(self, small_grid):
@@ -1039,14 +1039,12 @@ class TestCalculus:
         assert np.allclose(div(f).values, grad(f).values, atol=1e-12)
 
 
-def roll_central_diff(vals, axis, h, order, periodic):
-    """The finite-difference stencil as a sum of rolled copies (the
-    oracle for ``grids._central_diff``)."""
-    stencil = {2: {1: 0.5, -1: -0.5},
-               4: {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}}[order]
-    trim = order // 2
+def roll_central_diff(vals, axis, h, periodic):
+    """The 4th-order stencil as a sum of rolled copies (the oracle for
+    ``grids._central_diff``)."""
+    trim = 2
     out = np.zeros_like(vals)
-    for off, c in stencil.items():
+    for off, c in {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}.items():
         out += c * np.roll(vals, -off, axis=axis)
     out /= h
     if periodic:
@@ -1057,7 +1055,7 @@ def roll_central_diff(vals, axis, h, order, periodic):
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 3])
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [4])  # names the cases, seeds their data
 @pytest.mark.parametrize("shape", [(12, 16, 2), (10, 12, 14, 3)])
 def test_central_diff_matches_rolled_stencil_bitwise(shape, order, block_rows,
                                                      monkeypatch):
@@ -1068,8 +1066,8 @@ def test_central_diff_matches_rolled_stencil_bitwise(shape, order, block_rows,
     if block_rows is not None:  # several blocks of time slices, one short
         monkeypatch.setattr(grids, "_FD_BLOCK_BYTES", block_rows * vals[0].nbytes)
     for axis in range(len(shape) - 1):  # time is axis 0, not periodic
-        got = grids._central_diff(vals, axis, 0.1, order)
-        want = roll_central_diff(vals, axis, 0.1, order, periodic=axis > 0)
+        got = grids._central_diff(vals, axis, 0.1)
+        want = roll_central_diff(vals, axis, 0.1, periodic=axis > 0)
         assert got[1] == want[1]
         assert got[0].shape == want[0].shape
         assert got[0].tobytes() == want[0].tobytes()

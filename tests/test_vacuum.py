@@ -93,8 +93,8 @@ class TestRatioCondition:
         val = ratio_condition(rho, ker, 0.5, 2, strict_band=strict_band)
         assert len(calls) == 1
 
-        def own_rho_e(rho, kernel, beta, atol=None, rho_e=None):
-            return build_vacuum_sets(rho, kernel, beta, atol)
+        def own_rho_e(rho, kernel, beta, rho_e=None):
+            return build_vacuum_sets(rho, kernel, beta)
 
         monkeypatch.setattr(vacuum, "build_vacuum_sets", own_rho_e)
         calls.clear()
@@ -141,6 +141,14 @@ class TestReciprocalIntegrability:
             w, 4, 4, 2, spatial_kernels(GRID, [0.2, 0.1, 0.05, 0.025, 0.0125]))
         assert rep.holds()
         assert rep.reciprocal_norm < np.inf
+
+    def test_negative_field_rejected(self):
+        # a signed w could give w_e - w > 0 where w_e <= 0
+        w = from_function(GRID, lambda t, x: x - 0.5)
+        with pytest.raises(ValueError, match="w must be non-negative"):
+            reciprocal_integrability_rate(
+                w, 4, 4, 2, spatial_kernels(GRID, [0.2, 0.1, 0.05, 0.025,
+                                                   0.0125]))
 
 
 class TestQns:
@@ -342,6 +350,79 @@ def test_guarded_ratio_matches_the_where_expression():
     assert new.tobytes() == old.tobytes()
 
 
+class TestQuotientOracle:
+    """The four w/w_e quotients, frozen in the ``np.where(w_e > 0.0, ...)``
+    forms they had before they shared ``_guarded_ratio``, give the same
+    bits on a field that touches vacuum, on either branch."""
+
+    @staticmethod
+    def old_ratio_condition(rho, kernel, beta, q):
+        rho_e = grids.mollify(rho, kernel)
+        sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
+        r0 = grids.restrict(rho, rho_e.grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (rho_e.values - r0.values) / rho_e.values
+        ratio = np.where(sets.B[..., None], ratio, 0.0)
+        return grids.lp_norm(Field(rho_e.grid, ratio), q, mask=sets.B)
+
+    @staticmethod
+    def old_defects(w, ladder, relative):
+        """Per rung, the L1 norm of |w_e - w| / w_e (``relative``, as
+        ``l1_ratio_lemma_check``) or the L2 norm of the signed quotient
+        (as ``reciprocal_integrability_rate``)."""
+        out = []
+        for ker in ladder:
+            we = grids.mollify(w, ker)
+            w0 = grids.restrict(w, we.grid)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = (we.values - w0.values) / we.values
+            ratio = np.where(we.values > 0.0, ratio, 0.0)
+            out.append(grids.lp_norm(Field(we.grid, np.abs(ratio)), 1)
+                       if relative else
+                       grids.lp_norm(Field(we.grid, ratio), 2))
+        return out
+
+    @staticmethod
+    def old_blowup_samples(f, p, i_list):
+        x = f.grid.axis_coords(1)
+        samples = []
+        for i in i_list:
+            eps = 1.0 / (2.0 * i * i)
+            nodes = np.flatnonzero((x >= 1.0 / i) & (x <= 1.0 / i + 2.0 ** -i))
+            a, b = nodes[0], nodes[-1] + 1
+            box = ((0, f.grid.shape[0]), (a, b))
+            moll = grids.Mollification(spatial_kernels(f.grid, [eps])[0],
+                                       f.grid, box=box)
+            fe = moll(moll.crop(f)).values[..., 0]
+            fs = f.values[:, a:b, 0]
+            pos = fs > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(pos, fs / np.maximum(fe, 1e-300), 0.0)
+            local = grids.lp_norm(Field(f.grid.subgrid(box), ratio), p)
+            samples.append((i, eps, local / eps))
+        return samples
+
+    @pytest.mark.parametrize("branch", ["direct", "fft"])
+    def test_shared_quotient_keeps_the_bits(self, branch, monkeypatch):
+        force_branch(monkeypatch, branch)
+        f = counterexample_field(9, 4096)
+        ladder = spatial_kernels(f.grid, [0.1, 0.05, 0.025, 0.0125, 0.00625])
+        assert (f.values == 0.0).any()
+
+        got = ratio_condition(f, ladder[1], 0.5, 2)
+        assert got > 0.0
+        assert got.hex() == self.old_ratio_condition(f, ladder[1], 0.5,
+                                                     2).hex()
+        got = l1_ratio_lemma_check(f, ladder)["values"]
+        assert _hexed(got) == _hexed(self.old_defects(f, ladder, True))
+        got = [e["lhs"] for e in reciprocal_integrability_rate(
+            f, 2, np.inf, 2, ladder).entries]
+        assert _hexed(got) == _hexed(self.old_defects(f, ladder, False))
+        i_list = [4, 5, 6, 7, 8, 9]
+        got = counterexample_blowup(f, 2.0, i_list)["samples"]
+        assert _hexed(got) == _hexed(self.old_blowup_samples(f, 2.0, i_list))
+
+
 class TestCounterexample:
     def test_field_mass(self):
         f = counterexample_field(8, 4096)
@@ -494,3 +575,6 @@ class TestCounterexample:
             counterexample_blowup(f, 1.0, [4, 6, 8])
         with pytest.raises(ValueError):
             counterexample_blowup(f, 2.0, [4, 6])
+        with pytest.raises(ValueError, match="f must be non-negative"):
+            counterexample_blowup(Field(f.grid, f.values - 0.5), 2.0,
+                                  [4, 6, 8])
