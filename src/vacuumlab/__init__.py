@@ -3,7 +3,6 @@
 from .errors import (
     AdmissibilityError,
     BlowupTimeError,
-    BoundaryConditionError,
     ConfigError,
     DomainExhaustedError,
     EmptyOverlapError,

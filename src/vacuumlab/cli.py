@@ -67,13 +67,13 @@ _SCHEMA = {
             "mu": (float, 1.0), "nu": (float, 0.5)},
     "grid": {"nt": (int, 512), "nx": (int, 512),
              "extent_t": (float, 1.0), "extent_x": (float, 1.0)},
-    "ladders": {"eps": ("floats", [2.0 ** -k for k in range(4, 9)]),
+    "ladders": {"eps": ("floats", [0.05, 0.04, 0.03, 0.02, 0.01]),
                 "delta": ("floats", [0.1, 0.05, 0.025, 0.0125, 0.00625]),
                 "nu": ("floats", [0.08, 0.04, 0.02]),
                 "radius": ("floats", [0.02, 0.01, 0.005]),
                 "i": ("ints", list(range(6, 13)))},
     "generator": {"kind": (str, "weierstrass"), "alpha": (float, 0.5),
-                  "beta": (float, 0.5), "levels": (int, 9),
+                  "beta": (float, 0.5), "levels": (int, 8),
                   "base_frequency": (int, 1), "amplitude": (float, 0.05),
                   "m": (float, 0.5), "p": (float, 2.0), "q": (float, 3.0),
                   "i_max": (int, 13)},
@@ -607,8 +607,9 @@ def cmd_export_field(args) -> int:
         if name == "counterexample":
             f = counterexample_field(10, 1 << 14, time_points=8)
         elif name == "weierstrass":
-            grid = GridSpec(1, (256, 1024), (1.0, 1.0))
-            f = weierstrass_field(WeierstrassSpec(0.5, 9, 1, seed=11), grid)
+            # top level 2^7 = 128 stays under Nyquist on both axes
+            grid = GridSpec(1, (512, 1024), (1.0, 1.0))
+            f = weierstrass_field(WeierstrassSpec(0.5, 8, 1, seed=11), grid)
         elif name == "simple-wave":
             grid = GridSpec(1, (256, 1024), (0.2, 1.0))
             f, _ = simple_wave(law, 0.05, grid)

@@ -14,8 +14,8 @@ from operator import iadd, imul, isub
 
 import numpy as np
 
-from .errors import VacuumSingularityError
 from .grids import (
+    STENCIL_REACH,
     Field,
     GridSpec,
     Mollification,
@@ -28,6 +28,7 @@ from .grids import (
     integrate,
     interior_time_slices,
     lp_norm,
+    require_nonnegative,
     restrict,
 )
 from .pressure import C2Approximant, PressureLaw
@@ -131,7 +132,7 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
 
     Each term pairs a density with phi, so only phi's support box matters.
     The inputs are mollified on that box widened by the reach of the
-    4th-order differences (``_STENCIL_REACH`` nodes), and the products
+    4th-order differences (``grids.STENCIL_REACH`` nodes), and the products
     rho u, rho u (x) u and p(rho) are formed only where that mollification
     reads; see ``Mollification`` for how a box is cut.  Values outside the
     box are never formed: an overflow there cannot raise, and no reported
@@ -143,12 +144,8 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     return commutators_from_mollified(rho, law, kernel, phi, mollified)
 
 
-# nodes a 4th-order central difference reads on each side
-_STENCIL_REACH = 2
-
-
 def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
-    """phi's support box on ``grid`` widened by ``_STENCIL_REACH``.
+    """phi's support box on ``grid`` widened by ``STENCIL_REACH``.
 
     None when phi vanishes on every interior node: the whole-grid path
     then pairs nothing and gives zero terms.
@@ -156,7 +153,7 @@ def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
     support = phi.support(grid)
     if support is None:
         return None
-    box = tuple((max(lo - _STENCIL_REACH, 0), min(hi + _STENCIL_REACH, n))
+    box = tuple((max(lo - STENCIL_REACH, 0), min(hi + STENCIL_REACH, n))
                 for (lo, hi), n in zip(support, grid.shape))
     if kernel.include_time:
         j0, j1 = interior_time_slices(grid, kernel.epsilon)
@@ -176,8 +173,7 @@ def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
     longer needed, and the spectrum is freed on return, so neither is
     alive during the commutator arithmetic.
     """
-    if float(rho.values.min()) < 0:
-        raise VacuumSingularityError("density has negative samples")
+    require_nonnegative(rho, "rho")
     if u.components != rho.grid.spatial_dim:
         raise ValueError("u needs one component per spatial axis")
     moll = Mollification(kernel, rho.grid, box=box)
@@ -204,10 +200,10 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     is the whole interior or a box; r1 loses the time stencil's rows at
     both ends and is paired on the support rows it keeps.  Outside the
     support phi is 0, and on a box the spatial differences wrap there.
-    The pressure law sees max(rho_e, 0), since FFT rounding can leave
-    rho_e slightly negative next to exact vacuum.  Overflow anywhere in a
-    paired density reaches its sum, which ``CommutatorReport`` rejects;
-    the s integrand is checked before the vacuum mask drops nodes.
+    rho_e may dip below 0 next to exact vacuum; the law reads that as 0
+    (see ``PressureLaw``).  Overflow anywhere in a paired density reaches
+    its sum, which ``CommutatorReport`` rejects; the s integrand is
+    checked before the vacuum mask drops nodes.
     """
     atol = vacuum_floor(rho)
     grid = mollified[0].grid
@@ -252,8 +248,7 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     r2 = pair(reduce(iadd, (r2_row(i) for i in range(d))))
 
     # r3 = u_e . grad(p(rho_e) - p(rho)_e)
-    rho_pos = np.maximum(rho_e[..., 0], 0.0)
-    p_comm = isub(law.p(rho_pos), p_e[..., 0])
+    p_comm = isub(law.p(rho_e[..., 0]), p_e[..., 0])
     r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
                             for j in range(d))))
     del p_comm
@@ -261,7 +256,7 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     # s = P'(rho_e) div(defect), set to 0 on the numerical vacuum
     s_dens = reduce(iadd, (diff(defect[..., i], 1 + i) for i in range(d)))
     del defect
-    s_dens *= law.dpotential(rho_pos)
+    s_dens *= law.dpotential(rho_e[..., 0])
     if not np.isfinite(s_dens).all():
         raise ValueError("s integrand is not finite")
     np.copyto(s_dens, 0.0, where=rho_e[..., 0] <= atol)
@@ -311,13 +306,13 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     gphi = phi.grad(sub)
 
     # R = int grad(p(rho_e) - p(rho)_e) . phi u_e, by parts:
-    p_comm = rho_e.map(lambda r: law.p(np.maximum(r, 0.0))) - p_e
+    p_comm = rho_e.map(law.p) - p_e
     R = -(integrate(p_comm * gphi.dot(u_e))
           + integrate(p_comm * phi_f * div(u_e)))
 
     # S in divergence form, vacuum integrand zeroed
     defect = rho_e * u_e - m_e
-    dP = law.dpotential(np.maximum(rho_e.values, 0.0))
+    dP = law.dpotential(rho_e.values)
     s_dens = np.where(sets.A[..., None], 0.0, div(defect).values * dP)
     S_total = integrate(phi_f * Field(sub, s_dens))
 
@@ -357,7 +352,7 @@ def _grad_dpotential(rho_e: Field, law: PressureLaw, vacuum_mask) -> Field:
     """grad P'(rho_e) = (p'(rho_e)/rho_e) grad rho_e, zeroed on the vacuum set."""
     g = grad(rho_e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = law.dp(np.maximum(rho_e.values, 0.0)) / rho_e.values
+        w = law.dp(rho_e.values) / rho_e.values
     w = np.where(vacuum_mask[..., None], 0.0, w)
     w = np.where(np.isfinite(w), w, 0.0)
     return Field(g.grid, g.values * w)
@@ -377,6 +372,7 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     grad-term: int grad(phi) . u_e [(p_delta - p)(rho)]_e, bounded by
                C ||phi||_C1 * delta * ||u||_L3.
     """
+    require_nonnegative(rho, "rho")
     gap_field = Field(rho.grid, approx.p(rho.values) - law.p(rho.values))
     moll = Mollification(kernel, rho.grid)
     gap_e, u_e = moll(gap_field), moll(u)

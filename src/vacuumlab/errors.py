@@ -25,12 +25,12 @@ class GridMemoryError(VacuumLabError):
     """Requested grid exceeds the configured node cap."""
 
 
-class NegativityError(VacuumLabError):
-    """A density field carries negative samples."""
+class NegativityError(VacuumLabError, ValueError):
+    """A density or weight has a sample below 0; a bad value, so a ValueError."""
 
 
 class VacuumSingularityError(VacuumLabError):
-    """A pressure-potential derivative was requested at zero density."""
+    """A mollified field is vacuum where the field itself is positive."""
 
 
 class AdmissibilityError(VacuumLabError):
@@ -43,10 +43,6 @@ class BlowupTimeError(VacuumLabError):
 
 class ExponentRelationError(VacuumLabError):
     """Integrability exponents violate the required relation."""
-
-
-class BoundaryConditionError(VacuumLabError):
-    """Normal velocity at the interval boundary exceeds tolerance."""
 
 
 class ConfigError(VacuumLabError):

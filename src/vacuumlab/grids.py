@@ -48,7 +48,7 @@ Conventions used throughout the package:
   cut down, bit for bit; the FFT branch agrees to rounding.
 * Finite differences are the one 4th-order central stencil, read as
   shifted slices of the samples; periodic axes wrap, and the
-  non-periodic time axis loses 2 slices at both ends.
+  non-periodic time axis loses ``STENCIL_REACH`` slices at both ends.
 * Finiteness is checked where values enter, not after every operation.
   ``Field(grid, values)`` scans its values, so synthesis,
   ``from_function``, ``load_field`` and user data are checked, and so is
@@ -83,6 +83,7 @@ from .errors import (
     EmptyOverlapError,
     GridMemoryError,
     InfeasibleKernelError,
+    NegativityError,
     ResolutionError,
 )
 
@@ -221,6 +222,12 @@ class GridSpec:
 def _require_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError("field values must be finite")
+
+
+def require_nonnegative(field: "Field", name: str) -> None:
+    """The one check that an input density (or weight w) is >= 0."""
+    if float(field.values.min()) < 0:
+        raise NegativityError(f"{name} must be non-negative")
 
 
 class Field:
@@ -374,19 +381,12 @@ class MollifierKernel:
     shape_parameter: float
 
     @property
-    def peak(self) -> float:
-        return 1.0 / self.epsilon ** self.dim
-
-    @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
     @property
     def half_widths(self) -> tuple[int, ...]:
         return tuple((n - 1) // 2 for n in self.weights.shape)
-
-    def mass(self) -> float:
-        return float(self.weights.sum() * self.cell_volume)
 
 
 def _solve_theta(mass) -> float:
@@ -894,6 +894,9 @@ def integrate(field: Field, mask: np.ndarray | None = None) -> float:
 # summed in this order, which fixes the bits of every derivative.
 _STENCIL = {2: -1 / 12, 1: 8 / 12, -1: -8 / 12, -2: 1 / 12}
 
+# How many nodes the stencil reads on each side of the node it differences.
+STENCIL_REACH = max(map(abs, _STENCIL))
+
 # Finite differences run in blocks of time slices of about this size, so
 # the block and its temporary stay in cache across the stencil terms.
 _FD_BLOCK_BYTES = 1 << 18
@@ -903,13 +906,13 @@ def _central_diff(vals: np.ndarray, axis: int,
                   h: float) -> tuple[np.ndarray, int]:
     """4th-order central difference along ``axis``: values and trim.
 
-    Axis 0 is time and not periodic: the result loses 2 slices (the trim)
-    at both ends.  The other axes are periodic.  Each term
+    Axis 0 is time and not periodic: the result loses ``STENCIL_REACH``
+    slices (the trim) at both ends.  The other axes are periodic.  Each term
     ``c * vals[i + off]`` is one multiply of shifted slices into a reused
     temporary, and the terms are summed in ``_STENCIL`` order starting
     from 0, so the result equals the sum of rolled copies bit for bit.
     """
-    trim = 2 if axis == 0 else 0
+    trim = STENCIL_REACH if axis == 0 else 0
     n = vals.shape[axis]
     if n <= 2 * trim:
         raise DomainExhaustedError("empty time range")

@@ -4,6 +4,7 @@ The law is p(rho) = kappa * rho**gamma with gamma in (1, 2), so p' is
 (gamma-1)-Hoelder with p'(0) = 0 and the second derivative blows up at
 vacuum like rho**(gamma-2).  The potential P(rho) = rho * int_1^rho
 p(r)/r^2 dr has the closed form kappa * (rho**gamma - rho) / (gamma - 1).
+Each law reads a density below 0 as 0 (see ``PressureLaw``).
 """
 
 from __future__ import annotations
@@ -12,13 +13,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativityError
-from .grids import Field, Mollification, MollifierKernel, lp_norm, mollify, restrict
+from .grids import (
+    Field,
+    Mollification,
+    MollifierKernel,
+    lp_norm,
+    mollify,
+    require_nonnegative,
+    restrict,
+)
 from .rates import RateFit, fit_rate, kernels_for_ladder
+
+
+def _density(rho) -> np.ndarray:
+    """max(rho, 0) as a fresh float array that p and dp may overwrite; 0-d
+    for a scalar, as numpy's scalar power can differ from its array loop."""
+    return np.asarray(np.maximum(rho, 0.0), float)
 
 
 @dataclass(frozen=True)
 class PressureLaw:
+    """p(rho) = kappa * rho**gamma on the density range [0, inf).
+
+    p(0) = p'(0) = 0, so the law extends below 0 by its value at 0: every
+    method reads max(rho, 0), and FFT rounding just below 0 next to exact
+    vacuum reads as vacuum.  ``C2Approximant`` follows the same rule.
+    """
+
     gamma: float
     kappa: float = 1.0
 
@@ -29,23 +50,29 @@ class PressureLaw:
             raise ValueError("kappa must be positive")
 
     def p(self, rho):
-        return self.kappa * np.asarray(rho, float) ** self.gamma
+        rho = _density(rho)  # in place: a whole-grid call holds one array
+        rho **= self.gamma
+        rho *= self.kappa
+        return rho[()]  # a scalar for a scalar
 
     def dp(self, rho):
-        return self.kappa * self.gamma * np.asarray(rho, float) ** (self.gamma - 1)
+        rho = _density(rho)
+        rho **= self.gamma - 1
+        rho *= self.kappa * self.gamma
+        return rho[()]
 
     def potential(self, rho):
         """P(rho), normalized so P(1) = 0."""
-        rho = np.asarray(rho, float)
+        rho = _density(rho)
         return self.kappa * (rho ** self.gamma - rho) / (self.gamma - 1)
 
     def dpotential(self, rho):
         """P'(rho) = kappa * (gamma * rho**(gamma-1) - 1) / (gamma - 1)."""
-        rho = np.asarray(rho, float)
+        rho = _density(rho)
         return self.kappa * (self.gamma * rho ** (self.gamma - 1) - 1) / (self.gamma - 1)
 
     def sound_speed(self, rho):
-        return np.sqrt(self.dp(np.asarray(rho, float)))
+        return np.sqrt(self.dp(rho))
 
 
 @dataclass(frozen=True)
@@ -62,7 +89,7 @@ class C2Approximant:
     rho_c: float
 
     def p(self, rho):
-        rho = np.asarray(rho, float)
+        rho = _density(rho)
         law = self.base
         below = rho < self.rho_c
         out = law.p(rho)
@@ -72,7 +99,7 @@ class C2Approximant:
         return np.where(below, taylor, out)
 
     def dp(self, rho):
-        rho = np.asarray(rho, float)
+        rho = _density(rho)
         law = self.base
         below = rho < self.rho_c
         return np.where(below,
@@ -97,7 +124,7 @@ class C2Approximant:
 
     def potential(self, rho):
         """P_delta(rho) = rho * int_1^rho p_delta(r)/r^2 dr, closed form."""
-        rho = np.asarray(rho, float)
+        rho = _density(rho)
         law = self.base
         rc = self.rho_c
         # expand the Taylor patch as a*r^2 + b*r + c
@@ -142,23 +169,17 @@ def make_c2_approximant(law: PressureLaw, delta: float,
     return approx
 
 
-def _require_nonnegative(rho: Field) -> None:
-    if float(rho.values.min()) < 0:
-        raise NegativityError("density has negative samples")
-
-
 def pressure_commutator(rho: Field, law: PressureLaw,
                         kernel: MollifierKernel) -> Field:
     """Node-wise p_eps(rho) - p(rho_eps) on the shrunk domain.
 
-    The law is applied to max(rho_eps, 0): FFT rounding can leave rho_eps
-    slightly negative next to exact vacuum.
+    Below 0, rho_eps reads as vacuum (see ``PressureLaw``).
     """
-    _require_nonnegative(rho)
+    require_nonnegative(rho, "rho")
     moll = Mollification(kernel, rho.grid)
     p_moll, rho_moll = moll(rho.map(law.p)), moll(rho)
     del moll  # free the kernel spectrum before the arithmetic
-    return p_moll - rho_moll.map(lambda r: law.p(np.maximum(r, 0.0)))
+    return p_moll - rho_moll.map(law.p)
 
 
 def commutator_rate(rho: Field, law: PressureLaw, q: float, eps_ladder,
@@ -168,7 +189,7 @@ def commutator_rate(rho: Field, law: PressureLaw, q: float, eps_ladder,
     For a density of shift regularity beta the fitted exponent should stay
     at or above gamma*beta even when the density touches zero.
     """
-    _require_nonnegative(rho)
+    require_nonnegative(rho, "rho")
     if q < 1:
         raise ValueError("q must be >= 1")
     samples = []
@@ -184,12 +205,11 @@ def holder_remainder_bound(rho: Field, law: PressureLaw,
 
     The analytic constant is kappa (from integrating the Hoelder modulus
     of p'); the empirical worst ratio is returned alongside the verdict.
-    p(rho_e) is taken at max(rho_e, 0), as in ``pressure_commutator``.
     """
-    _require_nonnegative(rho)
+    require_nonnegative(rho, "rho")
     re = mollify(rho, kernel)
     r0 = restrict(rho, re.grid)
-    lhs = np.abs(law.p(np.maximum(re.values, 0.0)) - law.p(r0.values)
+    lhs = np.abs(law.p(re.values) - law.p(r0.values)
                  - law.dp(r0.values) * (re.values - r0.values))
     gap = np.abs(r0.values - re.values) ** law.gamma
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -35,6 +35,7 @@ from .grids import (
     make_mollifier,
     mollify,
     repeats_first_slice,
+    require_nonnegative,
     restrict,
 )
 from .rates import RateFit, fit_rate
@@ -107,8 +108,7 @@ def build_vacuum_sets(rho: Field, kernel: MollifierKernel, beta: float,
     A is where ``rho_e`` is at most ``vacuum_floor(rho)``."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if float(rho.values.min()) < 0:
-        raise ValueError("density must be non-negative")
+    require_nonnegative(rho, "rho")
     atol = vacuum_floor(rho)
     if rho_e is None:
         rho_e = mollify(rho, kernel)
@@ -143,8 +143,7 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
     Passes when the last ladder value is within a factor 2 of the median,
     over a ladder spanning at least three dyadic decades.
     """
-    if float(w.values.min()) < 0:
-        raise ValueError("w must be non-negative")
+    require_nonnegative(w, "w")
     values = []
     for ker in kernel_ladder:
         we = mollify(w, ker)
@@ -198,8 +197,7 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
     """
     if 1.0 / p + 1.0 / q > 1.0 / r + 1e-12:
         raise ExponentRelationError("need 1/p + 1/q <= 1/r")
-    if float(w.values.min()) < 0:
-        raise ValueError("w must be non-negative")
+    require_nonnegative(w, "w")
     pos = w.values[..., 0] > vacuum_floor(w)
     recip = np.where(pos, 1.0 / np.where(pos, w.values[..., 0], 1.0), 0.0)
     recip_norm = lp_norm(Field(w.grid, recip), p, mask=pos)
@@ -269,8 +267,7 @@ def _qns_region(w: Field, region_mask: np.ndarray | None):
     """The region mask (everywhere if None), the distance of its nodes to
     its complement, and the time slices a ratio maximum needs: the first
     alone when ``w`` and the mask repeat their first slice, else all."""
-    if float(w.values.min()) < 0:
-        raise ValueError("w must be non-negative")
+    require_nonnegative(w, "w")
     if region_mask is None:
         region_mask = np.ones(w.grid.shape, dtype=bool)
     region_mask = np.broadcast_to(region_mask, w.grid.shape)
@@ -448,8 +445,7 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if float(f.values.min()) < 0:
-        raise ValueError("f must be non-negative")
+    require_nonnegative(f, "f")
     i_list = [int(i) for i in i_list]
     if len(i_list) < 3:
         raise ValueError("need at least 3 ladder entries")

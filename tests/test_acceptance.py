@@ -280,7 +280,7 @@ def test_criterion_11_bounded_domain_balance():
     good = global_energy_balance_bounded(rho, u, LAW, deltas, nus, 0.2, 0.8)
     rho_b, u_b = pair(0.1)
     bad = global_energy_balance_bounded(rho_b, u_b, LAW, deltas, nus,
-                                        0.2, 0.8, strict=False)
+                                        0.2, 0.8)
     ok = (good["boundary_slope"] >= 0.9 and good["energy_gap"] <= 1e-6
           and not good["boundary_violation"]
           and bad["boundary_violation"] and bad["boundary_plateau"] > 0.01)

@@ -68,11 +68,12 @@ class TestLoadConfig:
 
     def test_nyquist_generator_rejected_with_shipped_rates_defaults(
             self, tmp_path, capsys):
-        # default levels = 9 puts frequency 256 at the Nyquist limit of 512^2
+        # default levels = 8 puts frequency 128 at the Nyquist limit of 256^2
         out = tmp_path / "out"
-        path = write_config(tmp_path, f"[study]\nkind = rates\noutput = {out}\n")
-        with pytest.raises(ConfigError, match=r"levels = 9 \(the default\).*"
-                                              r"Nyquist limit 256"):
+        path = write_config(tmp_path, f"[study]\nkind = rates\noutput = {out}\n"
+                                      f"[grid]\nnt = 256\nnx = 256\n")
+        with pytest.raises(ConfigError, match=r"levels = 8 \(the default\).*"
+                                              r"Nyquist limit 128"):
             load_config(path)
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
@@ -97,12 +98,11 @@ class TestLoadConfig:
     ])
     def test_nyquist_check_applies_to_synthesised_generators(
             self, tmp_path, kind, generator, ok):
-        # the default budget ladder leaves 3 feasible rungs at 512^2, a
-        # config error of its own; four feasible rungs isolate Nyquist
-        ladder = ("[ladders]\neps = 0.05, 0.04, 0.03, 0.02\n"
-                  if kind == "budget" else "")
+        # default levels = 8 reaches Nyquist on 256^2, where the default
+        # budget ladder keeps the four feasible rungs a fit needs
         path = write_config(tmp_path, f"[study]\nkind = {kind}\noutput = o\n"
-                            f"[generator]\nkind = {generator}\n{ladder}")
+                            f"[grid]\nnt = 256\nnx = 256\n"
+                            f"[generator]\nkind = {generator}\n")
         if ok:
             load_config(path)
         else:
@@ -110,15 +110,16 @@ class TestLoadConfig:
                 load_config(path)
 
     def test_nyquist_limit_is_strict(self, tmp_path):
-        body = "[study]\nkind = rates\noutput = o\n[grid]\nnt = 514\nnx = 1024\n"
-        load_config(write_config(tmp_path, body))  # 256 < 514 // 2
+        body = "[study]\nkind = rates\noutput = o\n[grid]\nnt = 258\nnx = 1024\n"
+        load_config(write_config(tmp_path, body))  # 128 < 258 // 2
         with pytest.raises(ConfigError, match="Nyquist"):
-            load_config(write_config(tmp_path, body.replace("514", "513")))
+            load_config(write_config(tmp_path, body.replace("258", "257")))
 
     def test_budget_shipped_defaults_rejected(self, tmp_path, capsys):
-        # 512^2 admits eps = 2^-5, 2^-6, 2^-7 only; fit_rate needs 4 rungs
+        # 128^2 admits eps = 0.05, 0.04, 0.03 only; fit_rate needs 4 rungs
         out = tmp_path / "out"
-        path = write_config(tmp_path, f"[study]\nkind = budget\noutput = {out}\n")
+        path = write_config(tmp_path, f"[study]\nkind = budget\noutput = {out}\n"
+                                      f"[grid]\nnt = 128\nnx = 128\n")
         with pytest.raises(ConfigError, match=r"eps \(the default\) leaves 3 "
                                               r"feasible rungs.*needs 4"):
             load_config(path)
@@ -274,6 +275,46 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
         assert row["bound"] == energy.BOUNDARY_TOL
         assert row["passed"]
 
+    def test_boundary_violation_fails_its_row(self, tmp_path, monkeypatch,
+                                              capsys):
+        # flow through the right end above the tolerance: the study runs
+        # to its report and the no_violation row reads failed
+        acoustic = cli._acoustic_pair
+
+        def outflow(config, grid, law):
+            rho, u = acoustic(config, grid, law)
+            x = grid.axis_coords(1)
+            return rho, Field(grid, u.values + 2e-2 * x[None, :, None] ** 20)
+
+        monkeypatch.setattr(cli, "_acoustic_pair", outflow)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"[study]\nkind = boundary\n"
+                                     f"output = {out}\n")
+        assert main(["run", str(cfg)]) == 2
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        row, = (a for a in failures if a["name"] == "no_violation")
+        assert row["value"] > energy.BOUNDARY_TOL == row["bound"]
+        report = json.loads((out / "report.json").read_text())
+        assert not report["passed"]
+
+    @pytest.mark.parametrize("kind", cli.STUDY_KINDS)
+    def test_shipped_defaults_run(self, tmp_path, capsys, kind):
+        # a config of kind and output alone; the Weierstrass field is not
+        # QNS at C = 1, so qns fails its ball-average row and no other
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"[study]\nkind = {kind}\n"
+                                     f"output = {out}\n")
+        code = main(["run", str(cfg)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if kind == "qns":
+            assert code == 2
+            failures = json.loads(captured.out)["failures"]
+            assert [a["name"] for a in failures] == ["ball_average"]
+        else:
+            assert code == 0, captured.err
+        assert (out / "report.json").is_file()
+
     def test_failing_assertion_exit_code_and_json(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""\
 [study]
@@ -306,11 +347,12 @@ factor_max = 0.001
         assert "config error" in capsys.readouterr().err
 
     def test_study_error_names_kind_and_class(self, tmp_path, capsys):
-        # levels = 8 clears Nyquist at nx = 512, but the default eps ladder
-        # reaches 2^-8 < 3h, which the study itself rejects
+        # the config check passes a rates ladder, but eps = 2^-8 < 3h at
+        # nx = 512, which the study itself rejects
         path = write_config(tmp_path, f"[study]\nkind = rates\n"
                                       f"output = {tmp_path / 'out'}\n"
-                                      f"[generator]\nlevels = 8\n")
+                                      f"[ladders]\neps = 0.0625, 0.03125, "
+                                      f"0.015625, 0.0078125, 0.00390625\n")
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("rates study failed: ResolutionError: ")
@@ -421,6 +463,13 @@ class TestReport:
 
 
 class TestExportField:
+    @pytest.mark.parametrize("name", cli._EXPORTABLE)
+    def test_every_field_exports_and_loads(self, tmp_path, capsys, name):
+        assert main(["export-field", name, str(tmp_path / "f.bin")]) == 0
+        assert capsys.readouterr().err == ""
+        f = load_field(tmp_path / "f")
+        assert f.values.size > 0
+
     def test_sine_power_roundtrip(self, tmp_path, capsys):
         target = tmp_path / "field.csv"
         assert main(["export-field", "sine-power", str(target)]) == 0

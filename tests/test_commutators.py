@@ -14,7 +14,7 @@ from vacuumlab.commutators import (
     mollify_energy_inputs,
     pointwise_decomposition_check,
 )
-from vacuumlab.errors import VacuumSingularityError
+from vacuumlab.errors import NegativityError
 from vacuumlab.energy import mollified_energy_balance
 from vacuumlab.grids import (
     Field,
@@ -32,7 +32,7 @@ from vacuumlab.grids import (
     mollify,
     restrict,
 )
-from vacuumlab.pressure import make_c2_approximant
+from vacuumlab.pressure import make_c2_approximant, pressure_commutator
 from vacuumlab.synth import simple_wave
 from vacuumlab.testfn import spacetime_bump, time_bump
 
@@ -110,7 +110,7 @@ class TestEnergyCommutators:
     def test_negative_density_rejected(self, law):
         rho = from_function(GRID, lambda t, x: x - 0.5)
         u = constant_field(GRID, 0.0)
-        with pytest.raises(VacuumSingularityError):
+        with pytest.raises(NegativityError, match="rho must be non-negative"):
             energy_commutators(rho, u, law, make_mollifier(0.05, 2, GRID), PHI)
 
     @pytest.mark.parametrize("spatial_dim,eps,forward", [(1, 0.15, 6),
@@ -318,6 +318,18 @@ class TestWindowedCommutators:
         edge = spacetime_bump((0.5, 0.02), (0.25, 0.05))
         assert commutators._pairing_box(edge, g, ker)[1] == (0, 6)
 
+    def test_box_widens_by_the_stencil_reach(self):
+        # one reach: the stencil's widest offset, the time trim of a
+        # difference, and the widening of phi's box
+        reach = grids.STENCIL_REACH
+        assert reach == max(abs(off) for off in grids._STENCIL) == 2
+        assert grids._central_diff(np.zeros((9, 4)), 0, 1.0)[1] == reach
+        g = GridSpec(1, (64, 64), (1.0, 1.0))
+        phi = spacetime_bump((0.5, 0.5), (0.25, 0.25))
+        box = commutators._pairing_box(phi, g, make_mollifier(0.1, 2, g))
+        assert box == tuple((lo - reach, hi + reach)
+                            for lo, hi in phi.support(g))
+
     def test_phi_off_the_interior_gives_zero_terms(self, law):
         g, rho, u = _oracle_case(1, "positive")
         ker = make_mollifier(0.12, 2, g)  # interior rows [12, 84) of 96
@@ -338,9 +350,45 @@ class TestWindowedCommutators:
             assert a.values.tobytes() == b.values.tobytes()
 
 
+class _ClampedOldLaw:
+    """The law as it was before it owned its extension below 0, frozen,
+    applied to max(rho, 0): the form every call site that could see a
+    mollified density used to write.  On a density >= 0 the clamp is the
+    identity, so the sites that passed rho unclamped read the same."""
+
+    def __init__(self, law):
+        self.gamma, self.kappa = law.gamma, law.kappa
+
+    def p(self, rho):
+        return self.kappa * np.maximum(rho, 0.0) ** self.gamma
+
+    def dp(self, rho):
+        return self.kappa * self.gamma * np.maximum(rho, 0.0) ** (self.gamma - 1)
+
+    def potential(self, rho):
+        rho = np.maximum(rho, 0.0)
+        return self.kappa * (rho ** self.gamma - rho) / (self.gamma - 1)
+
+    def dpotential(self, rho):
+        rho = np.maximum(rho, 0.0)
+        return (self.kappa * (self.gamma * rho ** (self.gamma - 1) - 1)
+                / (self.gamma - 1))
+
+
+def _hex(value):
+    """Every float in a result, as float.hex, in a fixed order."""
+    if isinstance(value, Field):
+        return [float(v).hex() for v in value.values.ravel()]
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return float(value).hex() if isinstance(value, float) else value
+
+
 class TestVacuumPressure:
     """FFT rounding leaves rho_e near -2e-16 next to exact vacuum; the
-    pressure law must see max(rho_e, 0) there instead of giving NaN."""
+    pressure law reads it as vacuum instead of giving NaN."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -361,6 +409,26 @@ class TestVacuumPressure:
         rho, u, ker = case
         rep = R_S_terms(rho, u, law, ker, PHI, beta=0.5)
         assert all(np.isfinite(v) for v in rep.term_values.values())
+
+    @pytest.mark.parametrize("entry", [
+        lambda rho, u, law, ker: pressure_commutator(rho, law, ker),
+        lambda rho, u, law, ker: vars(energy_commutators(rho, u, law, ker,
+                                                         PHI)),
+        lambda rho, u, law, ker: vars(R_S_terms(rho, u, law, ker, PHI,
+                                                beta=0.5)),
+        lambda rho, u, law, ker: vars(mollified_energy_balance(rho, u, law,
+                                                               ker, PHI)),
+    ], ids=["pressure_commutator", "energy_commutators", "R_S_terms",
+            "mollified_energy_balance"])
+    def test_law_without_call_site_clamps_keeps_the_bits(self, law, case,
+                                                         entry):
+        rho, u, ker = case
+        rho_e = mollify(rho, ker).values
+        old = _ClampedOldLaw(law)
+        for name in ("p", "dp", "potential", "dpotential"):
+            assert (getattr(law, name)(rho_e).tobytes()
+                    == getattr(old, name)(rho_e).tobytes()), name
+        assert _hex(entry(rho, u, law, ker)) == _hex(entry(rho, u, old, ker))
 
 
 class TestOverflow:

@@ -11,10 +11,11 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from vacuumlab import grids
+from vacuumlab import commutators, energy, grids, pressure, vacuum
 from vacuumlab.errors import (
     DomainExhaustedError,
     InfeasibleKernelError,
+    NegativityError,
     ResolutionError,
 )
 from vacuumlab.grids import (
@@ -35,6 +36,8 @@ from vacuumlab.grids import (
     restrict,
     save_field,
 )
+from vacuumlab.pressure import PressureLaw, make_c2_approximant
+from vacuumlab.testfn import spacetime_bump
 from vacuumlab.vacuum import counterexample_field
 
 
@@ -1253,3 +1256,80 @@ def test_mollification_is_linear(c):
     lhs = mollify(Field(g, c * f.values), ker)
     rhs = mollify(f, ker)
     assert np.allclose(lhs.values, c * rhs.values, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def signed_case():
+    g = GridSpec(1, (32, 128), (1.0, 1.0))
+    signed = from_function(g, lambda t, x: np.sin(2 * np.pi * x) + 0.0 * t)
+    u = constant_field(g, 0.1)
+    law = PressureLaw(gamma=1.4)
+    ker = make_mollifier(0.1, 2, g)
+    spatial = [make_mollifier(e, 1, g, include_time=False) for e in (0.2, 0.1)]
+    phi = spacetime_bump((0.5, 0.5), (0.3, 0.3))
+    return {"f": signed, "u": u, "law": law, "ker": ker, "spatial": spatial,
+            "phi": phi, "approx": make_c2_approximant(law, 1e-3)}
+
+
+# entry point -> (the name its message gives the field, the call)
+_ENTRY_POINTS = {
+    "build_vacuum_sets": ("rho", lambda c: vacuum.build_vacuum_sets(
+        c["f"], c["ker"], 0.5)),
+    "ratio_condition": ("rho", lambda c: vacuum.ratio_condition(
+        c["f"], c["ker"], 0.5, 2)),
+    "l1_ratio_lemma_check": ("w", lambda c: vacuum.l1_ratio_lemma_check(
+        c["f"], c["spatial"])),
+    "reciprocal_integrability_rate": (
+        "w", lambda c: vacuum.reciprocal_integrability_rate(
+            c["f"], 4.0, 4.0, 2.0, c["spatial"])),
+    "qns_check": ("w", lambda c: vacuum.qns_check(
+        c["f"], None, [0.05], C=1.0)),
+    "qns_mollifier_equivalence": (
+        "w", lambda c: vacuum.qns_mollifier_equivalence(
+            c["f"], None, c["spatial"], M=3.0)),
+    "counterexample_blowup": ("f", lambda c: vacuum.counterexample_blowup(
+        c["f"], 2.0, [2, 3, 4])),
+    "pressure_commutator": ("rho", lambda c: pressure.pressure_commutator(
+        c["f"], c["law"], c["ker"])),
+    "commutator_rate": ("rho", lambda c: pressure.commutator_rate(
+        c["f"], c["law"], 2, [0.2, 0.1])),
+    "holder_remainder_bound": (
+        "rho", lambda c: pressure.holder_remainder_bound(
+            c["f"], c["law"], c["ker"])),
+    "energy_commutators": ("rho", lambda c: commutators.energy_commutators(
+        c["f"], c["u"], c["law"], c["ker"], c["phi"])),
+    "R_S_terms": ("rho", lambda c: commutators.R_S_terms(
+        c["f"], c["u"], c["law"], c["ker"], c["phi"], 0.5)),
+    "divmeasure_pressure_term": (
+        "rho", lambda c: commutators.divmeasure_pressure_term(
+            c["f"], c["u"], c["law"], c["approx"], c["ker"], c["phi"])),
+    "mollified_energy_balance": (
+        "rho", lambda c: energy.mollified_energy_balance(
+            c["f"], c["u"], c["law"], c["ker"], c["phi"])),
+    "energy_density": ("rho", lambda c: energy.energy_density(
+        c["f"], c["u"], c["law"])),
+    "energy_flux": ("rho", lambda c: energy.energy_flux(
+        c["f"], c["u"], c["law"])),
+    "local_energy_residual": (
+        "rho", lambda c: energy.local_energy_residual(
+            c["f"], c["u"], c["law"], c["phi"])),
+}
+
+
+class TestRequireNonnegative:
+    """One check owns non-negative input fields: every entry point that
+    takes a density or a weight w >= 0 rejects a signed one through it."""
+
+    def test_negativity_error_is_a_value_error(self):
+        assert issubclass(NegativityError, ValueError)
+        f = constant_field(GridSpec(1, (8, 8), (1.0, 1.0)), -1e-300)
+        with pytest.raises(ValueError, match=r"^w must be non-negative$"):
+            grids.require_nonnegative(f, "w")
+        grids.require_nonnegative(constant_field(f.grid, -0.0), "w")
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_entry_point_rejects_signed_field(self, signed_case, entry):
+        name, call = _ENTRY_POINTS[entry]
+        with pytest.raises(NegativityError,
+                           match=rf"^{name} must be non-negative$"):
+            call(signed_case)
