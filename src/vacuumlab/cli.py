@@ -57,9 +57,6 @@ from .energy import (
 
 REPORT_SCHEMA = "vacuumlab-report-1"
 
-STUDY_KINDS = ("rates", "vacuum", "counterexample", "budget", "qns",
-               "boundary", "ns")
-
 # section -> key -> (type, default); None default means required
 _SCHEMA = {
     "study": {"kind": (str, None), "output": (str, None), "seed": (int, 11)},
@@ -392,8 +389,8 @@ def _study_budget(config) -> dict:
             "assertions": assertions}
 
 
-def _acoustic_pair(config, grid, law):
-    amp = config["generator"]["amplitude"]
+def _acoustic_pair(amp, grid, law):
+    """A standing acoustic wave of velocity amplitude ``amp`` about rho = 1."""
     c = float(law.sound_speed(1.0))
     B = amp / c
     om = 2.0 * np.pi * c
@@ -408,7 +405,7 @@ def _study_boundary(config) -> dict:
     law = _law(config)
     grid = _grid(config)
     tol = config["tolerances"]
-    rho, u = _acoustic_pair(config, grid, law)
+    rho, u = _acoustic_pair(config["generator"]["amplitude"], grid, law)
     rep = global_energy_balance_bounded(rho, u, law,
                                         config["ladders"]["delta"],
                                         config["ladders"]["nu"],
@@ -460,15 +457,17 @@ def _study_ns(config) -> dict:
             "assertions": assertions}
 
 
+# in the order the config error lists them
 _STUDIES = {
     "rates": _study_rates,
-    "counterexample": _study_counterexample,
     "vacuum": _study_vacuum,
-    "qns": _study_qns,
+    "counterexample": _study_counterexample,
     "budget": _study_budget,
+    "qns": _study_qns,
     "boundary": _study_boundary,
     "ns": _study_ns,
 }
+STUDY_KINDS = tuple(_STUDIES)
 
 
 # ---------------------------------------------------------------------------
@@ -595,37 +594,32 @@ def cmd_report(args) -> int:
     return 0
 
 
-_EXPORTABLE = ("counterexample", "weierstrass", "simple-wave", "acoustic",
-               "sine-power")
+_EXPORT_LAW = PressureLaw(gamma=5.0 / 3.0)
+# field name -> builder of the field ``export-field`` writes
+EXPORT_FIELDS = {
+    "counterexample": lambda: counterexample_field(10, 1 << 14, time_points=8),
+    # top level 2^7 = 128 stays under Nyquist on both axes
+    "weierstrass": lambda: weierstrass_field(
+        WeierstrassSpec(0.5, 8, 1, seed=11),
+        GridSpec(1, (512, 1024), (1.0, 1.0))),
+    "simple-wave": lambda: simple_wave(
+        _EXPORT_LAW, 0.05, GridSpec(1, (256, 1024), (0.2, 1.0)))[0],
+    "acoustic": lambda: _acoustic_pair(
+        0.02, GridSpec(1, (256, 1024), (1.0, 1.0)), _EXPORT_LAW)[0],
+    "sine-power": lambda: vacuum_profile(
+        "sine-power", 0.5, GridSpec(1, (256, 1024), (1.0, 1.0))),
+}
 
 
 def cmd_export_field(args) -> int:
     name = args.field
     path = Path(args.path)
-    law = PressureLaw(gamma=5.0 / 3.0)
+    if name not in EXPORT_FIELDS:
+        print(f"usage error: unknown field {name!r}; choose from "
+              f"{', '.join(EXPORT_FIELDS)}", file=sys.stderr)
+        return 1
     try:
-        if name == "counterexample":
-            f = counterexample_field(10, 1 << 14, time_points=8)
-        elif name == "weierstrass":
-            # top level 2^7 = 128 stays under Nyquist on both axes
-            grid = GridSpec(1, (512, 1024), (1.0, 1.0))
-            f = weierstrass_field(WeierstrassSpec(0.5, 8, 1, seed=11), grid)
-        elif name == "simple-wave":
-            grid = GridSpec(1, (256, 1024), (0.2, 1.0))
-            f, _ = simple_wave(law, 0.05, grid)
-        elif name == "acoustic":
-            grid = GridSpec(1, (256, 1024), (1.0, 1.0))
-            c = float(law.sound_speed(1.0))
-            f = from_function(grid, lambda t, x:
-                              1.0 + 0.02 / c * np.cos(2 * np.pi * x)
-                              * np.cos(2 * np.pi * c * t))
-        elif name == "sine-power":
-            grid = GridSpec(1, (256, 1024), (1.0, 1.0))
-            f = vacuum_profile("sine-power", 0.5, grid)
-        else:
-            print(f"usage error: unknown field {name!r}; choose from "
-                  f"{', '.join(_EXPORTABLE)}", file=sys.stderr)
-            return 1
+        f = EXPORT_FIELDS[name]()
         fmt = "csv" if path.suffix == ".csv" else "bin"
         target = path.with_suffix("") if path.suffix in (".csv", ".bin") \
             else path

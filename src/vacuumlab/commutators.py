@@ -295,6 +295,7 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     product (rho_e - rho)(u_e - u) leading form of the mass-flux defect
     and its gap from the full defect are reported alongside.
     """
+    require_nonnegative(rho, "rho")
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     moll = Mollification(kernel, rho.grid)

@@ -5,6 +5,9 @@ The law is p(rho) = kappa * rho**gamma with gamma in (1, 2), so p' is
 vacuum like rho**(gamma-2).  The potential P(rho) = rho * int_1^rho
 p(r)/r^2 dr has the closed form kappa * (rho**gamma - rho) / (gamma - 1).
 Each law reads a density below 0 as 0 (see ``PressureLaw``).
+The C2 law p_delta is p's Taylor polynomial below the cut
+rho_c = (2 delta / (kappa (gamma-1) (2-gamma)))**(1/gamma): as p''' < 0,
+|p - p_delta| peaks at rho = 0, where it is delta.
 """
 
 from __future__ import annotations
@@ -86,7 +89,16 @@ class C2Approximant:
 
     delta: float
     base: PressureLaw
-    rho_c: float
+
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
+
+    @property
+    def rho_c(self) -> float:
+        """The cut (2 delta / (kappa (gamma-1) (2-gamma)))**(1/gamma)."""
+        g, k = self.base.gamma, self.base.kappa
+        return (2.0 * self.delta / (k * (g - 1) * (2 - g))) ** (1 / g)
 
     def p(self, rho):
         rho = _density(rho)
@@ -123,7 +135,8 @@ class C2Approximant:
         return float(np.max(np.abs(self.base.p(s) - self.p(s))))
 
     def potential(self, rho):
-        """P_delta(rho) = rho * int_1^rho p_delta(r)/r^2 dr, closed form."""
+        """P_delta(rho) = rho * int_1^rho p_delta(r)/r^2 dr, in closed form
+        as rho (G(rho) - G(1)) for one antiderivative G of p_delta(r)/r^2."""
         rho = _density(rho)
         law = self.base
         rc = self.rho_c
@@ -131,42 +144,30 @@ class C2Approximant:
         a = 0.5 * self._ddp_c()
         b = law.dp(rc) - self._ddp_c() * rc
         c = law.p(rc) - law.dp(rc) * rc + 0.5 * self._ddp_c() * rc ** 2
-        # antiderivative of p_delta(r)/r^2 with F(1) = 0; rc <= 1 assumed
-        def upper(r):   # for r >= rc, matches the base law
+
+        def upper(r):   # for r >= rc, the base law's, 0 at r = 1
             return law.kappa * (r ** (law.gamma - 1) - 1) / (law.gamma - 1)
 
-        def lower(r):   # for 0 < r < rc: integral of (a + b/r + c/r^2)
+        def G(r):       # below rc: upper(rc) + integral of (a + b/r + c/r^2)
+            above = np.asarray(np.maximum(r, rc))  # 0-d: see ``_density``
             rs = np.maximum(r, 1e-300)
-            return upper(rc) + a * (rs - rc) + b * np.log(rs / rc) - c * (1 / rs - 1 / rc)
+            below = (upper(rc) + a * (rs - rc) + b * np.log(rs / rc)
+                     - c * (1 / rs - 1 / rc))
+            return np.where(r >= rc, upper(above), below)
 
-        F = np.where(rho >= rc, upper(np.maximum(rho, rc)), lower(rho))
-        return rho * F
+        return rho * (G(rho) - G(1.0))
 
 
-def make_c2_approximant(law: PressureLaw, delta: float,
-                        rho_max: float = 10.0) -> C2Approximant:
-    """Choose the Taylor cut so the uniform gap on [0, rho_max] is <= delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    # gap scales like rho_c**gamma; bisect the cut downwards from rho_max
-    lo, hi = 0.0, rho_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == 0.0:
-            break
-        gap = C2Approximant(delta, law, mid).sup_gap(rho_max, 4001)
-        if gap > delta:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * rho_max:
-            break
-    rho_c = lo if lo > 0 else hi * 0.5
-    approx = C2Approximant(delta, law, rho_c)
-    if approx.sup_gap(rho_max) > delta * (1 + 1e-6):
-        # one safety notch down
-        approx = C2Approximant(delta, law, rho_c * 0.9)
-    return approx
+def make_c2_approximant(law: PressureLaw, delta: float) -> C2Approximant:
+    """The C2 law p_delta with sup |p - p_delta| = delta on [0, inf).
+
+    Below the cut rho_c, p - p_delta is the Taylor remainder of p at
+    rho_c.  Since p''' < 0 on (0, inf), it is positive and decreasing on
+    [0, rho_c), so it is largest at rho = 0, where it equals
+    kappa rho_c**gamma (gamma-1)(2-gamma)/2; above the cut it is 0.  So
+    rho_c = (2 delta / (kappa (gamma-1) (2-gamma)))**(1/gamma).
+    """
+    return C2Approximant(delta, law)
 
 
 def pressure_commutator(rho: Field, law: PressureLaw,

@@ -154,9 +154,13 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     """Right-moving 1D simple wave: u = u0 + 2(c(rho) - c(rho0))/(gamma-1).
 
     The initial density rho0 + amplitude*sin(2 pi x / L) is transported
-    along straight characteristics with speed u + c; the construction is
-    valid strictly before the characteristic crossing time, which is
-    computed and enforced.
+    along straight characteristics with speed lambda = u + c; the
+    construction is valid strictly before the characteristics cross, at
+    t* = 1 / max(-d lambda / d x0), which is enforced.  With A the
+    amplitude, k = 2 pi / L and m = (gamma-3)/2, d lambda / d x0 is
+    (gamma+1)/2 sqrt(kappa gamma) A k rho^m cos(k x0); it is least where
+    s = sin(k x0) is the root 2 m A / (rho0 + sqrt(rho0^2 + 4 m (1+m) A^2))
+    in (-1, 0) of (1+m) A s^2 + rho0 s - m A = 0 and cos(k x0) < 0.
 
     Each node's foot x0 of its characteristic solves x0 + lambda(x0) t = x
     by Newton's method.  Every iteration sweeps blocks of about
@@ -181,32 +185,28 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     def rho_init(x0):
         return rho0 + amplitude * np.sin(2.0 * np.pi * x0 / L)
 
-    def lam(x0):
-        r = rho_init(x0)
-        return u_of_rho(r) + c(r)
-
-    if amplitude > 0:
-        # blow-up time = 1 / max(-dlambda/dx0) over a dense sample
-        xs = np.linspace(0.0, L, 4096, endpoint=False)
-        dx = L / 4096
-        dlam = (lam((xs + dx) % L) - lam((xs - dx) % L)) / (2 * dx)
-        steep = -dlam.min()
-        if steep > 0:
-            t_star = 1.0 / steep
-            if grid.t_end >= t_star:
-                raise BlowupTimeError(
-                    f"final time {grid.t_end:.4g} >= characteristic crossing "
-                    f"time {t_star:.4g}"
-                )
-
-    tt = grid.axis_coords(0)[:, None]
-    xx = grid.axis_coords(1)[None, :]
-    x0 = np.broadcast_to(xx, grid.shape).copy()
-    # Newton iteration for x0 + lambda(x0) t = x, with
     # c = sqrt(kappa gamma) rho^((gamma-1)/2), lambda = u + c and
     # d lambda / d rho = u'(rho) + c'(rho) = (gamma+1)/2 * c/rho.
     k = 2.0 * np.pi / L
     c_scale = np.sqrt(law.kappa * g)
+    if amplitude > 0:
+        # crossing time 1 / max(-d lambda / d x0), in closed form
+        m = 0.5 * (g - 3.0)
+        s = 2.0 * m * amplitude / (rho0 + np.sqrt(
+            rho0 ** 2 + 4.0 * m * (1.0 + m) * amplitude ** 2))
+        rate = (0.5 * (g + 1.0) * c_scale * amplitude * k
+                * (rho0 + amplitude * s) ** m * np.sqrt(1.0 - s * s))
+        t_star = 1.0 / rate
+        if grid.t_end >= t_star:
+            raise BlowupTimeError(
+                f"final time {grid.t_end:.4g} >= characteristic crossing "
+                f"time {t_star:.4g}"
+            )
+
+    tt = grid.axis_coords(0)[:, None]
+    xx = grid.axis_coords(1)[None, :]
+    x0 = np.broadcast_to(xx, grid.shape).copy()
+    # Newton iteration for x0 + lambda(x0) t = x
     lam0 = u0 - 2.0 * c(rho0) / (g - 1.0)
     # The temporaries are reused buffers; each in-place step is one
     # operation of

@@ -126,6 +126,7 @@ def build_vacuum_sets(rho: Field, kernel: MollifierKernel, beta: float,
 def ratio_condition(rho: Field, kernel: MollifierKernel, beta: float,
                     q: float, strict_band: bool = False) -> float:
     """||(rho_e - rho)/rho_e||_Lq over the thin band, 0 where masked out."""
+    require_nonnegative(rho, "rho")
     rho_e = mollify(rho, kernel)
     sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
     mask = sets.B_strict if strict_band else sets.B

@@ -62,8 +62,12 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unknown_study_kind(self, tmp_path):
+        # the message lists the kinds the study table runs, in its order
+        assert cli.STUDY_KINDS == tuple(cli._STUDIES)
         path = write_config(tmp_path, "[study]\nkind = sorcery\noutput = o\n")
-        with pytest.raises(ConfigError, match="study kind"):
+        with pytest.raises(ConfigError, match="study kind must be one of "
+                           "rates, vacuum, counterexample, budget, qns, "
+                           "boundary, ns$"):
             load_config(path)
 
     def test_nyquist_generator_rejected_with_shipped_rates_defaults(
@@ -256,8 +260,8 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
         # verdict tests, not the left end's
         acoustic, speeds = cli._acoustic_pair, []
 
-        def right_flow(config, grid, law):
-            rho, u = acoustic(config, grid, law)
+        def right_flow(amp, grid, law):
+            rho, u = acoustic(amp, grid, law)
             x = grid.axis_coords(1)
             u = Field(grid, u.values + 5e-3 * x[None, :, None] ** 20)
             speeds.append(energy._boundary_speed(u))
@@ -281,8 +285,8 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
         # to its report and the no_violation row reads failed
         acoustic = cli._acoustic_pair
 
-        def outflow(config, grid, law):
-            rho, u = acoustic(config, grid, law)
+        def outflow(amp, grid, law):
+            rho, u = acoustic(amp, grid, law)
             x = grid.axis_coords(1)
             return rho, Field(grid, u.values + 2e-2 * x[None, :, None] ** 20)
 
@@ -463,7 +467,7 @@ class TestReport:
 
 
 class TestExportField:
-    @pytest.mark.parametrize("name", cli._EXPORTABLE)
+    @pytest.mark.parametrize("name", cli.EXPORT_FIELDS)
     def test_every_field_exports_and_loads(self, tmp_path, capsys, name):
         assert main(["export-field", name, str(tmp_path / "f.bin")]) == 0
         assert capsys.readouterr().err == ""
@@ -480,7 +484,21 @@ class TestExportField:
 
     def test_unknown_field(self, tmp_path, capsys):
         assert main(["export-field", "dragon", str(tmp_path / "f")]) == 1
-        assert "unknown field" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage error: unknown field 'dragon'; choose from counterexample, "
+            "weierstrass, simple-wave, acoustic, sine-power\n")
+
+    def test_acoustic_is_the_boundary_study_wave(self, tmp_path, capsys):
+        # the boundary study's pair at amplitude 0.02, on the export grid
+        assert main(["export-field", "acoustic", str(tmp_path / "f.bin")]) == 0
+        f = load_field(tmp_path / "f")
+        c = float(cli._EXPORT_LAW.sound_speed(1.0))
+        t = f.grid.axis_coords(0)[:, None]
+        x = f.grid.axis_coords(1)[None, :]
+        want = (1.0 + 0.02 / c * np.cos(2 * np.pi * x)
+                * np.cos(2 * np.pi * c * t))
+        assert f.grid.shape == (256, 1024)
+        assert f.values[..., 0].tobytes() == want.tobytes()
 
 
 class TestParser:

@@ -1333,3 +1333,16 @@ class TestRequireNonnegative:
         with pytest.raises(NegativityError,
                            match=rf"^{name} must be non-negative$"):
             call(signed_case)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_entry_point_rejects_before_convolving(self, signed_case, entry,
+                                                   monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a signed field was convolved")
+
+        for engine in ("_fft_convolve", "_direct_convolve"):
+            monkeypatch.setattr(grids, engine, refuse)
+        name, call = _ENTRY_POINTS[entry]
+        with pytest.raises(NegativityError,
+                           match=rf"^{name} must be non-negative$"):
+            call(signed_case)

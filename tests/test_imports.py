@@ -45,3 +45,12 @@ print(commutators.energy_commutators(rho, u, PressureLaw(5 / 3), ker, phi).total
 {SCIPY_LOADED}
 """
     assert run_fresh(code) == ["(360, 360)", "True", "[]"]
+
+
+def test_module_entry_point_prints_usage():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-m", "vacuumlab", "--help"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: vacuumlab ")
+    assert "{run,report,export-field}" in out.stdout

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
 from vacuumlab.errors import NegativityError
@@ -77,10 +80,8 @@ class TestExtensionBelowZero:
 
 
 class TestScalarsTakeTheArrayPath:
-    # numpy's scalar power and its array loop can differ in the last bit.
-    # C2Approximant.potential is left out: its own np.maximum(rho, rc)
-    # sends a scalar to scalar math
-    @pytest.mark.parametrize("owner,name", _law_methods()[:-1],
+    # numpy's scalar power and its array loop can differ in the last bit
+    @pytest.mark.parametrize("owner,name", _law_methods(),
                              ids=lambda v: v if isinstance(v, str)
                              else type(v).__name__)
     def test_scalar_equals_array_sample(self, owner, name):
@@ -91,7 +92,50 @@ class TestScalarsTakeTheArrayPath:
             assert float(fn(float(s))).hex() == float(a).hex()
 
 
+def bisected_cut(law, delta):
+    """Oracle for the cut: bisect c on a sampled sup over [0, c] of
+    p - T_c, with T_c the second-order Taylor polynomial of p at c."""
+    g, k = law.gamma, law.kappa
+
+    def gap(c):
+        h = np.linspace(0.0, c, 257) / c - 1.0
+        taylor = k * c ** g * (1.0 + g * h + 0.5 * g * (g - 1.0) * h ** 2)
+        return float(np.max(law.p(c * (1.0 + h)) - taylor))
+
+    lo, hi = 0.0, 1.0
+    while gap(hi) <= delta:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > delta:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestC2Approximant:
+    # gamma stays 0.01 from the ends of (1, 2): p_delta(0) sums terms of
+    # size kappa rho_c**gamma that cancel to (gamma-1)(2-gamma)/2 of that,
+    # so the gap's relative rounding error grows like 2/((gamma-1)(2-gamma))
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(1.01, 1.99), kappa=st.floats(0.1, 10.0),
+           delta=st.floats(1e-8, 0.1))
+    def test_cut_is_closed_form(self, gamma, kappa, delta):
+        law = PressureLaw(gamma, kappa)
+        approx = make_c2_approximant(law, delta)
+        gap0 = float(law.p(0.0) - approx.p(0.0))
+        assert gap0 == pytest.approx(delta, rel=1e-12)
+        assert approx.sup_gap(10.0) <= delta * (1 + 1e-6)
+        assert approx.rho_c == pytest.approx(bisected_cut(law, delta),
+                                             rel=1e-9)
+
+    def test_cut_is_derived_not_stored(self, law):
+        assert [f.name for f in dataclasses.fields(C2Approximant)] \
+            == ["delta", "base"]
+        assert (make_c2_approximant(law, 1e-2).rho_c
+                > make_c2_approximant(law, 1e-3).rho_c)
+
     def test_uniform_gap_within_budget(self, law):
         for delta in (1e-2, 1e-4):
             approx = make_c2_approximant(law, delta)
@@ -118,16 +162,26 @@ class TestC2Approximant:
                     * np.float64(0.0) ** (law.gamma - 2))
         assert not np.isfinite(bare)
 
-    @pytest.mark.parametrize("rho", [0.01, 0.5, 2.0])
-    def test_potential_matches_quadrature(self, law, rho):
-        approx = make_c2_approximant(law, 1e-2)
+    # delta = 0.2 puts the cut at 1.42, above the normalization point 1
+    @pytest.mark.parametrize("rho,delta", [
+        *(pytest.param(rho, 1e-2, id=str(rho))
+          for rho in (0.01, 0.5, 1.0, 2.0)),
+        *(pytest.param(rho, 0.2, id=f"{rho}-delta0.2")
+          for rho in (0.01, 0.5, 1.0, 1.2, 2.0))])
+    def test_potential_matches_quadrature(self, law, rho, delta):
+        approx = make_c2_approximant(law, delta)
+        rc = approx.rho_c
+        inside = min(1.0, rho) < rc < max(1.0, rho)
         val, _ = sp_integrate.quad(lambda r: approx.p(r) / r ** 2, 1.0, rho,
-                                   points=[approx.rho_c] if rho < approx.rho_c else None)
+                                   points=[rc] if inside else None)
         assert approx.potential(rho) == pytest.approx(rho * val, rel=1e-8)
 
     def test_rejects_nonpositive_delta(self, law):
-        with pytest.raises(ValueError):
-            make_c2_approximant(law, 0.0)
+        for delta in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                make_c2_approximant(law, delta)
+            with pytest.raises(ValueError, match="delta must be positive"):
+                C2Approximant(delta, law)
 
 
 class TestPressureCommutator:

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from vacuumlab import synth
 
@@ -222,6 +223,44 @@ class TestExactSolutions:
         g = GridSpec(1, (64, 128), (10.0, 1.0))
         with pytest.raises(BlowupTimeError):
             simple_wave(law, 0.5, g)
+
+    @pytest.mark.parametrize("gamma,kappa,amplitude,rho0,u0,L", [
+        (5.0 / 3.0, 1.0, 0.05, 1.0, 0.0, 1.0),
+        (1.05, 2.5, 0.5, 1.0, 0.3, 2.0),
+        (1.4, 0.7, 0.9, 1.0, -0.2, 1.0),
+        (1.95, 1.0, 0.3, 0.5, 0.0, 0.5),
+    ])
+    def test_simple_wave_guard_is_the_crossing_time(self, gamma, kappa,
+                                                    amplitude, rho0, u0, L):
+        # the grid may end just before the characteristics cross, not after
+        law = PressureLaw(gamma=gamma, kappa=kappa)
+        t_star = _crossing_time(law, amplitude, rho0, u0, L)
+        g = GridSpec(1, (8, 8), (t_star * (1 - 1e-9), L))
+        simple_wave(law, amplitude, g, rho0=rho0, u0=u0)
+        g = GridSpec(1, (8, 8), (t_star * (1 + 1e-9), L))
+        with pytest.raises(BlowupTimeError):
+            simple_wave(law, amplitude, g, rho0=rho0, u0=u0)
+
+
+def _crossing_time(law, amplitude, rho0, u0, L):
+    """Oracle for 1 / max(-d lambda / d x0), lambda = u + c of the initial
+    data: a complex-step derivative sampled at 4096 feet, and a bounded
+    scalar minimization around the steepest sample."""
+    g, h = law.gamma, 1e-30
+
+    def c(r):
+        return np.sqrt(law.kappa * g) * r ** (0.5 * (g - 1.0))
+
+    def dlam(x0):
+        r = rho0 + amplitude * np.sin(2.0 * np.pi * (x0 + 1j * h) / L)
+        lam = u0 + 2.0 * (c(r) - c(rho0)) / (g - 1.0) + c(r)
+        return lam.imag / h
+
+    xs = np.arange(4096) * (L / 4096)
+    i = int(np.argmin(dlam(xs)))
+    best = minimize_scalar(dlam, bounds=(xs[i] - L / 4096, xs[i] + L / 4096),
+                           method="bounded", options={"xatol": 1e-13})
+    return 1.0 / -min(best.fun, dlam(xs[i]))
 
 
 @functools.lru_cache(maxsize=None)
