@@ -21,7 +21,6 @@ from .grids import (
     Mollification,
     MollifierKernel,
     _central_diff,
-    align,
     ddt,
     div,
     grad,
@@ -110,12 +109,10 @@ def pointwise_decomposition_check(f: Field, g: Field,
 # Energy-balance commutators
 # ---------------------------------------------------------------------------
 
-def _outer(a: Field, b: Field) -> Field:
-    """Row-major outer product a_i b_j as a d*d-component field."""
-    d = a.components
-    grid, av, bv = align(a, b)
-    vals = (av[..., :, None] * bv[..., None, :]).reshape(grid.shape + (d * d,))
-    return Field._wrap(grid, vals)
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-major outer product a_i b_j of the last axes, as d*d components."""
+    d = a.shape[-1]
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (d * d,))
 
 
 def energy_commutators(rho: Field, u: Field, law: PressureLaw,
@@ -140,8 +137,8 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     densities on the whole interior grid.
     """
     box = _pairing_box(phi, rho.grid, kernel)
-    mollified = mollify_energy_inputs(rho, u, law, kernel, box)
-    return commutators_from_mollified(rho, law, kernel, phi, mollified)
+    return commutators_from_mollified(
+        rho, law, kernel, phi, mollify_energy_inputs(rho, u, law, kernel, box))
 
 
 def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
@@ -163,54 +160,67 @@ def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
 
 
 def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
-                          kernel: MollifierKernel, box=None) -> tuple:
-    """(rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e) for one kernel.
+                          kernel: MollifierKernel, box=None) -> list:
+    """[rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e] for one kernel.
 
     One ``Mollification`` transforms the kernel once for all five fields;
-    with a ``box`` the fields cover only that box, and rho u is formed
-    once, from rho and u cut to what the mollification reads.  Each input
-    is built just before it is mollified and dropped once it is no
-    longer needed, and the spectrum is freed on return, so neither is
-    alive during the commutator arithmetic.
+    with a ``box`` the fields cover only that box.  rho and u are read in
+    place (``Mollification.read``), never copied; p(rho), rho u and
+    rho u (x) u are formed from those views on the box the mollification
+    reads, each just before it is mollified and dropped right after
+    (p(rho) first, while no result is alive yet).  The spectrum is freed
+    on return.  ``commutators_from_mollified`` consumes the list.
     """
     require_nonnegative(rho, "rho")
     if u.components != rho.grid.spatial_dim:
         raise ValueError("u needs one component per spatial axis")
     moll = Mollification(kernel, rho.grid, box=box)
-    rho, u = moll.crop(rho), moll.crop(u)
-    m = rho * u
-    m_e, mm_e = moll(m), moll(_outer(m, u))
+    grid, rho_v, u_v = moll.input_grid, moll.read(rho), moll.read(u)
+    p_e = moll(Field(grid, law.p(rho_v)))
+    m = rho_v * u_v
+    m_e = moll(Field._wrap(grid, m))
+    mm = Field._wrap(grid, _outer(m, u_v))
     del m
-    rho_e, u_e = moll(rho), moll(u)
-    p = rho.map(law.p)
-    del rho, u  # p is the only input alive while it is mollified
-    return rho_e, u_e, m_e, mm_e, moll(p)
+    mm_e = moll(mm)
+    del mm
+    return [moll(rho), moll(u), m_e, mm_e, p_e]
+
+
+# ``commutators_from_mollified`` multiplies phi into a density this many
+# time rows at a time, so phi is never held on the whole box.
+_PAIR_ROWS = 64
 
 
 def commutators_from_mollified(rho: Field, law: PressureLaw,
                                kernel: MollifierKernel, phi: TestFunction,
-                               mollified: tuple) -> CommutatorReport:
-    """``energy_commutators`` from the fields of ``mollify_energy_inputs``.
+                               mollified: list) -> CommutatorReport:
+    """``energy_commutators`` from the list ``mollify_energy_inputs`` returns.
 
-    The densities are built on the plain arrays of the five mollified
-    fields, in place wherever an operand is no longer needed, and the
-    defect rho_e u_e - (rho u)_e is formed once for r1 and s.  Each term
-    is the pairing sum(density * phi) * cell_volume over the nodes of
-    phi's support box on rho_e's grid, the same nodes whether that grid
-    is the whole interior or a box; r1 loses the time stencil's rows at
-    both ends and is paired on the support rows it keeps.  Outside the
-    support phi is 0, and on a box the spatial differences wrap there.
-    rho_e may dip below 0 next to exact vacuum; the law reads that as 0
-    (see ``PressureLaw``).  Overflow anywhere in a paired density reaches
-    its sum, which ``CommutatorReport`` rejects; the s integrand is
-    checked before the vacuum mask drops nodes.
+    The call consumes the list: it takes the five fields out, leaving it
+    empty, and drops each array after its last use, so the array is freed
+    unless the caller holds the field elsewhere.  The terms go in the
+    order that frees arrays soonest: r2, then (rho u (x) u)_e goes; r3,
+    whose pressure commutator lets p(rho)_e go; then the defect
+    rho_e u_e - (rho u)_e, formed once for r1 and s, lets (rho u)_e go.
+    The densities are built on the plain arrays, in place wherever an
+    operand is no longer needed.  Each term is the pairing
+    sum(density * phi) * cell_volume over the nodes of phi's support box
+    on rho_e's grid, the same nodes whether that grid is the whole
+    interior or a box; phi is multiplied into the density ``_PAIR_ROWS``
+    time rows at a time, and the product is summed as one view.  r1 loses
+    the time stencil's rows at both ends and is paired on the support rows
+    it keeps.  Outside the support phi is 0, and on a box the spatial
+    differences wrap there.  rho_e may dip below 0 next to exact vacuum;
+    the law reads that as 0 (see ``PressureLaw``).  Overflow anywhere in a
+    paired density reaches its sum, which ``CommutatorReport`` rejects;
+    the s integrand is checked before the vacuum mask drops nodes.
     """
     atol = vacuum_floor(rho)
     grid = mollified[0].grid
     rho_e, u_e, m_e, mm_e, p_e = (f.values for f in mollified)
+    mollified.clear()
     d = u_e.shape[-1]
     nt = grid.shape[0]
-    phi_v = phi.phi(grid).values[..., 0]
     support = phi.support(grid) or ((0, 0),) * len(grid.shape)
     space = tuple(slice(lo, hi) for lo, hi in support[1:])
 
@@ -223,10 +233,12 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
         # dens lacks ``trim`` rows at both ends of grid
         t0 = max(support[0][0], trim)
         t1 = max(min(support[0][1], nt - trim), t0)
-        on_dens = (slice(t0 - trim, t1 - trim),) + space
-        on_grid = (slice(t0, t1),) + space
-        return float(imul(dens[on_dens], phi_v[on_grid]).sum()
-                     * grid.cell_volume)
+        on_dens = dens[(slice(t0 - trim, t1 - trim),) + space]
+        for lo in range(t0, t1, _PAIR_ROWS):
+            hi = min(lo + _PAIR_ROWS, t1)
+            rows = grid.subgrid(((lo, hi),) + support[1:])
+            on_dens[lo - t0:hi - t0] *= phi.phi_values(rows)
+        return float(on_dens.sum() * grid.cell_volume)
 
     def tensor(i, j):
         return isub(m_e[..., i] * u_e[..., j], mm_e[..., i * d + j])
@@ -235,7 +247,19 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
         return imul(reduce(iadd, (diff(tensor(i, j), 1 + j) for j in range(d))),
                     u_e[..., i])
 
+    # r2 = u_e . div(m_e (x) u_e - (rho u (x) u)_e), one tensor row at a time
+    r2 = pair(reduce(iadd, (r2_row(i) for i in range(d))))
+    del mm_e
+
+    # r3 = u_e . grad(p(rho_e) - p(rho)_e)
+    p_comm = isub(law.p(rho_e[..., 0]), p_e[..., 0])
+    del p_e
+    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
+                            for j in range(d))))
+    del p_comm
+
     defect = isub(rho_e * u_e, m_e)
+    del m_e
 
     # r1 = u_e . d_t(defect)
     dt_defect, trim = _central_diff(defect, 0, grid.dt)
@@ -243,15 +267,6 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     # one component: pair a view instead of a summed copy
     r1 = pair(dt_defect[..., 0] if d == 1 else dt_defect.sum(axis=-1), trim)
     del dt_defect
-
-    # r2 = u_e . div(m_e (x) u_e - (rho u (x) u)_e), one tensor row at a time
-    r2 = pair(reduce(iadd, (r2_row(i) for i in range(d))))
-
-    # r3 = u_e . grad(p(rho_e) - p(rho)_e)
-    p_comm = isub(law.p(rho_e[..., 0]), p_e[..., 0])
-    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
-                            for j in range(d))))
-    del p_comm
 
     # s = P'(rho_e) div(defect), set to 0 on the numerical vacuum
     s_dens = reduce(iadd, (diff(defect[..., i], 1 + i) for i in range(d)))

@@ -30,11 +30,14 @@ Conventions used throughout the package:
   columns (transform, multiply by the kernel spectrum, which is stored
   one pencil per row, and invert while the block is in cache), then the
   inverses of the other axes on the kept rows alone: a caller passes the
-  rows of the first axis it keeps, and the rest are never inverted.
+  range it keeps on every transformed axis, the other rows of the first
+  axis are never inverted, and the last inverses run ``_ROW_BLOCK`` kept
+  rows at a time, straight into a contiguous array of the kept box.
   Every 1-D transform runs in the order ``rfftn`` and ``irfftn`` use and
   the product is the same elementwise one, so the result equals
-  ``irfftn(rfftn(v) * K)`` bit for bit; no full complex spectrum of the
-  padded field is held.
+  ``irfftn(rfftn(v) * K)`` cut to the box, bit for bit; neither a full
+  complex spectrum of the padded field nor a full-width real result is
+  held.
 * A kernel that acts slice by slice (no time axis: a spatial
   ``Mollification`` or ``circular_convolve``) convolves only the first
   time slice when every slice has its bits, and broadcasts the result;
@@ -45,7 +48,9 @@ Conventions used throughout the package:
   Time is always cut; a spatial axis only when the widened box fits
   without wrapping, and otherwise (a constant spatial factor, say) it
   stays whole and periodic.  The direct branch gives the whole result
-  cut down, bit for bit; the FFT branch agrees to rounding.
+  cut down, bit for bit; the FFT branch agrees to rounding.  A field on
+  ``grid`` is read in place, as a view of that box, and the engine's
+  kept box becomes the result without a copy.
 * Finite differences are the one 4th-order central stencil, read as
   shifted slices of the samples; periodic axes wrap, and the
   non-periodic time axis loses ``STENCIL_REACH`` slices at both ends.
@@ -56,9 +61,10 @@ Conventions used throughout the package:
   from checked fields (arithmetic, ``dot``, ``component``, ``restrict``,
   ``shift`` and the finite differences) are wrapped without a re-scan.
   An overflow in them is caught where the values leave:
-  ``Mollification`` checks what it returns (an FFT of finite values near
-  1e300 can overflow), ``integrate`` and ``lp_norm`` reject any
-  non-finite value, masked or not, and reports check their scalars.
+  ``Mollification`` and ``circular_convolve`` check what they convolve
+  (an FFT of finite values near 1e300 can overflow; a broadcast slice is
+  scanned once), ``integrate`` and ``lp_norm`` reject any non-finite
+  value, masked or not, and reports check their scalars.
 * ``import vacuumlab`` loads numpy alone.  scipy loads on first use, in
   three places: the direct branch of ``Mollification``, which only small
   vacuum-touching fields take (``scipy.ndimage.convolve1d``);
@@ -511,14 +517,17 @@ class Mollification:
     takes it (a call that only sums directly builds none), and every
     later one is multiplied by it; rounding leaves values of order 1e-16
     where direct summation gives zeros.  The FFT branch hands the engine
-    (``_fft_convolve``) the rows it keeps along the kernel's first axis
-    (time for a space-time kernel), and only those rows go through the
-    inverse transforms of the other axes; the result is
-    ``irfftn(rfftn(...) * spectrum)`` cut down, bit for bit.
+    (``_fft_convolve``) the range it keeps on every axis the kernel
+    spans; only the kept rows of the first (time for a space-time
+    kernel) go through the inverse transforms of the other axes, which
+    write the kept box straight into the array the result then holds.
+    The result is ``irfftn(rfftn(...) * spectrum)`` cut down, bit for
+    bit, and each component is scanned for finiteness once.
 
     A purely spatial kernel convolves a field whose time slices all have
-    the same bits once, on its first slice (see ``_slicewise``); the
-    result is the same, bit for bit, on either branch.
+    the same bits once, on its first slice (see ``_slicewise``), and
+    scans that slice alone; the result is the same, bit for bit, on
+    either branch, and is copied out to every slice.
 
     ``box`` (one node range ``(lo, hi)`` per axis of ``grid``) limits the
     output to that box, on a sub-grid of ``grid``.  Time is always cut:
@@ -529,9 +538,10 @@ class Mollification:
     vacuum test reads the cut input.  The direct branch gives the
     whole-grid result cut down, bit for bit.  The FFT branch zero-pads
     cut axes to a fast length; the centre of the padded circular result
-    is exact on the box and equals the whole-grid one to rounding.  A call takes fields on
-    ``input_grid``; ``crop`` cuts a field on ``grid`` down to it (with
-    nothing cut the two grids are one).
+    is exact on the box and equals the whole-grid one to rounding.  A
+    call takes a field on ``grid``, whose read box it reads in place as a
+    view (``read``), or a field on ``input_grid``, such as a product
+    formed from such views (with nothing cut the two grids are one).
 
     The spectrum is as large as the (cut) input, so keep one object per
     call and drop it before the call's arithmetic.
@@ -588,40 +598,43 @@ class Mollification:
         self._spectrum = None  # built by the first component that needs it
 
     def _convolve(self, values: np.ndarray) -> np.ndarray:
-        """The kept box of one component convolved with the kernel."""
+        """The kept box of one component convolved with the kernel, checked
+        finite (see ``_slicewise``)."""
         axes = self._axes
         if self._small and _touches_vacuum(values):
             return _slicewise(
-                lambda v: _direct_convolve(v, self._window, axes),
-                values, axes)[self._kept]
+                lambda v: _direct_convolve(v, self._window, axes)[self._kept],
+                values, axes)
         if self._spectrum is None:
             self._spectrum = _kernel_spectrum(self._window, self._fft_shape)
-        # the engine cuts the first kernel axis itself, before inverting
-        # the others
-        first = axes[0]
-        rest = self._kept[:first] + (slice(None),) + self._kept[first + 1:]
+        # a spatial kernel keeps every time row it reads, so the engine
+        # cuts only the axes it transforms
+        keep = tuple(self._kept[a] for a in axes)
         return _slicewise(
-            lambda v: _fft_convolve(v, self._spectrum, self._fft_shape,
-                                    self._kept[first]),
-            values, axes)[rest]
+            lambda v: _fft_convolve(v, self._spectrum, self._fft_shape, keep),
+            values, axes)
 
-    def crop(self, field: Field) -> Field:
-        """The part of a field on ``grid`` that is read, on ``input_grid``."""
-        if field.grid != self.grid:
-            raise ValueError("field does not live on the mollification's grid")
-        return Field._wrap(self.input_grid, field.values[self._read])
+    def read(self, field: Field) -> np.ndarray:
+        """The values a call reads from a field on ``grid`` or on
+        ``input_grid``: the read box, as a view (nothing is copied)."""
+        if field.grid == self.input_grid:
+            return field.values
+        if field.grid == self.grid:
+            return field.values[self._read]
+        raise ValueError("field lives on neither the mollification's grid "
+                         "nor its input grid")
 
     def __call__(self, field: Field) -> Field:
-        if field.grid != self.input_grid:
-            raise ValueError("field does not live on the mollification's "
-                             "input grid")
+        values = self.read(field)
         if field.components == 1:
-            vals = self._convolve(field.values[..., 0])[..., None]
+            # the engine's kept box is wrapped as it is; a broadcast slice
+            # is copied out
+            vals = self._convolve(values[..., 0])[..., None]
         else:
             vals = np.empty(self._output_grid.shape + (field.components,))
             for c in range(field.components):
-                vals[..., c] = self._convolve(field.values[..., c])
-        return Field(self._output_grid, vals)
+                vals[..., c] = self._convolve(values[..., c])
+        return Field._wrap(self._output_grid, vals)
 
 
 def _touches_vacuum(values: np.ndarray) -> bool:
@@ -632,17 +645,22 @@ def _touches_vacuum(values: np.ndarray) -> bool:
 
 def _slicewise(convolve, values: np.ndarray,
                axes: tuple[int, ...]) -> np.ndarray:
-    """``convolve(values)`` for a convolution over ``axes``.
+    """``convolve(values)`` for a convolution over ``axes``, checked finite.
 
     With axis 0 (time) not among ``axes`` the convolution acts slice by
     slice.  If then every time slice has the bits of the first
     (``repeats_first_slice``), only the first is convolved and the result
-    is broadcast along time, as a read-only view.
+    is broadcast along time, as a read-only view.  The finiteness scan
+    (an FFT of finite values near 1e300 can overflow) reads what was
+    convolved: the one slice, not its broadcast.
     """
     if 0 not in axes and repeats_first_slice(values):
         first = convolve(values[:1])
+        _require_finite(first)
         return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
-    return convolve(values)
+    out = convolve(values)
+    _require_finite(out)
+    return out
 
 
 def repeats_first_slice(values: np.ndarray) -> bool:
@@ -727,7 +745,7 @@ def circular_convolve(values: np.ndarray, weights: np.ndarray,
     ``weights`` is a centred odd-length stencil; leading axes broadcast.
     Without axis 0 among ``axes``, values whose axis-0 slices all have the
     same bits are convolved once, and the result is a read-only broadcast
-    view (see ``_slicewise``).
+    view (see ``_slicewise``).  A non-finite result raises ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     if tuple(axes) != tuple(range(values.ndim - len(axes), values.ndim)):
@@ -779,48 +797,74 @@ def _forward(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # 64 timed a little faster than 32 and 128 on a 2048^2 space-time job.
 _PENCIL_BLOCK = 64
 
+# The rest of the inverse (``ifft`` along the middle axes, ``irfft`` along
+# the last) runs on this many kept rows at a time, and each block's kept
+# columns are copied into the result, so no full-width array is made.
+_ROW_BLOCK = 64
+
 
 def _fft_convolve(values: np.ndarray, spectrum: np.ndarray,
-                  shape: tuple[int, ...],
-                  keep: slice = slice(None)) -> np.ndarray:
+                  shape: tuple[int, ...], keep=None) -> np.ndarray:
     """Circular convolution over the trailing ``len(shape)`` axes of
     ``values``, zero-padded to ``shape``, with the kernel whose
-    ``_kernel_spectrum`` is ``spectrum``; only the rows ``keep`` of the
-    first transformed axis are returned.
+    ``_kernel_spectrum`` is ``spectrum``; only the kept box is returned,
+    ``keep`` holding one slice per transformed axis (all of each when
+    None), as a fresh contiguous array.  Leading axes are kept whole.
 
     The result equals ``irfftn(rfftn(values, shape, axes) * K, shape,
-    axes)[keep]`` bit for bit: every 1-D transform runs in the order
-    ``rfftn`` and ``irfftn`` use, on the same pencils, and the product is
-    the same elementwise one.  With more than one axis, the first axis's
-    pencils go ``_PENCIL_BLOCK`` at a time through ``fft`` (which gathers
-    the block, a narrow strip of columns, into contiguous pencils), the
-    product and ``ifft``, in two reused buffers; only the kept rows are
-    written back, into the forward spectrum whose block was already read.
-    The other axes are inverted on the kept rows alone.
+    axes)`` cut to the box, bit for bit: every 1-D transform runs in the
+    order ``rfftn`` and ``irfftn`` use, on the same pencils, and the
+    product is the same elementwise one.  With more than one axis, the
+    first axis's pencils go ``_PENCIL_BLOCK`` at a time through ``fft``
+    (which gathers the block, a narrow strip of columns, into contiguous
+    pencils), the product and ``ifft``, in two reused buffers; only the
+    kept rows are written back, into the forward spectrum whose block was
+    already read.  The other axes are inverted on the kept rows alone,
+    ``_ROW_BLOCK`` rows at a time, straight into the kept box.
     """
     lead = values.ndim - len(shape)
+    if keep is None:
+        keep = (slice(None),) * len(shape)
     spec = _forward(values, shape)
+    out = np.empty(values.shape[:lead] + tuple(
+        len(range(n)[k]) for n, k in zip(shape, keep)))
     if len(shape) == 1:
         spec *= spectrum
-        return np.fft.irfft(spec, shape[-1], axis=-1)[..., keep]
+        rows = spec.reshape(-1, spec.shape[-1])
+        _invert_rows(rows, out.reshape(len(rows), -1), shape, keep)
+        return out
     n, rows = shape[0], spec.shape[lead]
     cols = spec.reshape(-1, rows, len(spectrum))
     step = min(_PENCIL_BLOCK, len(spectrum))
     fwd = np.empty((step, n), complex)
     inv = np.empty((step, n), complex)
-    for part in cols:
+    first = keep[0]
+    for part, box in zip(cols, out.reshape((len(cols),) + out.shape[lead:])):
         for c0 in range(0, len(spectrum), step):
             c1 = min(c0 + step, len(spectrum))
             f = np.fft.fft(part[:, c0:c1].T, n, axis=-1, out=fwd[:c1 - c0])
             f *= spectrum[c0:c1]
             g = np.fft.ifft(f, n, axis=-1, out=inv[:c1 - c0])
-            part[keep, c0:c1] = g[:, keep].T
-    kept = cols[:, keep]
-    spec = kept.reshape(spec.shape[:lead] + kept.shape[1:2]
-                        + spec.shape[lead + 1:])
-    for a in range(1, len(shape) - 1):
-        spec = np.fft.ifft(spec, shape[a], axis=lead + a)
-    return np.fft.irfft(spec, shape[-1], axis=-1)
+            part[first, c0:c1] = g[:, first].T
+        kept = part[first].reshape((-1,) + spec.shape[lead + 1:])
+        _invert_rows(kept, box, shape[1:], keep[1:])
+    return out
+
+
+def _invert_rows(spec: np.ndarray, out: np.ndarray, shape: tuple[int, ...],
+                 keep: tuple[slice, ...]) -> None:
+    """Write into ``out`` the inverse over the trailing ``len(shape)`` axes
+    of ``spec`` (``ifft`` along all but the last, from the first, then
+    ``irfft``), each axis cut to its ``keep`` once it is inverted, in
+    blocks of ``_ROW_BLOCK`` rows along axis 0.  Every 1-D inverse reads
+    one pencil, so a block gives the bits of the whole array."""
+    for r0 in range(0, len(spec), _ROW_BLOCK):
+        block = spec[r0:r0 + _ROW_BLOCK]
+        for a in range(1, len(shape)):
+            block = np.fft.ifft(block, shape[a - 1], axis=a)
+            block = block[(slice(None),) * a + (keep[a - 1],)]
+        out[r0:r0 + _ROW_BLOCK] = np.fft.irfft(block, shape[-1],
+                                               axis=-1)[..., keep[-1]]
 
 
 def shift(field: Field, xi) -> Field:

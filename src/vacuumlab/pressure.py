@@ -122,8 +122,9 @@ class C2Approximant:
         rho = np.asarray(rho, float)
         law = self.base
         g, k = law.gamma, law.kappa
+        above = np.asarray(np.maximum(rho, self.rho_c))  # 0-d: see ``_density``
         return np.where(rho < self.rho_c, self._ddp_c(),
-                        k * g * (g - 1) * np.maximum(rho, self.rho_c) ** (g - 2))
+                        k * g * (g - 1) * above ** (g - 2))
 
     def _ddp_c(self) -> float:
         g, k = self.base.gamma, self.base.kappa

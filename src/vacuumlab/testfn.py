@@ -146,7 +146,13 @@ class TestFunction:
         return tuple(box)
 
     def phi(self, grid: GridSpec) -> Field:
-        return Field(grid, _fill(self._phi(*_open_mesh(grid)), grid))
+        return Field(grid, _fill(self.phi_values(grid), grid))
+
+    def phi_values(self, grid: GridSpec) -> np.ndarray:
+        """The values of ``phi(grid)`` as an array that broadcasts to
+        ``grid.shape``, neither filled nor scanned: a pairing that takes
+        phi a few rows at a time never holds it on the whole grid."""
+        return np.asarray(self._phi(*_open_mesh(grid)), float)
 
     def dt(self, grid: GridSpec) -> Field:
         return Field(grid, _fill(self._dt(*_open_mesh(grid)), grid))

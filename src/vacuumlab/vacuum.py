@@ -243,10 +243,13 @@ def _ball_kernel(grid: GridSpec, radius: float) -> np.ndarray:
 
 
 def _ball_average(w: Field, radius: float) -> Field:
-    """Spatial ball average per time slice (periodic, circular FFT)."""
+    """Spatial ball average per time slice (periodic, circular FFT).
+
+    ``circular_convolve`` checks what it convolves (one slice of a
+    time-constant field), and the broadcast is copied out unscanned."""
     axes = tuple(range(1, len(w.grid.shape)))
-    return Field(w.grid, circular_convolve(w.values[..., 0],
-                                           _ball_kernel(w.grid, radius), axes))
+    return Field._wrap(w.grid, circular_convolve(
+        w.values[..., 0], _ball_kernel(w.grid, radius), axes))
 
 
 def _region_distance(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
@@ -466,7 +469,7 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
         spike = f.grid.subgrid(((0, f.grid.shape[0]), (a, b)))
         moll = Mollification(_spatial_mollifier(eps, f.grid), f.grid,
                              box=((0, f.grid.shape[0]), (a, b)))
-        fe = moll(moll.crop(f)).values[..., 0]
+        fe = moll(f).values[..., 0]
         if fe.shape[1] != b - a:  # the widened box wraps: the whole line
             fe = fe[:, a:b]
         # inf exactly where f > 0 and f_e is vacuum

@@ -628,7 +628,7 @@ class TestMollificationBox:
         ker = make_mollifier(eps, 1 + spatial_dim, g)
         full = Mollification(ker, g)(f)
         moll = Mollification(ker, g, box=box)
-        part = moll(moll.crop(f))
+        part = moll(f)
         assert part.grid.shape == shape
         assert part.grid.root == g
         want = _cut_full(full, part)
@@ -644,7 +644,7 @@ class TestMollificationBox:
         ker = make_mollifier(eps, 1 + spatial_dim, g)
         full = Mollification(ker, g)(f)
         moll = Mollification(ker, g, box=box)
-        part = moll(moll.crop(f))
+        part = moll(f)
         assert part.grid.shape == shape
         want = _cut_full(full, part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
@@ -656,7 +656,7 @@ class TestMollificationBox:
         ker = make_mollifier(0.1, 2, g)  # spatial half-width 25
         moll = Mollification(ker, g, box=((20, 40), (30, 77)))
         assert moll.input_grid.shape[1] == 97  # prime: padded to 100
-        part = moll(moll.crop(f))
+        part = moll(f)
         want = _cut_full(mollify(f, ker), part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -672,8 +672,7 @@ class TestMollificationBox:
         ref = Mollification(ker, g, box=box)
         assert moll.input_grid == ref.input_grid
         assert moll._fft_shape == ref._fft_shape == (32, 100)
-        assert (moll(moll.crop(f)).values.tobytes()
-                == ref(ref.crop(f)).values.tobytes())
+        assert moll(f).values.tobytes() == ref(f).values.tobytes()
 
     @pytest.mark.parametrize("method", ["direct", "fft"])
     def test_spatial_kernel_cuts_time_without_convolving_it(self, method,
@@ -683,7 +682,7 @@ class TestMollificationBox:
         ker = make_mollifier(0.1, 1, g, include_time=False)
         full = Mollification(ker, g)(f)
         moll = Mollification(ker, g, box=((5, 9), (30, 60)))
-        part = moll(moll.crop(f))
+        part = moll(f)
         assert part.grid.shape == (4, 30)
         want = _cut_full(full, part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
@@ -692,13 +691,15 @@ class TestMollificationBox:
         g, f = _window_case(1, False)
         ker = make_mollifier(0.1, 2, g)
         moll = Mollification(ker, g, box=((20, 40), (30, 60)))
-        cut = moll.crop(f)
-        assert cut.grid == moll.input_grid and cut.grid.shape == (32, 44)
-        assert cut.values.tobytes() == f.values[14:46, 23:67].tobytes()
-        # arithmetic on cut fields stays on the input grid
+        view = moll.read(f)  # a field on the whole grid is read in place
+        assert np.shares_memory(view, f.values) and view.shape[:2] == (32, 44)
+        assert view.tobytes() == f.values[14:46, 23:67].tobytes()
+        cut = Field(moll.input_grid, view)
+        assert moll.read(cut) is cut.values
+        # arithmetic on cut fields stays on the input grid, and a field on
+        # the whole grid gives the bits of its cut
         assert moll(cut * cut).grid == moll(cut).grid
-        with pytest.raises(ValueError, match="input grid"):
-            moll(f)
+        assert moll(f).values.tobytes() == moll(cut).values.tobytes()
 
     def test_box_missing_the_interior_rows_raises(self):
         g, f = _window_case(1, False)
@@ -717,7 +718,7 @@ class TestMollificationBox:
             with pytest.raises(ValueError, match="grid"):
                 moll(constant_field(other, 1.0))
             with pytest.raises(ValueError, match="grid"):
-                moll.crop(constant_field(other, 1.0))
+                moll.read(constant_field(other, 1.0))
 
 
 class TestRepeatedSlices:
@@ -748,16 +749,34 @@ class TestRepeatedSlices:
         ker = make_mollifier(0.1 if spatial_dim == 1 else 0.15, spatial_dim,
                              g, include_time=False)
         moll = Mollification(ker, g, box=box)
-        cut = moll.crop(f)
         rows = record_convolved_rows(monkeypatch)
-        once = moll(cut)
+        once = moll(f)
         assert rows == [1] * components
         convolve_every_slice(monkeypatch)
-        every = moll(cut)
-        assert rows[components:] == [cut.grid.shape[0]] * components
+        every = moll(f)
+        assert rows[components:] == [moll.input_grid.shape[0]] * components
         assert once.grid == every.grid
         assert once.values.tobytes() == every.values.tobytes()
         assert once.values.flags.c_contiguous  # a copy, not a broadcast
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("varies", [False, True],
+                             ids=["time-constant", "time-varying"])
+    def test_finiteness_scan_reads_the_convolved_slices(self, varies, method,
+                                                        monkeypatch):
+        force_branch(monkeypatch, method)
+        g, f = self.time_constant(1, 1)
+        if varies:
+            vals = f.values.copy()
+            vals[5, 50, 0] = np.nextafter(vals[5, 50, 0], 2.0)
+            f = Field(g, vals)
+        ker = make_mollifier(0.1, 1, g, include_time=False)
+        scanned = []
+        monkeypatch.setattr(grids, "_require_finite",
+                            lambda values: scanned.append(values.shape))
+        out = mollify(f, ker)
+        assert scanned == [(g.shape[0] if varies else 1,) + g.shape[1:]]
+        assert out.values.flags.c_contiguous
 
     @pytest.mark.parametrize("method", ["direct", "fft"])
     @pytest.mark.parametrize("change", ["one-node", "negative-zero"])
@@ -861,10 +880,18 @@ class TestDirectConvolve:
         assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
 
 
+def _box(keep, shape):
+    """``keep`` as one slice per transformed axis: a single slice keeps
+    those rows of the first axis and all of the others."""
+    if isinstance(keep, tuple):
+        return keep
+    return (keep,) + (slice(None),) * (len(shape) - 1)
+
+
 def _rfftn_oracle(values, weights, shape, keep=slice(None)):
     """``irfftn(rfftn(values, shape, axes) * K, shape, axes)`` over the
     trailing ``len(shape)`` axes, K the ``rfftn`` of the centred stencil
-    wrapped to ``shape``, on the rows ``keep`` of the first of them."""
+    wrapped to ``shape``, cut to the box ``keep`` (see ``_box``)."""
     axes = tuple(range(values.ndim - len(shape), values.ndim))
     kfull = np.zeros(shape)
     kfull[np.ix_(*[np.arange(-(n // 2), n // 2 + 1) % s
@@ -872,12 +899,12 @@ def _rfftn_oracle(values, weights, shape, keep=slice(None)):
     spec = np.fft.rfftn(values, shape, axes)
     spec *= np.fft.rfftn(kfull)
     out = np.fft.irfftn(spec, shape, axes)
-    return out[(slice(None),) * axes[0] + (keep,)]
+    return out[(slice(None),) * axes[0] + _box(keep, shape)]
 
 
 def _engine(values, weights, shape, keep=slice(None)):
     return grids._fft_convolve(values, grids._kernel_spectrum(weights, shape),
-                               shape, keep)
+                               shape, _box(keep, shape))
 
 
 class TestFFTEngine:
@@ -913,6 +940,56 @@ class TestFFTEngine:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("row_block", [None, 1, 5])
+    @pytest.mark.parametrize("whole_x", [False, True],
+                             ids=["cut-x", "whole-x"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_kept_box_equals_rfftn_cut_bitwise(self, case, whole_x,
+                                               row_block, monkeypatch):
+        # every transformed axis cut by 2 nodes at its start and 3 at its
+        # end (the first within the rows given), or x kept whole; the last
+        # inverses write the box straight, ``_ROW_BLOCK`` rows at a time
+        if row_block is not None:
+            monkeypatch.setattr(grids, "_ROW_BLOCK", row_block)
+        vshape, shape, wshape, _ = case
+        lead = len(vshape) - len(shape)
+        ends = (vshape[lead],) + shape[1:]
+        box = tuple(slice(2, n - 3) for n in ends)
+        if whole_x:
+            x = 1 if len(shape) > 1 else 0
+            box = box[:x] + (slice(None),) + box[x + 1:]
+        rng = np.random.default_rng(len(vshape) * 100 + vshape[-1])
+        values, weights = rng.standard_normal(vshape), rng.random(wshape)
+        got = _engine(values, weights, shape, box)
+        want = _rfftn_oracle(values, weights, shape, box)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.integers(0, 1), sizes=st.lists(st.integers(5, 24),
+                                                   min_size=1, max_size=3),
+           pads=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+           cuts=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=3, max_size=3),
+           block=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_boxes_equal_rfftn_bitwise(self, lead, sizes, pads, cuts,
+                                              block, seed):
+        rng = np.random.default_rng(seed)
+        vshape = (3,) * lead + tuple(sizes)
+        shape = tuple(n + p for n, p in zip(sizes, pads))
+        wshape = tuple(2 * int(rng.integers(0, (n - 1) // 2 + 1)) + 1
+                       for n in sizes)
+        ends = (sizes[0],) + shape[1:]
+        box = tuple(slice(lo, n - hi) for n, (lo, hi) in zip(ends, cuts))
+        values, weights = rng.standard_normal(vshape), rng.random(wshape)
+        grids._ROW_BLOCK, default = block, grids._ROW_BLOCK
+        try:
+            got = _engine(values, weights, shape, box)
+        finally:
+            grids._ROW_BLOCK = default
+        want = _rfftn_oracle(values, weights, shape, box)
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(lead=st.integers(0, 1), sizes=st.lists(st.integers(5, 24),
                                                    min_size=1, max_size=3),
@@ -939,7 +1016,7 @@ class TestFFTEngine:
     @pytest.mark.parametrize("spatial_dim", [1, 2])
     def test_mollification_on_a_box_equals_rfftn_bitwise(self, spatial_dim,
                                                          monkeypatch):
-        # the engine gets the kept time rows, the other axes are cut after
+        # the engine gets the kept range of every axis it transforms
         force_branch(monkeypatch, "fft")
         shape = (40, 64) if spatial_dim == 1 else (24, 32, 30)
         g = GridSpec(spatial_dim, shape, (1.0,) * len(shape))
@@ -948,10 +1025,10 @@ class TestFFTEngine:
         box = ((6, 30), (20, 44)) if spatial_dim == 1 else \
             ((5, 19), (12, 20), (0, 30))
         moll = Mollification(ker, g, box=box)
-        got = moll(moll.crop(f))
+        got = moll(f)
         start = [o - i for o, i in zip(got.grid.origin,
                                        moll.input_grid.origin)]
-        want = _rfftn_oracle(moll.crop(f).values[..., 0],
+        want = _rfftn_oracle(moll.read(f)[..., 0],
                              ker.weights * ker.cell_volume, moll._fft_shape,
                              slice(start[0], start[0] + got.grid.shape[0]))
         want = want[(slice(None),) + tuple(

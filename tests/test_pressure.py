@@ -62,7 +62,7 @@ def _law_methods():
     law = PressureLaw(gamma=1.4, kappa=2.0)
     approx = make_c2_approximant(law, 1e-3)
     return ([(law, name) for name in ("p", "dp", "potential", "dpotential")]
-            + [(approx, name) for name in ("p", "dp", "potential")])
+            + [(approx, name) for name in ("p", "dp", "potential", "ddp")])
 
 
 class TestExtensionBelowZero:

@@ -235,6 +235,22 @@ class TestBallAverageOracle:
         assert rows == [1, 8]
         assert once.values.tobytes() == every.values.tobytes()
 
+    @pytest.mark.parametrize("varies", [False, True],
+                             ids=["time-constant", "time-varying"])
+    def test_finiteness_scan_reads_the_convolved_slices(self, varies,
+                                                        monkeypatch):
+        w = counterexample_field(8, 4096)
+        if varies:
+            vals = w.values.copy()
+            vals[3] *= 0.5
+            w = Field(w.grid, vals)
+        scanned = []
+        monkeypatch.setattr(grids, "_require_finite",
+                            lambda values: scanned.append(values.shape))
+        avg = vacuum._ball_average(w, 0.01)
+        assert scanned == [(8 if varies else 1, 4096)]
+        assert avg.values.flags.c_contiguous
+
     @pytest.mark.parametrize("case", ["spikes", "abs"])
     def test_qns_check_matches_direct_summation(self, case, monkeypatch):
         if case == "spikes":
@@ -393,7 +409,7 @@ class TestQuotientOracle:
             box = ((0, f.grid.shape[0]), (a, b))
             moll = grids.Mollification(spatial_kernels(f.grid, [eps])[0],
                                        f.grid, box=box)
-            fe = moll(moll.crop(f)).values[..., 0]
+            fe = moll(f).values[..., 0]
             fs = f.values[:, a:b, 0]
             pos = fs > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
