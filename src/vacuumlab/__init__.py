@@ -5,7 +5,6 @@ from .errors import (
     BlowupTimeError,
     ConfigError,
     DomainExhaustedError,
-    EmptyOverlapError,
     ExponentRelationError,
     GridMemoryError,
     InfeasibleKernelError,
@@ -29,7 +28,7 @@ from .grids import (
     save_field,
 )
 from .pressure import C2Approximant, PressureLaw, commutator_rate, make_c2_approximant
-from .rates import BesovEstimate, RateFit, besov_seminorm, fit_rate
+from .rates import RateFit, fit_rate
 from .synth import (
     RiemannSpec,
     WeierstrassSpec,

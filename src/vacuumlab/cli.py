@@ -7,6 +7,12 @@ table; ``export-field <field> <path>`` writes a named generator field
 to disk.  Exit codes: 0 all assertions passed, 2 assertion failure
 (with a machine-readable failure list on stdout), 1 usage or config
 error, or a study that raised (``<kind> study failed: <class>: <message>``).
+Every verdict, a row here or a part of an acceptance criterion, is a
+``Check`` (``value relation bound``, relation ``<``, ``<=``, ``>`` or
+``>=``); model functions return gates, slack included, never verdicts.
+A row holds the check's five fields and ``passed``; ``report`` prints
+``<study>.<name> measured <value> <relation> <bound> PASS|FAIL`` and a
+criterion prints ``name value relation bound`` for each of its checks.
 ``run`` creates the output directory before the study starts, so an
 output path that cannot be created is a config error.  So is a
 Weierstrass generator whose top level reaches the grid's Nyquist limit.
@@ -14,7 +20,8 @@ So is a ``budget`` eps ladder with fewer than four feasible rungs.
 So is a ladder key with no values.
 ``report`` exits 1 on a ``report.json`` that is not JSON, lacks the
 ``study`` or ``assertions`` key, or holds an assertion row without a
-string ``name``, numeric ``bound`` and ``value`` and a boolean ``passed``.
+string ``name``, numeric ``bound`` and ``value``, a ``relation`` among
+the four and a boolean ``passed`` that agrees with them.
 
 Configs are INI files with typed keys; unknown sections or keys are
 rejected with the offending line number.  Every default is echoed into
@@ -28,7 +35,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import operator
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +57,13 @@ from .vacuum import (
 )
 from .commutators import energy_commutators
 from .energy import (
-    BOUNDARY_TOL,
     global_energy_balance_bounded,
     local_energy_residual,
     mollified_energy_balance,
     ns_energy_residual,
 )
 
-REPORT_SCHEMA = "vacuumlab-report-1"
+REPORT_SCHEMA = "vacuumlab-report-2"
 
 # section -> key -> (type, default); None default means required
 _SCHEMA = {
@@ -217,9 +225,34 @@ def _grid(config) -> GridSpec:
     return GridSpec(1, (g["nt"], g["nx"]), (g["extent_t"], g["extent_x"]))
 
 
-def _assertion(name, passed, value, bound, operation) -> dict:
-    return {"name": name, "passed": bool(passed), "value": value,
-            "bound": bound, "operation": operation}
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+             ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Check:
+    """The verdict ``value relation bound`` of a row; NaN fails them all."""
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+    operation: str = ""
+
+    def __post_init__(self):
+        if self.relation not in RELATIONS:
+            raise ValueError(f"{self.name!r} has relation {self.relation!r}, "
+                             f"not one of {', '.join(RELATIONS)}")
+
+    @property
+    def passed(self) -> bool:
+        return bool(RELATIONS[self.relation](self.value, self.bound))
+
+    def row(self) -> dict:
+        return {**vars(self), "passed": self.passed}
+
+    def __str__(self) -> str:
+        return f"{self.name} {self.value:.6g} {self.relation} {self.bound:.6g}"
 
 
 def _ladder_rows(samples) -> list:
@@ -241,17 +274,12 @@ def _study_rates(config) -> dict:
     ladder = config["ladders"]["eps"]
     fit = commutator_rate(rho, law, gen["q"], ladder,
                           window=(0, len(ladder)))
-    assertions = [
-        _assertion("exponent", fit.exponent >= tol["exponent_min"],
-                   fit.exponent, tol["exponent_min"],
-                   "pressure.commutator_rate"),
-        _assertion("r_squared", fit.r_squared >= tol["r2_min"],
-                   fit.r_squared, tol["r2_min"], "pressure.commutator_rate"),
-    ]
-    return {"results": {"exponent": fit.exponent, "r_squared": fit.r_squared,
+    e, r2, op = fit.exponent, fit.r_squared, "pressure.commutator_rate"
+    return {"results": {"exponent": e, "r_squared": r2,
                         "constant": fit.constant},
-            "csv": {"ladder.csv": ("eps,value", _ladder_rows(fit.samples))},
-            "assertions": assertions}
+            "ladder": ("eps,value", _ladder_rows(fit.samples)),
+            "assertions": [Check("exponent", e, ">=", tol["exponent_min"], op),
+                           Check("r_squared", r2, ">=", tol["r2_min"], op)]}
 
 
 def _study_counterexample(config) -> dict:
@@ -260,19 +288,14 @@ def _study_counterexample(config) -> dict:
     nx = max(config["grid"]["nx"], 8 * 2 ** gen["i_max"])
     f = counterexample_field(gen["i_max"], nx, time_points=8)
     rep = counterexample_blowup(f, gen["p"], config["ladders"]["i"])
-    assertions = [
-        _assertion("growth_min", rep["growth_per_i"] >= tol["growth_min"],
-                   rep["growth_per_i"], tol["growth_min"],
-                   "vacuum.counterexample_blowup"),
-        _assertion("growth_max", rep["growth_per_i"] <= tol["growth_max"],
-                   rep["growth_per_i"], tol["growth_max"],
-                   "vacuum.counterexample_blowup"),
-    ]
+    g, op = rep["growth_per_i"], "vacuum.counterexample_blowup"
     rows = [[int(i), float(e), float(v)] for i, e, v in rep["samples"]]
-    return {"results": {"growth_per_i": rep["growth_per_i"],
-                        "theory": rep["theory"], "p": rep["p"]},
-            "csv": {"ladder.csv": ("i,eps,value", rows)},
-            "assertions": assertions}
+    return {"results": {"growth_per_i": g, "theory": rep["theory"],
+                        "p": rep["p"]},
+            "ladder": ("i,eps,value", rows),
+            "assertions": [
+                Check("growth_min", g, ">=", tol["growth_min"], op),
+                Check("growth_max", g, "<=", tol["growth_max"], op)]}
 
 
 def _generator_scalar(config, grid):
@@ -300,17 +323,13 @@ def _study_vacuum(config) -> dict:
     kernels = [make_mollifier(e, 1, grid, include_time=False)
                for e in config["ladders"]["eps"]]
     rep = l1_ratio_lemma_check(w, kernels)
-    values = rep["values"]
-    factor = rep["last_over_median"]
-    assertions = [
-        _assertion("bounded_factor", factor <= tol["factor_max"], factor,
-                   tol["factor_max"], "vacuum.l1_ratio_lemma_check"),
-    ]
+    factor, op = rep["last_over_median"], "vacuum.l1_ratio_lemma_check"
     return {"results": {"factor": factor, "median": rep["median"],
                         "decades": rep["decades"]},
-            "csv": {"ladder.csv": ("eps,value",
-                                   _ladder_rows(zip(rep["epsilons"], values)))},
-            "assertions": assertions}
+            "ladder": ("eps,value",
+                       _ladder_rows(zip(rep["epsilons"], rep["values"]))),
+            "assertions": [Check("bounded_factor", factor, "<=",
+                                 tol["factor_max"], op)]}
 
 
 def _study_qns(config) -> dict:
@@ -319,32 +338,25 @@ def _study_qns(config) -> dict:
     w = _generator_scalar(config, grid)
     x = grid.axis_coords(1)
     region = np.broadcast_to((x > 0.1) & (x < 0.9), grid.shape).copy()
-    chk = qns_check(w, region, config["ladders"]["radius"],
-                    C=tol["constant"])
+    C, radii = tol["constant"], config["ladders"]["radius"]
+    chk = qns_check(w, region, radii, C=C)
     kernels = [make_mollifier(3.0 * r, 1, grid, include_time=False)
-               for r in config["ladders"]["radius"]]
-    eq = qns_mollifier_equivalence(w, region, kernels,
-                                   M=tol["constant"] * 3.0,
-                                   C=tol["constant"])
-    assertions = [
-        _assertion("ball_average", chk["pass"], chk["empirical_C"],
-                   tol["constant"], "vacuum.qns_check"),
-        _assertion("forward", eq["forward_pass"],
-                   max(r["M_emp"] for r in eq["per_rung"]),
-                   3.0 * tol["constant"] / eq["omega_N"],
-                   "vacuum.qns_mollifier_equivalence"),
-        _assertion("backward", eq["backward_pass"],
-                   max(r["C_ball"] for r in eq["per_rung"]),
-                   tol["constant"] * 3.0 * eq["omega_N"],
-                   "vacuum.qns_mollifier_equivalence"),
-    ]
-    rows = [[r["epsilon"], r["M_emp"]] for r in eq["per_rung"]]
+               for r in radii]
+    eq = qns_mollifier_equivalence(w, region, kernels, M=C * 3.0, C=C)
+    op = "vacuum.qns_mollifier_equivalence"
     return {"results": {"empirical_C": chk["empirical_C"],
                         "forward_pass": eq["forward_pass"],
                         "backward_pass": eq["backward_pass"],
                         "M_growth_exponent": eq["M_growth_exponent"]},
-            "csv": {"ladder.csv": ("eps,value", rows)},
-            "assertions": assertions}
+            "ladder": ("eps,value",
+                       [[r["epsilon"], r["M_emp"]] for r in eq["per_rung"]]),
+            "assertions": [
+                Check("ball_average", chk["empirical_C"], "<=", chk["bound"],
+                      "vacuum.qns_check"),
+                Check("forward", max(r["M_emp"] for r in eq["per_rung"]),
+                      "<=", eq["forward_bound"], op),
+                Check("backward", max(r["C_ball"] for r in eq["per_rung"]),
+                      "<=", eq["backward_bound"], op)]}
 
 
 def _study_budget(config) -> dict:
@@ -367,26 +379,22 @@ def _study_budget(config) -> dict:
     order = float(np.log2(max(gaps[0][1], 1e-300)
                           / max(gaps[1][1], 1e-300)))
 
-    rhs_samples = []
-    for eps in _budget_rungs(config)[1]:
-        ker = make_mollifier(eps, 2, g)
-        rep = energy_commutators(rho, u, law, ker, phi)
-        rhs_samples.append((eps, rep.total()))
+    rhs_samples = [(e, energy_commutators(rho, u, law, make_mollifier(e, 2, g),
+                                          phi).total())
+                   for e in _budget_rungs(config)[1]]
     rhs_fit = fit_rate(rhs_samples, window=(0, len(rhs_samples)))
     residual = local_energy_residual(rho, u, law, phi)
-    assertions = [
-        _assertion("gap_order", order >= tol["order_min"], order,
-                   tol["order_min"], "energy.mollified_energy_balance"),
-        _assertion("rhs_decay", rhs_fit.exponent > 0.0, rhs_fit.exponent,
-                   0.0, "commutators.energy_commutators"),
-        _assertion("local_residual", abs(residual) <= tol["gap_max"],
-                   residual, tol["gap_max"], "energy.local_energy_residual"),
-    ]
     return {"results": {"identity_gaps": _ladder_rows(gaps),
                         "gap_order": order, "rhs_exponent": rhs_fit.exponent,
                         "local_residual": residual},
-            "csv": {"ladder.csv": ("eps,value", _ladder_rows(rhs_samples))},
-            "assertions": assertions}
+            "ladder": ("eps,value", _ladder_rows(rhs_samples)),
+            "assertions": [
+                Check("gap_order", order, ">=", tol["order_min"],
+                      "energy.mollified_energy_balance"),
+                Check("rhs_decay", rhs_fit.exponent, ">", 0.0,
+                      "commutators.energy_commutators"),
+                Check("local_residual", abs(residual), "<=", tol["gap_max"],
+                      "energy.local_energy_residual")]}
 
 
 def _acoustic_pair(amp, grid, law):
@@ -406,28 +414,20 @@ def _study_boundary(config) -> dict:
     grid = _grid(config)
     tol = config["tolerances"]
     rho, u = _acoustic_pair(config["generator"]["amplitude"], grid, law)
-    rep = global_energy_balance_bounded(rho, u, law,
-                                        config["ladders"]["delta"],
-                                        config["ladders"]["nu"],
-                                        t1=0.2, t2=0.8)
-    assertions = [
-        _assertion("boundary_slope", rep["boundary_slope"] >= tol["slope_min"],
-                   rep["boundary_slope"], tol["slope_min"],
-                   "energy.global_energy_balance_bounded"),
-        _assertion("energy_gap", rep["energy_gap"] <= tol["gap_max"],
-                   rep["energy_gap"], tol["gap_max"],
-                   "energy.global_energy_balance_bounded"),
-        _assertion("no_violation", not rep["boundary_violation"],
-                   max(rep["boundary_speed"].values()), BOUNDARY_TOL,
-                   "energy.global_energy_balance_bounded"),
-    ]
-    return {"results": {"boundary_slope": rep["boundary_slope"],
-                        "energy_gap": rep["energy_gap"],
+    ladders = config["ladders"]
+    rep = global_energy_balance_bounded(rho, u, law, ladders["delta"],
+                                        ladders["nu"], t1=0.2, t2=0.8)
+    slope, gap = rep["boundary_slope"], rep["energy_gap"]
+    op = "energy.global_energy_balance_bounded"
+    return {"results": {"boundary_slope": slope, "energy_gap": gap,
                         "slice_stability": rep["slice_stability"],
                         "boundary_plateau": rep["boundary_plateau"]},
-            "csv": {"ladder.csv": ("eps,value",
-                                   _ladder_rows(rep["boundary_samples"]))},
-            "assertions": assertions}
+            "ladder": ("eps,value", _ladder_rows(rep["boundary_samples"])),
+            "assertions": [
+                Check("boundary_slope", slope, ">=", tol["slope_min"], op),
+                Check("energy_gap", gap, "<=", tol["gap_max"], op),
+                Check("no_violation", max(rep["boundary_speed"].values()),
+                      "<=", rep["boundary_bound"], op)]}
 
 
 def _study_ns(config) -> dict:
@@ -443,18 +443,15 @@ def _study_ns(config) -> dict:
     degen = ns_energy_residual(rho, u, law, mu, nu, True, phi)
     scale = degen["dissipation"] / plain["dissipation"] \
         if plain["dissipation"] else 1.0
-    assertions = [
-        _assertion("dissipation_sign", plain["dissipation"] >= 0.0,
-                   plain["dissipation"], 0.0, "energy.ns_energy_residual"),
-        _assertion("degenerate_scaling", abs(scale - 1.0) <= 1e-9, scale,
-                   1.0, "energy.ns_energy_residual"),
-    ]
+    op = "energy.ns_energy_residual"
     samples = [(1.0, plain["dissipation"]), (0.5, degen["dissipation"])]
     return {"results": {"residual": plain["residual"],
                         "dissipation": plain["dissipation"],
                         "degenerate_dissipation": degen["dissipation"]},
-            "csv": {"ladder.csv": ("eps,value", _ladder_rows(samples))},
-            "assertions": assertions}
+            "ladder": ("eps,value", _ladder_rows(samples)),
+            "assertions": [
+                Check("dissipation_sign", plain["dissipation"], ">=", 0.0, op),
+                Check("degenerate_scaling", abs(scale - 1.0), "<=", 1e-9, op)]}
 
 
 # in the order the config error lists them
@@ -480,21 +477,17 @@ def _write_report(outdir: Path, config: dict, outcome: dict) -> dict:
         "study": config["study"]["kind"],
         "config": config,
         "results": outcome["results"],
-        "assertions": outcome["assertions"],
-        "passed": all(a["passed"] for a in outcome["assertions"]),
+        "assertions": [c.row() for c in outcome["assertions"]],
+        "passed": all(c.passed for c in outcome["assertions"]),
     }
     (outdir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, (header, rows) in outcome.get("csv", {}).items():
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(f"{v:.17g}" if isinstance(v, float)
-                                  else str(v) for v in row))
-        (outdir / name).write_text("\n".join(lines) + "\n")
-        plot = outdir / (Path(name).stem + ".dat")
-        plot.write_text("\n".join(
-            " ".join(f"{float(v):.17g}" for v in row[-2:]) for row in rows
-        ) + "\n")
+    header, rows = outcome["ladder"]
+    lines = [header] + [",".join(f"{v:.17g}" if isinstance(v, float)
+                                 else str(v) for v in row) for row in rows]
+    (outdir / "ladder.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "ladder.dat").write_text("\n".join(
+        " ".join(f"{float(v):.17g}" for v in row[-2:]) for row in rows) + "\n")
     return report
 
 
@@ -529,7 +522,8 @@ def cmd_run(args) -> int:
 
 # key, accepted types and their description, for each assertion row
 _ASSERTION_KEYS = (("name", str, "a string"), ("bound", (int, float), "a number"),
-                   ("value", (int, float), "a number"), ("passed", bool, "a boolean"))
+                   ("value", (int, float), "a number"), ("passed", bool, "a boolean"),
+                   ("relation", str, "a string"))
 
 
 def _check_type(where: str, value, types, kind: str) -> None:
@@ -540,8 +534,8 @@ def _check_type(where: str, value, types, kind: str) -> None:
                          f"not {kind}")
 
 
-def _read_report(path: Path) -> dict:
-    """Load a study's ``report.json``; ValueError names what is wrong."""
+def _read_report(path: Path) -> tuple[str, list]:
+    """The study and checks of a ``report.json``; ValueError says why not."""
     rep = json.loads(path.read_text())
     if not isinstance(rep, dict):
         raise ValueError(f"top level is a JSON {type(rep).__name__}, "
@@ -551,6 +545,7 @@ def _read_report(path: Path) -> dict:
             raise ValueError(f"missing key {key!r}")
     _check_type("'study'", rep["study"], str, "a string")
     _check_type("'assertions'", rep["assertions"], list, "a list")
+    checks = []
     for i, row in enumerate(rep["assertions"]):
         where = f"assertions[{i}]"
         _check_type(where, row, dict, "an object")
@@ -558,7 +553,13 @@ def _read_report(path: Path) -> dict:
             if key not in row:
                 raise ValueError(f"{where}: missing key {key!r}")
             _check_type(f"{where}[{key!r}]", row[key], types, kind)
-    return rep
+        check = Check(row["name"], row["value"], row["relation"], row["bound"])
+        if row["passed"] != check.passed:
+            raise ValueError(f"{where} ({row['name']!r}) stores passed "
+                             f"{json.dumps(row['passed'])}, but {check} "
+                             f"is {json.dumps(check.passed)}")
+        checks.append(check)
+    return rep["study"], checks
 
 
 def cmd_report(args) -> int:
@@ -573,24 +574,21 @@ def cmd_report(args) -> int:
             print(f"usage error: {path} not found", file=sys.stderr)
             return 1
         try:
-            rep = _read_report(path)
+            study, checks = _read_report(path)
         except ValueError as exc:  # includes JSON and UTF-8 decode errors
             print(f"usage error: {path} is not a vacuumlab report: {exc}",
                   file=sys.stderr)
             return 1
-        if not rep["assertions"]:
-            print(f"{rep['study']}: no assertions in {path}")
-        for a in rep["assertions"]:
-            rows.append((rep["study"], a["name"], a["bound"], a["value"],
-                         "PASS" if a["passed"] else "FAIL"))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    width = max((len(r[0]) + len(r[1]) for r in rows), default=0) + 2
-    for study, name, bound, value, verdict in rows:
-        label = f"{study}.{name}"
-        print(f"{label:<{width}} expected {bound:<12.6g} "
-              f"measured {value:<14.6g} {verdict}")
-    overall = "PASS" if all(r[4] == "PASS" for r in rows) else "FAIL"
-    print(f"overall: {overall}")
+        if not checks:
+            print(f"{study}: no assertions in {path}")
+        rows += [(study, c) for c in checks]
+    rows.sort(key=lambda r: (r[0], r[1].name))
+    width = max((len(s) + len(c.name) for s, c in rows), default=0) + 2
+    for study, c in rows:
+        label = f"{study}.{c.name}"
+        print(f"{label:<{width}} measured {c.value:<14.6g} {c.relation:<2} "
+              f"{c.bound:<12.6g} {'PASS' if c.passed else 'FAIL'}")
+    print(f"overall: {'PASS' if all(c.passed for _, c in rows) else 'FAIL'}")
     return 0
 
 

@@ -21,7 +21,6 @@ from .grids import (
     Mollification,
     MollifierKernel,
     _central_diff,
-    ddt,
     div,
     grad,
     integrate,
@@ -283,17 +282,6 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
                              "atol": atol, "phi": phi.kind})
 
 
-def mollified_mass_residual(rho: Field, u: Field,
-                            kernel: MollifierKernel) -> float:
-    """L1 norm of d_t rho_e + div (rho u)_e; zero for exact solutions up to O(h^2)."""
-    moll = Mollification(kernel, rho.grid)
-    rho_e, m_e = moll(rho), moll(rho * u)
-    del moll  # free the kernel spectrum before the arithmetic
-    drho = ddt(rho_e)
-    r = drho + restrict(div(m_e), drho.grid)
-    return lp_norm(r, 1)
-
-
 # ---------------------------------------------------------------------------
 # Localized pressure terms with the vacuum split
 # ---------------------------------------------------------------------------
@@ -387,6 +375,7 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
                sup|phi| * delta * ||div u||_TV-estimate;
     grad-term: int grad(phi) . u_e [(p_delta - p)(rho)]_e, bounded by
                C ||phi||_C1 * delta * ||u||_L3.
+    ``div_bound`` and ``grad_bound`` are these gates, 1e-9 relative slack.
     """
     require_nonnegative(rho, "rho")
     gap_field = Field(rho.grid, approx.p(rho.values) - law.p(rho.values))
@@ -415,10 +404,8 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
         "grad_term": grad_term,
         "delta": delta,
         "realized_gap": realized_gap,
-        "div_bound": sup_phi * delta * tv,
-        "grad_bound": sup_gphi * delta * u3,
-        "div_holds": abs(div_term) <= sup_phi * delta * tv * (1 + 1e-9),
-        "grad_holds": abs(grad_term) <= sup_gphi * delta * u3 * (1 + 1e-9),
+        "div_bound": sup_phi * delta * tv * (1 + 1e-9),
+        "grad_bound": sup_gphi * delta * u3 * (1 + 1e-9),
     }
 
 

@@ -197,8 +197,8 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     whole interval, with no boundary cutoff.  Slice-wise stability of
     int E dx near both window edges is reported so the slice comparison
     is trusted only for fields that are steady there.
-    The boundary condition is violated where |u . n| at either end
-    exceeds ``BOUNDARY_TOL``; ``boundary_violation`` reports it.
+    ``boundary_bound`` (``BOUNDARY_TOL``) gates |u . n| at either end
+    (``boundary_speed``): the no-flux boundary condition.
     """
     if rho.grid.spatial_dim != 1:
         raise ValueError("interval balance is one-dimensional")
@@ -245,6 +245,6 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
         "energy_gap": window_samples[-1][1],
         "slice_stability": stability,
         "boundary_speed": {"left": left, "right": right},
-        "boundary_violation": bool(max(left, right) > BOUNDARY_TOL),
+        "boundary_bound": BOUNDARY_TOL,
         "boundary_plateau": float(boundary_samples[-1][1]),
     }

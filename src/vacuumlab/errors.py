@@ -17,10 +17,6 @@ class DomainExhaustedError(VacuumLabError):
     """Mollification radius leaves no interior time slices."""
 
 
-class EmptyOverlapError(VacuumLabError):
-    """A shift leaves no overlap between the domain and its translate."""
-
-
 class GridMemoryError(VacuumLabError):
     """Requested grid exceeds the configured node cap."""
 

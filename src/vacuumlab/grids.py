@@ -58,8 +58,8 @@ Conventions used throughout the package:
   ``Field(grid, values)`` scans its values, so synthesis,
   ``from_function``, ``load_field`` and user data are checked, and so is
   ``Field.map``, which applies an arbitrary function.  Results computed
-  from checked fields (arithmetic, ``dot``, ``component``, ``restrict``,
-  ``shift`` and the finite differences) are wrapped without a re-scan.
+  from checked fields (arithmetic, ``dot``, ``component``, ``restrict``
+  and the finite differences) are wrapped without a re-scan.
   An overflow in them is caught where the values leave:
   ``Mollification`` and ``circular_convolve`` check what they convolve
   (an FFT of finite values near 1e300 can overflow; a broadcast slice is
@@ -86,7 +86,6 @@ import numpy as np
 
 from .errors import (
     DomainExhaustedError,
-    EmptyOverlapError,
     GridMemoryError,
     InfeasibleKernelError,
     NegativityError,
@@ -867,35 +866,6 @@ def _invert_rows(spec: np.ndarray, out: np.ndarray, shape: tuple[int, ...],
                                                axis=-1)[..., keep[-1]]
 
 
-def shift(field: Field, xi) -> Field:
-    """w(. + xi) for a node-aligned offset; torus rotation in space."""
-    grid = field.grid
-    xi = tuple(float(x) for x in xi)
-    if len(xi) != len(grid.shape):
-        raise ValueError("offset must have one entry per axis")
-    steps = []
-    for x, h in zip(xi, grid.spacings):
-        k = int(round(x / h))
-        if abs(x - k * h) > 1e-9 * max(h, abs(x)):
-            raise ValueError(f"offset {x} is not node-aligned (spacing {h})")
-        steps.append(k)
-    s = steps[0]
-    nt = grid.shape[0]
-    if abs(s) >= nt:
-        raise EmptyOverlapError("time shift consumes the whole domain")
-    vals = field.values
-    for a, k in enumerate(steps[1:], start=1):
-        if k:
-            vals = np.roll(vals, -k, axis=a)
-    if s >= 0:
-        sub = grid.time_subgrid(0, nt - s)
-        out = vals[s:nt]
-    else:
-        sub = grid.time_subgrid(-s, nt)
-        out = vals[: nt + s]
-    return Field._wrap(sub, out)
-
-
 def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
     """Midpoint-quadrature L^p norm of |w| (Euclidean over components).
 
@@ -1016,17 +986,6 @@ def div(field: Field) -> Field:
     out = sum(dspace(field.component(i), 1 + i).values[..., 0]
               for i in range(d))
     return Field._wrap(field.grid, out)
-
-
-def spacetime_gradient_norm(field: Field) -> Field:
-    """|(d_t w, grad w)| as a scalar field on the time-trimmed grid."""
-    if field.components != 1:
-        raise ValueError("expects a scalar field")
-    gt = ddt(field)
-    parts = [restrict(dspace(field, a), gt.grid).values[..., 0]
-             for a in range(1, 1 + field.grid.spatial_dim)]
-    total = gt.values[..., 0] ** 2 + sum(p ** 2 for p in parts)
-    return Field(gt.grid, np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,5 @@
-"""Shift-scan Besov seminorms, mollification rate checks, log-log fits.
-
-The shift scan replaces the supremum over all offsets by a deterministic
-dyadic ladder (per-axis and diagonal directions), so every seminorm here
-is a certified lower estimate of the true value; the ladder is part of
-the reproducibility record.
-"""
+"""Log-log rate fits, epsilon ladders and the total-variation estimate
+of a divergence."""
 
 from __future__ import annotations
 
@@ -12,34 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    Field,
-    MollifierKernel,
-    div,
-    lp_norm,
-    make_mollifier,
-    mollify,
-    restrict,
-    shift,
-    spacetime_gradient_norm,
-)
+from .grids import Field, MollifierKernel, div, lp_norm, make_mollifier, mollify
 
 DEGENERATE_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class BesovEstimate:
-    alpha: float
-    p: float
-    seminorm: float
-    scan_shifts: tuple[tuple[float, ...], ...]
-    argmax_shift: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.seminorm < 0:
-            raise ValueError("seminorm must be non-negative")
-        if self.argmax_shift not in self.scan_shifts:
-            raise ValueError("argmax shift must come from the scan ladder")
 
 
 @dataclass(frozen=True)
@@ -106,53 +76,6 @@ def fit_rate(samples, window: tuple[int, int] | None = None) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# Shift-scan seminorm
-# ---------------------------------------------------------------------------
-
-def _scan_offsets(grid, shift_budget: int) -> list[tuple[float, ...]]:
-    """Deterministic dyadic ladder of node-aligned offsets.
-
-    Directions: each axis alone plus the main diagonal; magnitudes run
-    dyadically from one spacing up to a quarter of each extent.
-    """
-    naxes = len(grid.shape)
-    directions = [tuple(int(a == b) for b in range(naxes)) for a in range(naxes)]
-    directions.append((1,) * naxes)
-    rungs = max(2, shift_budget // len(directions))
-    offsets: list[tuple[float, ...]] = []
-    seen = set()
-    for d in directions:
-        kmax = min(n // 4 for n, on in zip(grid.shape, d) if on)
-        ks = np.unique(np.round(np.geomspace(1, max(1, kmax), rungs)).astype(int))
-        for k in ks:
-            off = tuple(k * h * on for h, on in zip(grid.spacings, d))
-            if off not in seen:
-                seen.add(off)
-                offsets.append(off)
-    return offsets
-
-
-def besov_seminorm(field: Field, alpha: float, p: float,
-                   shift_budget: int = 32) -> BesovEstimate:
-    """max over the scan ladder of ||w(.+xi) - w||_p(overlap) / |xi|^alpha."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    if shift_budget < 16:
-        raise ValueError("shift_budget must be at least 16")
-    offsets = _scan_offsets(field.grid, shift_budget)
-    best, best_off = -1.0, offsets[0]
-    for off in offsets:
-        shifted = shift(field, off)
-        diff = shifted - restrict(field, shifted.grid)
-        mag = float(np.sqrt(sum(o * o for o in off)))
-        val = lp_norm(diff, p) / mag ** alpha
-        if val > best:
-            best, best_off = val, off
-    return BesovEstimate(alpha=alpha, p=p, seminorm=best,
-                         scan_shifts=tuple(offsets), argmax_shift=best_off)
-
-
-# ---------------------------------------------------------------------------
 # Mollification rate studies
 # ---------------------------------------------------------------------------
 
@@ -168,34 +91,6 @@ def _check_ladder(eps_ladder) -> list[float]:
 def kernels_for_ladder(grid, eps_ladder) -> list[MollifierKernel]:
     return [make_mollifier(e, 1 + grid.spatial_dim, grid)
             for e in _check_ladder(eps_ladder)]
-
-
-def mollification_error_rate(field: Field, p: float, eps_ladder,
-                             window: tuple[int, int] | None = None) -> RateFit:
-    """RateFit of ||w_eps - w||_p on the shrunk domain against eps."""
-    samples = []
-    for ker in kernels_for_ladder(field.grid, eps_ladder):
-        we = mollify(field, ker)
-        diff = we - restrict(field, we.grid)
-        samples.append((ker.epsilon, lp_norm(diff, p)))
-    return fit_rate(samples, window)
-
-
-def gradient_blowup_rate(field: Field, p: float, eps_ladder,
-                         window: tuple[int, int] | None = None) -> RateFit:
-    """RateFit of the space-time gradient norm of w_eps against eps."""
-    samples = []
-    for ker in kernels_for_ladder(field.grid, eps_ladder):
-        we = mollify(field, ker)
-        gmag = spacetime_gradient_norm(we.component(0))
-        if field.components > 1:
-            acc = gmag.values[..., 0] ** 2
-            for c in range(1, field.components):
-                g = spacetime_gradient_norm(we.component(c))
-                acc = acc + g.values[..., 0] ** 2
-            gmag = Field(gmag.grid, np.sqrt(acc))
-        samples.append((ker.epsilon, lp_norm(gmag, p)))
-    return fit_rate(samples, window)
 
 
 def tv_divergence_estimate(u: Field, eps_ladder) -> dict:
@@ -217,5 +112,4 @@ def tv_divergence_estimate(u: Field, eps_ladder) -> dict:
         "sup": max(values),
         "samples": samples,
         "growth_exponent": fit.exponent,
-        "stabilizes": bool(fit.degenerate or fit.exponent > -0.2),
     }

@@ -125,11 +125,6 @@ def vacuum_profile(kind: str, m: float, grid: GridSpec,
     return from_function(grid, fn)
 
 
-def descent_verdict(m: float, q: float) -> dict:
-    """Whether 1/rho is L^q-integrable near an isolated zero of |x|^m."""
-    return {"m": m, "q": q, "reciprocal_in_Lq": m * q < 1.0}
-
-
 # ---------------------------------------------------------------------------
 # Exact solutions
 # ---------------------------------------------------------------------------

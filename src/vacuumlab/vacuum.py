@@ -141,8 +141,10 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
                          region_mask: np.ndarray | None = None) -> dict:
     """Uniform-in-epsilon boundedness of ||(w_e - w)/w_e||_L1(region).
 
-    Passes when the last ladder value is within a factor 2 of the median,
-    over a ladder spanning at least three dyadic decades.
+    Reports the last ladder value over the median and the dyadic decades
+    the ladder spans.  ``bounded`` (the last value within a factor 2 of
+    the median, over at least three decades) is kept for the benchmark,
+    which reads it by key.
     """
     require_nonnegative(w, "w")
     values = []
@@ -184,9 +186,6 @@ class ReciprocalReport:
     entries: tuple
     reciprocal_norm: float
 
-    def holds(self) -> bool:
-        return all(e["holds"] for e in self.entries)
-
 
 def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
                                   kernel_ladder: list) -> ReciprocalReport:
@@ -194,7 +193,8 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
 
     Requires 1/p + 1/q <= 1/r and w >= 0; the left side must also decay
     along the ladder when the reciprocal norm is finite.  1/w is taken
-    where w exceeds ``vacuum_floor(w)``.
+    where w exceeds ``vacuum_floor(w)``.  Each entry's ``bound`` is that
+    product with 5% slack plus 1e-14, the gate for its ``lhs``.
     """
     if 1.0 / p + 1.0 / q > 1.0 / r + 1e-12:
         raise ExponentRelationError("need 1/p + 1/q <= 1/r")
@@ -211,9 +211,8 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
         diff = we - w0
         ratio = _guarded_ratio(diff.values, we.values)
         lhs = lp_norm(Field(we.grid, ratio), r)
-        bound = lp_norm(diff, q) * recip_norm
-        entries.append({"epsilon": ker.epsilon, "lhs": lhs, "bound": bound,
-                        "holds": lhs <= bound * 1.05 + 1e-14})
+        bound = lp_norm(diff, q) * recip_norm * 1.05 + 1e-14
+        entries.append({"epsilon": ker.epsilon, "lhs": lhs, "bound": bound})
         samples.append((ker.epsilon, lhs))
     fit = fit_rate(samples, window=(0, len(samples)))
     return ReciprocalReport(fit=fit, entries=tuple(entries),
@@ -314,7 +313,8 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
 
     A radius r is only tested at nodes at least r / ``EPS0`` (4r) from
     the region boundary.  Returns the empirical constant (worst ratio of the value
-    to its ball average) and the witness node.  Ball averages cover every
+    to its ball average), its gate ``bound`` = C (1 + 1e-9) and the witness
+    node.  Ball averages cover every
     time slice; when ``w`` and the region mask repeat their first slice
     bit for bit (a time-independent field), the ratios and their maximum
     are formed on that slice alone, with the same result.
@@ -322,7 +322,7 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
     region_mask, dist, rows = _qns_region(w, region_mask)
     worst, witness = _ball_ratio_max(w, region_mask, dist, rows,
                                      radius_ladder)
-    return {"pass": worst <= C * (1 + 1e-9), "empirical_C": worst,
+    return {"bound": C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
 
@@ -358,6 +358,8 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
     so a family needing a growing constant fails at the fine end; the
     per-rung empirical constants are reported for growth diagnostics.
     C defaults to the ball-average constant measured at the coarsest rung.
+    ``forward_bound`` gates every ``M_emp`` and ``backward_bound`` every
+    ``C_ball`` (10% slack); the benchmark reads their verdicts by key.
     """
     N = w.grid.spatial_dim
     omega = unit_ball_volume(N)
@@ -375,24 +377,23 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
     if C is None:
         C = per_rung[0]["C_emp"]
 
-    forward_pass = all(r["M_emp"] <= 3.0 ** N * C / omega * 1.1
-                       for r in per_rung)
-    backward_pass = all(r["C_ball"] <= M * omega * 1.1 for r in per_rung)
+    forward_bound = 3.0 ** N * C / omega * 1.1
+    backward_bound = M * omega * 1.1
     # growth of the per-rung constants against epsilon (negative exponent
     # of a clearly decaying ladder means no uniform constant exists)
     eps = np.array([r["epsilon"] for r in per_rung])
     memp = np.array([max(r["M_emp"], 1e-300) for r in per_rung])
     growth = float(np.polyfit(np.log(eps), np.log(memp), 1)[0])
     return {
-        "forward_pass": bool(forward_pass),
-        "backward_pass": bool(backward_pass),
+        "forward_pass": max(r["M_emp"] for r in per_rung) <= forward_bound,
+        "backward_pass": max(r["C_ball"] for r in per_rung) <= backward_bound,
+        "forward_bound": forward_bound,
+        "backward_bound": backward_bound,
         "per_rung": per_rung,
         "C": float(C),
         "M": float(M),
         "M_growth_exponent": growth,
-        "uniform_constant_plausible": growth > -0.2,
         "omega_N": omega,
-        "forward_factor": 3.0 ** N / omega,
     }
 
 

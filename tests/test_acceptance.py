@@ -1,15 +1,14 @@
-"""Acceptance suite: twelve end-to-end checks with pinned tolerances.
+"""Acceptance suite: twelve end-to-end criteria with pinned tolerances.
 
-Each test prints one `criterion N (<name>): PASS|FAIL` line so the
-suite output doubles as the acceptance report.
+A criterion is a list of ``Check``s and passes when all of them pass.
+Each test prints one `criterion N (<name>): PASS|FAIL  [...]` line, with
+`name value relation bound` for each check, so the suite output doubles
+as the acceptance report.
 """
 
-import json
-
 import numpy as np
-import pytest
 
-from vacuumlab.cli import main
+from vacuumlab.cli import Check, main
 from vacuumlab.commutators import (
     divmeasure_pressure_term,
     energy_commutators,
@@ -47,12 +46,11 @@ from vacuumlab.vacuum import (
 LAW = PressureLaw(gamma=5.0 / 3.0)
 
 
-def verdict(number: int, name: str, ok: bool, detail: str = "") -> bool:
-    line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f"  [{detail}]"
-    print(line)
-    return ok
+def verdict(number: int, name: str, checks: list) -> bool:
+    passed = all(c.passed for c in checks)
+    print(f"criterion {number} ({name}): {'PASS' if passed else 'FAIL'}  "
+          f"[{'; '.join(map(str, checks))}]")
+    return passed
 
 
 def spatial_kernels(grid, eps_list):
@@ -67,9 +65,9 @@ def test_criterion_1_pressure_commutator_rate():
     rho = weierstrass_field(WeierstrassSpec(0.5, levels=9, seed=11), g)
     ladder = [2.0 ** -k for k in range(4, 10)]
     fit = commutator_rate(rho, LAW, 3, ladder, window=(0, len(ladder)))
-    ok = fit.exponent >= 0.733 and fit.r_squared >= 0.95
-    assert verdict(1, "pressure commutator rate", ok,
-                   f"exponent={fit.exponent:.3f} r2={fit.r_squared:.3f}")
+    assert verdict(1, "pressure commutator rate", [
+        Check("exponent", fit.exponent, ">=", 0.733),
+        Check("r2", fit.r_squared, ">=", 0.95)])
 
 
 def test_criterion_2_counterexample_blowup():
@@ -78,10 +76,9 @@ def test_criterion_2_counterexample_blowup():
     i_list = list(range(6, 13))
     strong = counterexample_blowup(f, 2.0, i_list)
     weak = counterexample_blowup(f, 1.05, i_list)
-    ok = strong["growth_per_i"] >= 0.4 and weak["growth_per_i"] <= 0.15
-    assert verdict(2, "counterexample blow-up", ok,
-                   f"p=2: {strong['growth_per_i']:.3f}, "
-                   f"p=1.05: {weak['growth_per_i']:.3f}")
+    assert verdict(2, "counterexample blow-up", [
+        Check("p=2 growth", strong["growth_per_i"], ">=", 0.4),
+        Check("p=1.05 growth", weak["growth_per_i"], "<=", 0.15)])
 
 
 def test_criterion_3_l1_ratio_lemma():
@@ -94,11 +91,11 @@ def test_criterion_3_l1_ratio_lemma():
     g = GridSpec(1, (64, 4096), (1.0, 1.0))
     w = from_function(g, lambda t, x: np.abs(np.sin(2 * np.pi * x)))
     rep_sin = l1_ratio_lemma_check(w, spatial_kernels(g, eps_list))
-    ok = (rep_spike["bounded"] and rep_sin["bounded"]
-          and rep_spike["decades"] >= 3.0 and rep_sin["decades"] >= 3.0)
-    assert verdict(3, "L1 ratio uniform bound", ok,
-                   f"spike factor={rep_spike['last_over_median']:.3f}, "
-                   f"sin factor={rep_sin['last_over_median']:.3f}")
+    assert verdict(3, "L1 ratio uniform bound", [
+        Check(f"{name} {key}", rep[key], rel, bound)
+        for name, rep in (("spike", rep_spike), ("sin", rep_sin))
+        for key, rel, bound in (("last_over_median", "<=", 2.0),
+                                ("decades", ">=", 3.0))])
 
 
 def test_criterion_4_pointwise_decomposition():
@@ -111,9 +108,8 @@ def test_criterion_4_pointwise_decomposition():
         f = Field(g, rng.normal(size=g.shape)[..., None])
         h = Field(g, rng.normal(size=g.shape)[..., None])
         worst = max(worst, pointwise_decomposition_check(f, h, ker))
-    ok = worst <= 1e-10
-    assert verdict(4, "pointwise decomposition identity", ok,
-                   f"max discrepancy={worst:.2e}")
+    assert verdict(4, "pointwise decomposition identity", [
+        Check("max discrepancy", worst, "<=", 1e-10)])
 
 
 def test_criterion_5_mollified_balance_identity():
@@ -127,10 +123,8 @@ def test_criterion_5_mollified_balance_identity():
         gaps.append(mollified_energy_balance(rho, u, LAW, ker, phi).identity_gap)
     orders = [np.log2(max(gaps[k], 1e-300) / max(gaps[k + 1], 1e-300))
               for k in range(2)]
-    ok = all(o >= 1.8 for o in orders)
-    assert verdict(5, "mollified balance identity", ok,
-                   f"gaps={gaps[0]:.2e},{gaps[1]:.2e},{gaps[2]:.2e} "
-                   f"orders={orders[0]:.2f},{orders[1]:.2f}")
+    assert verdict(5, "mollified balance identity", [
+        Check(f"order {k + 1}", o, ">=", 1.8) for k, o in enumerate(orders)])
 
 
 def test_criterion_6_smooth_energy_conservation():
@@ -147,10 +141,9 @@ def test_criterion_6_smooth_energy_conservation():
     rho0 = constant_field(g, 1.0)
     u0 = constant_field(g, 0.3)
     const_res = abs(local_energy_residual(rho0, u0, LAW, phi))
-    ok = all(o >= 1.8 for o in orders) and const_res <= 1e-12
-    assert verdict(6, "smooth energy conservation", ok,
-                   f"orders={orders[0]:.2f},{orders[1]:.2f} "
-                   f"constant={const_res:.1e}")
+    assert verdict(6, "smooth energy conservation", [
+        *(Check(f"order {k + 1}", o, ">=", 1.8) for k, o in enumerate(orders)),
+        Check("constant-state residual", const_res, "<=", 1e-12)])
 
 
 def test_criterion_7_shock_dissipation():
@@ -166,9 +159,10 @@ def test_criterion_7_shock_dissipation():
     t = g.axis_coords(0)
     closed = D * np.trapezoid(phi._phi(t, 0.5 + sigma * t), t)
     rel = abs(res - closed) / abs(closed)
-    ok = res < 0 and D < 0 and rel <= 0.05
-    assert verdict(7, "shock dissipation", ok,
-                   f"residual={res:.6f} closed={closed:.6f} rel={rel:.4f}")
+    assert verdict(7, "shock dissipation", [
+        Check("residual", res, "<", 0.0),
+        Check("jump dissipation", D, "<", 0.0),
+        Check("relative gap to closed form", rel, "<=", 0.05)])
 
 
 def test_criterion_8_commutator_vanishing():
@@ -193,9 +187,9 @@ def test_criterion_8_commutator_vanishing():
 
     passing = exponent(0.5, 0.6)
     violating = exponent(0.2, 0.2)
-    ok = passing >= 0.15 and violating < passing
-    assert verdict(8, "commutator vanishing", ok,
-                   f"passing={passing:.3f} violating={violating:.3f}")
+    assert verdict(8, "commutator vanishing", [
+        Check("passing exponent", passing, ">=", 0.15),
+        Check("violating exponent", violating, "<", passing)])
 
 
 def test_criterion_9_qns_equivalence():
@@ -212,18 +206,21 @@ def test_criterion_9_qns_equivalence():
                                    spatial_kernels(g, [0.06, 0.03, 0.015,
                                                        0.0075]),
                                    M=1.2, C=1.0)
-    convex_ok = chk["pass"] and eq["forward_pass"] and eq["backward_pass"]
 
     spike = counterexample_field(13, 1 << 16)
     ladder = spatial_kernels(spike.grid, [0.08, 0.04, 0.02, 0.01])
     bad = qns_mollifier_equivalence(spike, None, ladder, M=10.0, C=10.0)
     memps = [r["M_emp"] for r in bad["per_rung"]]
-    spike_ok = (not bad["forward_pass"] and not bad["backward_pass"]
-                and memps[-1] > memps[0])
-    ok = convex_ok and spike_ok
-    assert verdict(9, "QNS mollifier equivalence", ok,
-                   f"convex C={chk['empirical_C']:.3f}, "
-                   f"spike M_emp {memps[0]:.1f}->{memps[-1]:.1f}")
+    cballs = [r["C_ball"] for r in bad["per_rung"]]
+    assert verdict(9, "QNS mollifier equivalence", [
+        Check("convex C", chk["empirical_C"], "<=", chk["bound"]),
+        Check("convex M_emp", max(r["M_emp"] for r in eq["per_rung"]), "<=",
+              eq["forward_bound"]),
+        Check("convex C_ball", max(r["C_ball"] for r in eq["per_rung"]),
+              "<=", eq["backward_bound"]),
+        Check("spike M_emp", max(memps), ">", bad["forward_bound"]),
+        Check("spike C_ball", max(cballs), ">", bad["backward_bound"]),
+        Check("spike finest M_emp", memps[-1], ">", memps[0])])
 
 
 def test_criterion_10_divmeasure_pressure_term():
@@ -242,18 +239,20 @@ def test_criterion_10_divmeasure_pressure_term():
     phi = spacetime_bump((0.5, 0.5), (0.3, 0.3))
     ker = make_mollifier(0.03, 2, g)
     samples = []
-    holds = True
+    checks = []
     for delta in (1e-1, 1e-2, 1e-3, 1e-4):
         approx = make_c2_approximant(LAW, delta)
         rep = divmeasure_pressure_term(rho, u, LAW, approx, ker, phi)
-        holds = holds and rep["div_holds"] and rep["grad_holds"]
+        checks += [Check(f"|{term}_term| at delta={delta:g}",
+                         abs(rep[f"{term}_term"]), "<=", rep[f"{term}_bound"])
+                   for term in ("div", "grad")]
         samples.append((delta, abs(rep["div_term"])))
     slope = float(np.polyfit(np.log([s[0] for s in samples]),
                              np.log([max(s[1], 1e-300) for s in samples]),
                              1)[0])
-    ok = holds and 0.9 <= slope <= 1.1
-    assert verdict(10, "divergence-measure pressure term", ok,
-                   f"slope={slope:.3f} bounds_hold={holds}")
+    assert verdict(10, "divergence-measure pressure term", [
+        *checks, Check("slope", slope, ">=", 0.9),
+        Check("slope", slope, "<=", 1.1)])
 
 
 def test_criterion_11_bounded_domain_balance():
@@ -281,13 +280,14 @@ def test_criterion_11_bounded_domain_balance():
     rho_b, u_b = pair(0.1)
     bad = global_energy_balance_bounded(rho_b, u_b, LAW, deltas, nus,
                                         0.2, 0.8)
-    ok = (good["boundary_slope"] >= 0.9 and good["energy_gap"] <= 1e-6
-          and not good["boundary_violation"]
-          and bad["boundary_violation"] and bad["boundary_plateau"] > 0.01)
-    assert verdict(11, "bounded-domain balance", ok,
-                   f"slope={good['boundary_slope']:.3f} "
-                   f"gap={good['energy_gap']:.2e} "
-                   f"plateau={bad['boundary_plateau']:.3f}")
+    assert verdict(11, "bounded-domain balance", [
+        Check("slope", good["boundary_slope"], ">=", 0.9),
+        Check("energy gap", good["energy_gap"], "<=", 1e-6),
+        Check("boundary speed", max(good["boundary_speed"].values()), "<=",
+              good["boundary_bound"]),
+        Check("outflow boundary speed", max(bad["boundary_speed"].values()),
+              ">", bad["boundary_bound"]),
+        Check("outflow plateau", bad["boundary_plateau"], ">", 0.01)])
 
 
 def test_criterion_12_determinism(tmp_path):
@@ -301,5 +301,6 @@ def test_criterion_12_determinism(tmp_path):
     assert main(["run", str(cfg)]) == 0
     second = {name: (tmp_path / "out" / name).read_bytes()
               for name in first}
-    ok = first == second
-    assert verdict(12, "determinism", ok, "byte-identical report and data")
+    assert verdict(12, "determinism", [
+        Check("files that differ", sum(first[n] != second[n] for n in first),
+              "<=", 0)])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestRun:
         rc = main(["run", str(ns_config(tmp_path))])
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["schema"] == "vacuumlab-report-1"
+        assert report["schema"] == "vacuumlab-report-2"
         assert report["passed"]
         assert (tmp_path / "out" / "ladder.csv").is_file()
         assert (tmp_path / "out" / "ladder.dat").is_file()
@@ -317,7 +318,17 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
             assert [a["name"] for a in failures] == ["ball_average"]
         else:
             assert code == 0, captured.err
-        assert (out / "report.json").is_file()
+        # every row is a check, and its stored verdict is the check's
+        rows = json.loads((out / "report.json").read_text())["assertions"]
+        assert rows
+        for row in rows:
+            assert set(row) == {"name", "value", "relation", "bound",
+                                "operation", "passed"}
+            check = cli.Check(row["name"], row["value"], row["relation"],
+                              row["bound"], row["operation"])
+            assert row["passed"] == check.passed
+            if row["name"] in ("forward", "backward") and row["passed"]:
+                assert row["value"] <= row["bound"]
 
     def test_failing_assertion_exit_code_and_json(self, tmp_path, capsys):
         path = write_config(tmp_path, f"""\
@@ -396,6 +407,8 @@ class TestReport:
         out = capsys.readouterr().out
         assert rc == 0
         assert "ns.dissipation_sign" in out
+        assert re.search(r"^ns\.dissipation_sign +measured \S+ +>= 0 +PASS$",
+                         out, re.MULTILINE)
         assert out.strip().endswith("overall: PASS")
 
     def test_report_without_assertions(self, tmp_path, capsys):
@@ -456,6 +469,42 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == (f"usage error: {tmp_path / 'report.json'} is not a "
                        f"vacuumlab report: {reason}\n")
+
+    def test_row_without_relation(self, tmp_path, capsys):
+        row = {"name": "a", "bound": 1, "value": 0.5, "passed": True}
+        (tmp_path / "report.json").write_text(
+            json.dumps({"study": "x", "assertions": [row]}))
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {tmp_path / 'report.json'} is not a vacuumlab "
+            f"report: assertions[0]: missing key 'relation'\n")
+
+    def test_row_with_unknown_relation(self, tmp_path, capsys):
+        row = {"name": "a", "bound": 1, "value": 0.5, "passed": True,
+               "relation": "=="}
+        (tmp_path / "report.json").write_text(
+            json.dumps({"study": "x", "assertions": [row]}))
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {tmp_path / 'report.json'} is not a vacuumlab "
+            f"report: 'a' has relation '==', not one of <, <=, >, >=\n")
+
+    def test_stored_verdict_contradicting_its_check(self, tmp_path, capsys):
+        # a study's own report with one row's passed flipped
+        main(["run", str(ns_config(tmp_path))])
+        capsys.readouterr()
+        path = tmp_path / "out" / "report.json"
+        rep = json.loads(path.read_text())
+        i, row = next((i, a) for i, a in enumerate(rep["assertions"])
+                      if a["name"] == "dissipation_sign")
+        row["passed"] = False
+        path.write_text(json.dumps(rep))
+        assert main(["report", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path} is not a vacuumlab "
+                              f"report: assertions[{i}] ('dissipation_sign') "
+                              f"stores passed false, but dissipation_sign ")
+        assert err.endswith(" >= 0 is true\n")
 
     def test_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1

@@ -12,6 +12,7 @@ from vacuumlab.energy import (
     ns_energy_residual,
     weak_pairing,
 )
+from vacuumlab.cli import Check
 from vacuumlab.commutators import energy_commutators
 from vacuumlab.grids import (
     Field,
@@ -191,7 +192,8 @@ class TestBoundedDomainBalance:
         rho, u = acoustic_pair(g, law)
         rep = global_energy_balance_bounded(rho, u, law, DELTAS, NUS,
                                             t1=0.2, t2=0.8)
-        assert not rep["boundary_violation"]
+        assert Check("speed", max(rep["boundary_speed"].values()), "<=",
+                     rep["boundary_bound"]).passed
         assert rep["boundary_slope"] > 0.8
         assert rep["energy_gap"] < 1e-8
         assert rep["slice_stability"] < 1e-9
@@ -201,7 +203,8 @@ class TestBoundedDomainBalance:
         rho, u = acoustic_pair(g, law, drift=0.1)
         rep = global_energy_balance_bounded(rho, u, law, DELTAS, NUS,
                                             t1=0.2, t2=0.8)
-        assert rep["boundary_violation"]
+        assert not Check("speed", max(rep["boundary_speed"].values()), "<=",
+                         rep["boundary_bound"]).passed
         assert rep["boundary_plateau"] > 0.01
         assert rep["boundary_slope"] < 0.3
 

@@ -1068,22 +1068,6 @@ class TestFFTEngine:
 
 
 class TestCalculus:
-    def test_shift_rolls_space_and_cuts_time_without_a_rescan(
-            self, small_grid, monkeypatch):
-        f = from_function(small_grid, lambda t, x: np.sin(2 * np.pi * x) + t)
-        scans = []
-        monkeypatch.setattr(grids, "_require_finite", scans.append)
-        h = small_grid.spacings
-        ahead = grids.shift(f, (3 * h[0], 5 * h[1]))
-        behind = grids.shift(f, (-3 * h[0], -5 * h[1]))
-        assert scans == []
-        rolled = np.roll(f.values, -5, axis=1)
-        assert ahead.grid == small_grid.time_subgrid(0, 61)
-        assert ahead.values.tobytes() == rolled[3:].tobytes()
-        assert behind.grid == small_grid.time_subgrid(3, 64)
-        assert behind.values.tobytes() == np.roll(f.values, 5,
-                                                  axis=1)[:61].tobytes()
-
     def test_integrate_constant(self, small_grid):
         assert integrate(constant_field(small_grid, 3.0)) == pytest.approx(3.0)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
+from vacuumlab.cli import Check
 from vacuumlab.errors import NegativityError
 from vacuumlab.grids import Field, GridSpec, constant_field, from_function, lp_norm, make_mollifier
 from vacuumlab.pressure import (
@@ -16,6 +17,12 @@ from vacuumlab.pressure import (
     pressure_commutator,
 )
 from vacuumlab.synth import WeierstrassSpec, weierstrass_field
+
+
+def sampled_gap(law, approx, rho_max=10.0, n=20001):
+    """Dense-sample estimate of sup |p - p_delta| on [0, rho_max]."""
+    s = np.linspace(0.0, rho_max, n)
+    return float(np.max(np.abs(law.p(s) - approx.p(s))))
 
 
 def potential_quadrature(law, rho):
@@ -62,7 +69,7 @@ def _law_methods():
     law = PressureLaw(gamma=1.4, kappa=2.0)
     approx = make_c2_approximant(law, 1e-3)
     return ([(law, name) for name in ("p", "dp", "potential", "dpotential")]
-            + [(approx, name) for name in ("p", "dp", "potential", "ddp")])
+            + [(approx, name) for name in ("p", "dp", "potential")])
 
 
 class TestExtensionBelowZero:
@@ -126,7 +133,7 @@ class TestC2Approximant:
         approx = make_c2_approximant(law, delta)
         gap0 = float(law.p(0.0) - approx.p(0.0))
         assert gap0 == pytest.approx(delta, rel=1e-12)
-        assert approx.sup_gap(10.0) <= delta * (1 + 1e-6)
+        assert sampled_gap(law, approx) <= delta * (1 + 1e-6)
         assert approx.rho_c == pytest.approx(bisected_cut(law, delta),
                                              rel=1e-9)
 
@@ -139,7 +146,7 @@ class TestC2Approximant:
     def test_uniform_gap_within_budget(self, law):
         for delta in (1e-2, 1e-4):
             approx = make_c2_approximant(law, delta)
-            assert approx.sup_gap(10.0) <= delta * (1 + 1e-6)
+            assert sampled_gap(law, approx) <= delta * (1 + 1e-6)
 
     def test_matches_law_above_cut(self, law):
         approx = make_c2_approximant(law, 1e-3)
@@ -150,13 +157,21 @@ class TestC2Approximant:
     def test_c2_junction(self, law):
         approx = make_c2_approximant(law, 1e-3)
         rc, h = approx.rho_c, 1e-8
-        for f in (approx.p, approx.dp, approx.ddp):
+        for f in (approx.p, approx.dp):
             assert f(rc - h) == pytest.approx(float(f(rc + h)), rel=1e-5)
+        # p_delta'' from either side: dp is linear below the cut
+        below = (approx.dp(rc - h) - approx.dp(rc - 2 * h)) / h
+        above = (approx.dp(rc + 2 * h) - approx.dp(rc + h)) / h
+        assert below == pytest.approx(above, rel=1e-3)
 
     def test_second_derivative_bounded_at_vacuum(self, law):
         approx = make_c2_approximant(law, 1e-3)
-        assert np.isfinite(approx.ddp(0.0))
-        assert approx.ddp(0.0) == pytest.approx(float(approx.ddp(approx.rho_c / 2)))
+        # dp is linear below the cut, so p_delta'' is one finite slope
+        rc = approx.rho_c
+        near = (approx.dp(rc / 4) - approx.dp(0.0)) / (rc / 4)
+        assert np.isfinite(near)
+        assert near == pytest.approx((approx.dp(rc / 2) - approx.dp(0.0))
+                                     / (rc / 2))
         with np.errstate(divide="ignore"):
             bare = (law.kappa * law.gamma * (law.gamma - 1)
                     * np.float64(0.0) ** (law.gamma - 2))
@@ -242,7 +257,7 @@ class TestVacuumRounding:
         ker = make_mollifier(2.0 ** -3, 2, self.GRID)
         rep = holder_remainder_bound(rho, law, ker)
         assert np.isfinite(rep["worst_ratio"])
-        assert rep["holds"]
+        assert Check("ratio", rep["worst_ratio"], "<=", rep["bound"]).passed
 
 
 class TestHolderRemainder:
@@ -251,5 +266,5 @@ class TestHolderRemainder:
         rho = weierstrass_field(WeierstrassSpec(alpha=0.4, levels=8, seed=3), g)
         ker = make_mollifier(0.05, 2, g)
         rep = holder_remainder_bound(rho, law, ker)
-        assert rep["holds"]
-        assert rep["worst_ratio"] <= rep["constant"] * (1 + 1e-9)
+        assert Check("ratio", rep["worst_ratio"], "<=", rep["bound"]).passed
+        assert rep["bound"] == rep["constant"] * (1 + 1e-9)

@@ -13,7 +13,6 @@ from vacuumlab.synth import (
     RiemannSpec,
     WeierstrassSpec,
     constant_state,
-    descent_verdict,
     ns_stress,
     riemann_solution,
     shock_dissipation,
@@ -122,11 +121,6 @@ class TestVacuumProfiles:
             vacuum_profile("power", -1.0, small_grid)
         with pytest.raises(ValueError):
             vacuum_profile("cubic", 1.0, small_grid)
-
-    @pytest.mark.parametrize("m,q,expect", [(0.5, 1.0, True), (0.5, 2.0, False),
-                                            (2.0, 1.0, False)])
-    def test_descent_verdict(self, m, q, expect):
-        assert descent_verdict(m, q)["reciprocal_in_Lq"] is expect
 
 
 class TestExactSolutions:
