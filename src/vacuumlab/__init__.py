@@ -32,7 +32,6 @@ from .rates import RateFit, fit_rate
 from .synth import (
     RiemannSpec,
     WeierstrassSpec,
-    constant_state,
     riemann_solution,
     shock_dissipation,
     shock_states,

@@ -17,7 +17,7 @@ criterion prints ``name value relation bound`` for each of its checks.
 output path that cannot be created is a config error.  So is a
 Weierstrass generator whose top level reaches the grid's Nyquist limit.
 So is a ``budget`` eps ladder with fewer than four feasible rungs.
-So is a ladder key with no values.
+So is a ladder key with no values, or an unknown generator kind.
 ``report`` exits 1 on a ``report.json`` that is not JSON, lacks the
 ``study`` or ``assertions`` key, or holds an assertion row without a
 string ``name``, numeric ``bound`` and ``value``, a ``relation`` among
@@ -90,14 +90,18 @@ _SCHEMA = {
 }
 
 
-def _line_of(path: Path, needle: str) -> int:
-    """First line that is the section header ``needle`` or assigns the key
-    ``needle`` (keys compare lower-cased, as configparser reads them); 0 if
-    none does.  A comment or a value that mentions ``needle`` is no match."""
+def _line_of(path: Path, needle: str, section: str | None = None) -> int:
+    """First line that is the section header ``needle`` or, under the
+    header of ``section`` when one is given, assigns the key ``needle``
+    (keys compare lower-cased, as configparser reads them); 0 if none
+    does.  A comment or a value that mentions ``needle`` is no match."""
+    inside = section is None
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
+        if section is not None and text.startswith("["):
+            inside = text == f"[{section}]"
         key = text.split("=", 1)[0].split(":", 1)[0].strip().lower()
-        if needle in (text, key):
+        if inside and needle in (text, key):
             return lineno
     return 0
 
@@ -119,7 +123,7 @@ def load_config(path) -> dict:
                               f"unknown section [{section}]")
         for key in parser[section]:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}:{_line_of(path, key)}: "
+                raise ConfigError(f"{path}:{_line_of(path, key, section)}: "
                                   f"unknown key {key!r} in [{section}]")
 
     config = {}
@@ -136,10 +140,10 @@ def load_config(path) -> dict:
                     else:
                         value = typ(raw)
                 except ValueError:
-                    raise ConfigError(f"{path}:{_line_of(path, key)}: "
+                    raise ConfigError(f"{path}:{_line_of(path, key, section)}: "
                                       f"bad value for {key!r}: {raw!r}")
                 if typ in ("floats", "ints") and not value:
-                    raise ConfigError(f"{path}:{_line_of(path, key)}: "
+                    raise ConfigError(f"{path}:{_line_of(path, key, section)}: "
                                       f"{key!r} needs at least one value")
             elif default is None:
                 raise ConfigError(f"{path}: missing required key "
@@ -147,9 +151,12 @@ def load_config(path) -> dict:
             else:
                 value = default
             config[section][key] = value
-    if config["study"]["kind"] not in STUDY_KINDS:
-        raise ConfigError(f"{path}:{_line_of(path, 'kind')}: study kind must "
-                          f"be one of {', '.join(STUDY_KINDS)}")
+    for section, kinds in (("study", STUDY_KINDS),
+                           ("generator", GENERATOR_KINDS)):
+        if config[section]["kind"] not in kinds:
+            raise ConfigError(f"{path}:{_line_of(path, 'kind', section)}: "
+                              f"{section} kind must be one of "
+                              f"{', '.join(kinds)}")
     _check_nyquist(path, config)
     _check_budget_rungs(path, config)
     return config
@@ -170,7 +177,7 @@ def _check_nyquist(path: Path, config: dict) -> None:
     top = gen["base_frequency"] * 2 ** (gen["levels"] - 1)
     limit = min(config["grid"]["nt"], config["grid"]["nx"]) // 2
     if top >= limit:
-        line = _line_of(path, "levels")
+        line = _line_of(path, "levels", "generator")
         key = (f"{path}:{line}: levels = {gen['levels']}" if line else
                f"{path}: levels = {gen['levels']} (the default)")
         raise ConfigError(
@@ -207,7 +214,7 @@ def _check_budget_rungs(path: Path, config: dict) -> None:
     floor, rungs = _budget_rungs(config)
     if len(rungs) >= _MIN_RUNGS:
         return
-    line = _line_of(path, "eps")
+    line = _line_of(path, "eps", "ladders")
     key = f"{path}:{line}: eps" if line else f"{path}: eps (the default)"
     raise ConfigError(
         f"{key} leaves {len(rungs)} feasible rungs, and the budget fit needs "
@@ -298,22 +305,26 @@ def _study_counterexample(config) -> dict:
                 Check("growth_max", g, "<=", tol["growth_max"], op)]}
 
 
+# generator kind -> the scalar field of the vacuum and qns studies, from
+# [generator], the seed and the grid; in the order the config error lists
+_GENERATORS = {
+    "weierstrass": lambda gen, seed, grid: weierstrass_field(
+        WeierstrassSpec(gen["alpha"], gen["levels"], gen["base_frequency"],
+                        seed=seed), grid, floor=0.0),
+    "spikes": lambda gen, seed, grid: counterexample_field(
+        gen["i_max"], grid.shape[1], time_points=grid.shape[0]),
+    "power": lambda gen, seed, grid: vacuum_profile("power", gen["m"], grid),
+    "sine-power": lambda gen, seed, grid: vacuum_profile("sine-power",
+                                                         gen["m"], grid),
+    "abs": lambda gen, seed, grid: from_function(
+        grid, lambda t, x: np.abs(x - 0.5)),
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
 def _generator_scalar(config, grid):
     gen = config["generator"]
-    kind = gen["kind"]
-    if kind == "weierstrass":
-        spec = WeierstrassSpec(gen["alpha"], gen["levels"],
-                               gen["base_frequency"],
-                               seed=config["study"]["seed"])
-        return weierstrass_field(spec, grid, floor=0.0)
-    if kind == "spikes":
-        return counterexample_field(gen["i_max"], grid.shape[1],
-                                    time_points=grid.shape[0])
-    if kind in ("power", "sine-power"):
-        return vacuum_profile(kind, gen["m"], grid)
-    if kind == "abs":
-        return from_function(grid, lambda t, x: np.abs(x - 0.5))
-    raise ConfigError(f"unknown generator kind {gen['kind']!r}")
+    return _GENERATORS[gen["kind"]](gen, config["study"]["seed"], grid)
 
 
 def _study_vacuum(config) -> dict:

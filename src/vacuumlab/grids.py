@@ -65,14 +65,10 @@ Conventions used throughout the package:
   (an FFT of finite values near 1e300 can overflow; a broadcast slice is
   scanned once), ``integrate`` and ``lp_norm`` reject any non-finite
   value, masked or not, and reports check their scalars.
-* ``import vacuumlab`` loads numpy alone.  scipy loads on first use, in
-  three places: the direct branch of ``Mollification``, which only small
-  vacuum-touching fields take (``scipy.ndimage.convolve1d``);
-  ``qns_check`` and ``qns_mollifier_equivalence`` with a region mask that
-  has a boundary (``scipy.ndimage.distance_transform_edt``); and
-  ``riemann_solution``, through ``synth.solve_middle_state``
-  (``scipy.optimize.brentq``).  FFTs use ``numpy.fft``, and padded FFT
-  lengths come from a pure-Python search.
+* Loading the package loads numpy alone.  scipy has one use, loaded on
+  first call: the direct branch of ``Mollification``, which only small
+  vacuum-touching fields take (``scipy.ndimage.convolve1d``).  FFTs use
+  ``numpy.fft``, and padded FFT lengths come from a pure-Python search.
 """
 
 from __future__ import annotations
@@ -394,21 +390,15 @@ class MollifierKernel:
         return tuple((n - 1) // 2 for n in self.weights.shape)
 
 
-def _solve_theta(mass) -> float:
-    """Bisect for the steepness theta at which ``mass(theta)`` is 1.
-
-    ``mass`` decreases in theta and exceeds 1 at theta = 0.
-    """
-    lo, hi = 0.0, 1.0
-    while mass(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise InfeasibleKernelError("steepness search did not bracket")
+def _bisect(above, lo: float, hi: float) -> float:
+    """Bisect ``[lo, hi]`` for where ``above`` (true below that point, false
+    above it) turns false, until ``lo`` and ``hi`` are adjacent doubles or
+    under 1e-16 max(1, hi) apart; return their midpoint."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # lo and hi are adjacent doubles: nothing left to halve
-        if mass(mid) > 1.0:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -472,7 +462,13 @@ def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
             f"no steepness gives unit mass (plateau {plateau_mass:.3g}, "
             f"full {full_mass:.3g})"
         )
-    theta = _solve_theta(mass)
+    # mass decreases in theta and exceeds 1 at theta = 0
+    hi = 1.0
+    while mass(hi) > 1.0:
+        hi *= 2.0
+        if hi > 1e8:
+            raise InfeasibleKernelError("steepness search did not bracket")
+    theta = _bisect(lambda th: mass(th) > 1.0, 0.0, hi)
     w = profile(theta) / epsilon ** dim
     # Remove the last floating-point sliver so the discrete integral is 1
     # to full precision (rescales transition nodes only).
@@ -720,7 +716,7 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
             row = w[idx][c - r:c + r + 1]
             steps = tuple(i - n // 2 for i, n in zip(idx, w.shape))
             rows.setdefault(row.tobytes(), (row, []))[1].append(steps)
-    # imported here: only the direct branch needs scipy
+    # deferred: only the direct branch needs scipy
     from scipy.ndimage import convolve1d
     lead = axes[:-1]
     out = None

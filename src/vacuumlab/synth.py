@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import AdmissibilityError, BlowupTimeError, ResolutionError
-from .grids import Field, GridSpec, constant_field, dspace, from_function
+from .grids import Field, GridSpec, _bisect, dspace, from_function
 from .pressure import PressureLaw
 
 
@@ -128,16 +128,6 @@ def vacuum_profile(kind: str, m: float, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # Exact solutions
 # ---------------------------------------------------------------------------
-
-def constant_state(rho0: float, u0, grid: GridSpec) -> tuple[Field, Field]:
-    if rho0 < 0:
-        raise ValueError("density must be non-negative")
-    d = grid.spatial_dim
-    u0 = (float(u0),) if np.isscalar(u0) else tuple(float(v) for v in u0)
-    if len(u0) != d:
-        raise ValueError("velocity needs one component per spatial axis")
-    return constant_field(grid, rho0), constant_field(grid, u0, components=d)
-
 
 # simple_wave's Newton iteration runs over blocks of time rows of about
 # this size, so a block and its temporaries stay in cache.
@@ -274,7 +264,7 @@ def _wave_fn(law: PressureLaw, rho_m: float, rho_s: float) -> float:
 
 
 def solve_middle_state(spec: RiemannSpec) -> float:
-    """Density of the intermediate state between the two waves."""
+    """Density of the middle state: the root of the decreasing ``eq``."""
     law = spec.law
 
     def eq(rho_m):
@@ -289,9 +279,7 @@ def solve_middle_state(spec: RiemannSpec) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise AdmissibilityError("no intermediate state found")
-    # imported here: only the Riemann solutions need scipy
-    from scipy.optimize import brentq
-    return float(brentq(eq, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return float(_bisect(lambda rho_m: eq(rho_m) > 0.0, lo, hi))
 
 
 def shock_states(law: PressureLaw, rho_l: float, rho_r: float,

@@ -43,7 +43,7 @@ from .rates import RateFit, fit_rate
 ATOL_FACTOR = 1e-13
 
 # A QNS check tests radius r only at region nodes at least r / EPS0 from
-# the region's boundary: its clearance from where the tested bound ends.
+# the region's boundary on their time slice (their clearance).
 EPS0 = 0.25
 
 
@@ -141,10 +141,10 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
                          region_mask: np.ndarray | None = None) -> dict:
     """Uniform-in-epsilon boundedness of ||(w_e - w)/w_e||_L1(region).
 
-    Reports the last ladder value over the median and the dyadic decades
-    the ladder spans.  ``bounded`` (the last value within a factor 2 of
-    the median, over at least three decades) is kept for the benchmark,
-    which reads it by key.
+    Reports the last ladder value over the median (NaN if that is 0) and
+    the dyadic decades the ladder spans.  ``bounded``, which the benchmark
+    reads by key, is criterion 3's checks of the two (<= 2, >= 3), the
+    first also the CLI's ``bounded_factor`` row: so NaN fails all three.
     """
     require_nonnegative(w, "w")
     values = []
@@ -168,15 +168,14 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
     eps = [k.epsilon for k in kernel_ladder]
     span = math.log2(eps[0] / eps[-1])
     med = float(np.median(values))
-    last = values[-1]
-    bounded = med == 0.0 or last / med <= 2.0
+    factor = float("nan") if med == 0 else values[-1] / med
     return {
         "epsilons": eps,
         "values": values,
         "median": med,
-        "last_over_median": float("nan") if med == 0 else last / med,
+        "last_over_median": factor,
         "decades": span,
-        "bounded": bool(bounded and span >= 3.0 - 1e-9),
+        "bounded": factor <= 2.0 and span >= 3.0,
     }
 
 
@@ -227,17 +226,22 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _offsets(grid: GridSpec, halves) -> list[np.ndarray]:
+    """Spatial offsets k h of the centred stencil of half-widths ``halves``."""
+    return np.meshgrid(*[np.arange(-k, k + 1) * h
+                         for k, h in zip(halves, grid.spacings[1:])],
+                       indexing="ij")
+
+
 def _ball_kernel(grid: GridSpec, radius: float) -> np.ndarray:
     """Normalized indicator of the spatial ball of the given radius."""
-    hs = grid.spacings[1:]
-    halves = [int(np.floor(radius / h)) for h in hs]
+    halves = [int(np.floor(radius / h)) for h in grid.spacings[1:]]
     if any(2 * k + 1 > n for k, n in zip(halves, grid.shape[1:])):
         raise ResolutionError("ball radius exceeds the domain")
     if all(k == 0 for k in halves):
         raise ResolutionError("ball radius under-resolves the grid")
-    offs = np.meshgrid(*[np.arange(-k, k + 1) * h
-                         for k, h in zip(halves, hs)], indexing="ij")
-    ball = (sum(o ** 2 for o in offs) <= radius ** 2).astype(float)
+    ball = (sum(o ** 2 for o in _offsets(grid, halves))
+            <= radius ** 2).astype(float)
     return ball / ball.sum()
 
 
@@ -251,40 +255,44 @@ def _ball_average(w: Field, radius: float) -> Field:
         w.values[..., 0], _ball_kernel(w.grid, radius), axes))
 
 
-def _region_distance(grid: GridSpec, mask: np.ndarray) -> np.ndarray:
-    """Distance (spatial, periodic) from each region node to its complement."""
-    space = mask[0] if mask.ndim == len(grid.shape) else mask
-    if space.all():
-        return np.full(space.shape, min(grid.extents[1:]) / 2.0)
-    # imported here: only region masks with a boundary need scipy
-    from scipy import ndimage
-    d = len(space.shape)
-    tiled = np.tile(space, (3,) * d)
-    dist = ndimage.distance_transform_edt(tiled,
-                                          sampling=grid.spacings[1:])
-    center = tuple(slice(n, 2 * n) for n in space.shape)
-    return dist[center]
+def _clear_nodes(grid: GridSpec, region: np.ndarray,
+                 radius: float) -> np.ndarray:
+    """The nodes of ``region`` (time slices of ``grid``) whose periodic
+    distance to the complement on their slice, times ``EPS0``, is at least
+    ``radius``: an erosion by the offsets k with |k h| EPS0 < radius, each
+    axis cut at half its length (where every residue has its shortest
+    image).  A filled slice has clearance min(extents) / 2, and a region
+    that fills every slice is not convolved."""
+    axes = tuple(range(1, region.ndim))
+    filled = region.all(axis=axes, keepdims=True)
+    if min(grid.extents[1:]) / 2.0 * EPS0 < radius:
+        region = region & ~filled
+    if filled.all():
+        return region
+    halves = [min(int(radius / EPS0 / h) + 1, n // 2)
+              for h, n in zip(grid.spacings[1:], grid.shape[1:])]
+    near = np.sqrt(sum(o ** 2 for o in _offsets(grid, halves))) * EPS0 < radius
+    return region & (circular_convolve(~region, near, axes) < 0.5)
 
 
 def _qns_region(w: Field, region_mask: np.ndarray | None):
-    """The region mask (everywhere if None), the distance of its nodes to
-    its complement, and the time slices a ratio maximum needs: the first
-    alone when ``w`` and the mask repeat their first slice, else all."""
+    """The region mask (everywhere if None) and the time slices a ratio
+    maximum needs: the first alone when ``w`` and the mask repeat their
+    first slice, else all."""
     require_nonnegative(w, "w")
     if region_mask is None:
         region_mask = np.ones(w.grid.shape, dtype=bool)
     region_mask = np.broadcast_to(region_mask, w.grid.shape)
-    dist = _region_distance(w.grid, region_mask)
     # a spatial kernel leaves every slice of such a field with the same
     # bits, so every ratio slice repeats the first and so do its maxima
     constant = (repeats_first_slice(w.values[..., 0])
                 and repeats_first_slice(region_mask))
-    return region_mask, dist, slice(0, 1) if constant else slice(None)
+    return region_mask, slice(0, 1) if constant else slice(None)
 
 
-def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
-                    rows: slice, radius_ladder):
-    """Worst ratio of w to its ball average over the allowed region nodes
+def _ball_ratio_max(w: Field, region_mask: np.ndarray, rows: slice,
+                    radius_ladder):
+    """Worst ratio of w to its ball average over the clear region nodes
     of the time slices ``rows``, and its witness (None if no ratio beats 0).
 
     ``np.argmax`` returns the first maximum, and with repeated slices that
@@ -294,7 +302,7 @@ def _ball_ratio_max(w: Field, region_mask: np.ndarray, dist: np.ndarray,
     witness = None
     for r in radius_ladder:
         avg = _ball_average(w, r)
-        allowed = region_mask[rows] & (dist[None, ...] * EPS0 >= r)
+        allowed = _clear_nodes(w.grid, region_mask[rows], r)
         if not allowed.any():
             continue
         ratio = np.where(allowed, _guarded_ratio(w.values[rows, ..., 0],
@@ -312,23 +320,21 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
     """w(x) <= (C/|B_r|) int_{B_r(x)} w for region nodes and ladder radii.
 
     A radius r is only tested at nodes at least r / ``EPS0`` (4r) from
-    the region boundary.  Returns the empirical constant (worst ratio of the value
-    to its ball average), its gate ``bound`` = C (1 + 1e-9) and the witness
-    node.  Ball averages cover every
+    the region boundary on their own time slice.  Returns the empirical
+    constant (worst ratio of the value to its ball average), its gate
+    ``bound`` = C (1 + 1e-9) and the witness node.  Ball averages cover every
     time slice; when ``w`` and the region mask repeat their first slice
     bit for bit (a time-independent field), the ratios and their maximum
     are formed on that slice alone, with the same result.
     """
-    region_mask, dist, rows = _qns_region(w, region_mask)
-    worst, witness = _ball_ratio_max(w, region_mask, dist, rows,
-                                     radius_ladder)
+    region_mask, rows = _qns_region(w, region_mask)
+    worst, witness = _ball_ratio_max(w, region_mask, rows, radius_ladder)
     return {"bound": C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
 
 def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
-                         region_mask: np.ndarray, dist: np.ndarray,
-                         rows: slice) -> float:
+                         region_mask: np.ndarray, rows: slice) -> float:
     """sup of w / w_e over region nodes clear of the region boundary, on
     the time slices ``rows`` of a spatial kernel's result (a space-time
     kernel's slices differ in their rounding, so it reads them all)."""
@@ -337,8 +343,8 @@ def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
     j0 = we.grid.time_offset_from(w.grid)
     if ker.include_time:
         rows = slice(None)
-    allowed = (region_mask[j0:j0 + we.grid.shape[0]][rows]
-               & (dist[None, ...] * EPS0 >= ker.epsilon))
+    allowed = _clear_nodes(
+        w.grid, region_mask[j0:j0 + we.grid.shape[0]][rows], ker.epsilon)
     if not allowed.any():
         return 0.0
     ratio = _guarded_ratio(w0.values[rows, ..., 0], we.values[rows, ..., 0])
@@ -363,15 +369,13 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
     """
     N = w.grid.spatial_dim
     omega = unit_ball_volume(N)
-    region_mask, dist, rows = _qns_region(w, region_mask)
+    region_mask, rows = _qns_region(w, region_mask)
 
     per_rung = []
     for ker in kernel_ladder:
-        M_emp = _mollifier_ratio_max(w, ker, region_mask, dist, rows)
-        C_emp, _ = _ball_ratio_max(w, region_mask, dist, rows,
-                                   [ker.epsilon / 3.0])
-        C_ball, _ = _ball_ratio_max(w, region_mask, dist, rows,
-                                    [ker.epsilon])
+        M_emp = _mollifier_ratio_max(w, ker, region_mask, rows)
+        C_emp, _ = _ball_ratio_max(w, region_mask, rows, [ker.epsilon / 3.0])
+        C_ball, _ = _ball_ratio_max(w, region_mask, rows, [ker.epsilon])
         per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
                          "C_emp": C_emp, "C_ball": C_ball})
     if C is None:

@@ -71,6 +71,28 @@ class TestLoadConfig:
                            "boundary, ns$"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind", ["vacuum", "rates"])
+    def test_unknown_generator_kind(self, tmp_path, capsys, kind):
+        # rejected before the output directory is made, whether or not the
+        # study reads a generator; the line is the [generator] kind's
+        assert cli.GENERATOR_KINDS == tuple(cli._GENERATORS)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = {kind}\n"
+                            f"output = {out}\n[generator]\nkind = cubic\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: {path}:5: generator kind must be one "
+                       f"of weierstrass, spikes, power, sine-power, abs\n")
+        assert not out.exists()
+
+    def test_error_line_is_in_the_keys_section(self, tmp_path):
+        # nu is a key of [law] and of [ladders]
+        path = write_config(tmp_path, "[study]\nkind = boundary\noutput = o\n"
+                            "[law]\nnu = 0.5\n[ladders]\nnu = fast\n")
+        with pytest.raises(ConfigError, match=r"study\.ini:7: bad value for "
+                           r"'nu': 'fast'$"):
+            load_config(path)
+
     def test_nyquist_generator_rejected_with_shipped_rates_defaults(
             self, tmp_path, capsys):
         # default levels = 8 puts frequency 128 at the Nyquist limit of 256^2

@@ -14,7 +14,6 @@ from scipy import ndimage
 from vacuumlab import commutators, energy, grids, pressure, vacuum
 from vacuumlab.errors import (
     DomainExhaustedError,
-    InfeasibleKernelError,
     NegativityError,
     ResolutionError,
 )
@@ -224,15 +223,10 @@ class TestMollifier:
     def test_theta_search_matches_full_bisection(self, monkeypatch):
         # the search before it stopped on adjacent doubles: bitwise equal
         # kernels, from fewer profile evaluations
-        def full_bisection(mass):
-            lo, hi = 0.0, 1.0
-            while mass(hi) > 1.0:
-                hi *= 2.0
-                if hi > 1e8:
-                    raise InfeasibleKernelError("did not bracket")
+        def full_bisection(above, lo, hi):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                if mass(mid) > 1.0:
+                if above(mid):
                     lo = mid
                 else:
                     hi = mid
@@ -247,21 +241,21 @@ class TestMollifier:
         calls = [0]
 
         def build(solve):
-            # count the mass evaluations the search makes
-            def counted(mass):
-                def counted_mass(theta):
+            # count the mass tests the bisection makes
+            def counted(above, lo, hi):
+                def counted_above(theta):
                     calls[0] += 1
-                    return mass(theta)
-                return solve(counted_mass)
+                    return above(theta)
+                return solve(counted_above, lo, hi)
 
-            monkeypatch.setattr(grids, "_solve_theta", counted)
+            monkeypatch.setattr(grids, "_bisect", counted)
             calls[0] = 0
             kernels = [make_mollifier(eps, g.spatial_dim + inc, g,
                                       include_time=inc)
                        for g, eps, inc in cases]
             return kernels, calls[0]
 
-        new, new_calls = build(grids._solve_theta)
+        new, new_calls = build(grids._bisect)
         old, old_calls = build(full_bisection)
         assert {k.weights.ndim for k in new} == {1, 2, 3}
         for a, b in zip(new, old):
@@ -295,8 +289,13 @@ class TestMollifier:
             r = np.sqrt(sum(o ** 2 for o in offsets)) / eps
             vol, dim = float(np.prod(spacings)), len(spacings)
             scale = vol / eps ** dim
-            theta = grids._solve_theta(
-                lambda th: float(old_profile(r, th).sum() * scale))
+            def mass(th):
+                return float(old_profile(r, th).sum() * scale)
+
+            hi = 1.0
+            while mass(hi) > 1.0:
+                hi *= 2.0
+            theta = grids._bisect(lambda th: mass(th) > 1.0, 0.0, hi)
             w = old_profile(r, theta) / eps ** dim
             trans = (r > 1.0 / 3.0) & (r < 1.0)
             tw = float(w[trans].sum() * vol)

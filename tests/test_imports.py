@@ -1,4 +1,5 @@
-"""The package loads numpy alone; scipy loads where a study calls it."""
+"""The package loads numpy alone; scipy loads only for the direct branch
+of ``Mollification``."""
 
 import os
 import subprocess
@@ -45,6 +46,27 @@ print(commutators.energy_commutators(rho, u, PressureLaw(5 / 3), ker, phi).total
 {SCIPY_LOADED}
 """
     assert run_fresh(code) == ["(360, 360)", "True", "[]"]
+
+
+def test_qns_region_and_riemann_solution_load_no_scipy():
+    # a region with a boundary is eroded on the FFT engine, and the middle
+    # state is bisected
+    code = f"""
+import sys
+import numpy as np
+from vacuumlab import grids, synth, vacuum
+from vacuumlab.pressure import PressureLaw
+g = grids.GridSpec(1, (8, 2048), (1.0, 1.0))
+w = grids.from_function(g, lambda t, x: np.abs(x - 0.5) + 0.05)
+x = g.axis_coords(1)
+region = np.broadcast_to((x > 0.1) & (x < 0.9), g.shape)
+rep = vacuum.qns_check(w, region, [0.02, 0.01], C=1.0)
+print(rep["empirical_C"] <= rep["bound"])
+spec = synth.shock_states(PressureLaw(5 / 3), 0.5, 1.0, family=1)
+print(synth.riemann_solution(spec, grids.GridSpec(1, (64, 128), (0.1, 1.0)))[2] < 0)
+{SCIPY_LOADED}
+"""
+    assert run_fresh(code) == ["True", "True", "[]"]
 
 
 def test_module_entry_point_prints_usage():

@@ -1,8 +1,9 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from vacuumlab import synth
 
@@ -12,7 +13,6 @@ from vacuumlab.pressure import PressureLaw
 from vacuumlab.synth import (
     RiemannSpec,
     WeierstrassSpec,
-    constant_state,
     ns_stress,
     riemann_solution,
     shock_dissipation,
@@ -124,13 +124,6 @@ class TestVacuumProfiles:
 
 
 class TestExactSolutions:
-    def test_constant_state(self, small_grid):
-        rho, u = constant_state(2.0, 0.5, small_grid)
-        assert np.all(rho.values == 2.0)
-        assert np.all(u.values == 0.5)
-        with pytest.raises(ValueError):
-            constant_state(-1.0, 0.0, small_grid)
-
     def test_simple_wave_zero_amplitude_is_constant(self, law):
         g = GridSpec(1, (64, 128), (0.1, 1.0))
         rho, u = simple_wave(law, 0.0, g)
@@ -316,6 +309,25 @@ class TestRiemann:
         spec = RiemannSpec(1.0, 0.4, 1.0, -0.4, law)
         rho_m = solve_middle_state(spec)
         assert rho_m > 1.0
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.4, 5.0 / 3.0, 1.95])
+    def test_middle_state_matches_brentq(self, gamma):
+        # the package's bisection against scipy's brentq on the same
+        # bracket, over shocks, rarefactions and one of each
+        law = PressureLaw(gamma=gamma)
+        for rho_l, u_l, rho_r in itertools.product((0.5, 1.0, 2.0),
+                                                   (-0.3, 0.4), (0.25, 1.5)):
+            spec = RiemannSpec(rho_l, u_l, rho_r, 0.2 - 0.1 * rho_l, law)
+
+            def eq(rho_m):
+                return (spec.u_l - synth._wave_fn(law, rho_m, spec.rho_l)
+                        - (spec.u_r + synth._wave_fn(law, rho_m, spec.rho_r)))
+
+            hi = max(rho_l, rho_r)
+            while eq(hi) > 0:
+                hi *= 2.0
+            ref = brentq(eq, 1e-10, hi, xtol=1e-14, rtol=8.9e-16)
+            assert solve_middle_state(spec) == pytest.approx(ref, rel=1e-14)
 
     def test_vacuum_opening_detected(self, law):
         spec = RiemannSpec(1.0, -10.0, 1.0, 10.0, law)

@@ -8,7 +8,7 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
-from vacuumlab import grids, vacuum
+from vacuumlab import cli, grids, vacuum
 from vacuumlab.cli import Check
 from vacuumlab.errors import (
     ExponentRelationError,
@@ -44,9 +44,10 @@ def ball_check(rep):
 
 
 def l1_checks(rep):
-    """The gates behind ``l1_ratio_lemma_check``'s ``bounded`` key."""
+    """Criterion 3's checks of an ``l1_ratio_lemma_check`` report, the
+    first also the CLI's ``bounded_factor`` row at its default."""
     return [Check("factor", rep["last_over_median"], "<=", 2.0),
-            Check("decades", rep["decades"], ">=", 3.0 - 1e-9)]
+            Check("decades", rep["decades"], ">=", 3.0)]
 
 
 def spatial_kernels(grid, eps_list):
@@ -129,6 +130,19 @@ class TestL1RatioLemma:
         rep = l1_ratio_lemma_check(w, spatial_kernels(GRID, [0.2, 0.1]))
         assert not rep["bounded"]
         assert [c.passed for c in l1_checks(rep)] == [True, False]
+
+    def test_zero_median_is_not_bounded(self):
+        # w_e = w on a constant field: every value and the median are 0, so
+        # the factor is NaN, which the CLI row and criterion 3 both fail
+        g = GridSpec(1, (16, 1024), (1.0, 1.0))
+        w = constant_field(g, 2.0)
+        rep = l1_ratio_lemma_check(
+            w, spatial_kernels(g, [0.2, 0.1, 0.05, 0.025]))
+        assert rep["median"] == 0.0 and np.isnan(rep["last_over_median"])
+        assert rep["bounded"] is False
+        assert [c.passed for c in l1_checks(rep)] == [False, True]
+        # l1_checks' factor gate is the CLI row's default
+        assert cli._SCHEMA["tolerances"]["factor_max"][1] == 2.0
 
     def test_negative_field_rejected(self):
         w = from_function(GRID, lambda t, x: x - 0.5)
@@ -226,6 +240,99 @@ class TestQns:
         assert rep["forward_pass"] is forward.passed
         assert rep["backward_pass"] is backward.passed
         assert forward.passed is backward.passed is (case == "convex")
+
+
+def brute_clearance(grid, region):
+    """Oracle for ``vacuum._clear_nodes``: each region node's distance to
+    the complement on its own slice, the least over every complement node
+    of the shortest periodic image per axis; min(extents) / 2 on a filled
+    slice.  A node is clear of radius r when this times EPS0 is >= r."""
+    space = np.array(region.shape[1:])
+    nodes = np.indices(space).reshape(len(space), -1).T
+    out = np.zeros(region.shape)
+    for j, inside in enumerate(region.reshape(len(region), -1)):
+        if inside.all():
+            clear = np.full(inside.shape, min(grid.extents[1:]) / 2.0)
+        else:
+            gap = np.abs(nodes[:, None, :] - nodes[None, ~inside, :])
+            gap = np.minimum(gap, space - gap) * np.array(grid.spacings[1:])
+            clear = np.sqrt((gap ** 2).sum(axis=-1)).min(axis=1)
+        out[j] = clear.reshape(space)
+    return out
+
+
+def clearance_case(name):
+    """(grid, region mask, radii) for the clearance oracle."""
+    rng = np.random.default_rng(5)
+    if name == "qns-study":
+        # the CLI qns region; radii of the study and of criterion 9, with
+        # their kernels' epsilon and epsilon / 3
+        g = GridSpec(1, (8, 2048), (1.0, 1.0))
+        x = g.axis_coords(1)
+        region = np.broadcast_to((x > 0.1) & (x < 0.9), g.shape).copy()
+        return g, region, [0.06, 0.03, 0.02, 0.015, 0.01, 0.0075, 0.005,
+                           0.0025]
+    if name == "holes-2d":
+        # 2% random holes, drawn afresh on every slice
+        g = GridSpec(2, (8, 64, 48), (1.0, 1.0, 1.0))
+        return g, rng.random(g.shape) >= 0.02, [0.005, 0.01, 0.02, 0.04, 0.2]
+    if name == "disc-2d":
+        g = GridSpec(2, (8, 40, 32), (1.0, 1.0, 0.8))
+        _, x, y = g.meshgrid()
+        return g, (x - 0.5) ** 2 + (y - 0.4) ** 2 < 0.3 ** 2, \
+            [0.005, 0.01, 0.02, 0.04, 0.06, 0.08]
+    if name == "line-2d":
+        # clearances up to half the x period: the stencil wraps there
+        g = GridSpec(2, (8, 16, 12), (1.0, 1.0, 1.0))
+        region = np.ones(g.shape, dtype=bool)
+        region[:, 3] = False
+        return g, region, [0.1, 0.12, 0.125, 0.13]
+    # slice 0 has no boundary; slices 1..7 have a hole at x in [0.5, 0.55)
+    g = GridSpec(1, (8, 512), (1.0, 1.0))
+    region = np.ones(g.shape, dtype=bool)
+    region[1:, 256:282] = False
+    return g, region, [0.001, 0.005, 0.01, 0.02, 0.125, 0.2]
+
+
+class TestClearance:
+    @pytest.mark.parametrize("name", ["qns-study", "holes-2d", "disc-2d",
+                                      "line-2d", "time-varying"])
+    def test_erosion_matches_brute_force_distance(self, name):
+        g, region, radii = clearance_case(name)
+        clearance = brute_clearance(g, region)
+        for r in radii:
+            oracle = region & (clearance * vacuum.EPS0 >= r)
+            assert np.array_equal(vacuum._clear_nodes(g, region, r),
+                                  oracle), r
+        if name == "qns-study":
+            # 4r = 0.02 is 40.96 cells: 40 of the 1638 region nodes go on
+            # either side
+            assert vacuum._clear_nodes(g, region, 0.005).sum() == 8 * 1558
+
+    def test_time_constant_region_erodes_one_slice(self, monkeypatch):
+        g, region, _ = clearance_case("qns-study")
+        rows = record_convolved_rows(monkeypatch)
+        vacuum._clear_nodes(g, region, 0.01)
+        assert rows == [1]
+
+    def test_region_without_boundary_is_not_convolved(self, monkeypatch):
+        g = GridSpec(1, (8, 4096), (1.0, 1.0))
+        rows = record_convolved_rows(monkeypatch)
+        full = np.ones(g.shape, dtype=bool)
+        assert vacuum._clear_nodes(g, full, 0.125).all()
+        assert not vacuum._clear_nodes(g, full, 0.13).any()
+        assert rows == []
+
+    def test_node_next_to_a_later_hole_is_not_tested(self):
+        # x = 0.5518 is one cell from the hole on slice 1, so no radius is
+        # tested there, though slice 0 has no hole; a peak at that node
+        # would otherwise give a ratio near 10
+        g, region, _ = clearance_case("time-varying")
+        vals = np.ones(g.shape)
+        vals[1, 282] = 10.0
+        rep = qns_check(Field(g, vals), region, [0.005, 0.01], C=1.0)
+        assert rep["empirical_C"] == pytest.approx(1.0, rel=1e-12)
+        assert ball_check(rep).passed
 
 
 def direct_ball_average(w, radius):
