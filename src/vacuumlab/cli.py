@@ -49,6 +49,7 @@ from .rates import fit_rate
 from .synth import WeierstrassSpec, simple_wave, vacuum_profile, weierstrass_field
 from .testfn import spacetime_bump
 from .vacuum import (
+    QnsRegion,
     counterexample_blowup,
     counterexample_field,
     l1_ratio_lemma_check,
@@ -348,7 +349,7 @@ def _study_qns(config) -> dict:
     tol = config["tolerances"]
     w = _generator_scalar(config, grid)
     x = grid.axis_coords(1)
-    region = np.broadcast_to((x > 0.1) & (x < 0.9), grid.shape).copy()
+    region = QnsRegion(w, (x > 0.1) & (x < 0.9))
     C, radii = tol["constant"], config["ladders"]["radius"]
     chk = qns_check(w, region, radii, C=C)
     kernels = [make_mollifier(3.0 * r, 1, grid, include_time=False)

@@ -185,11 +185,6 @@ def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
     return [moll(rho), moll(u), m_e, mm_e, p_e]
 
 
-# ``commutators_from_mollified`` multiplies phi into a density this many
-# time rows at a time, so phi is never held on the whole box.
-_PAIR_ROWS = 64
-
-
 def commutators_from_mollified(rho: Field, law: PressureLaw,
                                kernel: MollifierKernel, phi: TestFunction,
                                mollified: list) -> CommutatorReport:
@@ -205,14 +200,14 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     operand is no longer needed.  Each term is the pairing
     sum(density * phi) * cell_volume over the nodes of phi's support box
     on rho_e's grid, the same nodes whether that grid is the whole
-    interior or a box; phi is multiplied into the density ``_PAIR_ROWS``
-    time rows at a time, and the product is summed as one view.  r1 loses
-    the time stencil's rows at both ends and is paired on the support rows
-    it keeps.  Outside the support phi is 0, and on a box the spatial
-    differences wrap there.  rho_e may dip below 0 next to exact vacuum;
-    the law reads that as 0 (see ``PressureLaw``).  Overflow anywhere in a
-    paired density reaches its sum, which ``CommutatorReport`` rejects;
-    the s integrand is checked before the vacuum mask drops nodes.
+    interior or a box; phi is multiplied into the density a few time rows
+    at a time (``TestFunction.weigh``), and the product is summed as one
+    view.  r1 loses the time stencil's rows at both ends and is paired on
+    the support rows it keeps.  Outside the support phi is 0, and on a box
+    the spatial differences wrap there.  rho_e may dip below 0 next to
+    exact vacuum; the law reads that as 0 (see ``PressureLaw``).  Overflow
+    anywhere in a paired density reaches its sum, which ``CommutatorReport``
+    rejects; the s integrand is checked before the vacuum mask drops nodes.
     """
     atol = vacuum_floor(rho)
     grid = mollified[0].grid
@@ -232,11 +227,8 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
         # dens lacks ``trim`` rows at both ends of grid
         t0 = max(support[0][0], trim)
         t1 = max(min(support[0][1], nt - trim), t0)
-        on_dens = dens[(slice(t0 - trim, t1 - trim),) + space]
-        for lo in range(t0, t1, _PAIR_ROWS):
-            hi = min(lo + _PAIR_ROWS, t1)
-            rows = grid.subgrid(((lo, hi),) + support[1:])
-            on_dens[lo - t0:hi - t0] *= phi.phi_values(rows)
+        on_dens = phi.weigh(dens[(slice(t0 - trim, t1 - trim),) + space],
+                            grid, ((t0, t1),) + support[1:])
         return float(on_dens.sum() * grid.cell_volume)
 
     def tensor(i, j):

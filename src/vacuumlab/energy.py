@@ -9,7 +9,11 @@ flux is F = (rho |u|^2 / 2 + p + P) u.  The weak residual of a pair
 so smooth exact solutions give 0 and admissible shocks give a strictly
 negative value close to D * int phi dt along the shock path, where D is
 the Rankine-Hugoniot dissipation rate.  No derivative of (rho, u) is
-ever taken in a pairing; only test-function derivatives appear.
+ever taken in a pairing; only test-function derivatives appear.  Each
+pairing builds its integrand in place in a fresh array, weighs it by phi's
+derivative a few time rows at a time (``TestFunction.weigh``) and sums the
+product whole with ``integrate``, whose finiteness scan thereby covers the
+integrand too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grids import Field, MollifierKernel, integrate, require_nonnegative
+from .grids import Field, MollifierKernel, align, integrate, require_nonnegative
 from .pressure import PressureLaw
 from .commutators import commutators_from_mollified, mollify_energy_inputs
 from .synth import ns_stress, stress_apply, stress_contract_grad
@@ -57,26 +61,42 @@ class EnergyBudget:
         }
 
 
+def _energy(rho: np.ndarray, u: np.ndarray, law: PressureLaw, flux=False):
+    """E = rho |u|^2 / 2 + P(rho), or with ``flux`` F = (rho |u|^2 / 2 + p
+    + P) u, built in place in a fresh array; rho has no component axis."""
+    E = 0.5 * rho * np.sum(u ** 2, axis=-1)
+    if flux:
+        E += law.p(rho)
+    E += law.potential(rho)
+    return E[..., None] * u if flux else E[..., None]
+
+
 def energy_density(rho: Field, u: Field, law: PressureLaw) -> Field:
     """E = rho |u|^2 / 2 + P(rho)."""
     require_nonnegative(rho, "rho")
-    kinetic = 0.5 * rho.values[..., 0] * np.sum(u.values ** 2, axis=-1)
-    potential = law.potential(rho.values[..., 0])
-    return Field(rho.grid, kinetic + potential)
+    return Field(rho.grid, _energy(rho.values[..., 0], u.values, law))
 
 
 def energy_flux(rho: Field, u: Field, law: PressureLaw) -> Field:
     """F = (rho |u|^2 / 2 + p + P) u."""
     require_nonnegative(rho, "rho")
-    scalar = (0.5 * rho.values[..., 0] * np.sum(u.values ** 2, axis=-1)
-              + law.p(rho.values[..., 0]) + law.potential(rho.values[..., 0]))
-    return Field(rho.grid, scalar[..., None] * u.values)
+    return Field(rho.grid, _energy(rho.values[..., 0], u.values, law, True))
+
+
+def _paired(dens: np.ndarray, grid, phi: TestFunction, axes=None) -> float:
+    """int sum_j dens_j d_j phi on ``grid``, d_j the derivative on axes[j]
+    (None: phi; by default grad phi . dens); consumes ``dens``."""
+    whole = tuple((0, n) for n in grid.shape)
+    for j, axis in enumerate(axes or range(1, 1 + dens.shape[-1])):
+        phi.weigh(dens[..., j], grid, whole, axis)
+    dot = dens[..., 0] if dens.shape[-1] == 1 else dens.sum(axis=-1)
+    return integrate(Field._wrap(grid, dot))
 
 
 def weak_pairing(E: Field, F: Field, phi: TestFunction) -> float:
     """-int (d_t phi * E + grad phi . F) on E's grid."""
-    grid = E.grid
-    return -(integrate(phi.dt(grid) * E) + integrate(phi.grad(grid).dot(F)))
+    grid, E, F = align(E, F)
+    return -(_paired(E.copy(), grid, phi, [0]) + _paired(F.copy(), grid, phi))
 
 
 def local_energy_residual(rho: Field, u: Field, law: PressureLaw,
@@ -84,9 +104,10 @@ def local_energy_residual(rho: Field, u: Field, law: PressureLaw,
     """Weak energy residual of the raw fields; zero for smooth solutions."""
     if rho.grid != u.grid:
         raise ValueError("fields must share a grid")
-    E = energy_density(rho, u, law)
-    F = energy_flux(rho, u, law)
-    return weak_pairing(E, F, phi)
+    require_nonnegative(rho, "rho")
+    r, v = rho.values[..., 0], u.values
+    dt_E = _paired(_energy(r, v, law), rho.grid, phi, [0])
+    return -(dt_E + _paired(_energy(r, v, law, True), rho.grid, phi))
 
 
 def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
@@ -104,7 +125,8 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     because the gap sits near rounding level and a box's FFT lengths
     move it (the budget study's ``gap_order`` by about 1.3e-6 relative).
     The LHS is formed first; the fields then go to
-    ``commutators_from_mollified``, which consumes them.
+    ``commutators_from_mollified``, which consumes them.  The LHS forms
+    its integrands in place, and sums them over the whole grid on purpose.
     """
     mollified = mollify_energy_inputs(rho, u, law, kernel)
     lhs = _mollified_lhs(*mollified[:3], law, phi)
@@ -121,13 +143,14 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
 def _mollified_lhs(rho_e: Field, u_e: Field, m_e: Field, law: PressureLaw,
                    phi: TestFunction) -> float:
     """The balance's LHS: the weak pairing of the mollified energy
-    density and flux."""
-    kinetic = 0.5 * rho_e.values[..., 0] * np.sum(u_e.values ** 2, axis=-1)
-    E_m = Field(rho_e.grid, kinetic + law.potential(rho_e.values[..., 0]))
-    ke_flux = 0.5 * np.sum(u_e.values ** 2, axis=-1)[..., None] * m_e.values
-    dP = law.dpotential(rho_e.values)
-    F_m = Field(rho_e.grid, ke_flux + rho_e.values * dP * u_e.values)
-    return weak_pairing(E_m, F_m, phi)
+    density and flux; E is paired and dropped before F is built."""
+    rho, u = rho_e.values[..., 0], u_e.values
+    dt_E = _paired(_energy(rho, u, law), rho_e.grid, phi, [0])
+    F = 0.5 * np.sum(u ** 2, axis=-1)[..., None] * m_e.values
+    w = rho * law.dpotential(rho)
+    for j in range(u.shape[-1]):
+        F[..., j] += w * u[..., j]
+    return -(dt_E + _paired(F, rho_e.grid, phi))
 
 
 def ns_energy_residual(rho: Field, u: Field, law: PressureLaw,
@@ -150,11 +173,10 @@ def ns_energy_residual(rho: Field, u: Field, law: PressureLaw,
     S = ns_stress(u, mu, nu)
     if degenerate:
         S = Field(grid, rho.values * S.values)
-    phi_f = phi.phi(grid)
-    g_phi = phi.grad(grid)
-    work = integrate(stress_apply(S, u).dot(g_phi))
-    dissipation = integrate(phi_f * stress_contract_grad(S, u))
-    if float(np.min(phi_f.values)) >= 0.0 and dissipation < -1e-12:
+    work = _paired(np.array(stress_apply(S, u).values), grid, phi)
+    dissipation = _paired(np.array(stress_contract_grad(S, u).values), grid,
+                          phi, [None])
+    if dissipation < -1e-12 and float(np.min(phi.phi_values(grid))) >= 0.0:
         raise ValueError("negative dissipation quadrature with phi >= 0")
     return {
         "residual": euler + work + dissipation,
@@ -162,14 +184,6 @@ def ns_energy_residual(rho: Field, u: Field, law: PressureLaw,
         "euler_part": euler,
         "viscous_work": work,
     }
-
-
-def _slice_energy(rho: Field, u: Field, law: PressureLaw) -> np.ndarray:
-    """int E(t, .) dx per time slice."""
-    E = energy_density(rho, u, law).values[..., 0]
-    vol = float(np.prod(rho.grid.spacings[1:]))
-    axes = tuple(range(1, E.ndim))
-    return E.sum(axis=axes) * vol
 
 
 # The largest |u . n| at either end of the interval that still counts as
@@ -215,7 +229,7 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     boundary_samples = []
     for delta in delta_ladder:
         phi = boundary_cutoff(delta, theta)
-        boundary = -integrate(phi.grad(grid).dot(F))
+        boundary = -_paired(np.array(F.values), grid, phi)
         boundary_samples.append((delta, abs(boundary)))
 
     logs = np.log(np.maximum([b for _, b in boundary_samples], 1e-300))
@@ -227,11 +241,11 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     window_samples = []
     for nu_val in nu_ladder:
         theta_nu = time_window(t1, t2, nu_val)
-        bulk = -integrate(theta_nu.dt(grid) * E)
+        bulk = -_paired(np.array(E.values), grid, theta_nu, [0])
         window_samples.append((nu_val, abs(bulk)))
 
-    # slice stability near the window edges
-    slice_E = _slice_energy(rho, u, law)
+    # slice stability near the window edges: int E(t, .) dx per slice
+    slice_E = E.values[..., 0].sum(axis=1) * grid.spacings[1]
     t = grid.axis_coords(0)
     near1 = np.argsort(np.abs(t - t1))[:3]
     near2 = np.argsort(np.abs(t - t2))[:3]

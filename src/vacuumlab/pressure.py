@@ -29,8 +29,8 @@ from .rates import RateFit, fit_rate, kernels_for_ladder
 
 
 def _density(rho) -> np.ndarray:
-    """max(rho, 0) as a fresh float array that p and dp may overwrite; 0-d
-    for a scalar, as numpy's scalar power can differ from its array loop."""
+    """max(rho, 0) as a fresh float array that each law method overwrites;
+    0-d for a scalar, as numpy's scalar power can differ from its loop."""
     return np.asarray(np.maximum(rho, 0.0), float)
 
 
@@ -65,14 +65,22 @@ class PressureLaw:
         return rho[()]
 
     def potential(self, rho):
-        """P(rho), normalized so P(1) = 0."""
+        """P(rho), normalized so P(1) = 0; in place, as ``p``."""
         rho = _density(rho)
-        return self.kappa * (rho ** self.gamma - rho) / (self.gamma - 1)
+        np.subtract(rho ** self.gamma, rho, out=rho)
+        rho *= self.kappa
+        rho /= self.gamma - 1
+        return rho[()]
 
     def dpotential(self, rho):
-        """P'(rho) = kappa * (gamma * rho**(gamma-1) - 1) / (gamma - 1)."""
+        """P'(rho) = kappa (gamma rho**(gamma-1) - 1) / (gamma-1), in place."""
         rho = _density(rho)
-        return self.kappa * (self.gamma * rho ** (self.gamma - 1) - 1) / (self.gamma - 1)
+        rho **= self.gamma - 1
+        rho *= self.gamma
+        rho -= 1
+        rho *= self.kappa
+        rho /= self.gamma - 1
+        return rho[()]
 
     def sound_speed(self, rho):
         return np.sqrt(self.dp(rho))

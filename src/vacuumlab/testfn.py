@@ -94,6 +94,7 @@ def _fill(values, grid: GridSpec) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, float), grid.shape)
 
 
+PAIR_ROWS = 64  # the time rows ``TestFunction.weigh`` takes at a time
 # (value, derivative) callables of one axis
 Factor = tuple[Callable, Callable]
 # the factor of every axis past the end of ``factors``
@@ -148,11 +149,19 @@ class TestFunction:
     def phi(self, grid: GridSpec) -> Field:
         return Field(grid, _fill(self.phi_values(grid), grid))
 
-    def phi_values(self, grid: GridSpec) -> np.ndarray:
-        """The values of ``phi(grid)`` as an array that broadcasts to
-        ``grid.shape``, neither filled nor scanned: a pairing that takes
-        phi a few rows at a time never holds it on the whole grid."""
-        return np.asarray(self._phi(*_open_mesh(grid)), float)
+    def phi_values(self, grid: GridSpec, axis=None) -> np.ndarray:
+        """``phi(grid)``, or its derivative on ``axis``, as values that only
+        broadcast to ``grid.shape``, neither filled nor scanned."""
+        return np.asarray(self._product(_open_mesh(grid), axis), float)
+
+    def weigh(self, values, grid: GridSpec, box, axis=None) -> np.ndarray:
+        """``values``, on the node box ``box`` of ``grid``, times phi (or its
+        derivative on ``axis``) in place, ``PAIR_ROWS`` time rows at a time."""
+        (t0, t1), space = box[0], tuple(box[1:])
+        for lo in range(t0, t1, PAIR_ROWS):
+            rows = grid.subgrid(((lo, min(lo + PAIR_ROWS, t1)),) + space)
+            values[lo - t0:lo - t0 + PAIR_ROWS] *= self.phi_values(rows, axis)
+        return values
 
     def dt(self, grid: GridSpec) -> Field:
         return Field(grid, _fill(self._dt(*_open_mesh(grid)), grid))

@@ -275,39 +275,53 @@ def _clear_nodes(grid: GridSpec, region: np.ndarray,
     return region & (circular_convolve(~region, near, axes) < 0.5)
 
 
-def _qns_region(w: Field, region_mask: np.ndarray | None):
-    """The region mask (everywhere if None) and the time slices a ratio
-    maximum needs: the first alone when ``w`` and the mask repeat their
-    first slice, else all."""
-    require_nonnegative(w, "w")
-    if region_mask is None:
-        region_mask = np.ones(w.grid.shape, dtype=bool)
-    region_mask = np.broadcast_to(region_mask, w.grid.shape)
-    # a spatial kernel leaves every slice of such a field with the same
-    # bits, so every ratio slice repeats the first and so do its maxima
-    constant = (repeats_first_slice(w.values[..., 0])
-                and repeats_first_slice(region_mask))
-    return region_mask, slice(0, 1) if constant else slice(None)
+class QnsRegion:
+    """A QNS check's region of ``w`` (all nodes for a None mask), the time
+    slices its ratio maxima need (``rows``) and each radius's clear nodes,
+    eroded once; the QNS checks share one in place of a mask."""
+
+    def __init__(self, w: Field, region_mask: np.ndarray | None):
+        require_nonnegative(w, "w")
+        self.w, self.mask, self._clear = w, np.broadcast_to(
+            True if region_mask is None else region_mask, w.grid.shape), {}
+        # a spatial kernel leaves every slice of such a field with the same
+        # bits, so every ratio slice repeats the first and so do its maxima
+        constant = (repeats_first_slice(w.values[..., 0])
+                    and repeats_first_slice(self.mask))
+        self.rows = slice(0, 1) if constant else slice(None)
+
+    def clear(self, radius: float) -> np.ndarray:
+        if radius not in self._clear:
+            self._clear[radius] = _clear_nodes(self.w.grid,
+                                               self.mask[self.rows], radius)
+        return self._clear[radius]
 
 
-def _ball_ratio_max(w: Field, region_mask: np.ndarray, rows: slice,
-                    radius_ladder):
-    """Worst ratio of w to its ball average over the clear region nodes
-    of the time slices ``rows``, and its witness (None if no ratio beats 0).
+def _qns_region(w: Field, region) -> QnsRegion:
+    if not isinstance(region, QnsRegion):
+        return QnsRegion(w, region)
+    if region.w is w:
+        return region
+    raise ValueError("the QNS region belongs to another field")
+
+
+def _ball_ratio_max(w: Field, region: QnsRegion, radius_ladder):
+    """Worst ratio of w to its ball average over the clear nodes of the
+    region's ``rows``, and its witness (None if no ratio beats 0).
 
     ``np.argmax`` returns the first maximum, and with repeated slices that
     lies in the first, so one slice gives the witness of all of them.
     """
     worst = 0.0
     witness = None
+    rows = region.rows
     for r in radius_ladder:
         avg = _ball_average(w, r)
-        allowed = _clear_nodes(w.grid, region_mask[rows], r)
+        allowed = region.clear(r)
         if not allowed.any():
             continue
-        ratio = np.where(allowed, _guarded_ratio(w.values[rows, ..., 0],
-                                                 avg.values[rows, ..., 0]),
-                         0.0)
+        ratio = np.where(allowed, _guarded_ratio(
+            w.values[rows, ..., 0], avg.values[rows, ..., 0]), 0.0)
         idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         if ratio[idx] > worst:
             worst = float(ratio[idx])
@@ -315,7 +329,7 @@ def _ball_ratio_max(w: Field, region_mask: np.ndarray, rows: slice,
     return worst, witness
 
 
-def qns_check(w: Field, region_mask: np.ndarray | None,
+def qns_check(w: Field, region_mask: np.ndarray | QnsRegion | None,
               radius_ladder: list, C: float) -> dict:
     """w(x) <= (C/|B_r|) int_{B_r(x)} w for region nodes and ladder radii.
 
@@ -327,31 +341,33 @@ def qns_check(w: Field, region_mask: np.ndarray | None,
     bit for bit (a time-independent field), the ratios and their maximum
     are formed on that slice alone, with the same result.
     """
-    region_mask, rows = _qns_region(w, region_mask)
-    worst, witness = _ball_ratio_max(w, region_mask, rows, radius_ladder)
+    region = _qns_region(w, region_mask)
+    worst, witness = _ball_ratio_max(w, region, radius_ladder)
     return {"bound": C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
 
 def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
-                         region_mask: np.ndarray, rows: slice) -> float:
+                         region: QnsRegion) -> float:
     """sup of w / w_e over region nodes clear of the region boundary, on
-    the time slices ``rows`` of a spatial kernel's result (a space-time
+    the region's ``rows`` of a spatial kernel's result (a space-time
     kernel's slices differ in their rounding, so it reads them all)."""
     we = mollify(w, ker)
     w0 = restrict(w, we.grid)
     j0 = we.grid.time_offset_from(w.grid)
     if ker.include_time:
-        rows = slice(None)
-    allowed = _clear_nodes(
-        w.grid, region_mask[j0:j0 + we.grid.shape[0]][rows], ker.epsilon)
+        rows, allowed = slice(None), _clear_nodes(
+            w.grid, region.mask[j0:j0 + we.grid.shape[0]], ker.epsilon)
+    else:  # a spatial kernel keeps every time slice
+        rows, allowed = region.rows, region.clear(ker.epsilon)
     if not allowed.any():
         return 0.0
     ratio = _guarded_ratio(w0.values[rows, ..., 0], we.values[rows, ..., 0])
     return float(np.max(np.where(allowed, ratio, 0.0)))
 
 
-def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
+def qns_mollifier_equivalence(w: Field,
+                              region_mask: np.ndarray | QnsRegion | None,
                               kernel_ladder: list, M: float,
                               C: float | None = None) -> dict:
     """Both directions of the ball-average / mollifier comparison.
@@ -369,13 +385,13 @@ def qns_mollifier_equivalence(w: Field, region_mask: np.ndarray | None,
     """
     N = w.grid.spatial_dim
     omega = unit_ball_volume(N)
-    region_mask, rows = _qns_region(w, region_mask)
+    region = _qns_region(w, region_mask)
 
     per_rung = []
     for ker in kernel_ladder:
-        M_emp = _mollifier_ratio_max(w, ker, region_mask, rows)
-        C_emp, _ = _ball_ratio_max(w, region_mask, rows, [ker.epsilon / 3.0])
-        C_ball, _ = _ball_ratio_max(w, region_mask, rows, [ker.epsilon])
+        M_emp = _mollifier_ratio_max(w, ker, region)
+        C_emp, _ = _ball_ratio_max(w, region, [ker.epsilon / 3.0])
+        C_ball, _ = _ball_ratio_max(w, region, [ker.epsilon])
         per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
                          "C_emp": C_emp, "C_ball": C_ball})
     if C is None:

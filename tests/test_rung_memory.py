@@ -1,13 +1,18 @@
-"""One energy-commutator rung holds only the arrays its numbers need.
+"""One energy-commutator rung, and one energy pairing, holds only the
+arrays its numbers need.
 
 ``mollify_energy_inputs`` reads rho and u in place and forms each product
 just before it is mollified; ``commutators_from_mollified`` consumes its
-fields and takes phi a few rows at a time.  The numbers must keep every
+fields and takes phi a few rows at a time.  The energy pairings build E
+and F in fresh arrays, update them in place and multiply phi's
+derivatives into them a few rows at a time.  The numbers must keep every
 bit: they are compared, under ``float.hex``, with a frozen copy of the
 earlier code, which copied the read box, built every input up front,
-kept all five fields to the end and evaluated phi on the whole box.
+kept all five fields to the end, evaluated phi and its derivatives on the
+whole grid or box, and formed every integrand from fresh temporaries.
 Both sides share ``Mollification``, whose engine ``test_grids`` checks
-against ``rfftn``/``irfftn`` on its own.
+against ``rfftn``/``irfftn`` on its own, and the test function's
+``phi``, ``dt`` and ``grad``, which ``test_testfn`` checks.
 """
 
 import tracemalloc
@@ -19,23 +24,107 @@ import pytest
 from conftest import force_branch
 
 from vacuumlab import commutators, grids
+from vacuumlab.cli import _BUDGET_EXTENTS
 from vacuumlab.commutators import energy_commutators
-from vacuumlab.energy import mollified_energy_balance, weak_pairing
+from vacuumlab.energy import (
+    global_energy_balance_bounded,
+    local_energy_residual,
+    mollified_energy_balance,
+    ns_energy_residual,
+)
 from vacuumlab.grids import (
     Field,
     GridSpec,
     Mollification,
     from_function,
+    integrate,
     make_mollifier,
 )
 from vacuumlab.pressure import PressureLaw
-from vacuumlab.testfn import spacetime_bump, time_bump
+from vacuumlab.synth import (
+    ns_stress,
+    simple_wave,
+    stress_apply,
+    stress_contract_grad,
+    vacuum_profile,
+)
+from vacuumlab.testfn import (
+    boundary_cutoff,
+    spacetime_bump,
+    time_bump,
+    time_window,
+)
 from vacuumlab.vacuum import vacuum_floor
 
 LAW = PressureLaw(gamma=5.0 / 3.0)
 
 
 # -- the frozen copy -----------------------------------------------------------
+
+def frozen_potential(law, rho):
+    rho = np.maximum(rho, 0.0)
+    return law.kappa * (rho ** law.gamma - rho) / (law.gamma - 1)
+
+
+def frozen_dpotential(law, rho):
+    rho = np.maximum(rho, 0.0)
+    return (law.kappa * (law.gamma * rho ** (law.gamma - 1) - 1)
+            / (law.gamma - 1))
+
+
+def frozen_weak_pairing(E, F, phi):
+    grid = E.grid
+    return -(integrate(phi.dt(grid) * E) + integrate(phi.grad(grid).dot(F)))
+
+
+def frozen_energy_density(rho, u, law):
+    kinetic = 0.5 * rho.values[..., 0] * np.sum(u.values ** 2, axis=-1)
+    return Field(rho.grid, kinetic + frozen_potential(law, rho.values[..., 0]))
+
+
+def frozen_energy_flux(rho, u, law):
+    scalar = (0.5 * rho.values[..., 0] * np.sum(u.values ** 2, axis=-1)
+              + law.p(rho.values[..., 0])
+              + frozen_potential(law, rho.values[..., 0]))
+    return Field(rho.grid, scalar[..., None] * u.values)
+
+
+def frozen_local_energy_residual(rho, u, law, phi):
+    return frozen_weak_pairing(frozen_energy_density(rho, u, law),
+                               frozen_energy_flux(rho, u, law), phi)
+
+
+def frozen_ns_energy_residual(rho, u, law, mu, nu, degenerate, phi):
+    grid = rho.grid
+    euler = frozen_local_energy_residual(rho, u, law, phi)
+    S = ns_stress(u, mu, nu)
+    if degenerate:
+        S = Field(grid, rho.values * S.values)
+    work = integrate(stress_apply(S, u).dot(phi.grad(grid)))
+    dissipation = integrate(phi.phi(grid) * stress_contract_grad(S, u))
+    return {"residual": euler + work + dissipation,
+            "dissipation": dissipation, "euler_part": euler,
+            "viscous_work": work}
+
+
+def frozen_bounded_balance(rho, u, law, deltas, nus, t1, t2):
+    """The numbers of ``global_energy_balance_bounded`` that its pairings
+    and slice energies give."""
+    grid = rho.grid
+    E = frozen_energy_density(rho, u, law)
+    F = frozen_energy_flux(rho, u, law)
+    theta = time_window(t1, t2, min(nus))
+    boundary = [abs(-integrate(boundary_cutoff(d, theta).grad(grid).dot(F)))
+                for d in sorted(deltas, reverse=True)]
+    window = [abs(-integrate(time_window(t1, t2, v).dt(grid) * E))
+              for v in sorted(nus, reverse=True)]
+    slice_E = (frozen_energy_density(rho, u, law).values[..., 0].sum(axis=1)
+               * grid.spacings[1])
+    t = grid.axis_coords(0)
+    near = [np.argsort(np.abs(t - s))[:3] for s in (t1, t2)]
+    return {"boundary": boundary, "window": window,
+            "slice_stability": max(np.ptp(slice_E[n]) for n in near)}
+
 
 def frozen_mollify_energy_inputs(rho, u, law, kernel, box=None):
     grids.require_nonnegative(rho, "rho")
@@ -88,7 +177,7 @@ def frozen_commutators_from_mollified(rho, law, kernel, phi, mollified):
     r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
                             for j in range(d))))
     s_dens = reduce(iadd, (diff(defect[..., i], 1 + i) for i in range(d)))
-    s_dens *= law.dpotential(rho_e[..., 0])
+    s_dens *= frozen_dpotential(law, rho_e[..., 0])
     np.copyto(s_dens, 0.0, where=rho_e[..., 0] <= atol)
     s = pair(s_dens)
     return {"r1": r1, "r2": r2, "r3": r3, "s": s}
@@ -104,11 +193,12 @@ def frozen_balance(rho, u, law, kernel, phi):
     mollified = frozen_mollify_energy_inputs(rho, u, law, kernel)
     rho_e, u_e, m_e = mollified[:3]
     kinetic = 0.5 * rho_e.values[..., 0] * np.sum(u_e.values ** 2, axis=-1)
-    E_m = Field(rho_e.grid, kinetic + law.potential(rho_e.values[..., 0]))
+    E_m = Field(rho_e.grid,
+                kinetic + frozen_potential(law, rho_e.values[..., 0]))
     ke_flux = 0.5 * np.sum(u_e.values ** 2, axis=-1)[..., None] * m_e.values
-    dP = law.dpotential(rho_e.values)
+    dP = frozen_dpotential(law, rho_e.values)
     F_m = Field(rho_e.grid, ke_flux + rho_e.values * dP * u_e.values)
-    lhs = weak_pairing(E_m, F_m, phi)
+    lhs = frozen_weak_pairing(E_m, F_m, phi)
     terms = frozen_commutators_from_mollified(rho, law, kernel, phi,
                                               mollified)
     rhs = float(sum(terms.values()))
@@ -118,12 +208,16 @@ def frozen_balance(rho, u, law, kernel, phi):
 # -- cases --------------------------------------------------------------------
 
 def rung_case(spatial_dim, density):
-    """rho, u and a kernel; a vacuum rho has exact zeros on a slab of x."""
+    """rho, u and a kernel; a vacuum rho has exact zeros on a slab of x, a
+    profile rho (``vacuum_profile``) is |x - x0|^1.5, 0 at the node x0."""
     shape = (96, 128) if spatial_dim == 1 else (40, 48, 40)
     g = GridSpec(spatial_dim, shape, (1.0,) * len(shape))
     t, *xs = g.meshgrid()
     if density == "positive":
         rho = 1.0 + 0.3 * np.sin(2 * np.pi * xs[0] + t) * np.cos(2 * np.pi * t)
+    elif density == "profile":
+        x0 = float(g.axis_coords(1)[shape[1] // 3])
+        rho = vacuum_profile("power", 1.5, g, x0=x0).values[..., 0]
     else:
         rho = np.maximum(np.sin(2 * np.pi * xs[0]), 0.0) * (1.0 + 0.3 * t)
     u = np.stack([0.2 * np.cos(2 * np.pi * (x - t))
@@ -143,9 +237,12 @@ def _hex(values):
     return {k: float(v).hex() for k, v in values.items()}
 
 
+DENSITIES = ["positive", "vacuum", "profile"]
+
+
 @pytest.mark.parametrize("method", ["auto", "fft"])
 @pytest.mark.parametrize("phi", PHIS, ids=PHIS.keys())
-@pytest.mark.parametrize("density", ["positive", "vacuum"])
+@pytest.mark.parametrize("density", DENSITIES)
 @pytest.mark.parametrize("spatial_dim", [1, 2])
 class TestFrozenRung:
     """Bit for bit equal to the frozen copy, on either branch."""
@@ -154,7 +251,7 @@ class TestFrozenRung:
         if method != "auto":
             force_branch(monkeypatch, method)
         rho, u, ker = rung_case(spatial_dim, density)
-        if density == "vacuum":
+        if density != "positive":
             assert float(rho.values.min()) == 0.0
         return rho, u, ker
 
@@ -178,6 +275,42 @@ class TestFrozenRung:
         got = {"lhs": budget.extras["lhs"], "rhs": budget.extras["rhs"],
                "gap": budget.identity_gap}
         assert _hex(got) == _hex({k: want[k] for k in got})
+
+
+@pytest.mark.parametrize("phi", PHIS, ids=PHIS.keys())
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+class TestFrozenEnergyPairings:
+    """The raw-field pairings, bit for bit equal to the frozen copy."""
+
+    def test_local_energy_residual(self, spatial_dim, density, phi):
+        rho, u, _ = rung_case(spatial_dim, density)
+        phi = PHIS[phi](spatial_dim)
+        assert (local_energy_residual(rho, u, LAW, phi).hex()
+                == frozen_local_energy_residual(rho, u, LAW, phi).hex())
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_ns_energy_residual(self, spatial_dim, density, phi, degenerate):
+        rho, u, _ = rung_case(spatial_dim, density)
+        phi = PHIS[phi](spatial_dim)
+        got = ns_energy_residual(rho, u, LAW, 1.0, 0.5, degenerate, phi)
+        want = frozen_ns_energy_residual(rho, u, LAW, 1.0, 0.5, degenerate,
+                                         phi)
+        assert set(got) == set(want)
+        assert _hex(got) == _hex(want)
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_bounded_balance_matches_the_frozen_copy(density):
+    rho, u, _ = rung_case(1, density)
+    deltas, nus = [0.2, 0.1, 0.05], [0.1, 0.05]
+    got = global_energy_balance_bounded(rho, u, LAW, deltas, nus, 0.2, 0.8)
+    want = frozen_bounded_balance(rho, u, LAW, deltas, nus, 0.2, 0.8)
+    assert ([v.hex() for _, v in got["boundary_samples"]]
+            == [v.hex() for v in want["boundary"]])
+    assert ([v.hex() for _, v in got["window_samples"]]
+            == [v.hex() for v in want["window"]])
+    assert got["slice_stability"].hex() == want["slice_stability"].hex()
 
 
 class TestRungMemory:
@@ -209,3 +342,32 @@ class TestRungMemory:
             if started:
                 tracemalloc.stop()
         assert peak - live < self.KEPT_BOXES * kept.node_count * 8
+
+
+class TestBalanceMemory:
+    # the traced peak of one budget balance above its live inputs, in
+    # arrays of the pairing grid: 8.38 here, now the mollification
+    # stage's, against 13.08 before the LHS built E and F in place and
+    # weighed them by phi's derivatives a few rows at a time
+    PAIRING_ARRAYS = 9
+
+    def test_balance_peak_stays_under_the_pinned_arrays(self):
+        law = PressureLaw(gamma=1.4)
+        g = GridSpec(1, (512, 512), _BUDGET_EXTENTS)
+        rho, u = simple_wave(law, 0.05, g)
+        phi = spacetime_bump((0.1, 0.5), (0.04, 0.3))  # the budget study's
+        ker = make_mollifier(0.02, 2, g)
+        pairing = Mollification(ker, g)._output_grid
+        assert pairing.shape == (410, 512)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            mollified_energy_balance(rho, u, law, ker, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - live < self.PAIRING_ARRAYS * pairing.node_count * 8

@@ -309,6 +309,39 @@ class TestClearance:
             # either side
             assert vacuum._clear_nodes(g, region, 0.005).sum() == 8 * 1558
 
+    def test_qns_study_erodes_each_radius_once(self, tmp_path, monkeypatch):
+        # the study tests the radii r, and its kernels eps = 3r test eps
+        # and eps / 3 = r: 12 erosions for these 6 radii when each check
+        # eroded on its own, 6 with one shared region
+        erode, radii = vacuum._clear_nodes, []
+        monkeypatch.setattr(vacuum, "_clear_nodes", lambda g, region, r:
+                            radii.append(r) or erode(g, region, r))
+        cfg = tmp_path / "qns.ini"
+        reports = []
+        for shared in (True, False):
+            if not shared:  # erode on every call, as each check did alone
+                monkeypatch.setattr(vacuum.QnsRegion, "clear", lambda self, r:
+                                    vacuum._clear_nodes(
+                                        self.w.grid, self.mask[self.rows], r))
+            out = tmp_path / "out"  # the report echoes the path
+            cfg.write_text(f"[study]\nkind = qns\noutput = {out}\n[grid]\n"
+                           "nt = 8\nnx = 2048\n[generator]\nkind = abs\n"
+                           "[ladders]\nradius = 0.02, 0.01, 0.005\n")
+            radii.clear()
+            assert cli.main(["run", str(cfg)]) == 0
+            assert sorted(set(radii)) == [0.005, 0.01, 0.015, 0.02, 0.03,
+                                          0.06]
+            assert len(radii) == (6 if shared else 12)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_region_belongs_to_its_field(self):
+        g, region, _ = clearance_case("qns-study")
+        w = from_function(g, lambda t, x: 1.0 + x)
+        with pytest.raises(ValueError, match="another field"):
+            qns_check(from_function(g, lambda t, x: 1.0 + x),
+                      vacuum.QnsRegion(w, region), [0.01], C=1.0)
+
     def test_time_constant_region_erodes_one_slice(self, monkeypatch):
         g, region, _ = clearance_case("qns-study")
         rows = record_convolved_rows(monkeypatch)
