@@ -2,7 +2,9 @@
 
 Conventions: every "term" is the space-time integral of the named
 density against a test function, evaluated on the shrunk domain by
-midpoint quadrature.  Derivatives of mollified quantities use 4th-order
+midpoint quadrature: one ``TestFunction.pair`` call per integral, which
+weighs the density by phi or one of its derivatives in place and rejects
+a non-finite result.  Derivatives of mollified quantities use 4th-order
 centered differences on the grid rather than differentiating the kernel.
 """
 
@@ -23,7 +25,6 @@ from .grids import (
     _central_diff,
     div,
     grad,
-    integrate,
     interior_time_slices,
     lp_norm,
     require_nonnegative,
@@ -49,9 +50,9 @@ class CommutatorReport:
             if not np.isfinite(v):
                 raise ValueError(f"term {k} is not finite")
 
-    def total(self, keys=None) -> float:
-        keys = keys or self.term_values.keys()
-        return float(sum(abs(self.term_values[k]) for k in keys))
+    def total(self) -> float:
+        """The sum of |term| over every term."""
+        return float(sum(abs(v) for v in self.term_values.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +198,15 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
     whose pressure commutator lets p(rho)_e go; then the defect
     rho_e u_e - (rho u)_e, formed once for r1 and s, lets (rho u)_e go.
     The densities are built on the plain arrays, in place wherever an
-    operand is no longer needed.  Each term is the pairing
-    sum(density * phi) * cell_volume over the nodes of phi's support box
-    on rho_e's grid, the same nodes whether that grid is the whole
-    interior or a box; phi is multiplied into the density a few time rows
-    at a time (``TestFunction.weigh``), and the product is summed as one
-    view.  r1 loses the time stencil's rows at both ends and is paired on
-    the support rows it keeps.  Outside the support phi is 0, and on a box
-    the spatial differences wrap there.  rho_e may dip below 0 next to
-    exact vacuum; the law reads that as 0 (see ``PressureLaw``).  Overflow
-    anywhere in a paired density reaches its sum, which ``CommutatorReport``
-    rejects; the s integrand is checked before the vacuum mask drops nodes.
+    operand is no longer needed.  Each term is ``TestFunction.pair`` of
+    the density's view on phi's support box of rho_e's grid, the same
+    nodes whether that grid is the whole interior or a box.  r1 loses the
+    time stencil's rows at both ends and is paired on the support rows it
+    keeps.  Outside the support phi is 0, and on a box the spatial
+    differences wrap there.  rho_e may dip below 0 next to exact vacuum;
+    the law reads that as 0 (see ``PressureLaw``).  Overflow anywhere in a
+    paired density reaches its sum, which ``pair`` rejects; the s
+    integrand is checked before the vacuum mask drops nodes.
     """
     atol = vacuum_floor(rho)
     grid = mollified[0].grid
@@ -227,9 +226,11 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
         # dens lacks ``trim`` rows at both ends of grid
         t0 = max(support[0][0], trim)
         t1 = max(min(support[0][1], nt - trim), t0)
-        on_dens = phi.weigh(dens[(slice(t0 - trim, t1 - trim),) + space],
-                            grid, ((t0, t1),) + support[1:])
-        return float(on_dens.sum() * grid.cell_volume)
+        if t0 == t1:
+            return 0.0
+        box = dens[(slice(t0 - trim, t1 - trim),) + space]
+        return phi.pair(box[..., None],
+                        grid.subgrid(((t0, t1),) + support[1:]), (None,))
 
     def tensor(i, j):
         return isub(m_e[..., i] * u_e[..., j], mm_e[..., i * d + j])
@@ -298,32 +299,31 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
     del moll  # free the kernel spectrum before the arithmetic
     sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
     sub = rho_e.grid
-    phi_f = phi.phi(sub)
-    gphi = phi.grad(sub)
+    grad_phi = range(1, 1 + sub.spatial_dim)
+
+    def on(mask, dens):  # dens on the nodes of mask, 0 elsewhere
+        return np.where(mask[..., None], dens, 0.0)
 
     # R = int grad(p(rho_e) - p(rho)_e) . phi u_e, by parts:
-    p_comm = rho_e.map(law.p) - p_e
-    R = -(integrate(p_comm * gphi.dot(u_e))
-          + integrate(p_comm * phi_f * div(u_e)))
+    p_comm = (rho_e.map(law.p) - p_e).values
+    R = -(phi.pair(p_comm * u_e.values, sub, grad_phi)
+          + phi.pair(p_comm * div(u_e).values, sub, (None,)))
 
     # S in divergence form, vacuum integrand zeroed
     defect = rho_e * u_e - m_e
     dP = law.dpotential(rho_e.values)
-    s_dens = np.where(sets.A[..., None], 0.0, div(defect).values * dP)
-    S_total = integrate(phi_f * Field(sub, s_dens))
+    S_total = phi.pair(on(~sets.A, div(defect).values * dP), sub, (None,))
 
     # by-parts split: grad-phi piece plus grad-P' piece over B and C
-    S_gradphi = integrate(Field(sub, np.where(sets.A[..., None], 0.0,
-                                              gphi.dot(defect).values * dP)))
+    S_gradphi = phi.pair(on(~sets.A, defect.values * dP), sub, grad_phi)
     gradP = _grad_dpotential(rho_e, law, sets.A)
-    inner = defect.dot(gradP) * phi_f
-    S_band = integrate(inner, mask=sets.B)
-    S_bulk = integrate(inner, mask=sets.C)
+    inner = defect.dot(gradP).values
+    S_band = phi.pair(on(sets.B, inner), sub, (None,))
+    S_bulk = phi.pair(on(sets.C, inner), sub, (None,))
 
     # leading product form of the defect
     lead = (rho_e - restrict(rho, sub)) * (u_e - restrict(u, sub))
-    inner_lead = lead.dot(gradP) * phi_f
-    S_band_lead = integrate(inner_lead, mask=sets.B)
+    S_band_lead = phi.pair(on(sets.B, lead.dot(gradP).values), sub, (None,))
 
     values = {
         "R": R,
@@ -375,12 +375,11 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     gap_e, u_e = moll(gap_field), moll(u)
     del moll  # free the kernel spectrum before the arithmetic
     sub = gap_e.grid
-    phi_f = phi.phi(sub)
-    gphi = phi.grad(sub)
+    grad_phi = range(1, 1 + sub.spatial_dim)
 
     div_u_e = div(u_e)
-    div_term = integrate(phi_f * gap_e * div_u_e)
-    grad_term = integrate(gap_e * gphi.dot(u_e))
+    div_term = phi.pair(gap_e.values * div_u_e.values, sub, (None,))
+    grad_term = phi.pair(gap_e.values * u_e.values, sub, grad_phi)
 
     delta = float(approx.delta)
     realized_gap = float(np.max(np.abs(gap_field.values)))
@@ -389,8 +388,9 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     else:
         tv = tv_divergence_estimate(u, eps_ladder)["sup"]
     u3 = lp_norm(u, 3)
-    sup_phi = float(np.max(np.abs(phi_f.values)))
-    sup_gphi = float(np.max(gphi.magnitude())) + sup_phi
+    sup_phi = float(np.max(np.abs(phi.phi_values(sub))))
+    sup_gphi = float(np.max(np.sqrt(sum(phi.phi_values(sub, a) ** 2
+                                        for a in grad_phi)))) + sup_phi
     return {
         "div_term": div_term,
         "grad_term": grad_term,
@@ -423,9 +423,8 @@ def degenerate_viscosity_commutator(rho: Field, u: Field, mu: float, nu: float,
     M = Field(rho_e.grid, rho_e.values * S_e.values) - rhoS_e
 
     sub = M.grid
-    phi_f = phi.phi(sub)
-    gphi = phi.grad(sub)
-
-    first = integrate(stress_apply(M, u_e).dot(gphi))
-    second = integrate(phi_f * stress_contract_grad(M, u_e))
-    return float(-(first + second))
+    first = phi.pair(np.array(stress_apply(M, u_e).values), sub,
+                     range(1, 1 + sub.spatial_dim))
+    second = phi.pair(np.array(stress_contract_grad(M, u_e).values), sub,
+                      (None,))
+    return -(first + second)

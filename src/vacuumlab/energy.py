@@ -10,55 +10,45 @@ so smooth exact solutions give 0 and admissible shocks give a strictly
 negative value close to D * int phi dt along the shock path, where D is
 the Rankine-Hugoniot dissipation rate.  No derivative of (rho, u) is
 ever taken in a pairing; only test-function derivatives appear.  Each
-pairing builds its integrand in place in a fresh array, weighs it by phi's
-derivative a few time rows at a time (``TestFunction.weigh``) and sums the
-product whole with ``integrate``, whose finiteness scan thereby covers the
-integrand too.
+pairing builds its integrand in place in a fresh array and hands it to
+``TestFunction.pair``, which weighs it by phi's derivatives a few time
+rows at a time, sums it and rejects a non-finite result, so a NaN or an
+overflow in the integrand raises too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, MollifierKernel, align, integrate, require_nonnegative
+from .grids import Field, MollifierKernel, require_nonnegative
 from .pressure import PressureLaw
 from .commutators import commutators_from_mollified, mollify_energy_inputs
 from .synth import ns_stress, stress_apply, stress_contract_grad
 from .testfn import TestFunction, boundary_cutoff, time_window
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyBudget:
-    """Residual ledger for one field pair.
+    """Both sides of the mollified balance at one (epsilon, phi).
 
-    residuals holds (phi identifier, epsilon, value) rows sorted by
-    epsilon; identity_gap is the measured discrepancy between the two
-    sides of the mollified balance; dissipation carries the shock or
-    viscous dissipation when one was measured.
+    lhs is the weak pairing of the mollified energy density and flux, rhs
+    the sum of the commutator integrals ``terms``; identity_gap is
+    |lhs - rhs|, which must be finite.
     """
 
-    residuals: list
-    identity_gap: float = 0.0
-    dissipation: float | None = None
-    extras: dict = dc_field(default_factory=dict)
+    lhs: float
+    rhs: float
+    terms: dict
 
     def __post_init__(self):
-        self.residuals = sorted(self.residuals, key=lambda r: r[1])
-        for _, eps, value in self.residuals:
-            if not (np.isfinite(eps) and np.isfinite(value)):
-                raise ValueError("residual rows must be finite")
         if not np.isfinite(self.identity_gap):
             raise ValueError("identity_gap must be finite")
 
-    def as_dict(self) -> dict:
-        return {
-            "residuals": [[pid, eps, val] for pid, eps, val in self.residuals],
-            "identity_gap": self.identity_gap,
-            "dissipation": self.dissipation,
-            "extras": self.extras,
-        }
+    @property
+    def identity_gap(self) -> float:
+        return abs(self.lhs - self.rhs)
 
 
 def _energy(rho: np.ndarray, u: np.ndarray, law: PressureLaw, flux=False):
@@ -83,31 +73,16 @@ def energy_flux(rho: Field, u: Field, law: PressureLaw) -> Field:
     return Field(rho.grid, _energy(rho.values[..., 0], u.values, law, True))
 
 
-def _paired(dens: np.ndarray, grid, phi: TestFunction, axes=None) -> float:
-    """int sum_j dens_j d_j phi on ``grid``, d_j the derivative on axes[j]
-    (None: phi; by default grad phi . dens); consumes ``dens``."""
-    whole = tuple((0, n) for n in grid.shape)
-    for j, axis in enumerate(axes or range(1, 1 + dens.shape[-1])):
-        phi.weigh(dens[..., j], grid, whole, axis)
-    dot = dens[..., 0] if dens.shape[-1] == 1 else dens.sum(axis=-1)
-    return integrate(Field._wrap(grid, dot))
-
-
-def weak_pairing(E: Field, F: Field, phi: TestFunction) -> float:
-    """-int (d_t phi * E + grad phi . F) on E's grid."""
-    grid, E, F = align(E, F)
-    return -(_paired(E.copy(), grid, phi, [0]) + _paired(F.copy(), grid, phi))
-
-
 def local_energy_residual(rho: Field, u: Field, law: PressureLaw,
                           phi: TestFunction) -> float:
     """Weak energy residual of the raw fields; zero for smooth solutions."""
     if rho.grid != u.grid:
         raise ValueError("fields must share a grid")
     require_nonnegative(rho, "rho")
-    r, v = rho.values[..., 0], u.values
-    dt_E = _paired(_energy(r, v, law), rho.grid, phi, [0])
-    return -(dt_E + _paired(_energy(r, v, law, True), rho.grid, phi))
+    grid, r, v = rho.grid, rho.values[..., 0], u.values
+    dt_E = phi.pair(_energy(r, v, law), grid, (0,))
+    F = _energy(r, v, law, True)
+    return -(dt_E + phi.pair(F, grid, range(1, 1 + grid.spatial_dim)))
 
 
 def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
@@ -132,25 +107,20 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     lhs = _mollified_lhs(*mollified[:3], law, phi)
     report = commutators_from_mollified(rho, law, kernel, phi, mollified)
     rhs = float(sum(report.term_values.values()))
-    gap = abs(lhs - rhs)
-    return EnergyBudget(
-        residuals=[(phi.kind, kernel.epsilon, lhs)],
-        identity_gap=gap,
-        extras={"lhs": lhs, "rhs": rhs, "terms": dict(report.term_values)},
-    )
+    return EnergyBudget(lhs, rhs, dict(report.term_values))
 
 
 def _mollified_lhs(rho_e: Field, u_e: Field, m_e: Field, law: PressureLaw,
                    phi: TestFunction) -> float:
     """The balance's LHS: the weak pairing of the mollified energy
     density and flux; E is paired and dropped before F is built."""
-    rho, u = rho_e.values[..., 0], u_e.values
-    dt_E = _paired(_energy(rho, u, law), rho_e.grid, phi, [0])
+    grid, rho, u = rho_e.grid, rho_e.values[..., 0], u_e.values
+    dt_E = phi.pair(_energy(rho, u, law), grid, (0,))
     F = 0.5 * np.sum(u ** 2, axis=-1)[..., None] * m_e.values
     w = rho * law.dpotential(rho)
     for j in range(u.shape[-1]):
         F[..., j] += w * u[..., j]
-    return -(dt_E + _paired(F, rho_e.grid, phi))
+    return -(dt_E + phi.pair(F, grid, range(1, 1 + grid.spatial_dim)))
 
 
 def ns_energy_residual(rho: Field, u: Field, law: PressureLaw,
@@ -173,9 +143,10 @@ def ns_energy_residual(rho: Field, u: Field, law: PressureLaw,
     S = ns_stress(u, mu, nu)
     if degenerate:
         S = Field(grid, rho.values * S.values)
-    work = _paired(np.array(stress_apply(S, u).values), grid, phi)
-    dissipation = _paired(np.array(stress_contract_grad(S, u).values), grid,
-                          phi, [None])
+    work = phi.pair(np.array(stress_apply(S, u).values), grid,
+                    range(1, 1 + grid.spatial_dim))
+    dissipation = phi.pair(np.array(stress_contract_grad(S, u).values), grid,
+                           (None,))
     if dissipation < -1e-12 and float(np.min(phi.phi_values(grid))) >= 0.0:
         raise ValueError("negative dissipation quadrature with phi >= 0")
     return {
@@ -229,7 +200,7 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     boundary_samples = []
     for delta in delta_ladder:
         phi = boundary_cutoff(delta, theta)
-        boundary = -_paired(np.array(F.values), grid, phi)
+        boundary = -phi.pair(np.array(F.values), grid, (1,))
         boundary_samples.append((delta, abs(boundary)))
 
     logs = np.log(np.maximum([b for _, b in boundary_samples], 1e-300))
@@ -241,7 +212,7 @@ def global_energy_balance_bounded(rho: Field, u: Field, law: PressureLaw,
     window_samples = []
     for nu_val in nu_ladder:
         theta_nu = time_window(t1, t2, nu_val)
-        bulk = -_paired(np.array(E.values), grid, theta_nu, [0])
+        bulk = -theta_nu.pair(np.array(E.values), grid, (0,))
         window_samples.append((nu_val, abs(bulk)))
 
     # slice stability near the window edges: int E(t, .) dx per slice

@@ -64,7 +64,8 @@ Conventions used throughout the package:
   ``Mollification`` and ``circular_convolve`` check what they convolve
   (an FFT of finite values near 1e300 can overflow; a broadcast slice is
   scanned once), ``integrate`` and ``lp_norm`` reject any non-finite
-  value, masked or not, and reports check their scalars.
+  value, masked or not, ``TestFunction.pair`` rejects a non-finite
+  pairing, and reports check their scalars.
 * Loading the package loads numpy alone.  scipy has one use, loaded on
   first call: the direct branch of ``Mollification``, which only small
   vacuum-touching fields take (``scipy.ndimage.convolve1d``).  FFTs use
@@ -884,15 +885,11 @@ def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
     return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
 
 
-def integrate(field: Field, mask: np.ndarray | None = None) -> float:
-    """Midpoint quadrature of a scalar field (signed).
-
-    A non-finite value raises ``ValueError``, inside the mask or not.
-    """
+def integrate(field: Field) -> float:
+    """Midpoint quadrature of a scalar field (signed); a non-finite value
+    raises ``ValueError``."""
     v = field.scalar
     _require_finite(v)
-    if mask is not None:
-        v = np.where(mask, v, 0.0)
     return float(v.sum() * field.grid.cell_volume)
 
 

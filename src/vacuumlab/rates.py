@@ -23,16 +23,6 @@ class RateFit:
     window: tuple[int, int]
     degenerate: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "samples": [list(s) for s in self.samples],
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "degenerate": self.degenerate,
-        }
-
 
 def default_window(n: int) -> tuple[int, int]:
     """Drop the two coarsest and the finest sample when the ladder allows.

@@ -16,14 +16,20 @@ derivative on that spatial axis).  A new kind only supplies its 1-D
 factors, written with broadcasting numpy operations.
 
 The pointwise evaluators ``_phi``, ``_dt`` and ``_grad`` take one
-coordinate array per axis.  On a grid, ``phi``, ``dt`` and ``grad`` pass
-the open mesh of the axis coordinates (time as shape ``(nt, 1[, 1])``,
-space as ``(1, nx[, 1])`` and ``(1, 1, ny)``), so each factor costs O(n)
-for its own axis and only the final product fills ``grid.shape``.  A
-pairing evaluates phi on the grid of its density, such as a shrunk time
-subgrid, so nothing is evaluated on the full grid and then cut down.
-``support`` reads the node box outside which phi vanishes off the same
-factors, one axis at a time.
+coordinate array per axis.  On a grid, ``phi_values`` passes the open mesh
+of the axis coordinates (time as shape ``(nt, 1[, 1])``, space as
+``(1, nx[, 1])`` and ``(1, 1, ny)``), so each factor costs O(n) for its
+own axis and only the final product is as large as the grid.
+
+Every pairing of a density with phi goes through one method:
+``pair(values, grid, axes)`` is int sum_j values_j d_{axes[j]} phi over
+``grid`` (None in ``axes`` for phi itself).  It multiplies phi's
+derivatives into the values in place, a few time rows at a time, on the
+grid of the density, such as a shrunk time subgrid or phi's support box,
+so nothing is evaluated on the full grid and then cut down.  ``phi``,
+``dt`` and ``grad`` fill whole grids; they are the oracles the tests
+check ``pair`` against.  ``support`` reads the node box outside which phi
+vanishes off the same factors, one axis at a time.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ def _fill(values, grid: GridSpec) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, float), grid.shape)
 
 
-PAIR_ROWS = 64  # the time rows ``TestFunction.weigh`` takes at a time
+PAIR_ROWS = 64  # the time rows ``TestFunction.pair`` weighs at a time
 # (value, derivative) callables of one axis
 Factor = tuple[Callable, Callable]
 # the factor of every axis past the end of ``factors``
@@ -146,27 +152,48 @@ class TestFunction:
             box.append((int(nonzero[0]), int(nonzero[-1]) + 1))
         return tuple(box)
 
-    def phi(self, grid: GridSpec) -> Field:
-        return Field(grid, _fill(self.phi_values(grid), grid))
-
     def phi_values(self, grid: GridSpec, axis=None) -> np.ndarray:
         """``phi(grid)``, or its derivative on ``axis``, as values that only
         broadcast to ``grid.shape``, neither filled nor scanned."""
         return np.asarray(self._product(_open_mesh(grid), axis), float)
 
-    def weigh(self, values, grid: GridSpec, box, axis=None) -> np.ndarray:
-        """``values``, on the node box ``box`` of ``grid``, times phi (or its
-        derivative on ``axis``) in place, ``PAIR_ROWS`` time rows at a time."""
-        (t0, t1), space = box[0], tuple(box[1:])
-        for lo in range(t0, t1, PAIR_ROWS):
-            rows = grid.subgrid(((lo, min(lo + PAIR_ROWS, t1)),) + space)
-            values[lo - t0:lo - t0 + PAIR_ROWS] *= self.phi_values(rows, axis)
-        return values
+    def pair(self, values: np.ndarray, grid: GridSpec, axes) -> float:
+        """int sum_j values_j d_{axes[j]} phi over ``grid``; None in ``axes``
+        stands for phi itself.
+
+        ``values`` has shape ``grid.shape + (len(axes),)`` and is consumed:
+        each component is multiplied by its derivative of phi in place,
+        ``PAIR_ROWS`` time rows at a time.  The components are then summed
+        (one component is read as a view), the grid is summed and the sum
+        is multiplied by ``cell_volume``.  ``grid`` may be a box sub-grid:
+        phi is read at its root's coordinates.  A NaN or infinity anywhere
+        in the weighed values reaches the sum, so a non-finite result
+        raises ``ValueError``.
+        """
+        nt, space = grid.shape[0], tuple((0, n) for n in grid.shape[1:])
+        for lo in range(0, nt, PAIR_ROWS):
+            rows = grid.subgrid(((lo, min(lo + PAIR_ROWS, nt)),) + space)
+            for j, axis in enumerate(axes):
+                values[lo:lo + PAIR_ROWS, ..., j] *= self.phi_values(rows, axis)
+        dot = values[..., 0] if len(axes) == 1 else values.sum(axis=-1)
+        total = float(dot.sum() * grid.cell_volume)
+        if not np.isfinite(total):
+            raise ValueError("the pairing with phi is not finite")
+        return total
+
+    # Whole-grid evaluators, filled to ``grid.shape``: the pairings use
+    # ``pair``, and these serve as oracles for it.
+
+    def phi(self, grid: GridSpec) -> Field:
+        """phi on every node of ``grid``, as a checked ``Field``."""
+        return Field(grid, _fill(self.phi_values(grid), grid))
 
     def dt(self, grid: GridSpec) -> Field:
+        """d_t phi on every node of ``grid``, as a checked ``Field``."""
         return Field(grid, _fill(self._dt(*_open_mesh(grid)), grid))
 
     def grad(self, grid: GridSpec) -> Field:
+        """grad phi on every node of ``grid``, one component per spatial axis."""
         parts = self._grad(*_open_mesh(grid))
         return Field(grid, np.stack([_fill(p, grid) for p in parts], axis=-1))
 

@@ -277,13 +277,15 @@ def _clear_nodes(grid: GridSpec, region: np.ndarray,
 
 class QnsRegion:
     """A QNS check's region of ``w`` (all nodes for a None mask), the time
-    slices its ratio maxima need (``rows``) and each radius's clear nodes,
-    eroded once; the QNS checks share one in place of a mask."""
+    slices its ratio maxima need (``rows``), and per radius its clear
+    nodes and its ball-ratio maximum, each computed once; the QNS checks
+    share one in place of a mask."""
 
     def __init__(self, w: Field, region_mask: np.ndarray | None):
         require_nonnegative(w, "w")
-        self.w, self.mask, self._clear = w, np.broadcast_to(
-            True if region_mask is None else region_mask, w.grid.shape), {}
+        self.w, self.mask = w, np.broadcast_to(
+            True if region_mask is None else region_mask, w.grid.shape)
+        self._clear, self._ball_ratio = {}, {}
         # a spatial kernel leaves every slice of such a field with the same
         # bits, so every ratio slice repeats the first and so do its maxima
         constant = (repeats_first_slice(w.values[..., 0])
@@ -296,6 +298,23 @@ class QnsRegion:
                                                self.mask[self.rows], radius)
         return self._clear[radius]
 
+    def ball_ratio(self, radius: float) -> tuple[float, tuple | None]:
+        """The worst ratio of w to its ball average at ``radius`` over the
+        clear nodes of ``rows``, and its witness; (0.0, None) when no
+        ratio beats 0.  ``np.argmax`` returns the first maximum, and with
+        repeated slices that lies in the first, so one slice gives the
+        witness of all of them."""
+        if radius not in self._ball_ratio:
+            avg, rows = _ball_average(self.w, radius), self.rows
+            ratio = np.where(self.clear(radius), _guarded_ratio(
+                self.w.values[rows, ..., 0], avg.values[rows, ..., 0]), 0.0)
+            idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+            worst = float(ratio[idx])
+            self._ball_ratio[radius] = (worst, (
+                tuple(int(i) for i in idx), float(radius), worst)
+            ) if worst > 0 else (0.0, None)
+        return self._ball_ratio[radius]
+
 
 def _qns_region(w: Field, region) -> QnsRegion:
     if not isinstance(region, QnsRegion):
@@ -303,30 +322,6 @@ def _qns_region(w: Field, region) -> QnsRegion:
     if region.w is w:
         return region
     raise ValueError("the QNS region belongs to another field")
-
-
-def _ball_ratio_max(w: Field, region: QnsRegion, radius_ladder):
-    """Worst ratio of w to its ball average over the clear nodes of the
-    region's ``rows``, and its witness (None if no ratio beats 0).
-
-    ``np.argmax`` returns the first maximum, and with repeated slices that
-    lies in the first, so one slice gives the witness of all of them.
-    """
-    worst = 0.0
-    witness = None
-    rows = region.rows
-    for r in radius_ladder:
-        avg = _ball_average(w, r)
-        allowed = region.clear(r)
-        if not allowed.any():
-            continue
-        ratio = np.where(allowed, _guarded_ratio(
-            w.values[rows, ..., 0], avg.values[rows, ..., 0]), 0.0)
-        idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[idx] > worst:
-            worst = float(ratio[idx])
-            witness = (tuple(int(i) for i in idx), float(r), worst)
-    return worst, witness
 
 
 def qns_check(w: Field, region_mask: np.ndarray | QnsRegion | None,
@@ -342,7 +337,11 @@ def qns_check(w: Field, region_mask: np.ndarray | QnsRegion | None,
     are formed on that slice alone, with the same result.
     """
     region = _qns_region(w, region_mask)
-    worst, witness = _ball_ratio_max(w, region, radius_ladder)
+    worst, witness = 0.0, None
+    for r in radius_ladder:  # the first radius to reach the worst ratio
+        ratio, at = region.ball_ratio(r)
+        if ratio > worst:
+            worst, witness = ratio, at
     return {"bound": C * (1 + 1e-9), "empirical_C": worst,
             "worst_witness": witness, "C": C}
 
@@ -390,8 +389,8 @@ def qns_mollifier_equivalence(w: Field,
     per_rung = []
     for ker in kernel_ladder:
         M_emp = _mollifier_ratio_max(w, ker, region)
-        C_emp, _ = _ball_ratio_max(w, region, [ker.epsilon / 3.0])
-        C_ball, _ = _ball_ratio_max(w, region, [ker.epsilon])
+        C_emp = region.ball_ratio(ker.epsilon / 3.0)[0]
+        C_ball = region.ball_ratio(ker.epsilon)[0]
         per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
                          "C_emp": C_emp, "C_ball": C_ball})
     if C is None:

@@ -51,7 +51,6 @@ class TestReport:
     def test_total_and_finiteness(self):
         rep = CommutatorReport({"a": 1.0, "b": -2.0}, 0.1)
         assert rep.total() == pytest.approx(3.0)
-        assert rep.total(["a"]) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             CommutatorReport({"a": np.nan}, 0.1)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import force_branch
+from test_rung_memory import frozen_balance, frozen_energy_commutators
 
 from vacuumlab.energy import (
     EnergyBudget,
@@ -10,17 +11,13 @@ from vacuumlab.energy import (
     local_energy_residual,
     mollified_energy_balance,
     ns_energy_residual,
-    weak_pairing,
 )
 from vacuumlab.cli import Check
-from vacuumlab.commutators import energy_commutators
 from vacuumlab.grids import (
-    Field,
     GridSpec,
     constant_field,
     from_function,
     make_mollifier,
-    mollify,
 )
 from vacuumlab.synth import riemann_solution, shock_states, simple_wave
 from vacuumlab.testfn import spacetime_bump
@@ -59,26 +56,20 @@ class TestDensityAndFlux:
         assert np.allclose(F.values[..., 0], scalar * u.values[..., 0],
                            atol=1e-14)
 
-    def test_weak_pairing_of_time_constant_energy(self, law, small_grid):
-        # E constant, F zero: both pairings integrate a derivative of a
-        # compactly supported bump, so the result vanishes
-        E = constant_field(small_grid, 1.0)
-        F = constant_field(small_grid, 0.0)
-        phi = spacetime_bump((0.5, 0.5), (0.3, 0.3))
-        assert weak_pairing(E, F, phi) == pytest.approx(0.0, abs=1e-10)
-
 
 class TestBudget:
-    def test_rows_sorted_by_epsilon(self):
-        b = EnergyBudget(residuals=[("a", 0.1, 1.0), ("b", 0.05, 2.0)])
-        assert [r[1] for r in b.residuals] == [0.05, 0.1]
-        assert b.as_dict()["identity_gap"] == 0.0
+    def test_identity_gap_is_the_distance_of_the_sides(self):
+        b = EnergyBudget(1.0, -0.5, {"r1": -0.5})
+        assert b.identity_gap == 1.5
+        assert EnergyBudget(0.25, 0.25, {}).identity_gap == 0.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            EnergyBudget(residuals=[("a", 0.1, np.inf)])
+            EnergyBudget(np.inf, 0.0, {})
         with pytest.raises(ValueError):
-            EnergyBudget(residuals=[], identity_gap=np.nan)
+            EnergyBudget(0.0, np.nan, {})
+        with pytest.raises(ValueError):  # finite sides, overflowing gap
+            EnergyBudget(1e308, -1e308, {})
 
 
 class TestLocalResidual:
@@ -124,34 +115,28 @@ class TestMollifiedBalance:
         ker = make_mollifier(0.02, 2, g)
         budget = mollified_energy_balance(rho, u, law, ker, phi)
         assert budget.identity_gap < 1e-8
-        assert set(budget.extras["terms"]) == {"r1", "r2", "r3", "s"}
+        assert set(budget.terms) == {"r1", "r2", "r3", "s"}
 
     def test_shared_mollification_is_bitwise_equal(self, law, monkeypatch):
         # the balance before it shared its mollified fields with the
-        # commutators: three mollify calls, then energy_commutators.  Only
-        # the direct branch gives a boxed result equal to the whole one
-        # cut down bit for bit
+        # commutators: a whole-grid LHS, then energy_commutators on phi's
+        # box, both from the frozen copy in test_rung_memory.  Only the
+        # direct branch gives a boxed result equal to the whole one cut
+        # down bit for bit
         force_branch(monkeypatch, "direct")
         g = GridSpec(1, (256, 256), (0.2, 1.0))
         rho, u = simple_wave(law, 0.1, g)
         phi = spacetime_bump((0.1, 0.5), (0.05, 0.3))
         ker = make_mollifier(0.02, 2, g)
-        rho_e, u_e, m_e = (mollify(rho, ker), mollify(u, ker),
-                           mollify(rho * u, ker))
-        kinetic = 0.5 * rho_e.values[..., 0] * np.sum(u_e.values ** 2, axis=-1)
-        E_m = Field(rho_e.grid, kinetic + law.potential(
-            np.maximum(rho_e.values[..., 0], 0.0)))
-        ke_flux = 0.5 * np.sum(u_e.values ** 2, axis=-1)[..., None] * m_e.values
-        dP = law.dpotential(np.maximum(rho_e.values, 0.0))
-        F_m = Field(rho_e.grid, ke_flux + rho_e.values * dP * u_e.values)
-        lhs = weak_pairing(E_m, F_m, phi)
-        terms = energy_commutators(rho, u, law, ker, phi).term_values
+        lhs = frozen_balance(rho, u, law, ker, phi)["lhs"]
+        terms = frozen_energy_commutators(rho, u, law, ker, phi)
         rhs = float(sum(terms.values()))
 
         budget = mollified_energy_balance(rho, u, law, ker, phi)
-        assert budget.residuals == [(phi.kind, ker.epsilon, lhs)]
+        assert budget.lhs.hex() == lhs.hex()
+        assert budget.rhs.hex() == rhs.hex()
+        assert budget.terms == terms
         assert budget.identity_gap == abs(lhs - rhs)
-        assert budget.extras == {"lhs": lhs, "rhs": rhs, "terms": terms}
 
     def test_non_solution_fields_leave_a_gap(self, law):
         g = GridSpec(1, (256, 256), (0.2, 1.0))

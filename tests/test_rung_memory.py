@@ -271,8 +271,8 @@ class TestFrozenRung:
         phi = PHIS[phi](spatial_dim)
         budget = mollified_energy_balance(rho, u, LAW, ker, phi)
         want = frozen_balance(rho, u, LAW, ker, phi)
-        assert _hex(budget.extras["terms"]) == _hex(want["terms"])
-        got = {"lhs": budget.extras["lhs"], "rhs": budget.extras["rhs"],
+        assert _hex(budget.terms) == _hex(want["terms"])
+        got = {"lhs": budget.lhs, "rhs": budget.rhs,
                "gap": budget.identity_gap}
         assert _hex(got) == _hex({k: want[k] for k in got})
 

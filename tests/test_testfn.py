@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vacuumlab.grids import GridSpec, integrate
+from vacuumlab.grids import Field, GridSpec, integrate
 from vacuumlab.testfn import (
     _bump,
     _bump_prime,
@@ -407,3 +407,62 @@ class TestSupport:
 
     def test_vanishing_phi_has_no_support(self, small_grid):
         assert spacetime_bump((0.5, 0.5), (0.2, 1e-4)).support(small_grid) is None
+
+
+class TestPair:
+    """``pair`` is int sum_j values_j d_{axes[j]} phi, on a grid or a box."""
+
+    def test_derivatives_of_a_bump_integrate_to_zero(self):
+        # the midpoint sums of an odd derivative of a centred bump cancel
+        g = GridSpec(1, (200, 160), (1.0, 1.0))
+        tf = spacetime_bump((0.5, 0.5), (0.3, 0.3))
+        for axis in (0, 1):
+            assert abs(tf.pair(np.ones(g.shape + (1,)), g, (axis,))) < 1e-12
+        assert tf.pair(np.ones(g.shape + (1,)), g, (None,)) > 0.1
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, (150, 96), (1.0, 1.0)),
+                                      GridSpec(2, (70, 24, 20), (1.0,) * 3)],
+                             ids=["1d", "2d"])
+    def test_matches_the_whole_grid_oracle(self, grid):
+        # rows past PAIR_ROWS, a shrunk time sub-grid, one and several
+        # components: the same bits as the filled phi, dt and grad
+        sub = grid.time_subgrid(3, grid.shape[0] - 3)
+        rng = np.random.default_rng(5)
+        d = grid.spatial_dim
+        for tf in _kinds(grid):
+            E = rng.standard_normal(sub.shape + (1,))
+            F = rng.standard_normal(sub.shape + (d,))
+            Ef, Ff = Field(sub, E), Field(sub, F)
+            want = (integrate(tf.phi(sub) * Ef), integrate(tf.dt(sub) * Ef),
+                    integrate(tf.grad(sub).dot(Ff)))
+            got = (tf.pair(E.copy(), sub, (None,)),
+                   tf.pair(E.copy(), sub, (0,)),
+                   tf.pair(F.copy(), sub, range(1, 1 + d)))
+            assert [v.hex() for v in got] == [v.hex() for v in want], tf.kind
+
+    def test_box_pairing_equals_the_whole_grid_pairing(self, small_grid):
+        tf = spacetime_bump((0.5, 0.5), (0.2, 0.3))
+        box = ((10, 50), (5, 60))
+        cut = tuple(slice(lo, hi) for lo, hi in box)
+        values = np.zeros(small_grid.shape + (2,))
+        values[cut] = np.random.default_rng(2).standard_normal(
+            values[cut].shape)
+        boxed = tf.pair(values[cut].copy(), small_grid.subgrid(box), (0, 1))
+        whole = tf.pair(values, small_grid, (0, 1))
+        assert boxed == pytest.approx(whole, rel=1e-13, abs=1e-16)
+        assert abs(whole) > 1e-3
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_raise(self, small_grid, bad):
+        tf = spacetime_bump((0.5, 0.5), (0.3, 0.3))
+        values = np.ones(small_grid.shape + (1,))
+        values[30, 30, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            tf.pair(values, small_grid, (None,))
+
+    def test_overflowing_sum_raises(self, small_grid):
+        tf = time_bump(0.5, 0.4)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                        match="not finite"):
+            tf.pair(np.full(small_grid.shape + (1,), 1e308), small_grid,
+                    (None,))

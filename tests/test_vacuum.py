@@ -323,6 +323,10 @@ class TestClearance:
                 monkeypatch.setattr(vacuum.QnsRegion, "clear", lambda self, r:
                                     vacuum._clear_nodes(
                                         self.w.grid, self.mask[self.rows], r))
+                ball_ratio = vacuum.QnsRegion.ball_ratio
+                monkeypatch.setattr(vacuum.QnsRegion, "ball_ratio",
+                                    lambda self, r: self._ball_ratio.clear()
+                                    or ball_ratio(self, r))
             out = tmp_path / "out"  # the report echoes the path
             cfg.write_text(f"[study]\nkind = qns\noutput = {out}\n[grid]\n"
                            "nt = 8\nnx = 2048\n[generator]\nkind = abs\n"
@@ -332,6 +336,34 @@ class TestClearance:
             assert sorted(set(radii)) == [0.005, 0.01, 0.015, 0.02, 0.03,
                                           0.06]
             assert len(radii) == (6 if shared else 12)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_qns_study_averages_each_radius_once(self, tmp_path,
+                                                 monkeypatch):
+        # qns_check averages at the radii r, and the kernels eps = 3r
+        # average at eps / 3 = r and at eps: 9 ball averages when each
+        # ratio maximum was formed on its own, 6 with the region's
+        average, radii = vacuum._ball_average, []
+        monkeypatch.setattr(vacuum, "_ball_average", lambda w, r:
+                            radii.append(r) or average(w, r))
+        cfg = tmp_path / "qns.ini"
+        reports = []
+        for shared in (True, False):
+            if not shared:  # form every ratio maximum afresh
+                ball_ratio = vacuum.QnsRegion.ball_ratio
+                monkeypatch.setattr(vacuum.QnsRegion, "ball_ratio",
+                                    lambda self, r: self._ball_ratio.clear()
+                                    or ball_ratio(self, r))
+            out = tmp_path / "out"  # the report echoes the path
+            cfg.write_text(f"[study]\nkind = qns\noutput = {out}\n[grid]\n"
+                           "nt = 8\nnx = 2048\n[generator]\nkind = abs\n"
+                           "[ladders]\nradius = 0.02, 0.01, 0.005\n")
+            radii.clear()
+            assert cli.main(["run", str(cfg)]) == 0
+            assert sorted(set(radii)) == [0.005, 0.01, 0.015, 0.02, 0.03,
+                                          0.06]
+            assert len(radii) == (6 if shared else 9)
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
