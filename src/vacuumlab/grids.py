@@ -66,9 +66,9 @@ Conventions used throughout the package:
   scanned once), ``integrate`` and ``lp_norm`` reject any non-finite
   value, masked or not, ``TestFunction.pair`` rejects a non-finite
   pairing, and reports check their scalars.
-* Loading the package loads numpy alone.  scipy has one use, loaded on
-  first call: the direct branch of ``Mollification``, which only small
-  vacuum-touching fields take (``scipy.ndimage.convolve1d``).  FFTs use
+* The package runs on numpy alone.  Direct summation is ``np.convolve``
+  (rows of over ``_DOT_TAPS`` = 10,000 taps in pieces, as OpenBLAS
+  threads longer dot products and rounds them by thread count), FFTs use
   ``numpy.fft``, and padded FFT lengths come from a pure-Python search.
 """
 
@@ -96,6 +96,14 @@ MAX_NODES = 1 << 25
 # when (whole-grid nodes x kernel nodes) is at most this; larger jobs, and
 # every field without vacuum, go through the circular FFT.
 _DIRECT_WORK_LIMIT = 2e8
+
+# np.convolve sums a row of at most _LOOP_TAPS taps in numpy's own loop and
+# a longer one by a BLAS dot product per output, which costs more on short
+# rows, so rows of up to 3 * _LOOP_TAPS taps are summed in such pieces.
+# OpenBLAS threads a dot product longer than _DOT_TAPS and rounds it by the
+# thread count, so longer rows are summed in pieces of _DOT_TAPS taps.
+_LOOP_TAPS = 11
+_DOT_TAPS = 10_000
 
 _TIE = 1e-12  # slack for kernel-resolution comparisons
 
@@ -505,10 +513,11 @@ class Mollification:
     component touches vacuum (``_touches_vacuum``: non-negative with an
     exact zero, -0.0 included).  Direct summation drops weights with
     ``|w| <= DBL_EPSILON``, as ``ndimage.convolve`` does, and runs the
-    rest as one ``ndimage.convolve1d`` per distinct kernel row along the
-    last axis, rolled into place along the leading axes; the field
-    therefore stays exactly zero wherever the kept weights see only
-    zeros.  Every other component uses the circular FFT, the faster
+    rest as one ``np.convolve`` per distinct kernel row along the last
+    axis (a row over ``_DOT_TAPS`` = 10,000 taps in pieces, so no BLAS
+    dot product is threaded), rolled into place along the leading axes;
+    the field therefore stays exactly zero wherever the kept weights see
+    only zeros.  Every other component uses the circular FFT, the faster
     branch: the kernel spectrum is built by the first component that
     takes it (a call that only sums directly builds none), and every
     later one is multiplied by it; rounding leaves values of order 1e-16
@@ -699,13 +708,14 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
     """Periodic direct summation over ``axes`` as 1-D line convolutions.
 
     ``weights`` is a centred odd-length stencil, one axis per entry of
-    ``axes``.  Weights with ``|w| <= DBL_EPSILON`` are set to 0, the
-    footprint rule of ``ndimage.convolve``, so exact zeros of the result
-    match its.  Each nonzero row along the last axis, trimmed
-    symmetrically to its support, convolves the field once per distinct
-    row (``convolve1d`` halves the multiplies on symmetric rows); the
-    result is added rolled by every offset of that row along the leading
-    axes.
+    ``axes``, the last of them the last axis of ``values``.  Weights with
+    ``|w| <= DBL_EPSILON`` are set to 0, the footprint rule of
+    ``ndimage.convolve``, so exact zeros of the result match its.  Each
+    nonzero row along the last axis, trimmed symmetrically to its
+    support, convolves the field's wrapped lines, laid end to end, once
+    per distinct row by ``np.convolve`` (in pieces: see ``_LOOP_TAPS``);
+    the result is added rolled by every offset of that row along the
+    leading axes.
     """
     w = np.where(np.abs(weights) > np.finfo(float).eps, weights, 0.0)
     c = w.shape[-1] // 2
@@ -717,16 +727,31 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
             row = w[idx][c - r:c + r + 1]
             steps = tuple(i - n // 2 for i, n in zip(idx, w.shape))
             rows.setdefault(row.tobytes(), (row, []))[1].append(steps)
-    # deferred: only the direct branch needs scipy
-    from scipy.ndimage import convolve1d
+    n = values.shape[-1]
+    pad = max(row.size for row, _ in rows.values()) // 2
+    padded = values.shape[:-1] + (n + 2 * pad,)
+    size = values.size // n * padded[-1]
+    # every line wrapped by ``pad`` on both sides, laid end to end; the
+    # 2 * pad zeros after the last keep every piece's outputs in range
+    buf = np.zeros(size + 2 * pad)
+    np.take(values, np.arange(-pad, n + pad), axis=-1, mode="wrap",
+            out=buf[:size].reshape(padded))
     lead = axes[:-1]
     out = None
     for row, offsets in rows.values():
-        line = convolve1d(values, row, axis=axes[-1], mode="wrap")
+        line = None
+        step = _LOOP_TAPS if row.size <= 3 * _LOOP_TAPS else _DOT_TAPS
+        for a in range(0, row.size, step):
+            # output i of a line lands at i + pad + row half-width - last tap
+            at = pad + row.size // 2 - min(a + step, row.size) + 1
+            part = np.convolve(buf, row[a:a + step], "valid")[at:at + size]
+            line = part if line is None else np.add(line, part, out=line)
+        line = line.reshape(padded)[..., :n]
         for steps in offsets:
             # with no leading axes there is one row and one offset, so the
-            # line itself can become the result
-            term = np.roll(line, steps, axis=lead) if lead else line
+            # line itself, made contiguous, can become the result
+            term = (np.roll(line, steps, axis=lead) if lead
+                    else np.ascontiguousarray(line))
             if out is None:
                 out = term
             else:

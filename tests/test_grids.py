@@ -1,4 +1,8 @@
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ from vacuumlab.grids import (
 from vacuumlab.pressure import PressureLaw, make_c2_approximant
 from vacuumlab.testfn import spacetime_bump
 from vacuumlab.vacuum import counterexample_field
+
+SRC = str(Path(grids.__file__).resolve().parent.parent)
 
 
 class TestGridSpec:
@@ -855,12 +861,103 @@ class TestDirectConvolve:
         win = ker.weights * ker.cell_volume
         axes = tuple(range(0 if include_time else 1, len(shape)))
         vals = self.vacuum_field(rng, shape, zero_start, zero_len)
+        self.assert_matches_oracles(vals, win, axes)
+
+    @staticmethod
+    def assert_matches_oracles(vals, win, axes):
+        """Within 1e-13 max|w| of direct summation, with the exact-zero
+        set of ``ndimage.convolve``."""
         out = grids._direct_convolve(vals, win, axes)
         oracle = direct_circular_convolve(vals, win, axes)
         assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
-        nd = ndimage.convolve(vals, win.reshape((1,) * (len(shape) - win.ndim)
+        nd = ndimage.convolve(vals, win.reshape((1,) * (vals.ndim - win.ndim)
                                                 + win.shape), mode="wrap")
         assert np.array_equal(out == 0.0, nd == 0.0)
+
+    @pytest.mark.parametrize("nodes, eps, taps", [
+        (4096, 0.2, 1639), (4096, 0.025, 205),
+        (32768, 0.025, 1639), (32768, 0.01, 655)])
+    def test_spike_lines(self, nodes, eps, taps):
+        # the 1-D lines of ``spike_vacuum``; one time slice, as the field
+        # is constant in time
+        w = counterexample_field(8, nodes)
+        ker = make_mollifier(eps, 1, w.grid, include_time=False)
+        assert ker.weights.size == taps
+        self.assert_matches_oracles(w.values[:1, :, 0],
+                                    ker.weights * ker.cell_volume, (1,))
+
+    @pytest.mark.parametrize("eps", [2.0 ** -6, 2.0 ** -7])
+    def test_rates_space_time_kernels(self, eps):
+        # the 15 x 15 and 7 x 7 space-time kernels of the ``rates`` study
+        # on its 512^2 grid, over a field with a vacuum band
+        g = GridSpec(1, (512, 512), (1.0, 1.0))
+        ker = make_mollifier(eps, 2, g)
+        assert ker.weights.shape == (2 * int(eps * 512) - 1,) * 2
+        vals = self.vacuum_field(np.random.default_rng(5), g.shape, 100, 60)
+        self.assert_matches_oracles(vals, ker.weights * ker.cell_volume,
+                                    (0, 1))
+
+    @pytest.mark.parametrize("include_time", [False, True])
+    def test_negative_zeros(self, include_time):
+        # -0.0 counts as vacuum; it must give the zeros +0.0 gives
+        rng = np.random.default_rng(11)
+        g = GridSpec(1, (24, 64), (1.0, 1.0))
+        vals = self.vacuum_field(rng, g.shape, 10, 20)
+        vals[vals == 0.0] = rng.choice([-0.0, 0.0], int((vals == 0.0).sum()))
+        assert np.signbit(vals[vals == 0.0]).any()
+        ker = make_mollifier(4.5 / 24, 1 + include_time, g,
+                             include_time=include_time)
+        self.assert_matches_oracles(vals, ker.weights * ker.cell_volume,
+                                    (0, 1) if include_time else (1,))
+
+    @pytest.mark.parametrize("taps, dot_taps", [
+        (13, None), (23, None), (33, None), (35, None), (101, 40)])
+    def test_asymmetric_rows_in_pieces(self, taps, dot_taps, monkeypatch):
+        # rows of up to 33 taps go in 11-tap pieces, and longer ones in
+        # pieces of _DOT_TAPS (40 here, so 101 taps make 40 + 40 + 21)
+        if dot_taps is not None:
+            monkeypatch.setattr(grids, "_DOT_TAPS", dot_taps)
+        rng = np.random.default_rng(taps)
+        weights = rng.random((3, taps))
+        weights /= weights.sum()
+        vals = self.vacuum_field(rng, (5, 257), 40, 150)
+        self.assert_matches_oracles(vals, weights, (0, 1))
+
+    def test_long_rows_do_not_depend_on_blas_threads(self):
+        # a one-slice sub-grid lets a direct job carry a 12,001-tap row
+        # (16,384 nodes x 12,001 taps is under the work limit); OpenBLAS
+        # threads a dot product longer than 10,000, so a row that long
+        # is summed in pieces
+        g = GridSpec(1, (8, 16384), (1.0, 1.0))
+        ker = make_mollifier(6000.5 / 16384, 1, g, include_time=False)
+        win = ker.weights * ker.cell_volume
+        assert win.size == 12001
+        code = """
+import sys
+import numpy as np
+from vacuumlab import grids
+g = grids.GridSpec(1, (8, 16384), (1.0, 1.0))
+sub = g.subgrid(((0, 1), (0, 16384)))
+ker = grids.make_mollifier(6000.5 / 16384, 1, g, include_time=False)
+vals = np.random.default_rng(2).random((1, 16384, 1))
+vals[:, 2000:16000] = 0.0
+out = grids.Mollification(ker, sub)(grids.Field(sub, vals)).values
+sys.stdout.buffer.write(out.tobytes())
+"""
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC,
+                       OPENBLAS_NUM_THREADS=threads)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, timeout=120).stdout)
+        assert outs[0] == outs[1]
+        vals = np.random.default_rng(2).random((1, 16384))
+        vals[:, 2000:16000] = 0.0
+        out = np.frombuffer(outs[0]).reshape(vals.shape)
+        oracle = direct_circular_convolve(vals, win, (1,))
+        assert np.max(np.abs(out - oracle)) <= 1e-13 * vals.max()
+        assert (out[:, 8000:10000] == 0.0).all()
 
     @settings(max_examples=30, deadline=None)
     @given(widths=st.lists(st.integers(0, 3), min_size=1, max_size=3),

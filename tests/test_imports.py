@@ -1,5 +1,6 @@
-"""The package loads numpy alone; scipy loads only for the direct branch
-of ``Mollification``."""
+"""The package runs on numpy alone: no study path, the direct branch of
+``Mollification`` included, loads scipy, which only the tests' oracles
+use."""
 
 import os
 import subprocess
@@ -67,6 +68,46 @@ print(synth.riemann_solution(spec, grids.GridSpec(1, (64, 128), (0.1, 1.0)))[2] 
 {SCIPY_LOADED}
 """
     assert run_fresh(code) == ["True", "True", "[]"]
+
+
+# the ``rates`` study config of the benchmark's ``cli_studies`` workload
+RATES_CONFIG = """[study]
+kind = rates
+output = {output}
+seed = 3
+[grid]
+nt = 512
+nx = 512
+[generator]
+levels = 8
+[ladders]
+eps = 0.125, 0.0625, 0.03125, 0.015625, 0.0078125
+"""
+
+
+def test_direct_branch_and_rates_study_load_no_scipy(tmp_path):
+    # every rung of the lemma check sums directly (8 x 4096 nodes, up to
+    # 1,639 taps), and so does some rung of the rates study
+    cfg = tmp_path / "rates.ini"
+    cfg.write_text(RATES_CONFIG.format(output=tmp_path / "out"))
+    code = f"""
+import sys
+from vacuumlab import cli, grids, vacuum
+calls = []
+def direct(*args, _inner=grids._direct_convolve):
+    calls.append(1)
+    return _inner(*args)
+grids._direct_convolve = direct
+w = vacuum.counterexample_field(8, 4096)
+kernels = [grids.make_mollifier(e, 1, w.grid, include_time=False)
+           for e in (0.2, 0.1, 0.05, 0.025)]
+print(vacuum.l1_ratio_lemma_check(w, kernels)["bounded"], len(calls))
+print(cli.main(["run", {str(cfg)!r}]), len(calls) > 4)
+{SCIPY_LOADED}
+"""
+    lines = run_fresh(code)
+    assert lines[0] == "True 4"
+    assert lines[-2:] == ["0 True", "[]"]
 
 
 def test_module_entry_point_prints_usage():
