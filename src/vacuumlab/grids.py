@@ -24,22 +24,33 @@ Conventions used throughout the package:
   component goes through the circular FFT, with the kernel spectrum
   built by the first such component and applied to the rest.
   ``mollify(field, kernel)`` is the one-field shorthand.
-* The FFT convolution is one engine, ``_fft_convolve``: ``rfft`` along
-  the contiguous last axis, ``fft`` along any middle axes, then the
-  pencils of the first transformed axis in blocks of ``_PENCIL_BLOCK``
-  columns (transform, multiply by the kernel spectrum, which is stored
-  one pencil per row, and invert while the block is in cache), then the
-  inverses of the other axes on the kept rows alone: a caller passes the
-  range it keeps on every transformed axis, the other rows of the first
-  axis are never inverted, and the last inverses run ``_ROW_BLOCK`` kept
-  rows at a time, straight into a contiguous array of the kept box.
-  Every 1-D transform runs in the order ``rfftn`` and ``irfftn`` use and
-  the product is the same elementwise one, so the result equals
-  ``irfftn(rfftn(v) * K)`` cut to the box, bit for bit; neither a full
-  complex spectrum of the padded field nor a full-width real result is
-  held.
+* The FFT convolution is one engine in two stages.  The forward stage,
+  ``_forward``, runs ``rfft`` along the contiguous last axis and ``fft``
+  along any middle axes.  The apply stage, ``_apply``, takes the pencils
+  of the first transformed axis in blocks of ``_PENCIL_BLOCK`` columns
+  (gather, transform, multiply by the kernel spectrum, which is stored
+  one pencil per row, and invert in one reused buffer while the block is
+  in cache), then the inverses of the other axes on the kept rows alone:
+  a caller passes the range it keeps on every transformed axis, the
+  other rows of the first axis are never inverted, and the last inverses
+  run ``_ROW_BLOCK`` kept rows at a time, straight into a contiguous
+  array of the kept box.  Every 1-D transform runs in the order
+  ``rfftn`` and ``irfftn`` use and the product is the same elementwise
+  one, so the result equals ``irfftn(rfftn(v) * K)`` cut to the box, bit
+  for bit; neither a full complex spectrum of the padded field nor a
+  full-width real result is held.  ``_fft_convolve`` runs both stages
+  once.
+* A ladder convolves one input at many kernels.  It holds the input as
+  a ``HeldField`` for the length of its call: the apply stage reads a
+  held transform and never writes into it, so each component is
+  transformed once, by its first FFT convolution, and every later one
+  applies its kernel spectrum to that transform, with the bits of
+  transforming afresh.  Its vacuum and slice-constancy tests also run
+  once.  Over one axis the held transform is the whole one; over more,
+  each rung still transforms the first axis (time, for a space-time
+  kernel) in the apply stage.
 * A kernel that acts slice by slice (no time axis: a spatial
-  ``Mollification`` or ``circular_convolve``) convolves only the first
+  ``Mollification`` or ``HeldField.stencil``) convolves only the first
   time slice when every slice has its bits, and broadcasts the result;
   a time-independent field costs one slice, not one per time node.
   Either branch gives the same bits as convolving every slice.
@@ -61,7 +72,7 @@ Conventions used throughout the package:
   from checked fields (arithmetic, ``dot``, ``component``, ``restrict``
   and the finite differences) are wrapped without a re-scan.
   An overflow in them is caught where the values leave:
-  ``Mollification`` and ``circular_convolve`` check what they convolve
+  ``Mollification`` and ``HeldField.stencil`` check what they convolve
   (an FFT of finite values near 1e300 can overflow; a broadcast slice is
   scanned once), ``integrate`` and ``lp_norm`` reject any non-finite
   value, masked or not, ``TestFunction.pair`` rejects a non-finite
@@ -75,8 +86,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -416,15 +429,84 @@ def _bisect(above, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# Half-width of the bracket around the Newton estimate of theta, relative
+# to it: wide enough that the mass at its ends differs from 1 by far more
+# than the rounding of a mass sum, narrow enough that the bisection's last
+# dozen steps are the only ones that fall inside it.
+_THETA_BRACKET = 2.0 ** -42
+
+
+def _newton_theta(exponent: np.ndarray, scale: float,
+                  target: float) -> float | None:
+    """An estimate of the theta at which the transition nodes, of profile
+    exponents ``exponent``, carry the mass ``target``; None if it does not
+    settle.  Newton steps on log(mass) against log(theta), which is nearly
+    a line, from theta = 8, each step at most a factor e^4, with plain
+    sums (a BLAS dot product would round by thread count)."""
+    theta = 8.0
+    for _ in range(8):
+        ex = np.exp(theta * exponent)
+        mass = float(ex.sum() * scale)
+        slope = float((exponent * ex).sum() * scale) * theta
+        if not (mass > 0.0 and slope < 0.0):
+            return None
+        step = (math.log(mass) - math.log(target)) * mass / slope
+        step = min(max(step, -4.0), 4.0)
+        theta *= math.exp(-step)
+        if abs(step) < 1e-7:
+            return theta
+    return None
+
+
+def _solve_theta(mass, exponent: np.ndarray, scale: float,
+                 target: float) -> float:
+    """Where ``mass``, falling in theta and above 1 at 0, crosses 1, for
+    transition nodes of profile exponents ``exponent`` that must carry the
+    mass ``target``: ``_bisect`` on [0, hi], hi the first power of two
+    from 1 whose mass is at most 1, as if every test were evaluated.
+
+    A bracket a < theta_hat < b with mass(a) > 1 >= mass(b), checked once,
+    answers every test outside (a, b) without evaluating it, as the
+    falling mass would.  theta_hat comes from ``_newton_theta`` and the
+    bracket is ``_THETA_BRACKET`` of it on each side.  If the check
+    fails, every test is evaluated.
+    """
+    bracket = (-np.inf, np.inf)  # no bracket: every test evaluates
+    guess = _newton_theta(exponent, scale, target)
+    if guess is not None:
+        a, b = guess * (1.0 - _THETA_BRACKET), guess * (1.0 + _THETA_BRACKET)
+        if mass(a) > 1.0 >= mass(b):
+            bracket = (a, b)
+
+    def above(theta):
+        """mass(theta) > 1, evaluated only inside the bracket."""
+        a, b = bracket
+        return theta <= a or (theta < b and mass(theta) > 1.0)
+
+    hi = 1.0
+    while above(hi):
+        hi *= 2.0
+        if hi > 1e8:
+            raise InfeasibleKernelError("steepness search did not bracket")
+    return _bisect(above, 0.0, hi)
+
+
 def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
                    include_time: bool = True) -> MollifierKernel:
     """Build the unit-mass plateau kernel of radius ``epsilon`` on ``grid``.
 
     ``dim`` must equal 1 + spatial_dim for space-time kernels, or
     spatial_dim for purely spatial kernels (``include_time=False``).
+
+    theta is where the discrete mass crosses 1, found by ``_solve_theta``:
+    the bisection of a search that evaluates every test, answered outside
+    a checked bracket around a Newton estimate without evaluating.  So
+    about 19 mass sums take the place of about 60 on the ``spike_vacuum``
+    kernels, and theta and the weights keep their bits.  A non-finite or
+    non-positive ``epsilon`` raises ``ValueError``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     spacings = grid.spacings if include_time else grid.spacings[1:]
     axis_sizes = grid.shape if include_time else grid.shape[1:]
     if dim != len(spacings):
@@ -472,12 +554,7 @@ def make_mollifier(epsilon: float, dim: int, grid: GridSpec,
             f"full {full_mass:.3g})"
         )
     # mass decreases in theta and exceeds 1 at theta = 0
-    hi = 1.0
-    while mass(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise InfeasibleKernelError("steepness search did not bracket")
-    theta = _bisect(lambda th: mass(th) > 1.0, 0.0, hi)
+    theta = _solve_theta(mass, exponent, scale, 1.0 - plateau_mass)
     w = profile(theta) / epsilon ** dim
     # Remove the last floating-point sliver so the discrete integral is 1
     # to full precision (rescales transition nodes only).
@@ -548,6 +625,11 @@ class Mollification:
     view (``read``), or a field on ``input_grid``, such as a product
     formed from such views (with nothing cut the two grids are one).
 
+    A call that cuts nothing also takes a ``HeldField``, as a ladder
+    passes its input to one ``Mollification`` per rung: its components
+    keep their tests and forward transforms across the rungs, and the
+    result has the bits of the call on the plain field.
+
     The spectrum is as large as the (cut) input, so keep one object per
     call and drop it before the call's arithmetic.
     """
@@ -602,22 +684,22 @@ class Mollification:
             for a in axes)
         self._spectrum = None  # built by the first component that needs it
 
-    def _convolve(self, values: np.ndarray) -> np.ndarray:
+    def _convolve(self, source: _Source) -> np.ndarray:
         """The kept box of one component convolved with the kernel, checked
         finite (see ``_slicewise``)."""
         axes = self._axes
-        if self._small and _touches_vacuum(values):
+        if self._small and source.touches_vacuum:
             return _slicewise(
                 lambda v: _direct_convolve(v, self._window, axes)[self._kept],
-                values, axes)
+                source, axes)
         if self._spectrum is None:
             self._spectrum = _kernel_spectrum(self._window, self._fft_shape)
         # a spatial kernel keeps every time row it reads, so the engine
         # cuts only the axes it transforms
         keep = tuple(self._kept[a] for a in axes)
         return _slicewise(
-            lambda v: _fft_convolve(v, self._spectrum, self._fft_shape, keep),
-            values, axes)
+            lambda v: source.fft(v, self._spectrum, self._fft_shape, keep),
+            source, axes)
 
     def read(self, field: Field) -> np.ndarray:
         """The values a call reads from a field on ``grid`` or on
@@ -629,17 +711,98 @@ class Mollification:
         raise ValueError("field lives on neither the mollification's grid "
                          "nor its input grid")
 
-    def __call__(self, field: Field) -> Field:
-        values = self.read(field)
-        if field.components == 1:
+    def __call__(self, field: Field | HeldField) -> Field:
+        """The mollified field; a ``HeldField`` lends its tests and its
+        forward transforms, and must lie on ``input_grid`` (the whole
+        grid: a call that cuts nothing)."""
+        if isinstance(field, HeldField):
+            if field.grid != self.input_grid:
+                raise ValueError("a held field serves only a mollification "
+                                 "that reads its whole grid")
+            sources = field.sources
+        else:
+            values = self.read(field)
+            sources = [_Source(values[..., c]) for c in range(field.components)]
+        if len(sources) == 1:
             # the engine's kept box is wrapped as it is; a broadcast slice
             # is copied out
-            vals = self._convolve(values[..., 0])[..., None]
+            vals = self._convolve(sources[0])[..., None]
         else:
-            vals = np.empty(self._output_grid.shape + (field.components,))
-            for c in range(field.components):
-                vals[..., c] = self._convolve(values[..., c])
+            vals = np.empty(self._output_grid.shape + (len(sources),))
+            for c, source in enumerate(sources):
+                vals[..., c] = self._convolve(source)
         return Field._wrap(self._output_grid, vals)
+
+
+class _Source:
+    """One component's values as the convolutions of a call read them.
+
+    The vacuum test and the slice-constancy test run at most once each.
+    A held source (``HeldField``) also keeps the ``_forward`` transform of
+    what it convolved, per transform shape, and applies every later kernel
+    spectrum to it (``_apply``); otherwise each convolution transforms
+    afresh (``_fft_convolve``).  A shape fixes the slices transformed: a
+    spatial one (no time axis) reads the first slice alone exactly when
+    every slice repeats it.
+    """
+
+    def __init__(self, values: np.ndarray, held: bool = False):
+        self.values = values
+        self._spectra = {} if held else None
+
+    @cached_property
+    def touches_vacuum(self) -> bool:
+        return _touches_vacuum(self.values)
+
+    @cached_property
+    def repeats_first_slice(self) -> bool:
+        return repeats_first_slice(self.values)
+
+    def fft(self, values: np.ndarray, spectrum: np.ndarray,
+            shape: tuple[int, ...], keep) -> np.ndarray:
+        """``_fft_convolve(values, ...)``, for ``values`` the slices of
+        this source that ``_slicewise`` convolves."""
+        if self._spectra is None:
+            return _fft_convolve(values, spectrum, shape, keep)
+        if shape not in self._spectra:
+            self._spectra[shape] = _forward(values, shape)
+        return _apply(self._spectra[shape], spectrum, shape, keep)
+
+
+class HeldField:
+    """A field held for the convolutions of one call, such as an epsilon
+    ladder over one input: each component's vacuum and slice-constancy
+    tests run once, and its forward transform (``_forward``) is made by
+    the first FFT convolution and applied to by every later one.
+
+    ``Mollification`` takes it in place of its field, when the call cuts
+    nothing; ``stencil`` convolves it with a spatial stencil.  The held
+    transforms are as large as the field, so hold a field only for the
+    length of the call that convolves it several times.
+    """
+
+    __slots__ = ("grid", "values", "sources")
+
+    def __init__(self, field: Field):
+        self.grid, self.values = field.grid, field.values
+        self.sources = tuple(_Source(field.values[..., c], held=True)
+                             for c in range(field.components))
+
+    def repeats_first_slice(self) -> bool:
+        """Whether every time slice has the bits of the first."""
+        return all(s.repeats_first_slice for s in self.sources)
+
+    def stencil(self, weights: np.ndarray) -> np.ndarray:
+        """The scalar field convolved with a centred odd-length stencil
+        over its spatial axes, periodic, by the circular FFT: the same bits
+        as ``_fft_convolve``.  A field whose slices repeat the first is
+        convolved once, and the result is a read-only broadcast view (see
+        ``_slicewise``).  A non-finite result raises ``ValueError``."""
+        (source,) = self.sources
+        shape = self.grid.shape[1:]
+        spectrum = _kernel_spectrum(weights, shape)
+        return _slicewise(lambda v: source.fft(v, spectrum, shape, None),
+                          source, tuple(range(1, len(self.grid.shape))))
 
 
 def _touches_vacuum(values: np.ndarray) -> bool:
@@ -648,9 +811,10 @@ def _touches_vacuum(values: np.ndarray) -> bool:
     return bool(values.min() == 0.0)
 
 
-def _slicewise(convolve, values: np.ndarray,
+def _slicewise(convolve, source: _Source,
                axes: tuple[int, ...]) -> np.ndarray:
-    """``convolve(values)`` for a convolution over ``axes``, checked finite.
+    """``convolve(source.values)`` for a convolution over ``axes``, checked
+    finite.
 
     With axis 0 (time) not among ``axes`` the convolution acts slice by
     slice.  If then every time slice has the bits of the first
@@ -659,7 +823,8 @@ def _slicewise(convolve, values: np.ndarray,
     (an FFT of finite values near 1e300 can overflow) reads what was
     convolved: the one slice, not its broadcast.
     """
-    if 0 not in axes and repeats_first_slice(values):
+    values = source.values
+    if 0 not in axes and source.repeats_first_slice:
         first = convolve(values[:1])
         _require_finite(first)
         return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
@@ -759,24 +924,6 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
     return out
 
 
-def circular_convolve(values: np.ndarray, weights: np.ndarray,
-                      axes: tuple[int, ...]) -> np.ndarray:
-    """Periodic convolution over the trailing ``axes`` by the circular FFT.
-
-    ``weights`` is a centred odd-length stencil; leading axes broadcast.
-    Without axis 0 among ``axes``, values whose axis-0 slices all have the
-    same bits are convolved once, and the result is a read-only broadcast
-    view (see ``_slicewise``).  A non-finite result raises ``ValueError``.
-    """
-    values = np.asarray(values, dtype=float)
-    if tuple(axes) != tuple(range(values.ndim - len(axes), values.ndim)):
-        raise ValueError("circular_convolve acts on the trailing axes")
-    shape = values.shape[values.ndim - len(axes):]
-    spectrum = _kernel_spectrum(weights, shape)
-    return _slicewise(lambda v: _fft_convolve(v, spectrum, shape),
-                      values, axes)
-
-
 def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Spectrum of the centred stencil, zero-padded and wrapped to ``shape``,
     laid out for ``_fft_convolve``.
@@ -814,7 +961,7 @@ def _forward(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # The first transformed axis's pencils go through fft, the kernel product
-# and ifft this many at a time; a block and its two spectra stay in cache.
+# and ifft this many at a time; a block and its kernel pencils stay in cache.
 # 64 timed a little faster than 32 and 128 on a 2048^2 space-time job.
 _PENCIL_BLOCK = 64
 
@@ -832,43 +979,62 @@ def _fft_convolve(values: np.ndarray, spectrum: np.ndarray,
     ``keep`` holding one slice per transformed axis (all of each when
     None), as a fresh contiguous array.  Leading axes are kept whole.
 
-    The result equals ``irfftn(rfftn(values, shape, axes) * K, shape,
-    axes)`` cut to the box, bit for bit: every 1-D transform runs in the
-    order ``rfftn`` and ``irfftn`` use, on the same pencils, and the
-    product is the same elementwise one.  With more than one axis, the
-    first axis's pencils go ``_PENCIL_BLOCK`` at a time through ``fft``
-    (which gathers the block, a narrow strip of columns, into contiguous
-    pencils), the product and ``ifft``, in two reused buffers; only the
-    kept rows are written back, into the forward spectrum whose block was
-    already read.  The other axes are inverted on the kept rows alone,
+    Both stages once: ``_apply`` of the ``_forward`` transform, which
+    nothing else reads, so ``_apply`` may consume it.
+    """
+    return _apply(_forward(values, shape), spectrum, shape, keep,
+                  consume=True)
+
+
+def _apply(spec: np.ndarray, spectrum: np.ndarray, shape: tuple[int, ...],
+           keep=None, consume: bool = False) -> np.ndarray:
+    """The kept box of the convolution whose ``_forward`` transform is
+    ``spec``, with the kernel whose ``_kernel_spectrum`` is ``spectrum``
+    (see ``_fft_convolve``), as a fresh contiguous array.
+
+    ``spec`` is only read, so a ladder can apply every rung's spectrum to
+    one held transform; with ``consume`` its storage takes the product
+    (over one axis) or the first axis's kept rows (over more), as one
+    spectrum less of memory.  Every 1-D transform runs in the order
+    ``rfftn`` and ``irfftn`` use, on the same pencils, and the product is
+    the same elementwise one.  With more than one axis, each block of
+    ``_PENCIL_BLOCK`` columns of the first axis's pencils is gathered once
+    into one reused buffer, zero-filled past the input rows, and goes
+    through ``fft``, the product and ``ifft`` in place; only its kept rows
+    are copied out.  The other axes are inverted on the kept rows alone,
     ``_ROW_BLOCK`` rows at a time, straight into the kept box.
     """
-    lead = values.ndim - len(shape)
+    lead = spec.ndim - len(shape)
     if keep is None:
         keep = (slice(None),) * len(shape)
-    spec = _forward(values, shape)
-    out = np.empty(values.shape[:lead] + tuple(
+    out = np.empty(spec.shape[:lead] + tuple(
         len(range(n)[k]) for n, k in zip(shape, keep)))
     if len(shape) == 1:
-        spec *= spectrum
+        spec = np.multiply(spec, spectrum, out=spec if consume else None)
         rows = spec.reshape(-1, spec.shape[-1])
         _invert_rows(rows, out.reshape(len(rows), -1), shape, keep)
         return out
-    n, rows = shape[0], spec.shape[lead]
+    n, rows, first = shape[0], spec.shape[lead], keep[0]
     cols = spec.reshape(-1, rows, len(spectrum))
     step = min(_PENCIL_BLOCK, len(spectrum))
-    fwd = np.empty((step, n), complex)
-    inv = np.empty((step, n), complex)
-    first = keep[0]
+    buf = np.empty((step, n), complex)
+    # the kept rows after the first axis's inverse: in the consumed
+    # transform, or apart from the one that is only read
+    apart = None if consume else np.empty((len(range(n)[first]),
+                                           len(spectrum)), complex)
     for part, box in zip(cols, out.reshape((len(cols),) + out.shape[lead:])):
+        kept = part[first] if consume else apart
         for c0 in range(0, len(spectrum), step):
             c1 = min(c0 + step, len(spectrum))
-            f = np.fft.fft(part[:, c0:c1].T, n, axis=-1, out=fwd[:c1 - c0])
-            f *= spectrum[c0:c1]
-            g = np.fft.ifft(f, n, axis=-1, out=inv[:c1 - c0])
-            part[first, c0:c1] = g[:, first].T
-        kept = part[first].reshape((-1,) + spec.shape[lead + 1:])
-        _invert_rows(kept, box, shape[1:], keep[1:])
+            block = buf[:c1 - c0]
+            block[:, :rows] = part[:, c0:c1].T
+            block[:, rows:] = 0.0
+            np.fft.fft(block, axis=-1, out=block)
+            block *= spectrum[c0:c1]
+            np.fft.ifft(block, axis=-1, out=block)
+            kept[:, c0:c1] = block[:, first].T
+        _invert_rows(kept.reshape((-1,) + spec.shape[lead + 1:]), box,
+                     shape[1:], keep[1:])
     return out
 
 

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, MollifierKernel, div, lp_norm, make_mollifier, mollify
+from .grids import (
+    Field,
+    HeldField,
+    Mollification,
+    MollifierKernel,
+    div,
+    lp_norm,
+    make_mollifier,
+)
 
 DEGENERATE_FLOOR = 1e-14
 
@@ -92,9 +100,9 @@ def tv_divergence_estimate(u: Field, eps_ladder) -> dict:
     """
     if u.components != u.grid.spatial_dim:
         raise ValueError("u must be vector-valued with d components")
-    samples = []
+    held, samples = HeldField(u), []
     for ker in kernels_for_ladder(u.grid, eps_ladder):
-        ue = mollify(u, ker)
+        ue = Mollification(ker, u.grid)(held)
         samples.append((ker.epsilon, lp_norm(div(ue), 1)))
     fit = fit_rate(samples, window=(0, len(samples)))
     values = [v for _, v in samples]

@@ -163,18 +163,32 @@ class TestFunction:
 
         ``values`` has shape ``grid.shape + (len(axes),)`` and is consumed:
         each component is multiplied by its derivative of phi in place,
-        ``PAIR_ROWS`` time rows at a time.  The components are then summed
-        (one component is read as a view), the grid is summed and the sum
-        is multiplied by ``cell_volume``.  ``grid`` may be a box sub-grid:
-        phi is read at its root's coordinates.  A NaN or infinity anywhere
-        in the weighed values reaches the sum, so a non-finite result
-        raises ``ValueError``.
+        ``PAIR_ROWS`` time rows at a time.  Each axis factor, or its
+        derivative, is evaluated once per call on its own axis, and a block
+        multiplies their slices in axis order from 1.0, as ``phi_values``
+        does.  The components are then summed (one component is read as a
+        view), the grid is summed and the sum is multiplied by
+        ``cell_volume``.  ``grid`` may be a box sub-grid: phi is read at
+        its root's coordinates.  A NaN or infinity anywhere in the weighed
+        values reaches the sum, so a non-finite result raises
+        ``ValueError``.
         """
-        nt, space = grid.shape[0], tuple((0, n) for n in grid.shape[1:])
-        for lo in range(0, nt, PAIR_ROWS):
-            rows = grid.subgrid(((lo, min(lo + PAIR_ROWS, nt)),) + space)
+        mesh = _open_mesh(grid)
+        # (axis, 1 for the derivative) -> that factor on that axis
+        factors = {}
+        for axis in axes:
+            for k, z in enumerate(mesh):
+                key = (k, int(k == axis))
+                if key not in factors:
+                    factors[key] = self.factor(k)[key[1]](z)
+        for lo in range(0, grid.shape[0], PAIR_ROWS):
+            rows = slice(lo, lo + PAIR_ROWS)
             for j, axis in enumerate(axes):
-                values[lo:lo + PAIR_ROWS, ..., j] *= self.phi_values(rows, axis)
+                weight = 1.0
+                for k in range(len(mesh)):
+                    f = factors[k, int(k == axis)]
+                    weight = weight * (f[rows] if k == 0 and np.ndim(f) else f)
+                values[rows, ..., j] *= weight
         dot = values[..., 0] if len(axes) == 1 else values.sum(axis=-1)
         total = float(dot.sum() * grid.cell_volume)
         if not np.isfinite(total):

@@ -28,9 +28,9 @@ from .errors import (
 from .grids import (
     Field,
     GridSpec,
+    HeldField,
     Mollification,
     MollifierKernel,
-    circular_convolve,
     lp_norm,
     make_mollifier,
     mollify,
@@ -147,9 +147,9 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
     first also the CLI's ``bounded_factor`` row: so NaN fails all three.
     """
     require_nonnegative(w, "w")
-    values = []
+    held, values = HeldField(w), []
     for ker in kernel_ladder:
-        we = mollify(w, ker)
+        we = Mollification(ker, w.grid)(held)
         w0 = restrict(w, we.grid)
         mask = region_mask
         if mask is None:
@@ -202,10 +202,9 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
     recip = np.where(pos, 1.0 / np.where(pos, w.values[..., 0], 1.0), 0.0)
     recip_norm = lp_norm(Field(w.grid, recip), p, mask=pos)
 
-    entries = []
-    samples = []
+    held, entries, samples = HeldField(w), [], []
     for ker in kernel_ladder:
-        we = mollify(w, ker)
+        we = Mollification(ker, w.grid)(held)
         w0 = restrict(w, we.grid)
         diff = we - w0
         ratio = _guarded_ratio(diff.values, we.values)
@@ -245,14 +244,14 @@ def _ball_kernel(grid: GridSpec, radius: float) -> np.ndarray:
     return ball / ball.sum()
 
 
-def _ball_average(w: Field, radius: float) -> Field:
-    """Spatial ball average per time slice (periodic, circular FFT).
+def _ball_average(w: Field | HeldField, radius: float) -> Field:
+    """Spatial ball average per time slice (periodic, circular FFT), of a
+    field or of a held one, whose forward transform it then reuses.
 
-    ``circular_convolve`` checks what it convolves (one slice of a
+    ``HeldField.stencil`` checks what it convolves (one slice of a
     time-constant field), and the broadcast is copied out unscanned."""
-    axes = tuple(range(1, len(w.grid.shape)))
-    return Field._wrap(w.grid, circular_convolve(
-        w.values[..., 0], _ball_kernel(w.grid, radius), axes))
+    held = w if isinstance(w, HeldField) else HeldField(w)
+    return Field._wrap(w.grid, held.stencil(_ball_kernel(w.grid, radius)))
 
 
 def _clear_nodes(grid: GridSpec, region: np.ndarray,
@@ -272,23 +271,30 @@ def _clear_nodes(grid: GridSpec, region: np.ndarray,
     halves = [min(int(radius / EPS0 / h) + 1, n // 2)
               for h, n in zip(grid.spacings[1:], grid.shape[1:])]
     near = np.sqrt(sum(o ** 2 for o in _offsets(grid, halves))) * EPS0 < radius
-    return region & (circular_convolve(~region, near, axes) < 0.5)
+    outside = Field._wrap(grid.time_subgrid(0, len(region)), ~region)
+    return region & (HeldField(outside).stencil(near) < 0.5)
 
 
 class QnsRegion:
     """A QNS check's region of ``w`` (all nodes for a None mask), the time
     slices its ratio maxima need (``rows``), and per radius its clear
     nodes and its ball-ratio maximum, each computed once; the QNS checks
-    share one in place of a mask."""
+    share one in place of a mask.
+
+    It holds ``w`` (``held``) while it lives: every ball average and
+    every whole-grid mollification of a QNS check reuses one slice-
+    constancy test, one vacuum test and one forward transform of ``w``.
+    """
 
     def __init__(self, w: Field, region_mask: np.ndarray | None):
         require_nonnegative(w, "w")
         self.w, self.mask = w, np.broadcast_to(
             True if region_mask is None else region_mask, w.grid.shape)
+        self.held = HeldField(w)
         self._clear, self._ball_ratio = {}, {}
         # a spatial kernel leaves every slice of such a field with the same
         # bits, so every ratio slice repeats the first and so do its maxima
-        constant = (repeats_first_slice(w.values[..., 0])
+        constant = (self.held.repeats_first_slice()
                     and repeats_first_slice(self.mask))
         self.rows = slice(0, 1) if constant else slice(None)
 
@@ -305,7 +311,7 @@ class QnsRegion:
         repeated slices that lies in the first, so one slice gives the
         witness of all of them."""
         if radius not in self._ball_ratio:
-            avg, rows = _ball_average(self.w, radius), self.rows
+            avg, rows = _ball_average(self.held, radius), self.rows
             ratio = np.where(self.clear(radius), _guarded_ratio(
                 self.w.values[rows, ..., 0], avg.values[rows, ..., 0]), 0.0)
             idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
@@ -350,8 +356,9 @@ def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
                          region: QnsRegion) -> float:
     """sup of w / w_e over region nodes clear of the region boundary, on
     the region's ``rows`` of a spatial kernel's result (a space-time
-    kernel's slices differ in their rounding, so it reads them all)."""
-    we = mollify(w, ker)
+    kernel's slices differ in their rounding, so it reads them all); the
+    mollification reuses the region's hold on ``w``."""
+    we = Mollification(ker, w.grid)(region.held)
     w0 = restrict(w, we.grid)
     j0 = we.grid.time_offset_from(w.grid)
     if ker.include_time:
@@ -440,10 +447,18 @@ def counterexample_field(i_max: int, grid_points: int,
     x = grid.axis_coords(1)
     f = np.zeros(grid_points)
     for i in range(2, i_max + 1):
-        lo = 1.0 / i
-        hi = lo + 2.0 ** (-i)
-        f += ((x >= lo) & (x <= hi)).astype(float)
+        a, b = _spike_nodes(x, i)
+        f[a:b] += 1.0
     return Field(grid, np.broadcast_to(f, grid.shape).copy())
+
+
+def _spike_nodes(x: np.ndarray, i: int) -> tuple[int, int]:
+    """The range [a, b) of the sorted nodes ``x`` on the spike [1/i, 1/i +
+    2^-i]: the nodes with 1/i <= x <= 1/i + 2^-i, found by bisection."""
+    lo = 1.0 / i
+    hi = lo + 2.0 ** (-i)
+    return (int(np.searchsorted(x, lo, "left")),
+            int(np.searchsorted(x, hi, "right")))
 
 
 def counterexample_blowup(f: Field, p: float, i_list) -> dict:
@@ -480,12 +495,9 @@ def counterexample_blowup(f: Field, p: float, i_list) -> dict:
         eps = 1.0 / (2.0 * i * i)
         if eps < 3.0 * h:
             raise ResolutionError(f"epsilon for i={i} under-resolves the grid")
-        lo = 1.0 / i
-        hi = lo + 2.0 ** (-i)
-        nodes = np.flatnonzero((x >= lo) & (x <= hi))
-        if not nodes.size:
+        a, b = _spike_nodes(x, i)
+        if b <= a:
             raise ResolutionError(f"spike i={i} holds no grid node")
-        a, b = nodes[0], nodes[-1] + 1
         spike = f.grid.subgrid(((0, f.grid.shape[0]), (a, b)))
         moll = Mollification(_spatial_mollifier(eps, f.grid), f.grid,
                              box=((0, f.grid.shape[0]), (a, b)))

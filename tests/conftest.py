@@ -58,14 +58,15 @@ def force_branch(monkeypatch, branch):
 
 
 def record_convolved_rows(monkeypatch):
-    """List, per call of either ``Mollification`` branch or of
-    ``circular_convolve``'s engine, the number of time slices it
-    convolves."""
+    """List, per convolution of either ``Mollification`` branch or of
+    ``HeldField.stencil``, the number of time slices it convolves: the
+    calls of ``_direct_convolve`` and of the FFT engine's apply stage,
+    which every FFT convolution runs once, held or not."""
     rows = []
-    for name in ("_direct_convolve", "_fft_convolve"):
-        def spy(values, *args, _inner=getattr(grids, name)):
+    for name in ("_direct_convolve", "_apply"):
+        def spy(values, *args, _inner=getattr(grids, name), **kwargs):
             rows.append(values.shape[0])
-            return _inner(values, *args)
+            return _inner(values, *args, **kwargs)
 
         monkeypatch.setattr(grids, name, spy)
     return rows
@@ -74,4 +75,4 @@ def record_convolved_rows(monkeypatch):
 def convolve_every_slice(monkeypatch):
     """Turn the repeated-slice rule off: every time slice is convolved."""
     monkeypatch.setattr(grids, "_slicewise",
-                        lambda convolve, values, axes: convolve(values))
+                        lambda convolve, source, axes: convolve(source.values))

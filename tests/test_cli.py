@@ -396,6 +396,22 @@ factor_max = 0.001
         assert "under-resolves" in err
         assert "config error" not in err
 
+    @pytest.mark.parametrize("eps", [
+        "0.125, 0.0625, nan, 0.015625, 0.0078125",
+        "inf, 0.125, 0.0625, 0.03125, 0.015625"], ids=["nan", "inf"])
+    def test_non_finite_epsilon_is_a_study_error(self, tmp_path, capsys,
+                                                 eps):
+        # the ladder check lets both through (nan compares false, inf
+        # leads); the kernel rejects the radius, with no traceback
+        path = write_config(tmp_path, f"[study]\nkind = rates\n"
+                                      f"output = {tmp_path / 'out'}\n"
+                                      f"[generator]\nlevels = 8\n"
+                                      f"[ladders]\neps = {eps}\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("rates study failed: ValueError: epsilon must be "
+                       "positive and finite\n")
+
     @pytest.mark.parametrize("key", ["extent_t", "extent_x"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_extent_is_named(self, tmp_path, capsys, key, value):

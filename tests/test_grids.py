@@ -12,12 +12,13 @@ from conftest import (
     force_branch,
     record_convolved_rows,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from vacuumlab import commutators, energy, grids, pressure, vacuum
 from vacuumlab.errors import (
     DomainExhaustedError,
+    InfeasibleKernelError,
     NegativityError,
     ResolutionError,
 )
@@ -170,6 +171,94 @@ class TestQuadrature:
             lp_norm(field, np.inf)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (in a one-item list)."""
+    calls, inner = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def full_bisection(above, lo, hi):
+    """The theta search before it stopped on adjacent doubles."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _first_power_below(mass):
+    """The first power of two from 1 whose mass is at most 1."""
+    hi = 1.0
+    while mass(hi) > 1.0:
+        hi *= 2.0
+    return hi
+
+
+def frozen_kernel(eps, dim, grid, include_time):
+    """(theta, weights) of the construction that evaluates the mass, from
+    a freshly built profile, at every point the search tests."""
+    spacings = grid.spacings if include_time else grid.spacings[1:]
+    half = [int(np.floor(eps / h * (1 - 1e-12))) for h in spacings]
+    offsets = np.meshgrid(*[np.arange(-k, k + 1) * h
+                            for k, h in zip(half, spacings)], indexing="ij")
+    r = np.sqrt(sum(o ** 2 for o in offsets)) / eps
+    vol = float(np.prod(spacings))
+    scale = vol / eps ** dim
+    plateau, trans = r <= 1.0 / 3.0, (r > 1.0 / 3.0) & (r < 1.0)
+
+    def profile(theta):
+        out = np.zeros_like(r)
+        out[plateau] = 1.0
+        s = (3.0 * r[trans] - 1.0) / 2.0
+        out[trans] = np.exp(theta * (1.0 - 1.0 / (1.0 - s ** 2)))
+        return out
+
+    def mass(theta):
+        return float(profile(theta).sum() * scale)
+
+    plateau_mass, full_mass = float(plateau.sum() * scale), mass(0.0)
+    if plateau_mass >= 1.0 or full_mass <= 1.0:
+        raise InfeasibleKernelError(
+            f"no steepness gives unit mass (plateau {plateau_mass:.3g}, "
+            f"full {full_mass:.3g})")
+    theta = full_bisection(lambda th: mass(th) > 1.0, 0.0,
+                           _first_power_below(mass))
+    w = profile(theta) / eps ** dim
+    tw = float(w[trans].sum() * vol)
+    w[trans] *= 1.0 - (float(w.sum() * vol) - 1.0) / tw
+    return theta, w
+
+
+@st.composite
+def kernel_cases(draw):
+    """(grid, epsilon, include_time) for a kernel the grid resolves, of at
+    most about 10^5 nodes."""
+    spatial_dim = draw(st.sampled_from([1, 2]))
+    include_time = draw(st.booleans())
+    top = 600 if spatial_dim == 1 else 60
+    shape = tuple(draw(st.integers(8, top)) for _ in range(1 + spatial_dim))
+    extents = tuple(draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]))
+                    for _ in shape)
+    grid = GridSpec(spatial_dim, shape, extents)
+    axes = slice(0 if include_time else 1, None)
+    h, n = grid.spacings[axes], grid.shape[axes]
+    lo, hi = 3.0 * max(h), min((m - 1) / 2 * step for m, step in zip(n, h))
+    assume(lo < hi)
+    eps = draw(st.floats(lo, hi))
+    assume(np.prod([2 * int(eps / step) + 1 for step in h]) <= 120_000)
+    return grid, eps, include_time
+
+
 class TestMollifier:
     def test_unit_mass(self, small_grid):
         ker = make_mollifier(0.1, 2, small_grid)
@@ -180,6 +269,12 @@ class TestMollifier:
         # profile is exactly 1 on the inner third, height 1/eps^N
         ker = make_mollifier(0.1, 2, small_grid)
         assert float(ker.weights.max()) == pytest.approx(1.0 / 0.1 ** 2)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_radius_must_be_positive_and_finite(self, small_grid, eps):
+        with pytest.raises(ValueError,
+                           match="epsilon must be positive and finite"):
+            make_mollifier(eps, 2, small_grid)
 
     def test_requires_three_cells(self, small_grid):
         with pytest.raises(ResolutionError):
@@ -224,48 +319,41 @@ class TestMollifier:
         err = np.max(np.abs(fe.values[..., 0] - oracle))
         assert err <= 1e-13 * float(np.abs(f.values).max())
 
-    def test_theta_search_matches_full_bisection(self, monkeypatch):
-        # the search before it stopped on adjacent doubles: bitwise equal
-        # kernels, from fewer profile evaluations
-        def full_bisection(above, lo, hi):
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if above(mid):
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-16 * max(1.0, hi):
-                    break
-            return 0.5 * (lo + hi)
-
-        cases = [(GridSpec(1, (128, 256), (1.0, 1.0)), eps, inc)
-                 for eps in (0.025, 0.05, 0.1, 0.2) for inc in (False, True)]
-        cases += [(GridSpec(2, (24, 32, 40), (1.0, 1.0, 1.0)), eps, inc)
-                  for eps in (0.15, 0.2, 0.25) for inc in (False, True)]
-        calls = [0]
-
-        def build(solve):
-            # count the mass tests the bisection makes
-            def counted(above, lo, hi):
-                def counted_above(theta):
-                    calls[0] += 1
-                    return above(theta)
-                return solve(counted_above, lo, hi)
-
-            monkeypatch.setattr(grids, "_bisect", counted)
-            calls[0] = 0
-            kernels = [make_mollifier(eps, g.spatial_dim + inc, g,
-                                      include_time=inc)
-                       for g, eps, inc in cases]
-            return kernels, calls[0]
-
-        new, new_calls = build(grids._bisect)
-        old, old_calls = build(full_bisection)
-        assert {k.weights.ndim for k in new} == {1, 2, 3}
-        for a, b in zip(new, old):
-            assert a.shape_parameter == b.shape_parameter
-            assert np.array_equal(a.weights, b.weights)
-        assert new_calls < old_calls / 2
+    # the frozen construction's four grids, at two radii each
+    @settings(max_examples=60, deadline=None)
+    @example(case=(GridSpec(1, (2048, 2048), (1.0, 1.0)), 2.0 ** -4, True))
+    @example(case=(GridSpec(1, (2048, 2048), (1.0, 1.0)), 2.0 ** -7, False))
+    @example(case=(GridSpec(1, (8, 32768), (1.0, 1.0)), 0.01, False))
+    @example(case=(GridSpec(1, (8, 32768), (1.0, 1.0)), 1 / 288, False))
+    @example(case=(GridSpec(1, (256, 256), (0.2, 1.0)), 0.02, True))
+    @example(case=(GridSpec(1, (256, 256), (0.2, 1.0)), 0.05, False))
+    @example(case=(GridSpec(2, (32, 128, 128), (1.0, 1.0, 1.0)), 0.15, True))
+    @example(case=(GridSpec(2, (32, 128, 128), (1.0, 1.0, 1.0)), 2.0 ** -5,
+                   False))
+    # eps = 3h exactly: the plateau alone has unit mass
+    @example(case=(GridSpec(1, (16, 64), (1.0, 1.0)), 3 / 64, False))
+    @given(case=kernel_cases())
+    def test_theta_search_matches_full_bisection(self, case):
+        # theta and the weights are those of the frozen construction, which
+        # evaluates the mass at every point a full bisection tests, from
+        # under half its mass evaluations
+        grid, eps, include_time = case
+        dim = grid.spatial_dim + include_time
+        try:
+            old = frozen_kernel(eps, dim, grid, include_time)
+        except InfeasibleKernelError as exc:
+            with pytest.raises(InfeasibleKernelError, match=str(exc)[:20]):
+                make_mollifier(eps, dim, grid, include_time=include_time)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            exps = count_calls(patch, np, "exp")
+            frozen_kernel(eps, dim, grid, include_time)
+            old_evals = exps[0] - 1  # every exp but the weights' one
+            exps[0] = 0
+            ker = make_mollifier(eps, dim, grid, include_time=include_time)
+        assert ker.shape_parameter == old[0]
+        assert ker.weights.tobytes() == old[1].tobytes()
+        assert exps[0] - 1 <= old_evals / 2
 
     @pytest.mark.parametrize("grid", [
         GridSpec(1, (2048, 2048), (1.0, 1.0)),
@@ -274,52 +362,61 @@ class TestMollifier:
         GridSpec(2, (32, 128, 128), (1.0, 1.0, 1.0)),
     ], ids=["2048^2", "8x32768", "budget-256^2", "32x128^2"])
     def test_kernels_equal_the_frozen_construction(self, grid):
-        # the profile's theta-independent work is done once per kernel;
-        # theta and the weights are those of a per-evaluation profile
-        def old_profile(r, theta):
-            out = np.zeros_like(r)
-            out[r <= 1.0 / 3.0] = 1.0
-            trans = (r > 1.0 / 3.0) & (r < 1.0)
-            s = (3.0 * r[trans] - 1.0) / 2.0
-            out[trans] = np.exp(theta * (1.0 - 1.0 / (1.0 - s ** 2)))
-            return out
-
-        def old_kernel(eps, include_time):
-            spacings = grid.spacings if include_time else grid.spacings[1:]
-            half = [int(np.floor(eps / h * (1 - 1e-12))) for h in spacings]
-            offsets = np.meshgrid(*[np.arange(-k, k + 1) * h
-                                    for k, h in zip(half, spacings)],
-                                  indexing="ij")
-            r = np.sqrt(sum(o ** 2 for o in offsets)) / eps
-            vol, dim = float(np.prod(spacings)), len(spacings)
-            scale = vol / eps ** dim
-            def mass(th):
-                return float(old_profile(r, th).sum() * scale)
-
-            hi = 1.0
-            while mass(hi) > 1.0:
-                hi *= 2.0
-            theta = grids._bisect(lambda th: mass(th) > 1.0, 0.0, hi)
-            w = old_profile(r, theta) / eps ** dim
-            trans = (r > 1.0 / 3.0) & (r < 1.0)
-            tw = float(w[trans].sum() * vol)
-            w[trans] *= 1.0 - (float(w.sum() * vol) - 1.0) / tw
-            return theta, w
-
+        # every radius the grid resolves, with and without time
         built = 0
         for eps in (2.0 ** -4, 0.05, 2.0 ** -5, 0.02, 2.0 ** -6, 2.0 ** -7,
                     0.15, 0.1):
             for include_time in (False, True):
+                dim = grid.spatial_dim + include_time
                 try:
-                    ker = make_mollifier(eps, grid.spatial_dim + include_time,
-                                         grid, include_time=include_time)
+                    ker = make_mollifier(eps, dim, grid,
+                                         include_time=include_time)
                 except ResolutionError:
                     continue
-                theta, w = old_kernel(eps, include_time)
+                theta, w = frozen_kernel(eps, dim, grid, include_time)
                 assert ker.shape_parameter == theta
                 assert ker.weights.tobytes() == w.tobytes()
                 built += 1
         assert built >= 4
+
+    def test_spike_vacuum_kernels_take_under_20_mass_evaluations(
+            self, monkeypatch):
+        # the 22 kernels of one spike_vacuum pass: about 60 each before
+        exps = count_calls(monkeypatch, np, "exp")
+        big = GridSpec(1, (8, 1 << 15), (1.0, 1.0))
+        small = GridSpec(1, (8, 4096), (1.0, 1.0))
+        cases = ([(big, e) for e in (0.08, 0.04, 0.02, 0.01)]
+                 + [(big, 1 / (2 * i * i)) for i in range(6, 13)] * 2
+                 + [(small, e) for e in (0.2, 0.1, 0.05, 0.025)])
+        for grid, eps in cases:
+            make_mollifier(eps, 1, grid, include_time=False)
+        assert len(cases) == 22
+        assert (exps[0] - len(cases)) / len(cases) <= 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.one_of(st.floats(0.01, 0.25), st.floats(0.25, 200.0)),
+           nodes=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bracketed_search_equals_every_test_evaluated(self, theta, nodes,
+                                                          seed):
+        # masses of any transition exponents, with the crossing at theta;
+        # below 0.25 ``_bisect`` stops on its width, not on adjacent
+        # doubles.  No grid reaches that: a plateau kernel's mass at
+        # theta = 0 is about the unit ball's volume, so theta is over 3
+        rng = np.random.default_rng(seed)
+        exponent = -rng.exponential(1.0, nodes)
+        scale = 1.0 / nodes
+        values = np.empty(nodes + 1)
+        values[0] = (1.0 - float(np.exp(theta * exponent).sum() * scale)) / scale
+
+        def mass(th):
+            values[1:] = np.exp(th * exponent)
+            return float(values.sum() * scale)
+
+        target = 1.0 - values[0] * scale
+        assume(0.0 < target and mass(0.0) > 1.0)
+        want = grids._bisect(lambda th: mass(th) > 1.0, 0.0,
+                             _first_power_below(mass))
+        assert grids._solve_theta(mass, exponent, scale, target) == want
 
     def test_spatial_only_kernel_keeps_time_extent(self, small_grid):
         f = from_function(small_grid, lambda t, x: np.cos(2 * np.pi * x))
@@ -348,7 +445,7 @@ class TestMollification:
         win = ker.weights * ker.cell_volume
         axes = tuple(range(0 if include_time else 1, len(shape)))
         conv = (grids._direct_convolve if method == "direct"
-                else grids.circular_convolve)
+                else lambda v, w, axes: _engine(v, w, v.shape[axes[0]:]))
         moll = Mollification(ker, g)
         for f in fields:
             a = moll(f)
@@ -1155,10 +1252,6 @@ class TestFFTEngine:
         nonzero = want.view(float) != 0.0
         assert (got.view(np.int64)[nonzero]
                 == want.view(np.int64)[nonzero]).all()
-
-    def test_circular_convolve_needs_trailing_axes(self):
-        with pytest.raises(ValueError, match="trailing"):
-            grids.circular_convolve(np.ones((4, 8, 8)), np.ones((3,)), (1,))
 
 
 class TestCalculus:

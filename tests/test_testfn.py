@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vacuumlab.grids import Field, GridSpec, integrate
+from vacuumlab import testfn
 from vacuumlab.testfn import (
     _bump,
     _bump_prime,
@@ -439,6 +440,31 @@ class TestPair:
                    tf.pair(E.copy(), sub, (0,)),
                    tf.pair(F.copy(), sub, range(1, 1 + d)))
             assert [v.hex() for v in got] == [v.hex() for v in want], tf.kind
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, (150, 96), (1.0, 1.0)),
+                                      GridSpec(2, (70, 24, 20), (1.0,) * 3)],
+                             ids=["1d", "2d"])
+    def test_each_factor_is_evaluated_once_per_call(self, grid):
+        # three PAIR_ROWS blocks in 1-D, two in 2-D, and every component
+        # of phi, d_t phi and grad phi: each axis factor and each
+        # derivative is evaluated at most once per call
+        n = len(grid.shape)
+        base = spacetime_bump((0.5,) * n, (0.3,) * n)
+        calls = []
+
+        def counted(axis, which, fn):
+            return lambda z: calls.append((axis, which)) or fn(z)
+
+        tf = testfn.TestFunction(base.kind, base.params, tuple(
+            (counted(a, "value", f), counted(a, "deriv", df))
+            for a, (f, df) in enumerate(base.factors)))
+        axes = (None,) + tuple(range(len(grid.shape)))
+        values = np.random.default_rng(3).standard_normal(
+            grid.shape + (len(axes),))
+        got = tf.pair(values.copy(), grid, axes)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == 2 * len(grid.shape)
+        assert got.hex() == base.pair(values.copy(), grid, axes).hex()
 
     def test_box_pairing_equals_the_whole_grid_pairing(self, small_grid):
         tf = spacetime_bump((0.5, 0.5), (0.2, 0.3))
