@@ -133,8 +133,9 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
     rho u, rho u (x) u and p(rho) are formed only where that mollification
     reads; see ``Mollification`` for how a box is cut.  Values outside the
     box are never formed: an overflow there cannot raise, and no reported
-    number depends on them.  ``mollified_energy_balance`` pairs the same
-    densities on the whole interior grid.
+    number depends on them.  ``mollified_energy_balance`` keeps the same
+    box but reads the whole grid, so its FFT lengths, and its bits, are
+    those of the whole interior grid.
     """
     box = _pairing_box(phi, rho.grid, kernel)
     return commutators_from_mollified(
@@ -150,21 +151,23 @@ def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
     support = phi.support(grid)
     if support is None:
         return None
-    box = tuple((max(lo - STENCIL_REACH, 0), min(hi + STENCIL_REACH, n))
-                for (lo, hi), n in zip(support, grid.shape))
     if kernel.include_time:
         j0, j1 = interior_time_slices(grid, kernel.epsilon)
-        if box[0][1] <= j0 or box[0][0] >= j1:
+        if support[0][1] <= j0 or support[0][0] >= j1:
             return None
-    return box
+    return tuple((max(lo - STENCIL_REACH, 0), min(hi + STENCIL_REACH, n))
+                 for (lo, hi), n in zip(support, grid.shape))
 
 
 def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
-                          kernel: MollifierKernel, box=None) -> list:
+                          kernel: MollifierKernel, box=None, *,
+                          whole_read: bool = False) -> list:
     """[rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e] for one kernel.
 
     One ``Mollification`` transforms the kernel once for all five fields;
-    with a ``box`` the fields cover only that box.  rho and u are read in
+    with a ``box`` the fields cover only that box, and with ``whole_read``
+    they are read, and the products formed, on the whole grid, so every
+    kept value has the bits of the whole-grid call.  rho and u are read in
     place (``Mollification.read``), never copied; p(rho), rho u and
     rho u (x) u are formed from those views on the box the mollification
     reads, each just before it is mollified and dropped right after
@@ -174,7 +177,7 @@ def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
     require_nonnegative(rho, "rho")
     if u.components != rho.grid.spatial_dim:
         raise ValueError("u needs one component per spatial axis")
-    moll = Mollification(kernel, rho.grid, box=box)
+    moll = Mollification(kernel, rho.grid, box=box, whole_read=whole_read)
     grid, rho_v, u_v = moll.input_grid, moll.read(rho), moll.read(u)
     p_e = moll(Field(grid, law.p(rho_v)))
     m = rho_v * u_v

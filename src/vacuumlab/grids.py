@@ -61,7 +61,11 @@ Conventions used throughout the package:
   stays whole and periodic.  The direct branch gives the whole result
   cut down, bit for bit; the FFT branch agrees to rounding.  A field on
   ``grid`` is read in place, as a view of that box, and the engine's
-  kept box becomes the result without a copy.
+  kept box becomes the result without a copy.  With ``whole_read=True``
+  the box cuts only the output, by the same rule, and every axis is read
+  whole: the transform lengths, the branch and every kept value are the
+  whole-grid call's, bit for bit, and the box saves the memory and the
+  work of what is not kept.
 * Finite differences are the one 4th-order central stencil, read as
   shifted slices of the samples; periodic axes wrap, and the
   non-periodic time axis loses ``STENCIL_REACH`` slices at both ends.
@@ -233,13 +237,18 @@ class GridSpec:
             raise DomainExhaustedError("empty time range")
         return self.subgrid(((j0, j1),) + tuple((0, n) for n in self.shape[1:]))
 
-    def time_offset_from(self, other: "GridSpec") -> int:
-        """Index offset of this grid's first slice inside ``other``."""
+    def offset_from(self, other: "GridSpec") -> tuple[int, ...]:
+        """Index offset of this grid's first node inside ``other``, per
+        axis."""
         root, origin = self._placement()
         other_root, other_origin = other._placement()
         if root != other_root:
             raise ValueError("grids are cut from different root grids")
-        return origin[0] - other_origin[0]
+        return tuple(a - b for a, b in zip(origin, other_origin))
+
+    def time_offset_from(self, other: "GridSpec") -> int:
+        """Index offset of this grid's first slice inside ``other``."""
+        return self.offset_from(other)[0]
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -625,16 +634,28 @@ class Mollification:
     view (``read``), or a field on ``input_grid``, such as a product
     formed from such views (with nothing cut the two grids are one).
 
-    A call that cuts nothing also takes a ``HeldField``, as a ladder
-    passes its input to one ``Mollification`` per rung: its components
-    keep their tests and forward transforms across the rungs, and the
-    result has the bits of the call on the plain field.
+    With ``whole_read`` the box cuts only the output: every axis is read
+    whole, as without a box, so the FFT lengths, the branch, every 1-D
+    transform and every kept value are the whole-grid call's, bit for
+    bit, and only the inverses of the axes after the first (time for a
+    space-time kernel) and what follows run on the box alone.  The
+    output is cut by the same rule: time always, a spatial axis only
+    where the widened box fits.  The direct branch cuts the whole result
+    down.  Only the kept box is scanned for finiteness, so an overflow
+    confined outside it does not raise.
+
+    A call that reads the whole grid (no box, or ``whole_read``) also
+    takes a ``HeldField``, as a ladder passes its input to one
+    ``Mollification`` per rung: its components keep their tests and
+    forward transforms across the rungs, and the result has the bits of
+    the call on the plain field.
 
     The spectrum is as large as the (cut) input, so keep one object per
     call and drop it before the call's arithmetic.
     """
 
-    def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None):
+    def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None, *,
+                 whole_read: bool = False):
         if box is not None:  # ``_fast_length`` needs Python ints
             box = tuple((int(lo), int(hi)) for lo, hi in box)
         if kernel.include_time:
@@ -666,7 +687,7 @@ class Mollification:
                 if hi <= lo:
                     raise DomainExhaustedError(
                         "box misses the interior time slices")
-                read.append((lo - k, hi + k))
+                read.append((0, n) if whole_read else (lo - k, hi + k))
             else:
                 read.append((0, n))
             kept.append((lo, hi))
@@ -688,18 +709,22 @@ class Mollification:
         """The kept box of one component convolved with the kernel, checked
         finite (see ``_slicewise``)."""
         axes = self._axes
-        if self._small and source.touches_vacuum:
-            return _slicewise(
-                lambda v: _direct_convolve(v, self._window, axes)[self._kept],
-                source, axes)
-        if self._spectrum is None:
-            self._spectrum = _kernel_spectrum(self._window, self._fft_shape)
-        # a spatial kernel keeps every time row it reads, so the engine
-        # cuts only the axes it transforms
+        # either branch cuts the axes the kernel spans; a spatial kernel's
+        # kept time rows are cut from its slice-wise result
         keep = tuple(self._kept[a] for a in axes)
-        return _slicewise(
-            lambda v: source.fft(v, self._spectrum, self._fft_shape, keep),
-            source, axes)
+        if self._small and source.touches_vacuum:
+            cut = (slice(None),) * (len(self._kept) - len(axes)) + keep
+            out = _slicewise(
+                lambda v: _direct_convolve(v, self._window, axes)[cut],
+                source, axes)
+        else:
+            if self._spectrum is None:
+                self._spectrum = _kernel_spectrum(self._window,
+                                                  self._fft_shape)
+            out = _slicewise(
+                lambda v: source.fft(v, self._spectrum, self._fft_shape, keep),
+                source, axes)
+        return out if 0 in axes else out[self._kept[0]]
 
     def read(self, field: Field) -> np.ndarray:
         """The values a call reads from a field on ``grid`` or on
@@ -714,7 +739,7 @@ class Mollification:
     def __call__(self, field: Field | HeldField) -> Field:
         """The mollified field; a ``HeldField`` lends its tests and its
         forward transforms, and must lie on ``input_grid`` (the whole
-        grid: a call that cuts nothing)."""
+        grid: a call that reads all of it)."""
         if isinstance(field, HeldField):
             if field.grid != self.input_grid:
                 raise ValueError("a held field serves only a mollification "
@@ -775,10 +800,10 @@ class HeldField:
     tests run once, and its forward transform (``_forward``) is made by
     the first FFT convolution and applied to by every later one.
 
-    ``Mollification`` takes it in place of its field, when the call cuts
-    nothing; ``stencil`` convolves it with a spatial stencil.  The held
-    transforms are as large as the field, so hold a field only for the
-    length of the call that convolves it several times.
+    ``Mollification`` takes it in place of its field, when the call reads
+    the whole grid; ``stencil`` convolves it with a spatial stencil.  The
+    held transforms are as large as the field, so hold a field only for
+    the length of the call that convolves it several times.
     """
 
     __slots__ = ("grid", "values", "sources")

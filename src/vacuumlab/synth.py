@@ -152,7 +152,9 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     ``_NEWTON_BLOCK_BYTES`` of whole time rows in turn, and the loop stops
     once the largest step over all blocks is below 1e-14 L; every node
     thus takes the same iterations on the same operands as in one sweep
-    over the whole grid, and the result is the same bit for bit.
+    over the whole grid, and the result is the same bit for bit.  Every
+    node starts at x0 = x, so the first iteration's sin, cos and power
+    are evaluated once per column, on one row, with the same operands.
     """
     if grid.spatial_dim != 1:
         raise ValueError("simple waves are one-dimensional")
@@ -198,30 +200,43 @@ def simple_wave(law: PressureLaw, amplitude: float, grid: GridSpec,
     #   f = x0 + (lam0 + (g+1)/(g-1) * cr) * t - x
     #   jac = 1 + (g+1)/2 * cr / r * (k * amplitude * cos(k x0)) * t
     # in that order (with commuted operands), so the bits are the same.
+
+    def before_t(xb, angle, r, f, jac):
+        """f and jac up to their factor t, in place, at the feet xb."""
+        np.multiply(xb, k, out=angle)
+        np.sin(angle, out=r)
+        r *= amplitude
+        r += rho0
+        cr = r ** (0.5 * (g - 1.0))
+        cr *= c_scale
+        np.multiply(cr, (g + 1.0) / (g - 1.0), out=f)
+        f += lam0
+        np.multiply(cr, 0.5 * (g + 1.0), out=jac)
+        jac /= r
+        np.cos(angle, out=angle)
+        angle *= k * amplitude
+        jac *= angle
+
+    # every foot starts at x0 = x, so the first iteration's f and jac up
+    # to t depend on x alone: one row of them serves every time row
+    first = np.empty((4, 1) + grid.shape[1:])
+    before_t(xx, *first)
     rows = max(1, _NEWTON_BLOCK_BYTES // x0[0].nbytes)
     blocks = [slice(a, a + rows) for a in range(0, grid.shape[0], rows)]
     buffers = np.empty((4, min(rows, grid.shape[0])) + grid.shape[1:])
-    for _ in range(60):
+    for step in range(60):
         largest = 0.0
         for b in blocks:
             xb, tb = x0[b], tt[b]
             angle, r, f, jac = (buf[:len(xb)] for buf in buffers)
-            np.multiply(xb, k, out=angle)
-            np.sin(angle, out=r)
-            r *= amplitude
-            r += rho0
-            cr = r ** (0.5 * (g - 1.0))
-            cr *= c_scale
-            np.multiply(cr, (g + 1.0) / (g - 1.0), out=f)
-            f += lam0
+            if step:
+                before_t(xb, angle, r, f, jac)
+            else:
+                np.copyto(f, first[2])
+                np.copyto(jac, first[3])
             f *= tb
             f += xb
             f -= xx
-            np.multiply(cr, 0.5 * (g + 1.0), out=jac)
-            jac /= r
-            np.cos(angle, out=angle)
-            angle *= k * amplitude
-            jac *= angle
             jac *= tb
             jac += 1.0
             f /= jac  # the Newton step

@@ -244,14 +244,15 @@ def _ball_kernel(grid: GridSpec, radius: float) -> np.ndarray:
     return ball / ball.sum()
 
 
-def _ball_average(w: Field | HeldField, radius: float) -> Field:
+def _ball_average(w: Field | HeldField, radius: float) -> np.ndarray:
     """Spatial ball average per time slice (periodic, circular FFT), of a
-    field or of a held one, whose forward transform it then reuses.
-
-    ``HeldField.stencil`` checks what it convolves (one slice of a
-    time-constant field), and the broadcast is copied out unscanned."""
+    field or of a held one, whose forward transform it then reuses, as
+    the array of ``w.grid.shape`` that ``HeldField.stencil`` returns: for
+    a time-constant field, one convolved slice broadcast along time as a
+    read-only view, never copied out to every slice.  ``stencil`` checks
+    what it convolves."""
     held = w if isinstance(w, HeldField) else HeldField(w)
-    return Field._wrap(w.grid, held.stencil(_ball_kernel(w.grid, radius)))
+    return held.stencil(_ball_kernel(w.grid, radius))
 
 
 def _clear_nodes(grid: GridSpec, region: np.ndarray,
@@ -313,7 +314,7 @@ class QnsRegion:
         if radius not in self._ball_ratio:
             avg, rows = _ball_average(self.held, radius), self.rows
             ratio = np.where(self.clear(radius), _guarded_ratio(
-                self.w.values[rows, ..., 0], avg.values[rows, ..., 0]), 0.0)
+                self.w.values[rows, ..., 0], avg[rows]), 0.0)
             idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
             worst = float(ratio[idx])
             self._ball_ratio[radius] = (worst, (

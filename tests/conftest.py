@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from vacuumlab import grids
-from vacuumlab.grids import GridSpec, from_function
+from vacuumlab.grids import Field, GridSpec, from_function
 from vacuumlab.pressure import PressureLaw
 
 # CI runs ``--hypothesis-profile=ci``: every run draws the same examples,
@@ -76,3 +76,16 @@ def convolve_every_slice(monkeypatch):
     """Turn the repeated-slice rule off: every time slice is convolved."""
     monkeypatch.setattr(grids, "_slicewise",
                         lambda convolve, source, axes: convolve(source.values))
+
+
+def hexed(value):
+    """``value`` with every float replaced by its ``float.hex`` (a -0.0 is
+    not a 0.0), and a ``Field`` by the list of its values so; dicts are
+    walked in key order, lists and tuples become lists."""
+    if isinstance(value, Field):
+        return [float(v).hex() for v in value.values.ravel()]
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value.hex() if isinstance(value, float) else value

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import force_branch
+from conftest import force_branch, hexed
 
 from vacuumlab import commutators, grids, vacuum
 from vacuumlab.cli import Check
@@ -379,17 +379,6 @@ class _ClampedOldLaw:
                 / (self.gamma - 1))
 
 
-def _hex(value):
-    """Every float in a result, as float.hex, in a fixed order."""
-    if isinstance(value, Field):
-        return [float(v).hex() for v in value.values.ravel()]
-    if isinstance(value, dict):
-        return {k: _hex(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_hex(v) for v in value]
-    return float(value).hex() if isinstance(value, float) else value
-
-
 class TestVacuumPressure:
     """FFT rounding leaves rho_e near -2e-16 next to exact vacuum; the
     pressure law reads it as vacuum instead of giving NaN."""
@@ -432,7 +421,7 @@ class TestVacuumPressure:
         for name in ("p", "dp", "potential", "dpotential"):
             assert (getattr(law, name)(rho_e).tobytes()
                     == getattr(old, name)(rho_e).tobytes()), name
-        assert _hex(entry(rho, u, law, ker)) == _hex(entry(rho, u, old, ker))
+        assert hexed(entry(rho, u, law, ker)) == hexed(entry(rho, u, old, ker))
 
 
 class TestOverflow:

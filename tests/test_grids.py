@@ -25,6 +25,7 @@ from vacuumlab.errors import (
 from vacuumlab.grids import (
     Field,
     GridSpec,
+    HeldField,
     Mollification,
     constant_field,
     ddt,
@@ -748,6 +749,42 @@ class TestMollificationBox:
         assert part.grid.shape == shape
         want = _cut_full(full, part)
         assert np.max(np.abs(part.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("spatial_dim,eps,box,shape", CASES, ids=IDS)
+    def test_whole_read_box_is_the_whole_result_cut_down(
+            self, spatial_dim, eps, box, shape, method, monkeypatch):
+        # the box cuts only the output: the transform lengths are the
+        # whole grid's, so either branch keeps its bits, held or not
+        force_branch(monkeypatch, method)
+        g, f = _window_case(spatial_dim, True)
+        ker = make_mollifier(eps, 1 + spatial_dim, g)
+        whole = Mollification(ker, g)
+        full = whole(f)
+        moll = Mollification(ker, g, box=box, whole_read=True)
+        assert moll.input_grid == g
+        assert moll._fft_shape == whole._fft_shape
+        for field in (f, HeldField(f)):
+            part = moll(field)
+            assert part.grid.shape == shape and part.grid.root == g
+            assert part.values.tobytes() == _cut_full(full, part).tobytes()
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("varies", [False, True],
+                             ids=["time-constant", "time-varying"])
+    def test_whole_read_spatial_kernel_cuts_time_rows(self, varies, method,
+                                                      monkeypatch):
+        force_branch(monkeypatch, method)
+        g, f = (_window_case(1, True) if varies
+                else TestRepeatedSlices.time_constant(1, 2))
+        ker = make_mollifier(0.1, 1, g, include_time=False)
+        full = Mollification(ker, g)(f)
+        moll = Mollification(ker, g, box=((5, 9), (30, 60)),
+                             whole_read=True)
+        for field in (f, HeldField(f)):
+            part = moll(field)
+            assert part.grid.shape == (4, 30)
+            assert part.values.tobytes() == _cut_full(full, part).tobytes()
 
     def test_fft_pads_a_cut_axis_of_prime_length(self, monkeypatch):
         force_branch(monkeypatch, "fft")

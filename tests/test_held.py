@@ -81,7 +81,8 @@ def record_rungs(monkeypatch):
     def average_spy(w, radius):
         out = average(w, radius)
         plain = Field._wrap(w.grid, w.values)
-        rungs.append((out, lambda: average(plain, radius), w))
+        rungs.append((Field._wrap(w.grid, out), lambda: Field._wrap(
+            w.grid, average(plain, radius)), w))
         return out
 
     monkeypatch.setattr(grids.Mollification, "__call__", mollify_spy)
@@ -157,6 +158,30 @@ def test_qns_call_transforms_the_spike_field_once(monkeypatch):
                                                 C=10.0)
     assert sum(forwards) == 11
     assert repr(held) == repr(per_rung)
+
+
+def test_qns_ball_averages_are_not_copied_out(monkeypatch):
+    # the spike_vacuum QNS call: w repeats its first slice, so each of its
+    # 8 ball averages is that slice's, broadcast along time; copied out to
+    # every slice, as averages once were, they give the same report
+    w = vacuum.counterexample_field(12, 1 << 15)
+    kernels = [make_mollifier(e, 1, w.grid, include_time=False)
+               for e in (0.08, 0.04, 0.02, 0.01)]
+    averages = []
+    average = vacuum._ball_average
+    monkeypatch.setattr(vacuum, "_ball_average", lambda w, r: (
+        averages.append(average(w, r)) or averages[-1]))
+    shared = vacuum.qns_mollifier_equivalence(w, None, kernels, M=10.0,
+                                              C=10.0)
+    assert len(averages) == 8
+    for avg in averages:
+        assert avg.shape == w.grid.shape
+        assert avg.strides[0] == 0 and not avg.flags.writeable
+    monkeypatch.setattr(vacuum, "_ball_average", lambda w, r:
+                        np.ascontiguousarray(average(w, r)))
+    copied = vacuum.qns_mollifier_equivalence(w, None, kernels, M=10.0,
+                                              C=10.0)
+    assert repr(shared) == repr(copied)
 
 
 def test_held_field_serves_only_whole_grid_calls():

@@ -21,9 +21,9 @@ from operator import iadd, imul, isub
 
 import numpy as np
 import pytest
-from conftest import force_branch
+from conftest import force_branch, hexed
 
-from vacuumlab import commutators, grids
+from vacuumlab import commutators, energy, grids
 from vacuumlab.cli import _BUDGET_EXTENTS
 from vacuumlab.commutators import energy_commutators
 from vacuumlab.energy import (
@@ -233,10 +233,6 @@ PHIS = {
 }
 
 
-def _hex(values):
-    return {k: float(v).hex() for k, v in values.items()}
-
-
 DENSITIES = ["positive", "vacuum", "profile"]
 
 
@@ -261,7 +257,7 @@ class TestFrozenRung:
                                       monkeypatch)
         phi = PHIS[phi](spatial_dim)
         got = energy_commutators(rho, u, LAW, ker, phi).term_values
-        assert _hex(got) == _hex(frozen_energy_commutators(rho, u, LAW, ker,
+        assert hexed(got) == hexed(frozen_energy_commutators(rho, u, LAW, ker,
                                                            phi))
 
     def test_mollified_energy_balance(self, spatial_dim, density, phi,
@@ -271,10 +267,95 @@ class TestFrozenRung:
         phi = PHIS[phi](spatial_dim)
         budget = mollified_energy_balance(rho, u, LAW, ker, phi)
         want = frozen_balance(rho, u, LAW, ker, phi)
-        assert _hex(budget.terms) == _hex(want["terms"])
+        assert hexed(budget.terms) == hexed(want["terms"])
         got = {"lhs": budget.lhs, "rhs": budget.rhs,
                "gap": budget.identity_gap}
-        assert _hex(got) == _hex({k: want[k] for k in got})
+        assert hexed(got) == hexed({k: want[k] for k in got})
+
+
+# phi on the edges of the box the balance keeps, on the ``rung_case``
+# grids (extent 1 on every axis; the kernel's radius 0.12 leaves the
+# interior time slices t in (0.12, 0.88))
+EDGE_PHIS = {
+    # support clipped at x = 0, so x is kept whole; y is cut
+    "x-edge": lambda d: spacetime_bump((0.5, 0.05, 0.5)[:1 + d],
+                                       (0.3, 0.2, 0.3)[:1 + d]),
+    # support cut by the first, or by the last, interior time slice
+    "t-start": lambda d: spacetime_bump((0.1,) + (0.5,) * d,
+                                        (0.15,) + (0.3,) * d),
+    "t-end": lambda d: spacetime_bump((0.9,) + (0.5,) * d,
+                                      (0.15,) + (0.3,) * d),
+    # 0 on every interior node: the whole interior grid is kept
+    "vanishing": lambda d: time_bump(0.05, 0.05),
+}
+
+
+def record_kept_grids(monkeypatch):
+    """The grid of the fields each balance hands to its commutators."""
+    grids_kept = []
+    inner = energy.commutators_from_mollified
+
+    def spy(rho, law, kernel, phi, mollified):
+        grids_kept.append(mollified[0].grid)
+        return inner(rho, law, kernel, phi, mollified)
+
+    monkeypatch.setattr(energy, "commutators_from_mollified", spy)
+    return grids_kept
+
+
+@pytest.mark.parametrize("branch", ["direct", "fft"])
+@pytest.mark.parametrize("phi", EDGE_PHIS, ids=EDGE_PHIS.keys())
+@pytest.mark.parametrize("density", ["vacuum", "profile"])
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+def test_balance_on_the_box_edges_keeps_the_whole_grid_bits(
+        spatial_dim, density, phi, branch, monkeypatch):
+    force_branch(monkeypatch, branch)
+    rho, u, ker = rung_case(spatial_dim, density)
+    g, name, phi = rho.grid, phi, EDGE_PHIS[phi](spatial_dim)
+    kept = record_kept_grids(monkeypatch)
+    budget = mollified_energy_balance(rho, u, LAW, ker, phi)
+    want = frozen_balance(rho, u, LAW, ker, phi)
+    assert hexed(budget.terms) == hexed(want["terms"])
+    got = {"lhs": budget.lhs, "rhs": budget.rhs, "gap": budget.identity_gap}
+    assert hexed(got) == hexed({k: want[k] for k in got})
+    (grid,) = kept
+    j0, j1 = grids.interior_time_slices(g, ker.epsilon)
+    start, end = grid.origin[0], grid.origin[0] + grid.shape[0]
+    if name == "vanishing":
+        assert (start, end) == (j0, j1) and grid.shape[1:] == g.shape[1:]
+    else:
+        assert j0 <= start < end <= j1 and grid.shape[0] < j1 - j0
+    assert (start == j0) == (name in ("t-start", "vanishing"))
+    assert (end == j1) == (name in ("t-end", "vanishing"))
+    if name == "x-edge":
+        assert grid.shape[1] == g.shape[1]
+        assert grid.shape[2:] < g.shape[2:] or spatial_dim == 1
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+def test_balance_keeps_only_the_pairing_box_rows(spatial_dim, monkeypatch):
+    # every FFT convolution inverts the first axis's pencils whole, then
+    # inverts the other axes on the kept rows alone: the pairing box's
+    force_branch(monkeypatch, "fft")
+    rho, u, ker = rung_case(spatial_dim, "positive")
+    d = spatial_dim
+    phi = spacetime_bump((0.5,) * (1 + d), (0.2,) * (1 + d))
+    keeps = []
+    inner = grids._apply
+
+    def spy(spec, spectrum, shape, keep=None, **kwargs):
+        keeps.append(keep)
+        return inner(spec, spectrum, shape, keep, **kwargs)
+
+    monkeypatch.setattr(grids, "_apply", spy)
+    mollified_energy_balance(rho, u, LAW, ker, phi)
+    box = commutators._pairing_box(phi, rho.grid, ker)
+    j0, j1 = grids.interior_time_slices(rho.grid, ker.epsilon)
+    rows = slice(max(j0, box[0][0]), min(j1, box[0][1]))
+    assert j0 < rows.start and rows.stop < j1
+    # rho, p(rho) and the components of u, rho u and rho u (x) u
+    assert len(keeps) == 2 + spatial_dim * (2 + spatial_dim)
+    assert all(keep[0] == rows for keep in keeps)
 
 
 @pytest.mark.parametrize("phi", PHIS, ids=PHIS.keys())
@@ -297,7 +378,7 @@ class TestFrozenEnergyPairings:
         want = frozen_ns_energy_residual(rho, u, LAW, 1.0, 0.5, degenerate,
                                          phi)
         assert set(got) == set(want)
-        assert _hex(got) == _hex(want)
+        assert hexed(got) == hexed(want)
 
 
 @pytest.mark.parametrize("density", DENSITIES)
@@ -346,10 +427,12 @@ class TestRungMemory:
 
 class TestBalanceMemory:
     # the traced peak of one budget balance above its live inputs, in
-    # arrays of the pairing grid: 8.38 here, now the mollification
-    # stage's, against 13.08 before the LHS built E and F in place and
-    # weighed them by phi's derivatives a few rows at a time
-    PAIRING_ARRAYS = 9
+    # arrays of the pairing grid: 5.23 here, against 8.08 when the
+    # mollified fields covered the whole pairing grid, not phi's box, and
+    # 13.08 before the LHS built E and F in place and weighed them by
+    # phi's derivatives a few rows at a time; the pin leaves 0.77 arrays
+    # of margin
+    PAIRING_ARRAYS = 6
 
     def test_balance_peak_stays_under_the_pinned_arrays(self):
         law = PressureLaw(gamma=1.4)

@@ -194,6 +194,18 @@ class TestExactSolutions:
         for got, old in zip((rho, u), want):
             assert got.values[..., 0].tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("shape", [(256, 256), (512, 512),
+                                       (1024, 1024), (300, 700)])
+    def test_simple_wave_equals_the_frozen_blocked_loop(self, law, shape):
+        # the budget study's three grids (amplitude 0.05, (T, L) = (0.2,
+        # 1)) and a non-square one: the first iteration's terms, formed on
+        # one row, give the bits of forming them on every block
+        g = GridSpec(1, shape, (0.2, 1.0))
+        rho, u = simple_wave(law, 0.05, g)
+        want = _blocked_simple_wave(law, 0.05, g)
+        for got, old in zip((rho, u), want):
+            assert got.values[..., 0].tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("gamma", [1.05, 1.4, 1.95])
     def test_simple_wave_blocks_equal_one_sweep_for_any_gamma(self, gamma,
                                                               monkeypatch):
@@ -283,6 +295,52 @@ def _one_sweep_simple_wave(law, amplitude, shape, u0, T=0.2):
             break
     rho = rho0 + amplitude * np.sin(2.0 * np.pi * x0 / L)
     return rho, u_of_rho(rho)
+
+
+def _blocked_simple_wave(law, amplitude, g, rho0=1.0, u0=0.0):
+    """(rho, u) of ``simple_wave`` as its blocked Newton loop ran when
+    every iteration, the first included, evaluated sin, cos and the power
+    on every block."""
+    L, gm = g.extents[1], law.gamma
+    k, c_scale = 2.0 * np.pi / L, np.sqrt(law.kappa * gm)
+    tt = g.axis_coords(0)[:, None]
+    xx = g.axis_coords(1)[None, :]
+    x0 = np.broadcast_to(xx, g.shape).copy()
+    lam0 = u0 - 2.0 * law.sound_speed(rho0) / (gm - 1.0)
+    rows = max(1, synth._NEWTON_BLOCK_BYTES // x0[0].nbytes)
+    blocks = [slice(a, a + rows) for a in range(0, g.shape[0], rows)]
+    buffers = np.empty((4, min(rows, g.shape[0])) + g.shape[1:])
+    for _ in range(60):
+        largest = 0.0
+        for b in blocks:
+            xb, tb = x0[b], tt[b]
+            angle, r, f, jac = (buf[:len(xb)] for buf in buffers)
+            np.multiply(xb, k, out=angle)
+            np.sin(angle, out=r)
+            r *= amplitude
+            r += rho0
+            cr = r ** (0.5 * (gm - 1.0))
+            cr *= c_scale
+            np.multiply(cr, (gm + 1.0) / (gm - 1.0), out=f)
+            f += lam0
+            f *= tb
+            f += xb
+            f -= xx
+            np.multiply(cr, 0.5 * (gm + 1.0), out=jac)
+            jac /= r
+            np.cos(angle, out=angle)
+            angle *= k * amplitude
+            jac *= angle
+            jac *= tb
+            jac += 1.0
+            f /= jac
+            xb -= f
+            largest = max(largest, float(np.abs(f, out=f).max()))
+        if largest < 1e-14 * L:
+            break
+    rho = rho0 + amplitude * np.sin(2.0 * np.pi * x0 / L)
+    return rho, u0 + 2.0 * (law.sound_speed(rho) - law.sound_speed(rho0)) / (
+        gm - 1.0)
 
 
 class TestRiemann:
