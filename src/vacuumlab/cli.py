@@ -18,6 +18,8 @@ output path that cannot be created is a config error.  So is a
 Weierstrass generator whose top level reaches the grid's Nyquist limit.
 So is a ``budget`` eps ladder with fewer than four feasible rungs.
 So is a ladder key with no values, or an unknown generator kind.
+So is a float that is NaN or infinite, in any key or ladder, and a grid
+axis (``nt``, ``nx``) of fewer than ``MIN_AXIS_NODES`` = 8 nodes.
 ``report`` exits 1 on a ``report.json`` that is not JSON, lacks the
 ``study`` or ``assertions`` key, or holds an assertion row without a
 string ``name``, numeric ``bound`` and ``value``, a ``relation`` among
@@ -107,8 +109,15 @@ def _line_of(path: Path, needle: str, section: str | None = None) -> int:
     return 0
 
 
+# the fewest nodes a config grid axis may have
+MIN_AXIS_NODES = 8
+
+
 def load_config(path) -> dict:
-    """Parse and validate an INI config; echo defaults for unset keys."""
+    """Parse and validate an INI config; echo defaults for unset keys.
+
+    Every float must be finite, so no ladder rung or tolerance is NaN or
+    infinite, and a report holds strict JSON."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: no such config file")
@@ -133,6 +142,7 @@ def load_config(path) -> dict:
         for key, (typ, default) in keys.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
+                line = f"{path}:{_line_of(path, key, section)}"
                 try:
                     if typ == "floats":
                         value = [float(v) for v in raw.split(",") if v.strip()]
@@ -140,12 +150,16 @@ def load_config(path) -> dict:
                         value = [int(v) for v in raw.split(",") if v.strip()]
                     else:
                         value = typ(raw)
+                    if typ in (float, "floats") and not np.isfinite(value).all():
+                        raise ValueError("not finite")
                 except ValueError:
-                    raise ConfigError(f"{path}:{_line_of(path, key, section)}: "
-                                      f"bad value for {key!r}: {raw!r}")
+                    raise ConfigError(f"{line}: bad value for {key!r}: {raw!r}")
                 if typ in ("floats", "ints") and not value:
-                    raise ConfigError(f"{path}:{_line_of(path, key, section)}: "
-                                      f"{key!r} needs at least one value")
+                    raise ConfigError(f"{line}: {key!r} needs at least one "
+                                      f"value")
+                if section == "grid" and typ is int and value < MIN_AXIS_NODES:
+                    raise ConfigError(f"{line}: {key} = {value} is below "
+                                      f"{MIN_AXIS_NODES} nodes")
             elif default is None:
                 raise ConfigError(f"{path}: missing required key "
                                   f"{key!r} in [{section}]")
@@ -209,8 +223,7 @@ def _check_budget_rungs(path: Path, config: dict) -> None:
     and exit 2 after all its work; here the config names the ``eps`` key.
     """
     nt, nx = config["grid"]["nt"], config["grid"]["nx"]
-    # a zero axis is left to the grid's own error in the study
-    if config["study"]["kind"] != "budget" or 0 in (nt, nx):
+    if config["study"]["kind"] != "budget":
         return
     floor, rungs = _budget_rungs(config)
     if len(rungs) >= _MIN_RUNGS:

@@ -6,6 +6,15 @@ midpoint quadrature: one ``TestFunction.pair`` call per integral, which
 weighs the density by phi or one of its derivatives in place and rejects
 a non-finite result.  Derivatives of mollified quantities use 4th-order
 centered differences on the grid rather than differentiating the kernel.
+
+The four energy commutators of one kernel are one streamed rung
+(``_energy_rung``): the products of rho and u enter the forward transform
+a block of time rows at a time, each mollified field is made just before
+the first term that reads it and dropped after the last, and the kernel
+spectrum is held until the last convolution.  The mollified energy
+balance (``energy.mollified_energy_balance``) takes its LHS from the same
+rung, so a rung holds at most three mollified fields besides the terms'
+temporaries.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .grids import (
     Mollification,
     MollifierKernel,
     _central_diff,
+    _require_finite,
     div,
     grad,
     interior_time_slices,
@@ -109,12 +119,6 @@ def pointwise_decomposition_check(f: Field, g: Field,
 # Energy-balance commutators
 # ---------------------------------------------------------------------------
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major outer product a_i b_j of the last axes, as d*d components."""
-    d = a.shape[-1]
-    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (d * d,))
-
-
 def energy_commutators(rho: Field, u: Field, law: PressureLaw,
                        kernel: MollifierKernel,
                        phi: TestFunction) -> CommutatorReport:
@@ -129,17 +133,19 @@ def energy_commutators(rho: Field, u: Field, law: PressureLaw,
 
     Each term pairs a density with phi, so only phi's support box matters.
     The inputs are mollified on that box widened by the reach of the
-    4th-order differences (``grids.STENCIL_REACH`` nodes), and the products
-    rho u, rho u (x) u and p(rho) are formed only where that mollification
-    reads; see ``Mollification`` for how a box is cut.  Values outside the
-    box are never formed: an overflow there cannot raise, and no reported
-    number depends on them.  ``mollified_energy_balance`` keeps the same
-    box but reads the whole grid, so its FFT lengths, and its bits, are
-    those of the whole interior grid.
+    4th-order differences (``grids.STENCIL_REACH`` nodes), reading only
+    that box widened by the kernel's half-width; see ``Mollification`` for
+    how a box is cut.  One rung streams its fields (``_energy_rung``): the
+    products rho u, rho u (x) u and p(rho) go into the forward transform a
+    block of time rows at a time, and each mollified field is dropped after
+    the last term that reads it.  Values outside the box are never formed:
+    an overflow there cannot raise, and no reported number depends on
+    them.  ``mollified_energy_balance`` runs the same rung on the same box
+    but reads the whole grid, so its FFT lengths, and its bits, are those
+    of the whole interior grid.
     """
     box = _pairing_box(phi, rho.grid, kernel)
-    return commutators_from_mollified(
-        rho, law, kernel, phi, mollify_energy_inputs(rho, u, law, kernel, box))
+    return _energy_rung(rho, u, law, kernel, phi, box)[0]
 
 
 def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
@@ -159,63 +165,53 @@ def _pairing_box(phi: TestFunction, grid: GridSpec, kernel: MollifierKernel):
                  for (lo, hi), n in zip(support, grid.shape))
 
 
-def mollify_energy_inputs(rho: Field, u: Field, law: PressureLaw,
-                          kernel: MollifierKernel, box=None, *,
-                          whole_read: bool = False) -> list:
-    """[rho_e, u_e, (rho u)_e, (rho u (x) u)_e, p(rho)_e] for one kernel.
+def _energy_rung(rho: Field, u: Field, law: PressureLaw,
+                 kernel: MollifierKernel, phi: TestFunction, box=None, *,
+                 whole_read: bool = False, lhs=None):
+    """The commutator report of one kernel, and ``lhs``'s value (None
+    without one), from one ``Mollification`` with ``box`` and
+    ``whole_read`` (see ``Mollification``).
 
-    One ``Mollification`` transforms the kernel once for all five fields;
-    with a ``box`` the fields cover only that box, and with ``whole_read``
-    they are read, and the products formed, on the whole grid, so every
-    kept value has the bits of the whole-grid call.  rho and u are read in
-    place (``Mollification.read``), never copied; p(rho), rho u and
-    rho u (x) u are formed from those views on the box the mollification
-    reads, each just before it is mollified and dropped right after
-    (p(rho) first, while no result is alive yet).  The spectrum is freed
-    on return.  ``commutators_from_mollified`` consumes the list.
+    rho and u are read in place (``Mollification.read``), never copied.
+    The products rho u, rho u (x) u and p(rho) are formed from those
+    views by ``Mollification.product``, so on the FFT branch they enter
+    the forward transform a block of time rows at a time; p(rho) is
+    checked finite block by block.  The fields are mollified in the order
+    the terms consume them, and each is dropped after its last use:
+    u_e and (rho u)_e come first, and r2 mollifies each component of
+    rho u (x) u just before the one tensor entry that reads it; rho_e
+    comes next, and ``lhs(rho_e, u_e, (rho u)_e, grid)``, given, is
+    called on the plain arrays while all three are alive; the defect
+    rho_e u_e - (rho u)_e, formed once for r1 and s, lets (rho u)_e go,
+    and s lets rho_e go once p(rho_e) is formed; p(rho)_e comes last, the
+    kernel spectrum is freed, and r3 follows.  The densities are built
+    on the plain arrays, in place wherever an operand is no longer
+    needed.  Each term is ``TestFunction.pair`` of the density's view on
+    phi's support box of the kept grid, the same nodes whether that grid
+    is the whole interior or a box.  r1 loses the time stencil's rows at
+    both ends and is paired on the support rows it keeps.  Outside the
+    support phi is 0, and on a box the spatial differences wrap there.
+    rho_e may dip below 0 next to exact vacuum; the law reads that as 0
+    (see ``PressureLaw``).  Overflow anywhere in a paired density reaches
+    its sum, which ``pair`` rejects; the s integrand is checked before
+    the vacuum mask drops nodes.
     """
     require_nonnegative(rho, "rho")
-    if u.components != rho.grid.spatial_dim:
+    d = rho.grid.spatial_dim
+    if u.components != d:
         raise ValueError("u needs one component per spatial axis")
-    moll = Mollification(kernel, rho.grid, box=box, whole_read=whole_read)
-    grid, rho_v, u_v = moll.input_grid, moll.read(rho), moll.read(u)
-    p_e = moll(Field(grid, law.p(rho_v)))
-    m = rho_v * u_v
-    m_e = moll(Field._wrap(grid, m))
-    mm = Field._wrap(grid, _outer(m, u_v))
-    del m
-    mm_e = moll(mm)
-    del mm
-    return [moll(rho), moll(u), m_e, mm_e, p_e]
-
-
-def commutators_from_mollified(rho: Field, law: PressureLaw,
-                               kernel: MollifierKernel, phi: TestFunction,
-                               mollified: list) -> CommutatorReport:
-    """``energy_commutators`` from the list ``mollify_energy_inputs`` returns.
-
-    The call consumes the list: it takes the five fields out, leaving it
-    empty, and drops each array after its last use, so the array is freed
-    unless the caller holds the field elsewhere.  The terms go in the
-    order that frees arrays soonest: r2, then (rho u (x) u)_e goes; r3,
-    whose pressure commutator lets p(rho)_e go; then the defect
-    rho_e u_e - (rho u)_e, formed once for r1 and s, lets (rho u)_e go.
-    The densities are built on the plain arrays, in place wherever an
-    operand is no longer needed.  Each term is ``TestFunction.pair`` of
-    the density's view on phi's support box of rho_e's grid, the same
-    nodes whether that grid is the whole interior or a box.  r1 loses the
-    time stencil's rows at both ends and is paired on the support rows it
-    keeps.  Outside the support phi is 0, and on a box the spatial
-    differences wrap there.  rho_e may dip below 0 next to exact vacuum;
-    the law reads that as 0 (see ``PressureLaw``).  Overflow anywhere in a
-    paired density reaches its sum, which ``pair`` rejects; the s
-    integrand is checked before the vacuum mask drops nodes.
-    """
     atol = vacuum_floor(rho)
-    grid = mollified[0].grid
-    rho_e, u_e, m_e, mm_e, p_e = (f.values for f in mollified)
-    mollified.clear()
-    d = u_e.shape[-1]
+    moll = Mollification(kernel, rho.grid, box=box, whole_read=whole_read)
+    r, v = moll.read(rho)[..., 0], moll.read(u)
+
+    def pressure(rows, _):
+        p = law.p(r[rows])
+        _require_finite(p)
+        return p
+
+    u_e = moll(u)
+    grid, u_e = u_e.grid, u_e.values
+    m_e = moll.product(lambda rows, i: r[rows] * v[rows, ..., i], d).values
     nt = grid.shape[0]
     support = phi.support(grid) or ((0, 0),) * len(grid.shape)
     space = tuple(slice(lo, hi) for lo, hi in support[1:])
@@ -236,7 +232,10 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
                         grid.subgrid(((t0, t1),) + support[1:]), (None,))
 
     def tensor(i, j):
-        return isub(m_e[..., i] * u_e[..., j], mm_e[..., i * d + j])
+        # (rho u_i u_j)_e, mollified just before its one use
+        mm_ij = moll.product(lambda rows, _: r[rows] * v[rows, ..., i]
+                             * v[rows, ..., j], 1).values[..., 0]
+        return isub(m_e[..., i] * u_e[..., j], mm_ij)
 
     def r2_row(i):
         return imul(reduce(iadd, (diff(tensor(i, j), 1 + j) for j in range(d))),
@@ -244,15 +243,9 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
 
     # r2 = u_e . div(m_e (x) u_e - (rho u (x) u)_e), one tensor row at a time
     r2 = pair(reduce(iadd, (r2_row(i) for i in range(d))))
-    del mm_e
 
-    # r3 = u_e . grad(p(rho_e) - p(rho)_e)
-    p_comm = isub(law.p(rho_e[..., 0]), p_e[..., 0])
-    del p_e
-    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
-                            for j in range(d))))
-    del p_comm
-
+    rho_e = moll(rho).values
+    lhs_value = None if lhs is None else lhs(rho_e, u_e, m_e, grid)
     defect = isub(rho_e * u_e, m_e)
     del m_e
 
@@ -271,11 +264,21 @@ def commutators_from_mollified(rho: Field, law: PressureLaw,
         raise ValueError("s integrand is not finite")
     np.copyto(s_dens, 0.0, where=rho_e[..., 0] <= atol)
     s = pair(s_dens)
+    del s_dens
 
-    return CommutatorReport({"r1": r1, "r2": r2, "r3": r3, "s": s},
-                            kernel.epsilon,
-                            {"gamma": law.gamma, "kappa": law.kappa,
-                             "atol": atol, "phi": phi.kind})
+    # r3 = u_e . grad(p(rho_e) - p(rho)_e)
+    p_comm = law.p(rho_e[..., 0])
+    del rho_e
+    isub(p_comm, moll.product(pressure, 1).values[..., 0])
+    del moll
+    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
+                            for j in range(d))))
+
+    report = CommutatorReport({"r1": r1, "r2": r2, "r3": r3, "s": s},
+                              kernel.epsilon,
+                              {"gamma": law.gamma, "kappa": law.kappa,
+                               "atol": atol, "phi": phi.kind})
+    return report, lhs_value
 
 
 # ---------------------------------------------------------------------------

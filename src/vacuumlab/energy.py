@@ -30,11 +30,7 @@ from .grids import (
     require_nonnegative,
 )
 from .pressure import PressureLaw
-from .commutators import (
-    _pairing_box,
-    commutators_from_mollified,
-    mollify_energy_inputs,
-)
+from .commutators import _energy_rung, _pairing_box
 from .synth import ns_stress, stress_apply, stress_contract_grad
 from .testfn import TestFunction, boundary_cutoff, time_window
 
@@ -105,34 +101,34 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     RHS is the sum of the four commutator integrals.  The continuum
     derivation is an algebraic identity for exact solutions, so the gap
     must shrink at the quadrature order under grid refinement.  Both
-    sides share one set of mollified fields.  Like ``energy_commutators``
-    they cover only phi's support box widened by the differences' reach
+    sides come from one streamed rung of ``energy_commutators``
+    (``_energy_rung``), which hands the LHS rho_e, u_e and (rho u)_e at
+    the one point all three are alive.  Like ``energy_commutators`` the
+    fields cover only phi's support box widened by the differences' reach
     (``_pairing_box``), but they are read from the whole grid
     (``whole_read``): the gap sits near rounding level, and a box's own
     FFT lengths would move it (the budget study's ``gap_order`` by about
     1.3e-6 relative), while the whole grid's keep every number's bits.
     When phi vanishes on every interior node the fields cover the whole
     interior grid.  Nothing off the box is formed after the products
-    are mollified, so an overflow confined there does not raise.  The
-    LHS is formed first; the fields then go to
-    ``commutators_from_mollified``, which consumes them.
+    are mollified, so an overflow confined there does not raise.
     """
     box = _pairing_box(phi, rho.grid, kernel)
-    mollified = mollify_energy_inputs(rho, u, law, kernel, box,
-                                      whole_read=True)
     # the grid a whole-grid mollification returns: the interior one
     interior = Mollification(kernel, rho.grid)._output_grid
-    lhs = _mollified_lhs(*mollified[:3], law, phi, interior)
-    report = commutators_from_mollified(rho, law, kernel, phi, mollified)
+    report, lhs = _energy_rung(
+        rho, u, law, kernel, phi, box, whole_read=True,
+        lhs=lambda *fields: _mollified_lhs(*fields, law, phi, interior))
     rhs = float(sum(report.term_values.values()))
     return EnergyBudget(lhs, rhs, dict(report.term_values))
 
 
-def _mollified_lhs(rho_e: Field, u_e: Field, m_e: Field, law: PressureLaw,
-                   phi: TestFunction, grid: GridSpec) -> float:
+def _mollified_lhs(rho_e: np.ndarray, u_e: np.ndarray, m_e: np.ndarray,
+                   kept: GridSpec, law: PressureLaw, phi: TestFunction,
+                   grid: GridSpec) -> float:
     """The balance's LHS: the weak pairing of the mollified energy
-    density and flux on ``grid``, the whole interior grid, of which the
-    fields cover a box.
+    density and flux on ``grid``, the whole interior grid, from the
+    fields' values on ``kept``, a box of it.
 
     E and F are built on the box alone, in place, into arrays of
     ``grid`` that are 0 off the box, so ``pair`` sums an array of the
@@ -141,16 +137,16 @@ def _mollified_lhs(rho_e: Field, u_e: Field, m_e: Field, law: PressureLaw,
     products of +-0: no nonzero sum tells those from the 0s here, so the
     LHS has the whole grid's bits.  E is paired and dropped before F is
     built."""
-    rho, u, d = rho_e.values[..., 0], u_e.values, u_e.components
+    rho, u, d = rho_e[..., 0], u_e, u_e.shape[-1]
     box = tuple(slice(o, o + n) for o, n in
-                zip(rho_e.grid.offset_from(grid), rho_e.grid.shape))
+                zip(kept.offset_from(grid), kept.shape))
     E = np.zeros(grid.shape + (1,))
     E[box] = _energy(rho, u, law)
     dt_E = phi.pair(E, grid, (0,))
     del E
     F = np.zeros(grid.shape + (d,))
     on_box = np.multiply(0.5 * np.sum(u ** 2, axis=-1)[..., None],
-                         m_e.values, out=F[box])
+                         m_e, out=F[box])
     w = rho * law.dpotential(rho)
     for j in range(d):
         on_box[..., j] += w * u[..., j]

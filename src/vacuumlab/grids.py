@@ -38,7 +38,11 @@ Conventions used throughout the package:
   ``rfftn`` and ``irfftn`` use and the product is the same elementwise
   one, so the result equals ``irfftn(rfftn(v) * K)`` cut to the box, bit
   for bit; neither a full complex spectrum of the padded field nor a
-  full-width real result is held.  ``_fft_convolve`` runs both stages
+  full-width real result is held.  The forward stage too reads its input
+  ``_ROW_BLOCK`` rows of axis 0 at a time (unless that is the one axis
+  it transforms), writing each block's transforms straight into the
+  spectrum, so a product of fields (``Mollification.product``) is formed a
+  block at a time and never whole.  ``_fft_convolve`` runs both stages
   once.
 * A ladder convolves one input at many kernels.  It holds the input as
   a ``HeldField`` for the length of its call: the apply stage reads a
@@ -648,10 +652,13 @@ class Mollification:
     takes a ``HeldField``, as a ladder passes its input to one
     ``Mollification`` per rung: its components keep their tests and
     forward transforms across the rungs, and the result has the bits of
-    the call on the plain field.
+    the call on the plain field.  ``product`` takes a field formed on
+    demand from row slices instead, such as a product of the views
+    ``read`` gives; the FFT branch feeds it to the forward transform a
+    block of time rows at a time, so no array of the read box is made.
 
     The spectrum is as large as the (cut) input, so keep one object per
-    call and drop it before the call's arithmetic.
+    call, and drop it after its last convolution.
     """
 
     def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None, *,
@@ -744,10 +751,26 @@ class Mollification:
             if field.grid != self.input_grid:
                 raise ValueError("a held field serves only a mollification "
                                  "that reads its whole grid")
-            sources = field.sources
-        else:
-            values = self.read(field)
-            sources = [_Source(values[..., c]) for c in range(field.components)]
+            return self._mollify(field.sources)
+        values = self.read(field)
+        return self._mollify([_Source(values[..., c])
+                              for c in range(field.components)])
+
+    def product(self, form, components: int) -> Field:
+        """The mollified field whose component ``c`` has the rows
+        ``form(rows, c)`` (a slice of time rows) on ``input_grid``, such as
+        a product of the views ``read`` gives, which must have the bits of
+        the whole array's rows.  On the FFT branch each component is formed
+        ``_ROW_BLOCK`` rows at a time, straight into the forward transform
+        (see ``_forward``), so no array of ``input_grid`` is made; the
+        vacuum test, the slice-repeat test and the direct branch form it
+        whole, once."""
+        shape = self.input_grid.shape
+        return self._mollify([_Source(_Rows(lambda rows, c=c: form(rows, c),
+                                            shape))
+                              for c in range(components)])
+
+    def _mollify(self, sources) -> Field:
         if len(sources) == 1:
             # the engine's kept box is wrapped as it is; a broadcast slice
             # is copied out
@@ -759,9 +782,31 @@ class Mollification:
         return Field._wrap(self._output_grid, vals)
 
 
+class _Rows:
+    """An array formed on demand, by slices of axis 0: ``rows[r0:r1]`` is
+    ``form(slice(r0, r1))``, and ``rows[:]`` forms the whole of it."""
+
+    __slots__ = ("form", "shape")
+
+    def __init__(self, form, shape: tuple[int, ...]):
+        self.form, self.shape = form, shape
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.form(rows)
+
+
 class _Source:
     """One component's values as the convolutions of a call read them.
 
+    ``rows`` is the array, or ``_Rows`` that form it on demand; ``values``
+    forms such rows whole, once, and the source then reads that array.
     The vacuum test and the slice-constancy test run at most once each.
     A held source (``HeldField``) also keeps the ``_forward`` transform of
     what it convolved, per transform shape, and applies every later kernel
@@ -771,9 +816,15 @@ class _Source:
     every slice repeats it.
     """
 
-    def __init__(self, values: np.ndarray, held: bool = False):
-        self.values = values
+    def __init__(self, values, held: bool = False):
+        self.rows = values
         self._spectra = {} if held else None
+
+    @property
+    def values(self) -> np.ndarray:
+        if isinstance(self.rows, _Rows):
+            self.rows = self.rows[:]
+        return self.rows
 
     @cached_property
     def touches_vacuum(self) -> bool:
@@ -783,7 +834,7 @@ class _Source:
     def repeats_first_slice(self) -> bool:
         return repeats_first_slice(self.values)
 
-    def fft(self, values: np.ndarray, spectrum: np.ndarray,
+    def fft(self, values, spectrum: np.ndarray,
             shape: tuple[int, ...], keep) -> np.ndarray:
         """``_fft_convolve(values, ...)``, for ``values`` the slices of
         this source that ``_slicewise`` convolves."""
@@ -844,16 +895,17 @@ def _slicewise(convolve, source: _Source,
     With axis 0 (time) not among ``axes`` the convolution acts slice by
     slice.  If then every time slice has the bits of the first
     (``repeats_first_slice``), only the first is convolved and the result
-    is broadcast along time, as a read-only view.  The finiteness scan
-    (an FFT of finite values near 1e300 can overflow) reads what was
-    convolved: the one slice, not its broadcast.
+    is broadcast along time, as a read-only view.  Otherwise ``convolve``
+    gets ``source.rows``: the array, or its rows still to be formed, which
+    the direct branch never gets (its vacuum test forms them).  The
+    finiteness scan (an FFT of finite values near 1e300 can overflow)
+    reads what was convolved: the one slice, not its broadcast.
     """
-    values = source.values
     if 0 not in axes and source.repeats_first_slice:
-        first = convolve(values[:1])
+        first = convolve(source.values[:1])
         _require_finite(first)
-        return np.broadcast_to(first, values.shape[:1] + first.shape[1:])
-    out = convolve(values)
+        return np.broadcast_to(first, source.rows.shape[:1] + first.shape[1:])
+    out = convolve(source.rows)
     _require_finite(out)
     return out
 
@@ -974,14 +1026,38 @@ def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.fft(spec, axis=-1, out=spec)
 
 
-def _forward(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _forward(values, shape: tuple[int, ...]) -> np.ndarray:
     """All of ``rfftn`` over the trailing ``len(shape)`` axes but the first
     axis's transform: ``rfft`` along the last axis, then ``fft`` along the
-    middle axes from the last to the second, zero-padding to ``shape``."""
+    middle axes from the last to the second, zero-padding to ``shape``.
+
+    ``values`` is an array or ``_Rows``.  Unless axis 0 is the one axis
+    transformed, or holds one block or less, the transforms take
+    ``_ROW_BLOCK`` slices of axis 0 at a time, and the last writes them
+    straight into the result; ``_Rows`` are formed a block at a time.
+    Every 1-D transform reads one pencil, so a block gives the bits of the
+    whole array.
+    """
     lead = values.ndim - len(shape)
-    spec = np.fft.rfft(values, shape[-1], axis=-1)
-    for a in range(len(shape) - 2, 0, -1):
-        spec = np.fft.fft(spec, shape[a], axis=lead + a)
+    steps = [(np.fft.rfft, shape[-1], -1)] + [
+        (np.fft.fft, shape[a], lead + a) for a in range(len(shape) - 2, 0, -1)]
+
+    def transformed(block, out=None):
+        for transform, n, axis in steps[:-1]:
+            block = transform(block, n, axis=axis)
+        transform, n, axis = steps[-1]
+        return transform(block, n, axis=axis, out=out)
+
+    if values.ndim == 1 or len(values) <= _ROW_BLOCK:
+        return transformed(values[:])
+    size = list(values.shape)
+    size[-1] = shape[-1] // 2 + 1
+    for a in range(1, len(shape) - 1):
+        size[lead + a] = shape[a]
+    spec = np.empty(size, complex)
+    for r0 in range(0, len(values), _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        transformed(values[rows], spec[rows])
     return spec
 
 

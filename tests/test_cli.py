@@ -208,6 +208,52 @@ class TestLoadConfig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("section,key,raw,line", [
+        ("ladders", "eps", "0.05, nan, 0.03, 0.025, 0.02", 5),
+        ("ladders", "eps", "0.05, 0.04, -inf, 0.025, 0.02", 5),
+        ("tolerances", "gap_max", "nan", 5),
+        ("law", "gamma", "inf", 5),
+        ("grid", "extent_t", "-inf", 5),
+    ])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys,
+                                                section, key, raw, line):
+        # a NaN rung would drop out of the budget ladder unseen, and a NaN
+        # bound would reach report.json as a bare NaN, which is not JSON
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = budget\n"
+                            f"output = {out}\n[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"study.ini:{line}: bad value for {key!r}: {raw!r}")):
+            load_config(path)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:{line}: bad value")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["rates", "budget"])
+    @pytest.mark.parametrize("key,value", [("nt", 0), ("nt", -4), ("nx", 7),
+                                           ("nx", 0)])
+    def test_axis_under_eight_nodes_is_a_config_error(self, tmp_path, capsys,
+                                                      kind, key, value):
+        # named before the Nyquist check (rates) and the budget-rung check
+        # could read the axis
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"[study]\nkind = {kind}\n"
+                            f"output = {out}\n[grid]\n; too small\n"
+                            f"{key} = {value}\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: {path}:6: {key} = {value} is below 8 "
+                       f"nodes\n")
+        assert not out.exists()
+
+    def test_eight_node_axis_loads(self, tmp_path):
+        path = write_config(tmp_path, "[study]\nkind = ns\noutput = o\n"
+                            "[grid]\nnt = 8\nnx = 8\n")
+        assert load_config(path)["grid"]["nt"] == 8
+
+
 class TestRun:
     def test_ns_study_passes_and_writes_report(self, tmp_path, capsys):
         rc = main(["run", str(ns_config(tmp_path))])
@@ -401,16 +447,15 @@ factor_max = 0.001
         "inf, 0.125, 0.0625, 0.03125, 0.015625"], ids=["nan", "inf"])
     def test_non_finite_epsilon_is_a_study_error(self, tmp_path, capsys,
                                                  eps):
-        # the ladder check lets both through (nan compares false, inf
-        # leads); the kernel rejects the radius, with no traceback
+        # the config rejects a non-finite rung before the study starts,
+        # with no traceback
         path = write_config(tmp_path, f"[study]\nkind = rates\n"
                                       f"output = {tmp_path / 'out'}\n"
                                       f"[generator]\nlevels = 8\n"
                                       f"[ladders]\neps = {eps}\n")
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == ("rates study failed: ValueError: epsilon must be "
-                       "positive and finite\n")
+        assert err == f"config error: {path}:7: bad value for 'eps': {eps!r}\n"
 
     @pytest.mark.parametrize("key", ["extent_t", "extent_x"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -418,9 +463,9 @@ factor_max = 0.001
         path = ns_config(tmp_path, extra=f"{key} = {value}\n")
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ns study failed: ValueError: extents must be "
-                              "positive and finite, got (")
-        assert value in err
+        assert err == (f"config error: {path}:8: bad value for {key!r}: "
+                       f"{value!r}\n")
+        assert "Traceback" not in err
 
     def test_uncreatable_output_directory(self, tmp_path, monkeypatch,
                                           capsys):

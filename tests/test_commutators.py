@@ -7,11 +7,9 @@ from vacuumlab.cli import Check
 from vacuumlab.commutators import (
     CommutatorReport,
     R_S_terms,
-    commutators_from_mollified,
     degenerate_viscosity_commutator,
     divmeasure_pressure_term,
     energy_commutators,
-    mollify_energy_inputs,
     pointwise_decomposition_check,
 )
 from vacuumlab.errors import NegativityError
@@ -148,9 +146,11 @@ class TestEnergyCommutators:
 
 
 def outer(a, b):
-    """The field a_i b_j, row-major, as ``mollify_energy_inputs`` forms it."""
+    """The field a_i b_j, row-major, as one array."""
     grid, av, bv = grids.align(a, b)
-    return Field._wrap(grid, commutators._outer(av, bv))
+    d = av.shape[-1]
+    return Field._wrap(grid, (av[..., :, None] * bv[..., None, :]).reshape(
+        grid.shape + (d * d,)))
 
 
 def _oracle_tensor_divergence(T, grid, d):
@@ -227,7 +227,9 @@ class TestArrayCommutatorsOracle:
         phi = spacetime_bump((0.5,) * (1 + spatial_dim),
                              (0.35,) * (1 + spatial_dim))
         want = _oracle_commutators(rho, law, phi, mollified)
-        got = commutators_from_mollified(rho, law, ker, phi, mollified)
+        # no box: the rung's fields are those of ``moll``, on the whole
+        # interior grid
+        got, _ = commutators._energy_rung(rho, u, law, ker, phi)
         assert set(got.term_values) == set(want)
         for name, value in want.items():
             assert got.term_values[name] == pytest.approx(value, rel=1e-14,
@@ -236,11 +238,9 @@ class TestArrayCommutatorsOracle:
     def test_no_field_built_in_the_arithmetic(self, law, monkeypatch):
         g, rho, u = _oracle_case(2, "positive")
         ker = make_mollifier(0.12, 3, g)
-        moll = Mollification(ker, g)
-        mollified = [moll(rho), moll(u), moll(rho * u),
-                     moll(outer(rho * u, u)),
-                     moll(rho.map(law.p))]
         phi = spacetime_bump((0.5,) * 3, (0.35,) * 3)
+        kept = Mollification(ker, g, box=commutators._pairing_box(
+            phi, g, ker))._output_grid
         built = []
         init, wrap = Field.__init__, Field._wrap.__func__
         monkeypatch.setattr(Field, "__init__", lambda self, grid, values:
@@ -248,16 +248,16 @@ class TestArrayCommutatorsOracle:
         monkeypatch.setattr(Field, "_wrap", classmethod(
             lambda cls, grid, values: built.append(grid) or wrap(cls, grid,
                                                                  values)))
-        commutators_from_mollified(rho, law, ker, phi, mollified)
-        # phi is taken as plain arrays, a few rows at a time
-        assert built == []
-        assert mollified == []  # the call consumed the fields
+        energy_commutators(rho, u, law, ker, phi)
+        # the only fields are the mollified ones: u, rho u, the four
+        # components of rho u (x) u one at a time, rho and p(rho); the
+        # products and phi are taken as plain arrays, a few rows at a time
+        assert built == [kept] * 8
 
 
 def _unwindowed(rho, u, law, ker, phi):
     """The terms on the whole interior grid, with no box."""
-    mollified = mollify_energy_inputs(rho, u, law, ker)
-    return commutators_from_mollified(rho, law, ker, phi, mollified).term_values
+    return commutators._energy_rung(rho, u, law, ker, phi)[0].term_values
 
 
 class TestWindowedCommutators:
@@ -342,13 +342,21 @@ class TestWindowedCommutators:
         got = energy_commutators(rho, u, law, ker, phi).term_values
         assert got == {"r1": 0.0, "r2": 0.0, "r3": 0.0, "s": 0.0}
 
-    def test_inputs_form_rho_u_once_and_match_separate_products(self, law):
+    @pytest.mark.parametrize("branch", ["direct", "fft"])
+    def test_streamed_products_match_separate_products(self, law, branch,
+                                                       monkeypatch):
+        # the products the rung streams, formed from views of the read
+        # box, against the formed products mollified as fields
+        force_branch(monkeypatch, branch)
         g, rho, u = _oracle_case(2, "vacuum")
         ker = make_mollifier(0.12, 3, g)
         moll = Mollification(ker, g)
-        want = (moll(rho), moll(u), moll(rho * u),
-                moll(outer(rho * u, u)), moll(rho.map(law.p)))
-        got = mollify_energy_inputs(rho, u, law, ker)
+        r, v = moll.read(rho)[..., 0], moll.read(u)
+        got = (moll.product(lambda rows, i: r[rows] * v[rows, ..., i], 2),
+               moll.product(lambda rows, k: r[rows] * v[rows, ..., k // 2]
+                            * v[rows, ..., k % 2], 4),
+               moll.product(lambda rows, _: law.p(r[rows]), 1))
+        want = (moll(rho * u), moll(outer(rho * u, u)), moll(rho.map(law.p)))
         for a, b in zip(got, want):
             assert a.grid == b.grid
             assert a.values.tobytes() == b.values.tobytes()

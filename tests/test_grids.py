@@ -1264,6 +1264,39 @@ class TestFFTEngine:
         assert moll._fft_shape[1] != shape[1]  # x is cut and padded
         assert got.values[..., 0].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("rows", [130, 1])
+    @pytest.mark.parametrize("tail,shape", [
+        ((48,), (130, 48)),            # space-time over one axis
+        ((45,), (50,)),                # spatial, padded, time leading
+        ((19, 15), (130, 20, 16)),     # space-time over two, padded
+        ((40, 23), (45, 23)),          # spatial over two, time leading
+    ], ids=["space-time-1d", "spatial-1d", "space-time-2d", "spatial-2d"])
+    @pytest.mark.parametrize("fed", ["array", "rows"])
+    def test_forward_in_row_blocks_equals_the_whole_transform(
+            self, rows, tail, shape, fed):
+        # _ROW_BLOCK = 64 divides neither row count, so the last block is
+        # partial; rows formed on demand are formed a block at a time
+        values = np.random.default_rng(rows).standard_normal((rows,) + tail)
+        lead = values.ndim - len(shape)
+        want = np.fft.rfft(values, shape[-1], axis=-1)
+        for a in range(len(shape) - 2, 0, -1):
+            want = np.fft.fft(want, shape[a], axis=lead + a)
+        asked = []
+
+        def form(sl):
+            asked.append(sl)
+            return values[sl]
+
+        fed = values if fed == "array" else grids._Rows(form, values.shape)
+        got = grids._forward(fed, shape)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        if asked:
+            # one block, or the whole of one row
+            step = grids._ROW_BLOCK
+            assert [range(rows)[sl] for sl in asked] == [
+                range(r, min(r + step, rows)) for r in range(0, rows, step)]
+
     @pytest.mark.parametrize("wshape,shape", [
         ((9,), (48,)), ((51, 11), (256, 256)), ((9, 11), (40, 54)),
         ((7, 9), (41, 37)), ((5, 7, 9), (15, 20, 16)), ((7, 9), (45, 23)),

@@ -1,15 +1,17 @@
 """One energy-commutator rung, and one energy pairing, holds only the
 arrays its numbers need.
 
-``mollify_energy_inputs`` reads rho and u in place and forms each product
-just before it is mollified; ``commutators_from_mollified`` consumes its
-fields and takes phi a few rows at a time.  The energy pairings build E
+The rung (``commutators._energy_rung``) reads rho and u in place, feeds
+each product to the forward transform a block of time rows at a time,
+mollifies each field just before its first term and drops it after its
+last, and takes phi a few rows at a time.  The energy pairings build E
 and F in fresh arrays, update them in place and multiply phi's
 derivatives into them a few rows at a time.  The numbers must keep every
 bit: they are compared, under ``float.hex``, with a frozen copy of the
-earlier code, which copied the read box, built every input up front,
-kept all five fields to the end, evaluated phi and its derivatives on the
-whole grid or box, and formed every integrand from fresh temporaries.
+earlier code, which copied the read box, formed every product whole and
+up front, kept all five fields to the end, evaluated phi and its
+derivatives on the whole grid or box, and formed every integrand from
+fresh temporaries.
 Both sides share ``Mollification``, whose engine ``test_grids`` checks
 against ``rfftn``/``irfftn`` on its own, and the test function's
 ``phi``, ``dt`` and ``grad``, which ``test_testfn`` checks.
@@ -42,11 +44,13 @@ from vacuumlab.grids import (
 )
 from vacuumlab.pressure import PressureLaw
 from vacuumlab.synth import (
+    WeierstrassSpec,
     ns_stress,
     simple_wave,
     stress_apply,
     stress_contract_grad,
     vacuum_profile,
+    weierstrass_field,
 )
 from vacuumlab.testfn import (
     boundary_cutoff,
@@ -126,13 +130,18 @@ def frozen_bounded_balance(rho, u, law, deltas, nus, t1, t2):
             "slice_stability": max(np.ptp(slice_E[n]) for n in near)}
 
 
+def frozen_outer(a, b):
+    d = a.shape[-1]
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (d * d,))
+
+
 def frozen_mollify_energy_inputs(rho, u, law, kernel, box=None):
     grids.require_nonnegative(rho, "rho")
     moll = Mollification(kernel, rho.grid, box=box)
     rho, u = (Field._wrap(moll.input_grid, moll.read(f)) for f in (rho, u))
     m = rho * u
-    m_e, mm_e = moll(m), moll(Field._wrap(m.grid, commutators._outer(
-        m.values, u.values)))
+    m_e, mm_e = moll(m), moll(Field._wrap(m.grid, frozen_outer(m.values,
+                                                             u.values)))
     del m
     rho_e, u_e = moll(rho), moll(u)
     p = rho.map(law.p)
@@ -273,6 +282,80 @@ class TestFrozenRung:
         assert hexed(got) == hexed({k: want[k] for k in got})
 
 
+def stream_case(name):
+    """rho, u, a kernel and phi for ``TestStreamedRung``: the
+    ``spacetime_ladder`` workload's fields and phi on 512^2 at two of its
+    rungs, a 2-D case (rho u (x) u has four components), and a spatial
+    kernel on fields that vary in time, or repeat their first slice."""
+    if name.startswith("ladder"):
+        g = GridSpec(1, (512, 512), (1.0, 1.0))
+        rho = weierstrass_field(WeierstrassSpec(0.6, levels=8, seed=3), g)
+        u = weierstrass_field(WeierstrassSpec(0.5, levels=8, seed=7), g)
+        ker = make_mollifier(2.0 ** -int(name[-1]), 2, g)
+        return rho, u, ker, spacetime_bump((0.5, 0.5), (0.35, 0.35))
+    if name == "2d":
+        rho, u, ker = rung_case(2, "vacuum")
+        return rho, u, ker, PHIS["bump"](2)
+    rho, u, _ = rung_case(1, "profile")
+    if name == "spatial-repeating":
+        rho, u = (Field(f.grid, np.broadcast_to(f.values[:1], f.values.shape))
+                  for f in (rho, u))
+    ker = make_mollifier(0.12, 1, rho.grid, include_time=False)
+    return rho, u, ker, PHIS["bump"](1)
+
+
+STREAM_CASES = ["ladder-4", "ladder-6", "2d", "spatial", "spatial-repeating"]
+
+
+@pytest.mark.parametrize("branch", ["direct", "fft"])
+@pytest.mark.parametrize("case", STREAM_CASES)
+class TestStreamedRung:
+    """The streamed rung, its products fed to the transforms in row
+    blocks, bit for bit equal to the frozen copy, which formed every
+    product whole and kept every field to the end."""
+
+    def test_energy_commutators(self, case, branch, monkeypatch):
+        force_branch(monkeypatch, branch)
+        rho, u, ker, phi = stream_case(case)
+        got = energy_commutators(rho, u, LAW, ker, phi).term_values
+        assert hexed(got) == hexed(frozen_energy_commutators(rho, u, LAW, ker,
+                                                           phi))
+
+    def test_whole_read_balance(self, case, branch, monkeypatch):
+        force_branch(monkeypatch, branch)
+        rho, u, ker, phi = stream_case(case)
+        budget = mollified_energy_balance(rho, u, LAW, ker, phi)
+        want = frozen_balance(rho, u, LAW, ker, phi)
+        got = {"lhs": budget.lhs, "rhs": budget.rhs, "terms": budget.terms}
+        assert hexed(got) == hexed({k: want[k] for k in got})
+
+
+def test_fft_rung_forms_no_array_of_the_read_box(monkeypatch):
+    # every product enters the transforms a block of time rows at a time;
+    # nothing the rung forms has the read box's rows
+    force_branch(monkeypatch, "fft")
+    rho, u, ker, phi = stream_case("ladder-4")
+    box = commutators._pairing_box(phi, rho.grid, ker)
+    read = Mollification(ker, rho.grid, box=box).input_grid.shape
+    formed = []
+    product = grids.Mollification.product
+
+    def spy(self, form, components):
+        def recorded(rows, c):
+            out = form(rows, c)
+            formed.append(out.shape)
+            return out
+        return product(self, recorded, components)
+
+    monkeypatch.setattr(grids.Mollification, "product", spy)
+    energy_commutators(rho, u, LAW, ker, phi)
+    # rho u, the one component of rho u (x) u and p(rho), each in blocks
+    blocks = -(-read[0] // grids._ROW_BLOCK)
+    assert len(formed) == 3 * blocks
+    assert max(rows for rows, _ in formed) == grids._ROW_BLOCK < read[0]
+    assert {cols for _, cols in formed} == {read[1]}
+
+
 # phi on the edges of the box the balance keeps, on the ``rung_case``
 # grids (extent 1 on every axis; the kernel's radius 0.12 leaves the
 # interior time slices t in (0.12, 0.88))
@@ -291,15 +374,15 @@ EDGE_PHIS = {
 
 
 def record_kept_grids(monkeypatch):
-    """The grid of the fields each balance hands to its commutators."""
+    """The grid of the fields each balance hands to its LHS."""
     grids_kept = []
-    inner = energy.commutators_from_mollified
+    inner = energy._mollified_lhs
 
-    def spy(rho, law, kernel, phi, mollified):
-        grids_kept.append(mollified[0].grid)
-        return inner(rho, law, kernel, phi, mollified)
+    def spy(rho_e, u_e, m_e, kept, *args):
+        grids_kept.append(kept)
+        return inner(rho_e, u_e, m_e, kept, *args)
 
-    monkeypatch.setattr(energy, "commutators_from_mollified", spy)
+    monkeypatch.setattr(energy, "_mollified_lhs", spy)
     return grids_kept
 
 
@@ -396,9 +479,11 @@ def test_bounded_balance_matches_the_frozen_copy(density):
 
 class TestRungMemory:
     # the traced peak of one rung above its live inputs, in arrays of the
-    # kept box: 9.04 here, against 11.51 before the inputs were read in
-    # place, inverted into the kept box and consumed
-    KEPT_BOXES = 10
+    # kept box: 6.63 here, against 8.63 before the rung streamed its
+    # products in row blocks and dropped each field after its last term,
+    # and 11.51 before the inputs were read in place, inverted into the
+    # kept box and consumed; the pin leaves 0.37 boxes of margin
+    KEPT_BOXES = 7
 
     def test_rung_peak_stays_under_the_pinned_kept_boxes(self):
         g = GridSpec(1, (512, 512), (1.0, 1.0))
@@ -427,11 +512,12 @@ class TestRungMemory:
 
 class TestBalanceMemory:
     # the traced peak of one budget balance above its live inputs, in
-    # arrays of the pairing grid: 5.23 here, against 8.08 when the
-    # mollified fields covered the whole pairing grid, not phi's box, and
-    # 13.08 before the LHS built E and F in place and weighed them by
-    # phi's derivatives a few rows at a time; the pin leaves 0.77 arrays
-    # of margin
+    # arrays of the pairing grid: 4.11 here, against 5.16 before the rung
+    # streamed its products and dropped each field after its last term
+    # (the kernel spectrum, of the whole grid, is now held across terms),
+    # 8.08 when the mollified fields covered the whole pairing grid, not
+    # phi's box, and 13.08 before the LHS built E and F in place and
+    # weighed them by phi's derivatives a few rows at a time
     PAIRING_ARRAYS = 6
 
     def test_balance_peak_stays_under_the_pinned_arrays(self):
