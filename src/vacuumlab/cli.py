@@ -393,14 +393,17 @@ def _study_budget(config) -> dict:
 
     g = GridSpec(1, (nt, nx), _BUDGET_EXTENTS)
     rho, u = simple_wave(law, gen["amplitude"], g)
-    gaps = []
-    for scale in (1, 2, 4):
+
+    def gap(scale):
+        """The identity gap of the rung ``scale`` times finer than ``g``;
+        a finer rung's wave lives only for its balance."""
         fine = GridSpec(1, (nt * scale, nx * scale), _BUDGET_EXTENTS)
         pair = (rho, u) if scale == 1 else simple_wave(law, gen["amplitude"],
                                                        fine)
         ker = make_mollifier(0.02, 2, fine)
-        budget = mollified_energy_balance(*pair, law, ker, phi)
-        gaps.append((1.0 / (nx * scale), budget.identity_gap))
+        return mollified_energy_balance(*pair, law, ker, phi).identity_gap
+
+    gaps = [(1.0 / (nx * scale), gap(scale)) for scale in (1, 2, 4)]
     order = float(np.log2(max(gaps[0][1], 1e-300)
                           / max(gaps[1][1], 1e-300)))
 

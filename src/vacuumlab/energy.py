@@ -108,7 +108,8 @@ def mollified_energy_balance(rho: Field, u: Field, law: PressureLaw,
     (``_pairing_box``), but they are read from the whole grid
     (``whole_read``): the gap sits near rounding level, and a box's own
     FFT lengths would move it (the budget study's ``gap_order`` by about
-    1.3e-6 relative), while the whole grid's keep every number's bits.
+    1.1e-6 relative, past its match tolerance), while the whole grid's
+    keep every number's bits.
     When phi vanishes on every interior node the fields cover the whole
     interior grid.  Nothing off the box is formed after the products
     are mollified, so an overflow confined there does not raise.

@@ -57,7 +57,12 @@ Conventions used throughout the package:
   ``Mollification`` or ``HeldField.stencil``) convolves only the first
   time slice when every slice has its bits, and broadcasts the result;
   a time-independent field costs one slice, not one per time node.
-  Either branch gives the same bits as convolving every slice.
+  Either branch gives the same bits as convolving every slice.  The
+  result stays that read-only broadcast (stride 0 along time): a ball
+  average, a stencil and a one-component ``Mollification`` return it,
+  and ``Field._wrap`` keeps it, so no slice is copied out.  A sum that
+  reads such values (``integrate``) reduces a contiguous copy, since a
+  pairwise sum's bits depend on the layout it walks.
 * ``Mollification(kernel, grid, box=...)`` returns only a box of node
   ranges and reads only the box widened by the kernel's half-width.
   Time is always cut; a spatial axis only when the widened box fits
@@ -272,7 +277,11 @@ class Field:
     Arithmetic between two fields needs them on one grid.  The public
     constructor rejects non-finite values.  ``Field._wrap``
     skips that scan and is only for values computed from checked fields;
-    see the module docstring for where overflow is caught instead.
+    see the module docstring for where overflow is caught instead.  Values
+    are stored read-only and C-contiguous, copied only when they are not
+    contiguous; ``Field._wrap`` alone keeps a read-only array whose time
+    axis has stride 0 (one slice broadcast along time, as ``_slicewise``
+    returns) as it is.
     """
 
     __slots__ = ("grid", "values")
@@ -284,10 +293,10 @@ class Field:
     @classmethod
     def _wrap(cls, grid: GridSpec, values: np.ndarray) -> "Field":
         out = cls.__new__(cls)
-        out._store(grid, values)
+        out._store(grid, values, keep_broadcast=True)
         return out
 
-    def _store(self, grid: GridSpec, values) -> None:
+    def _store(self, grid: GridSpec, values, keep_broadcast=False) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[..., None]
@@ -295,8 +304,10 @@ class Field:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.shape}"
             )
-        values = np.ascontiguousarray(values)
-        values.setflags(write=False)
+        if not (keep_broadcast and values.strides[0] == 0
+                and not values.flags.writeable):
+            values = np.ascontiguousarray(values)
+            values.setflags(write=False)
         self.grid = grid
         self.values = values
 
@@ -622,7 +633,9 @@ class Mollification:
     A purely spatial kernel convolves a field whose time slices all have
     the same bits once, on its first slice (see ``_slicewise``), and
     scans that slice alone; the result is the same, bit for bit, on
-    either branch, and is copied out to every slice.
+    either branch.  A one-component result is that slice broadcast along
+    time, a read-only view, never copied out to every slice; several
+    components are copied into one array.
 
     ``box`` (one node range ``(lo, hi)`` per axis of ``grid``) limits the
     output to that box, on a sub-grid of ``grid``.  Time is always cut:
@@ -772,8 +785,8 @@ class Mollification:
 
     def _mollify(self, sources) -> Field:
         if len(sources) == 1:
-            # the engine's kept box is wrapped as it is; a broadcast slice
-            # is copied out
+            # the engine's kept box, or a broadcast slice, is wrapped as it
+            # is; several components are copied into one array
             vals = self._convolve(sources[0])[..., None]
         else:
             vals = np.empty(self._output_grid.shape + (len(sources),))
@@ -1145,14 +1158,20 @@ def _invert_rows(spec: np.ndarray, out: np.ndarray, shape: tuple[int, ...],
     of ``spec`` (``ifft`` along all but the last, from the first, then
     ``irfft``), each axis cut to its ``keep`` once it is inverted, in
     blocks of ``_ROW_BLOCK`` rows along axis 0.  Every 1-D inverse reads
-    one pencil, so a block gives the bits of the whole array."""
+    one pencil, so a block gives the bits of the whole array.  When the
+    last axis is kept whole, ``irfft`` writes into ``out`` itself."""
+    whole = range(shape[-1])[keep[-1]] == range(shape[-1])
     for r0 in range(0, len(spec), _ROW_BLOCK):
         block = spec[r0:r0 + _ROW_BLOCK]
         for a in range(1, len(shape)):
             block = np.fft.ifft(block, shape[a - 1], axis=a)
             block = block[(slice(None),) * a + (keep[a - 1],)]
-        out[r0:r0 + _ROW_BLOCK] = np.fft.irfft(block, shape[-1],
-                                               axis=-1)[..., keep[-1]]
+        if whole:
+            np.fft.irfft(block, shape[-1], axis=-1,
+                         out=out[r0:r0 + _ROW_BLOCK])
+        else:
+            out[r0:r0 + _ROW_BLOCK] = np.fft.irfft(block, shape[-1],
+                                                   axis=-1)[..., keep[-1]]
 
 
 def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
@@ -1174,13 +1193,15 @@ def lp_norm(field: Field, p: float, mask: np.ndarray | None = None) -> float:
         mag = mag[mask]
     if np.isinf(p):
         return float(np.max(mag))
-    return float((np.sum(mag ** p) * field.grid.cell_volume) ** (1.0 / p))
+    mag **= p  # a fresh array: |w|, or its masked nodes
+    return float((np.sum(mag) * field.grid.cell_volume) ** (1.0 / p))
 
 
 def integrate(field: Field) -> float:
     """Midpoint quadrature of a scalar field (signed); a non-finite value
-    raises ``ValueError``."""
-    v = field.scalar
+    raises ``ValueError``.  A time broadcast is summed as its contiguous
+    copy, so the result has the bits of the same values owned."""
+    v = np.ascontiguousarray(field.scalar)
     _require_finite(v)
     return float(v.sum() * field.grid.cell_volume)
 

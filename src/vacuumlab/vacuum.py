@@ -61,6 +61,7 @@ def _guarded_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     relative defect of w >= 0 is ``_guarded_ratio(w_e - w, w_e)``, never
     inf.  A positive den under 1e-300 divides by 1e-300.  The quotient is
     formed in one output buffer; the nodes with den not > 0 are then set.
+    That buffer is returned, a fresh array the caller may overwrite.
     """
     out = np.maximum(den, 1e-300)
     np.divide(num, out, out=out)
@@ -163,7 +164,8 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
             raise VacuumSingularityError(
                 "mollified field vanishes inside the region"
             )
-        ratio = np.abs(_guarded_ratio(we.values - w0.values, we.values))
+        ratio = _guarded_ratio(we.values - w0.values, we.values)
+        np.abs(ratio, out=ratio)
         values.append(lp_norm(Field(we.grid, ratio), 1, mask=mask))
     eps = [k.epsilon for k in kernel_ladder]
     span = math.log2(eps[0] / eps[-1])
@@ -313,8 +315,8 @@ class QnsRegion:
         witness of all of them."""
         if radius not in self._ball_ratio:
             avg, rows = _ball_average(self.held, radius), self.rows
-            ratio = np.where(self.clear(radius), _guarded_ratio(
-                self.w.values[rows, ..., 0], avg[rows]), 0.0)
+            ratio = _guarded_ratio(self.w.values[rows, ..., 0], avg[rows])
+            ratio[~self.clear(radius)] = 0.0
             idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
             worst = float(ratio[idx])
             self._ball_ratio[radius] = (worst, (
@@ -370,7 +372,8 @@ def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
     if not allowed.any():
         return 0.0
     ratio = _guarded_ratio(w0.values[rows, ..., 0], we.values[rows, ..., 0])
-    return float(np.max(np.where(allowed, ratio, 0.0)))
+    ratio[~allowed] = 0.0
+    return float(np.max(ratio))
 
 
 def qns_mollifier_equivalence(w: Field,

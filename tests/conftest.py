@@ -78,6 +78,13 @@ def convolve_every_slice(monkeypatch):
                         lambda convolve, source, axes: convolve(source.values))
 
 
+def assert_time_broadcast(values):
+    """``values`` is one time slice broadcast along axis 0 as a read-only
+    view (stride 0 on axis 0), not an array of every slice."""
+    assert values.strides[0] == 0
+    assert not values.flags.writeable
+
+
 def hexed(value):
     """``value`` with every float replaced by its ``float.hex`` (a -0.0 is
     not a 0.0), and a ``Field`` by the list of its values so; dicts are

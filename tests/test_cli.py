@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +303,40 @@ eps = 0.05, 0.04, 0.03, 0.025, 0.02
         for fresh, reused in zip(again, waves[0]):
             assert fresh.values.tobytes() == reused.values.tobytes()
 
+    def test_budget_rungs_release_their_fields(self, tmp_path, monkeypatch):
+        # a finer rung's (rho, u) lives only for its balance: the 512^2 pair
+        # is gone before the 1024^2 wave is synthesized, and both before the
+        # rhs ladder, which reads the coarse pair alone
+        cfg = write_config(tmp_path, f"""\
+[study]
+kind = budget
+output = {tmp_path / 'out'}
+[grid]
+nt = 256
+nx = 256
+[ladders]
+eps = 0.05, 0.04, 0.03, 0.025, 0.02
+""")
+        waves, alive = [], []
+
+        def live():
+            return [[ref() is not None for ref in pair] for pair in waves]
+
+        def recorded(*args):
+            alive.append(live())
+            pair = simple_wave(*args)
+            waves.append([weakref.ref(f.values) for f in pair])
+            return pair
+
+        rhs = cli.energy_commutators
+        monkeypatch.setattr(cli, "simple_wave", recorded)
+        monkeypatch.setattr(cli, "energy_commutators", lambda *args: (
+            alive.append(live()) or rhs(*args)))
+        assert main(["run", str(cfg)]) == 0
+        assert alive[:4] == [[], [[True, True]],
+                             [[True, True], [False, False]],
+                             [[True, True], [False, False], [False, False]]]
+
     @pytest.mark.parametrize("kind,body,touches_vacuum", [
         ("budget", "[grid]\nnt = 256\nnx = 256\n[ladders]\n"
                    "eps = 0.05, 0.04, 0.03, 0.025, 0.02\n", False),
@@ -445,8 +480,8 @@ factor_max = 0.001
     @pytest.mark.parametrize("eps", [
         "0.125, 0.0625, nan, 0.015625, 0.0078125",
         "inf, 0.125, 0.0625, 0.03125, 0.015625"], ids=["nan", "inf"])
-    def test_non_finite_epsilon_is_a_study_error(self, tmp_path, capsys,
-                                                 eps):
+    def test_non_finite_epsilon_is_a_config_error(self, tmp_path, capsys,
+                                                  eps):
         # the config rejects a non-finite rung before the study starts,
         # with no traceback
         path = write_config(tmp_path, f"[study]\nkind = rates\n"

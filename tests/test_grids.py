@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    assert_time_broadcast,
     convolve_every_slice,
     direct_circular_convolve,
     force_branch,
+    hexed,
     record_convolved_rows,
 )
 from hypothesis import assume, example, given, settings, strategies as st
@@ -42,6 +44,7 @@ from vacuumlab.grids import (
     save_field,
 )
 from vacuumlab.pressure import PressureLaw, make_c2_approximant
+from vacuumlab.synth import vacuum_profile
 from vacuumlab.testfn import spacetime_bump
 from vacuumlab.vacuum import counterexample_field
 
@@ -894,7 +897,10 @@ class TestRepeatedSlices:
         assert rows[components:] == [moll.input_grid.shape[0]] * components
         assert once.grid == every.grid
         assert once.values.tobytes() == every.values.tobytes()
-        assert once.values.flags.c_contiguous  # a copy, not a broadcast
+        if components == 1:  # the convolved slice, never copied out
+            assert_time_broadcast(once.values)
+        else:  # the components are copied into one array
+            assert once.values.flags.c_contiguous
 
     @pytest.mark.parametrize("method", ["direct", "fft"])
     @pytest.mark.parametrize("varies", [False, True],
@@ -913,7 +919,10 @@ class TestRepeatedSlices:
                             lambda values: scanned.append(values.shape))
         out = mollify(f, ker)
         assert scanned == [(g.shape[0] if varies else 1,) + g.shape[1:]]
-        assert out.values.flags.c_contiguous
+        if varies:
+            assert out.values.flags.c_contiguous
+        else:
+            assert_time_broadcast(out.values)
 
     @pytest.mark.parametrize("method", ["direct", "fft"])
     @pytest.mark.parametrize("change", ["one-node", "negative-zero"])
@@ -940,6 +949,34 @@ class TestRepeatedSlices:
         rows = record_convolved_rows(monkeypatch)
         mollify(f, ker)
         assert rows == [g.shape[0]]
+
+    def test_public_constructor_copies_a_broadcast(self):
+        # Field(grid, values) stores C-contiguous values, so it copies a
+        # broadcast; only Field._wrap keeps a read-only time broadcast, and
+        # it copies a writeable one
+        g, f = self.time_constant(1, 1)
+        assert f.values.flags.c_contiguous  # built from a broadcast
+        once = mollify(f, make_mollifier(0.1, 1, g, include_time=False))
+        assert_time_broadcast(once.values)
+        assert Field._wrap(g, once.values).values is once.values
+        owned = Field(g, once.values)
+        assert owned.values.flags.c_contiguous
+        assert not owned.values.flags.writeable
+        assert owned.values.tobytes() == once.values.tobytes()
+        writeable = np.lib.stride_tricks.as_strided(
+            owned.values[:1].copy(), owned.values.shape,
+            (0,) + owned.values.strides[1:])
+        assert Field._wrap(g, writeable).values.flags.c_contiguous
+
+    def test_integrate_sums_a_broadcast_as_its_contiguous_copy(self):
+        # a pairwise sum walks a stride-0 broadcast slice by slice, and its
+        # bits differ from the sum over the copy (0x1.86888e3eaa77dp-1
+        # against ...779p-1 here, on numpy 2.4)
+        g = GridSpec(1, (64, 4096), (1.0, 1.0))
+        rho = vacuum_profile("sine-power", 0.5, g)
+        got = mollify(rho, make_mollifier(0.2, 1, g, include_time=False))
+        assert_time_broadcast(got.values)
+        assert hexed(integrate(got)) == hexed(integrate(Field(g, got.values)))
 
 
 class TestFastLength:

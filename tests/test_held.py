@@ -8,7 +8,7 @@ transforms afresh.
 
 import numpy as np
 import pytest
-from conftest import force_branch
+from conftest import assert_time_broadcast, force_branch, hexed
 
 from vacuumlab import grids, pressure, rates, vacuum
 from vacuumlab.grids import Field, GridSpec, HeldField, make_mollifier
@@ -176,12 +176,46 @@ def test_qns_ball_averages_are_not_copied_out(monkeypatch):
     assert len(averages) == 8
     for avg in averages:
         assert avg.shape == w.grid.shape
-        assert avg.strides[0] == 0 and not avg.flags.writeable
+        assert_time_broadcast(avg)
     monkeypatch.setattr(vacuum, "_ball_average", lambda w, r:
                         np.ascontiguousarray(average(w, r)))
     copied = vacuum.qns_mollifier_equivalence(w, None, kernels, M=10.0,
                                               C=10.0)
     assert repr(shared) == repr(copied)
+
+
+def test_spike_mollifications_are_not_copied_out(monkeypatch):
+    # the spike_vacuum calls: each spatial mollification of the
+    # time-constant spike field is its one convolved slice, broadcast along
+    # time; copied out to every slice, as results once were, every report
+    # keeps its bits
+    w = vacuum.counterexample_field(12, 1 << 15)
+    kernels = [make_mollifier(e, 1, w.grid, include_time=False)
+               for e in (0.08, 0.04, 0.02, 0.01)]
+    small = vacuum.counterexample_field(8, 4096)
+    ladder = [make_mollifier(e, 1, small.grid, include_time=False)
+              for e in (0.2, 0.1, 0.05, 0.025)]
+
+    def reports():
+        return hexed([
+            vacuum.qns_mollifier_equivalence(w, None, kernels, M=10.0,
+                                             C=10.0),
+            vacuum.counterexample_blowup(w, 2.0, range(6, 13)),
+            vacuum.counterexample_blowup(w, 1.05, range(6, 13)),
+            vacuum.l1_ratio_lemma_check(small, ladder)])
+
+    results = []
+    mollify = grids.Mollification._mollify
+    monkeypatch.setattr(grids.Mollification, "_mollify", lambda self, s: (
+        results.append(mollify(self, s)) or results[-1]))
+    shared = reports()
+    assert len(results) == 4 + 2 * 7 + 4
+    for out in results:
+        assert_time_broadcast(out.values)
+    monkeypatch.setattr(grids.Mollification, "_mollify", lambda self, s: (
+        Field._wrap(self._output_grid,
+                    np.ascontiguousarray(mollify(self, s).values))))
+    assert reports() == shared
 
 
 def test_held_field_serves_only_whole_grid_calls():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    assert_time_broadcast,
     convolve_every_slice,
     direct_circular_convolve,
     force_branch,
@@ -463,7 +464,7 @@ class TestBallAverageOracle:
         if varies:
             assert avg.flags.c_contiguous
         else:  # the one convolved slice, broadcast and never copied out
-            assert avg.strides[0] == 0 and not avg.flags.writeable
+            assert_time_broadcast(avg)
 
     @pytest.mark.parametrize("case", ["spikes", "abs"])
     def test_qns_check_matches_direct_summation(self, case, monkeypatch):
