@@ -292,9 +292,7 @@ def _study_rates(config) -> dict:
     spec = WeierstrassSpec(gen["beta"], gen["levels"], gen["base_frequency"],
                            seed=config["study"]["seed"])
     rho = weierstrass_field(spec, grid, floor=0.0)
-    ladder = config["ladders"]["eps"]
-    fit = commutator_rate(rho, law, gen["q"], ladder,
-                          window=(0, len(ladder)))
+    fit = commutator_rate(rho, law, gen["q"], config["ladders"]["eps"])
     e, r2, op = fit.exponent, fit.r_squared, "pressure.commutator_rate"
     return {"results": {"exponent": e, "r_squared": r2,
                         "constant": fit.constant},
@@ -410,7 +408,7 @@ def _study_budget(config) -> dict:
     rhs_samples = [(e, energy_commutators(rho, u, law, make_mollifier(e, 2, g),
                                           phi).total())
                    for e in _budget_rungs(config)[1]]
-    rhs_fit = fit_rate(rhs_samples, window=(0, len(rhs_samples)))
+    rhs_fit = fit_rate(rhs_samples)
     residual = local_energy_residual(rho, u, law, phi)
     return {"results": {"identity_gaps": _ladder_rows(gaps),
                         "gap_order": order, "rhs_exponent": rhs_fit.exponent,

@@ -44,15 +44,17 @@ Conventions used throughout the package:
   spectrum, so a product of fields (``Mollification.product``) is formed a
   block at a time and never whole.  ``_fft_convolve`` runs both stages
   once.
-* A ladder convolves one input at many kernels.  It holds the input as
-  a ``HeldField`` for the length of its call: the apply stage reads a
-  held transform and never writes into it, so each component is
-  transformed once, by its first FFT convolution, and every later one
-  applies its kernel spectrum to that transform, with the bits of
-  transforming afresh.  Its vacuum and slice-constancy tests also run
-  once.  Over one axis the held transform is the whole one; over more,
-  each rung still transforms the first axis (time, for a space-time
-  kernel) in the apply stage.
+* A ladder convolves its inputs at many kernels.  ``ladder(kernels,
+  fields, measure)`` is the one place a ladder holds them: each input is
+  a ``HeldField`` for the length of the call, and each rung mollifies
+  every input with one whole-grid ``Mollification`` and hands the results
+  to ``measure``.  The apply stage reads a held transform and never
+  writes into it, so each component is transformed once, by its first
+  FFT convolution, and every later one applies its kernel spectrum to
+  that transform, with the bits of transforming afresh.  Its vacuum and
+  slice-constancy tests also run once.  Over one axis the held transform
+  is the whole one; over more, each rung still transforms the first axis
+  (time, for a space-time kernel) in the apply stage.
 * A kernel that acts slice by slice (no time axis: a spatial
   ``Mollification`` or ``HeldField.stencil``) convolves only the first
   time slice when every slice has its bits, and broadcasts the result;
@@ -662,7 +664,7 @@ class Mollification:
     confined outside it does not raise.
 
     A call that reads the whole grid (no box, or ``whole_read``) also
-    takes a ``HeldField``, as a ladder passes its input to one
+    takes a ``HeldField``, as ``ladder`` passes its inputs to one
     ``Mollification`` per rung: its components keep their tests and
     forward transforms across the rungs, and the result has the bits of
     the call on the plain field.  ``product`` takes a field formed on
@@ -867,7 +869,10 @@ class HeldField:
     ``Mollification`` takes it in place of its field, when the call reads
     the whole grid; ``stencil`` convolves it with a spatial stencil.  The
     held transforms are as large as the field, so hold a field only for
-    the length of the call that convolves it several times.
+    the length of the call that convolves it several times.  ``ladder`` is
+    the one place an epsilon ladder holds its inputs; the QNS checks hold
+    ``w`` themselves (``QnsRegion.held``), for their ball averages too,
+    and lend it to ``ladder``.
     """
 
     __slots__ = ("grid", "values", "sources")
@@ -956,6 +961,29 @@ def mollify(field: Field, kernel: MollifierKernel) -> Field:
     transformed once.
     """
     return Mollification(kernel, field.grid)(field)
+
+
+def ladder(kernels, fields, measure) -> list:
+    """``measure(kernel, *fields_e)`` for each kernel of an epsilon ladder,
+    in order, where ``fields_e`` are ``fields`` mollified by that kernel.
+
+    The one place a ladder holds its inputs: each of ``fields`` (a
+    ``Field``, or a ``HeldField`` the caller already holds) is held for
+    the whole ladder, so it is transformed once.  Each rung mollifies
+    every field with one whole-grid ``Mollification``, which it drops,
+    and with it the kernel spectrum, before ``measure`` runs; it drops
+    the mollified fields once ``measure`` returns, before the next rung
+    convolves.
+    """
+    held = [f if isinstance(f, HeldField) else HeldField(f) for f in fields]
+    out = []
+    for kernel in kernels:
+        moll = Mollification(kernel, held[0].grid)
+        fields_e = [moll(f) for f in held]
+        del moll
+        out.append(measure(kernel, *fields_e))
+        del fields_e
+    return out
 
 
 def _direct_convolve(values: np.ndarray, weights: np.ndarray,

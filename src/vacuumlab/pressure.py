@@ -18,9 +18,9 @@ import numpy as np
 
 from .grids import (
     Field,
-    HeldField,
     Mollification,
     MollifierKernel,
+    ladder,
     lp_norm,
     mollify,
     require_nonnegative,
@@ -174,20 +174,14 @@ def pressure_commutator(rho: Field, law: PressureLaw,
     Below 0, rho_eps reads as vacuum (see ``PressureLaw``).
     """
     require_nonnegative(rho, "rho")
-    return _commutator(rho.map(law.p), rho, law, kernel)
-
-
-def _commutator(p_rho: Field | HeldField, rho: Field | HeldField,
-                law: PressureLaw, kernel: MollifierKernel) -> Field:
-    """p_eps(rho) - p(rho_eps) from p(rho) and rho, each a field or held."""
     moll = Mollification(kernel, rho.grid)
-    p_moll, rho_moll = moll(p_rho), moll(rho)
+    p_moll, rho_moll = moll(rho.map(law.p)), moll(rho)
     del moll  # free the kernel spectrum before the arithmetic
     return p_moll - rho_moll.map(law.p)
 
 
-def commutator_rate(rho: Field, law: PressureLaw, q: float, eps_ladder,
-                    window: tuple[int, int] | None = None) -> RateFit:
+def commutator_rate(rho: Field, law: PressureLaw, q: float,
+                    eps_ladder) -> RateFit:
     """RateFit of ||p_eps(rho) - p(rho_eps)||_Lq against eps.
 
     For a density of shift regularity beta the fitted exponent should stay
@@ -196,14 +190,10 @@ def commutator_rate(rho: Field, law: PressureLaw, q: float, eps_ladder,
     require_nonnegative(rho, "rho")
     if q < 1:
         raise ValueError("q must be >= 1")
-    # each input is transformed once for the whole ladder, and p(rho)
-    # formed once
-    p_rho, held_rho = HeldField(rho.map(law.p)), HeldField(rho)
-    samples = []
-    for ker in kernels_for_ladder(rho.grid, eps_ladder):
-        comm = _commutator(p_rho, held_rho, law, ker)
-        samples.append((ker.epsilon, lp_norm(comm, q)))
-    return fit_rate(samples, window)
+    return fit_rate(ladder(
+        kernels_for_ladder(rho.grid, eps_ladder), (rho.map(law.p), rho),
+        lambda ker, p_moll, rho_moll: (
+            ker.epsilon, lp_norm(p_moll - rho_moll.map(law.p), q))))
 
 
 def holder_remainder_bound(rho: Field, law: PressureLaw,

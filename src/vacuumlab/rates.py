@@ -9,10 +9,9 @@ import numpy as np
 
 from .grids import (
     Field,
-    HeldField,
-    Mollification,
     MollifierKernel,
     div,
+    ladder,
     lp_norm,
     make_mollifier,
 )
@@ -22,32 +21,18 @@ DEGENERATE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class RateFit:
-    """Fitted power law value ~ constant * eps**exponent on a window."""
+    """Fitted power law value ~ constant * eps**exponent."""
 
     samples: tuple[tuple[float, float], ...]
     exponent: float
     constant: float
     r_squared: float
-    window: tuple[int, int]
     degenerate: bool = False
 
 
-def default_window(n: int) -> tuple[int, int]:
-    """Drop the two coarsest and the finest sample when the ladder allows.
-
-    Shrinks the exclusions (finest first, then coarsest) until at least
-    four samples remain.
-    """
-    lo, hi = 2, 1
-    while n - lo - hi < 4 and hi > 0:
-        hi -= 1
-    while n - lo - hi < 4 and lo > 0:
-        lo -= 1
-    return lo, n - hi
-
-
-def fit_rate(samples, window: tuple[int, int] | None = None) -> RateFit:
-    """Least-squares line through (log eps, log value)."""
+def fit_rate(samples) -> RateFit:
+    """Least-squares line through (log eps, log value) of every sample
+    above ``DEGENERATE_FLOOR``; degenerate when fewer than four are."""
     samples = tuple((float(e), float(v)) for e, v in samples)
     eps = np.array([s[0] for s in samples])
     vals = np.array([s[1] for s in samples])
@@ -55,22 +40,18 @@ def fit_rate(samples, window: tuple[int, int] | None = None) -> RateFit:
         raise ValueError("epsilon ladder must be strictly decreasing")
     if np.any(vals < 0):
         raise ValueError("rate samples must be non-negative")
-    if window is None:
-        window = default_window(len(samples))
-    lo, hi = window
-    e, v = eps[lo:hi], vals[lo:hi]
-    keep = v > DEGENERATE_FLOOR
+    keep = vals > DEGENERATE_FLOOR
     if keep.sum() < 4:
         return RateFit(samples, exponent=0.0, constant=0.0, r_squared=0.0,
-                       window=(lo, hi), degenerate=True)
-    x, y = np.log(e[keep]), np.log(v[keep])
+                       degenerate=True)
+    x, y = np.log(eps[keep]), np.log(vals[keep])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return RateFit(samples, exponent=float(slope),
                    constant=float(np.exp(intercept)),
-                   r_squared=max(0.0, min(1.0, r2)), window=(lo, hi))
+                   r_squared=max(0.0, min(1.0, r2)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +81,9 @@ def tv_divergence_estimate(u: Field, eps_ladder) -> dict:
     """
     if u.components != u.grid.spatial_dim:
         raise ValueError("u must be vector-valued with d components")
-    held, samples = HeldField(u), []
-    for ker in kernels_for_ladder(u.grid, eps_ladder):
-        ue = Mollification(ker, u.grid)(held)
-        samples.append((ker.epsilon, lp_norm(div(ue), 1)))
-    fit = fit_rate(samples, window=(0, len(samples)))
+    samples = ladder(kernels_for_ladder(u.grid, eps_ladder), (u,),
+                     lambda ker, ue: (ker.epsilon, lp_norm(div(ue), 1)))
+    fit = fit_rate(samples)
     values = [v for _, v in samples]
     return {
         "sup": max(values),

@@ -31,6 +31,7 @@ from .grids import (
     HeldField,
     Mollification,
     MollifierKernel,
+    ladder,
     lp_norm,
     make_mollifier,
     mollify,
@@ -138,9 +139,8 @@ def ratio_condition(rho: Field, kernel: MollifierKernel, beta: float,
     return lp_norm(Field(rho_e.grid, ratio), q, mask=mask)
 
 
-def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
-                         region_mask: np.ndarray | None = None) -> dict:
-    """Uniform-in-epsilon boundedness of ||(w_e - w)/w_e||_L1(region).
+def l1_ratio_lemma_check(w: Field, kernel_ladder: list) -> dict:
+    """Uniform-in-epsilon boundedness of ||(w_e - w)/w_e||_L1.
 
     Reports the last ladder value over the median (NaN if that is 0) and
     the dyadic decades the ladder spans.  ``bounded``, which the benchmark
@@ -148,25 +148,17 @@ def l1_ratio_lemma_check(w: Field, kernel_ladder: list,
     first also the CLI's ``bounded_factor`` row: so NaN fails all three.
     """
     require_nonnegative(w, "w")
-    held, values = HeldField(w), []
-    for ker in kernel_ladder:
-        we = Mollification(ker, w.grid)(held)
+
+    def rung(ker, we):
         w0 = restrict(w, we.grid)
-        mask = region_mask
-        if mask is None:
-            mask = np.ones(we.grid.shape, dtype=bool)
-        elif mask.shape != w.grid.shape:
-            raise ValueError("region mask shape mismatch")
-        else:
-            j0 = we.grid.time_offset_from(w.grid)
-            mask = mask[j0:j0 + we.grid.shape[0]]
-        if np.any(mask & (we.values[..., 0] <= 0.0) & (w0.values[..., 0] > 0.0)):
-            raise VacuumSingularityError(
-                "mollified field vanishes inside the region"
-            )
+        if np.any((we.values[..., 0] <= 0.0) & (w0.values[..., 0] > 0.0)):
+            raise VacuumSingularityError("mollified field vanishes where "
+                                         "the field is positive")
         ratio = _guarded_ratio(we.values - w0.values, we.values)
         np.abs(ratio, out=ratio)
-        values.append(lp_norm(Field(we.grid, ratio), 1, mask=mask))
+        return lp_norm(Field(we.grid, ratio), 1)
+
+    values = ladder(kernel_ladder, (w,), rung)
     eps = [k.epsilon for k in kernel_ladder]
     span = math.log2(eps[0] / eps[-1])
     med = float(np.median(values))
@@ -204,17 +196,16 @@ def reciprocal_integrability_rate(w: Field, p: float, q: float, r: float,
     recip = np.where(pos, 1.0 / np.where(pos, w.values[..., 0], 1.0), 0.0)
     recip_norm = lp_norm(Field(w.grid, recip), p, mask=pos)
 
-    held, entries, samples = HeldField(w), [], []
-    for ker in kernel_ladder:
-        we = Mollification(ker, w.grid)(held)
+    def rung(ker, we):
         w0 = restrict(w, we.grid)
         diff = we - w0
         ratio = _guarded_ratio(diff.values, we.values)
-        lhs = lp_norm(Field(we.grid, ratio), r)
-        bound = lp_norm(diff, q) * recip_norm * 1.05 + 1e-14
-        entries.append({"epsilon": ker.epsilon, "lhs": lhs, "bound": bound})
-        samples.append((ker.epsilon, lhs))
-    fit = fit_rate(samples, window=(0, len(samples)))
+        return {"epsilon": ker.epsilon,
+                "lhs": lp_norm(Field(we.grid, ratio), r),
+                "bound": lp_norm(diff, q) * recip_norm * 1.05 + 1e-14}
+
+    entries = ladder(kernel_ladder, (w,), rung)
+    fit = fit_rate([(e["epsilon"], e["lhs"]) for e in entries])
     return ReciprocalReport(fit=fit, entries=tuple(entries),
                             reciprocal_norm=recip_norm)
 
@@ -355,13 +346,12 @@ def qns_check(w: Field, region_mask: np.ndarray | QnsRegion | None,
             "worst_witness": witness, "C": C}
 
 
-def _mollifier_ratio_max(w: Field, ker: MollifierKernel,
+def _mollifier_ratio_max(w: Field, ker: MollifierKernel, we: Field,
                          region: QnsRegion) -> float:
     """sup of w / w_e over region nodes clear of the region boundary, on
-    the region's ``rows`` of a spatial kernel's result (a space-time
-    kernel's slices differ in their rounding, so it reads them all); the
-    mollification reuses the region's hold on ``w``."""
-    we = Mollification(ker, w.grid)(region.held)
+    the region's ``rows`` of a spatial kernel's result ``we`` (a
+    space-time kernel's slices differ in their rounding, so it reads them
+    all)."""
     w0 = restrict(w, we.grid)
     j0 = we.grid.time_offset_from(w.grid)
     if ker.include_time:
@@ -397,13 +387,14 @@ def qns_mollifier_equivalence(w: Field,
     omega = unit_ball_volume(N)
     region = _qns_region(w, region_mask)
 
-    per_rung = []
-    for ker in kernel_ladder:
-        M_emp = _mollifier_ratio_max(w, ker, region)
-        C_emp = region.ball_ratio(ker.epsilon / 3.0)[0]
-        C_ball = region.ball_ratio(ker.epsilon)[0]
-        per_rung.append({"epsilon": ker.epsilon, "M_emp": M_emp,
-                         "C_emp": C_emp, "C_ball": C_ball})
+    # the ball ratios first, so that no rung's w_e is held beside a ball
+    # average; the mollifications reuse the region's hold on ``w``
+    balls = [(region.ball_ratio(k.epsilon / 3.0)[0],
+              region.ball_ratio(k.epsilon)[0]) for k in kernel_ladder]
+    m_emp = ladder(kernel_ladder, (region.held,),
+                   lambda ker, we: _mollifier_ratio_max(w, ker, we, region))
+    per_rung = [{"epsilon": k.epsilon, "M_emp": m, "C_emp": c, "C_ball": b}
+                for k, m, (c, b) in zip(kernel_ladder, m_emp, balls)]
     if C is None:
         C = per_rung[0]["C_emp"]
 

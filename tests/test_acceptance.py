@@ -64,7 +64,7 @@ def test_criterion_1_pressure_commutator_rate():
     g = GridSpec(1, (2048, 2048), (1.0, 1.0))
     rho = weierstrass_field(WeierstrassSpec(0.5, levels=9, seed=11), g)
     ladder = [2.0 ** -k for k in range(4, 10)]
-    fit = commutator_rate(rho, LAW, 3, ladder, window=(0, len(ladder)))
+    fit = commutator_rate(rho, LAW, 3, ladder)
     assert verdict(1, "pressure commutator rate", [
         Check("exponent", fit.exponent, ">=", 0.733),
         Check("r2", fit.r_squared, ">=", 0.95)])

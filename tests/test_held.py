@@ -1,10 +1,13 @@
 """Ladders that hold their inputs (``HeldField``) against per-rung calls.
 
 Each holder transforms an input once and applies every rung's kernel
-spectrum to that transform.  Every rung's mollification, and every ball
+spectrum to that transform; every epsilon ladder holds its inputs in one
+function, ``grids.ladder``.  Every rung's mollification, and every ball
 average, must have the bits of the same call on the plain field, which
 transforms afresh.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +134,64 @@ def test_every_rung_equals_the_per_rung_call(holder, dim, positive, varying,
         assert transformed == inputs
     else:
         assert transformed <= inputs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("holder", HOLDERS)
+def test_every_holder_calls_ladder_once(holder, dim, monkeypatch):
+    # one ``ladder`` call per holder call, holding every input: a ladder
+    # that loops over its rungs by hand calls it no more
+    components, inputs, run = HOLDERS[holder]
+    components = dim if components == "d" else components
+    inputs = dim if inputs == "d" else inputs
+    w = sample(dim, True, True, components)
+    calls = []
+    for module in (pressure, rates, vacuum):
+        def spy(kernels, fields, measure, _inner=module.ladder):
+            calls.append(fields)
+            return _inner(kernels, fields, measure)
+
+        monkeypatch.setattr(module, "ladder", spy)
+    run(w)
+    (fields,) = calls
+    assert sum(f.values.shape[-1] for f in fields) == inputs
+    assert any(f.values is w.values for f in fields)
+
+
+def test_ladder_releases_each_rung(monkeypatch):
+    # a rung's mollification, and with it the kernel spectrum, is gone
+    # before its measure runs, and its mollified fields before the next
+    # rung's first convolution
+    force_branch(monkeypatch, "fft")
+    w = sample(1, True, True)
+    fields = (w.map(np.sqrt), w)
+    results, machines, log = [], [], []
+    call = grids.Mollification.__call__
+
+    def convolve(self, field):
+        if len(results) % len(fields) == 0:
+            log.append(("convolve", [r() is not None for r in results]))
+        out = call(self, field)
+        machines.append((weakref.ref(self), weakref.ref(self._spectrum)))
+        results.append(weakref.ref(out.values))
+        return out
+
+    def measure(kernel, *fields_e):
+        log.append(("measure", [m() is not None or s() is not None
+                                for m, s in machines]))
+        assert all(f.values is r()
+                   for f, r in zip(fields_e, results[-len(fields):]))
+        return kernel.epsilon
+
+    monkeypatch.setattr(grids.Mollification, "__call__", convolve)
+    kernels = spatial_kernels(w.grid)[:3]
+    assert grids.ladder(kernels, fields, measure) == [k.epsilon
+                                                      for k in kernels]
+    assert log == [("convolve", []), ("measure", [False, False]),
+                   ("convolve", [False, False]),
+                   ("measure", [False] * 4),
+                   ("convolve", [False] * 4),
+                   ("measure", [False] * 6)]
 
 
 def test_qns_call_transforms_the_spike_field_once(monkeypatch):

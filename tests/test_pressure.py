@@ -215,8 +215,7 @@ class TestPressureCommutator:
     def test_smooth_density_second_order(self, law):
         g = GridSpec(1, (512, 512), (1.0, 1.0))
         rho = from_function(g, lambda t, x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
-        fit = commutator_rate(rho, law, 2, [2.0 ** -k for k in range(3, 8)],
-                              window=(0, 5))
+        fit = commutator_rate(rho, law, 2, [2.0 ** -k for k in range(3, 8)])
         assert fit.exponent == pytest.approx(2.0, abs=0.15)
 
     def test_vacuum_touching_density_keeps_gamma_beta_rate(self, law):
@@ -225,8 +224,7 @@ class TestPressureCommutator:
         g = GridSpec(1, (512, 512), (1.0, 1.0))
         beta = 0.5
         rho = weierstrass_field(WeierstrassSpec(alpha=beta, levels=8, seed=5), g)
-        fit = commutator_rate(rho, law, 2, [2.0 ** -k for k in range(3, 8)],
-                              window=(0, 5))
+        fit = commutator_rate(rho, law, 2, [2.0 ** -k for k in range(3, 8)])
         assert fit.exponent >= law.gamma * beta * 0.9
 
     def test_rejects_q_below_one(self, law, small_grid):

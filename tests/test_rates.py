@@ -4,7 +4,6 @@ import pytest
 from vacuumlab.cli import Check
 from vacuumlab.grids import GridSpec, from_function, lp_norm, mollify, restrict
 from vacuumlab.rates import (
-    default_window,
     fit_rate,
     kernels_for_ladder,
     tv_divergence_estimate,
@@ -16,7 +15,7 @@ EPS_LADDER = [2.0 ** -k for k in range(3, 8)]
 class TestFitRate:
     def test_recovers_exact_power_law(self):
         samples = [(e, 3.0 * e ** 1.5) for e in EPS_LADDER]
-        fit = fit_rate(samples, window=(0, len(samples)))
+        fit = fit_rate(samples)
         assert fit.exponent == pytest.approx(1.5, abs=1e-12)
         assert fit.constant == pytest.approx(3.0, rel=1e-10)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -32,15 +31,9 @@ class TestFitRate:
 
     def test_floored_values_mark_degenerate(self):
         samples = [(e, 1e-16) for e in EPS_LADDER]
-        fit = fit_rate(samples, window=(0, len(samples)))
+        fit = fit_rate(samples)
         assert fit.degenerate
         assert fit.exponent == 0.0
-
-    @pytest.mark.parametrize("n,expected", [(8, (2, 7)), (7, (2, 6)),
-                                            (6, (2, 6)), (5, (1, 5)),
-                                            (4, (0, 4))])
-    def test_default_window(self, n, expected):
-        assert default_window(n) == expected
 
 
 class TestMollificationRates:
@@ -53,7 +46,7 @@ class TestMollificationRates:
             fe = mollify(f, ker)
             samples.append((ker.epsilon,
                             lp_norm(fe - restrict(f, fe.grid), 2)))
-        fit = fit_rate(samples, window=(0, len(EPS_LADDER)))
+        fit = fit_rate(samples)
         assert fit.exponent == pytest.approx(2.0, abs=0.1)
 
     def test_ladder_validation(self, small_grid):
