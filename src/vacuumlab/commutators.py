@@ -11,9 +11,11 @@ The four energy commutators of one kernel are one streamed rung
 (``_energy_rung``): the products of rho and u enter the forward transform
 a block of time rows at a time, each mollified field is made just before
 the first term that reads it and dropped after the last, and the kernel
-spectrum is held until the last convolution.  The mollified energy
-balance (``energy.mollified_energy_balance``) takes its LHS from the same
-rung, so a rung holds at most three mollified fields besides the terms'
+is held until the last convolution, as its first-stage transform alone
+(``grids._KernelPencils``): 3.4 MiB at 2048^2 and epsilon = 2^-4, where
+its whole spectrum would take 22.8 MiB.  The mollified energy balance
+(``energy.mollified_energy_balance``) takes its LHS from the same rung,
+so a rung holds at most three mollified fields besides the terms'
 temporaries.
 """
 
@@ -99,7 +101,6 @@ def pointwise_decomposition_check(f: Field, g: Field,
     """
     moll = Mollification(kernel, f.grid)
     fe, ge, fge = moll(f), moll(g), moll(f * g)
-    del moll  # free the kernel spectrum before the arithmetic
     sub = fe.grid
     f0 = restrict(f, sub)
     g0 = restrict(g, sub)
@@ -184,11 +185,12 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
     called on the plain arrays while all three are alive; the defect
     rho_e u_e - (rho u)_e, formed once for r1 and s, lets (rho u)_e go,
     and s lets rho_e go once p(rho_e) is formed; p(rho)_e comes last, the
-    kernel spectrum is freed, and r3 follows.  The densities are built
-    on the plain arrays, in place wherever an operand is no longer
-    needed.  Each term is ``TestFunction.pair`` of the density's view on
-    phi's support box of the kept grid, the same nodes whether that grid
-    is the whole interior or a box.  r1 loses the time stencil's rows at
+    ``Mollification`` (and the kernel's transform it holds) is dropped,
+    and r3 follows.  The densities are built on the plain arrays, in
+    place wherever an operand is no longer needed.  Each term is
+    ``TestFunction.pair`` of the density's view on phi's support box of
+    the kept grid, the same nodes whether that grid is the whole interior
+    or a box.  r1 loses the time stencil's rows at
     both ends and is paired on the support rows it keeps.  Outside the
     support phi is 0, and on a box the spatial differences wrap there.
     rho_e may dip below 0 next to exact vacuum; the law reads that as 0
@@ -302,7 +304,6 @@ def R_S_terms(rho: Field, u: Field, law: PressureLaw,
         raise ValueError("beta must lie in (0, 1]")
     moll = Mollification(kernel, rho.grid)
     rho_e, u_e, m_e, p_e = moll(rho), moll(u), moll(rho * u), moll(rho.map(law.p))
-    del moll  # free the kernel spectrum before the arithmetic
     sets = build_vacuum_sets(rho, kernel, beta, rho_e=rho_e)
     sub = rho_e.grid
     grad_phi = range(1, 1 + sub.spatial_dim)
@@ -379,7 +380,6 @@ def divmeasure_pressure_term(rho: Field, u: Field, law: PressureLaw,
     gap_field = Field(rho.grid, approx.p(rho.values) - law.p(rho.values))
     moll = Mollification(kernel, rho.grid)
     gap_e, u_e = moll(gap_field), moll(u)
-    del moll  # free the kernel spectrum before the arithmetic
     sub = gap_e.grid
     grad_phi = range(1, 1 + sub.spatial_dim)
 
@@ -424,7 +424,6 @@ def degenerate_viscosity_commutator(rho: Field, u: Field, mu: float, nu: float,
     moll = Mollification(kernel, rho.grid)
     rho_e, u_e = moll(rho), moll(u)
     rhoS_e = moll(Field(u.grid, rho.values * ns_stress(u, mu, nu).values))
-    del moll  # free the kernel spectrum before the arithmetic
     S_e = ns_stress(u_e, mu, nu)
     M = Field(rho_e.grid, rho_e.values * S_e.values) - rhoS_e
 

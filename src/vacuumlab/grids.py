@@ -28,9 +28,9 @@ Conventions used throughout the package:
   ``_forward``, runs ``rfft`` along the contiguous last axis and ``fft``
   along any middle axes.  The apply stage, ``_apply``, takes the pencils
   of the first transformed axis in blocks of ``_PENCIL_BLOCK`` columns
-  (gather, transform, multiply by the kernel spectrum, which is stored
-  one pencil per row, and invert in one reused buffer while the block is
-  in cache), then the inverses of the other axes on the kept rows alone:
+  (gather, transform, multiply by the kernel's pencils of those columns,
+  and invert in one reused buffer while the block is in cache), then the
+  inverses of the other axes on the kept rows alone:
   a caller passes the range it keeps on every transformed axis, the
   other rows of the first axis are never inverted, and the last inverses
   run ``_ROW_BLOCK`` kept rows at a time, straight into a contiguous
@@ -38,9 +38,15 @@ Conventions used throughout the package:
   ``rfftn`` and ``irfftn`` use and the product is the same elementwise
   one, so the result equals ``irfftn(rfftn(v) * K)`` cut to the box, bit
   for bit; neither a full complex spectrum of the padded field nor a
-  full-width real result is held.  The forward stage too reads its input
-  ``_ROW_BLOCK`` rows of axis 0 at a time (unless that is the one axis
-  it transforms), writing each block's transforms straight into the
+  full-width real result is held, nor a kernel's whole spectrum over
+  more than one axis: it keeps only the ``_forward`` transform of the
+  2k + 1 first-axis rows its stencil occupies (``_KernelPencils``), and
+  each block of its first-axis pencils is made from them, by the same
+  1-D transforms, just before it is multiplied in.  A 2048^2 kernel of
+  half-width 127 on a 1728^2 transform holds 3.4 MiB, not 22.8, for one
+  more pencil transform per block.  The forward stage too reads its
+  input ``_ROW_BLOCK`` rows of axis 0 at a time (unless that is the one
+  axis it transforms), writing each block's transforms straight into the
   spectrum, so a product of fields (``Mollification.product``) is formed a
   block at a time and never whole.  ``_fft_convolve`` runs both stages
   once.
@@ -50,8 +56,8 @@ Conventions used throughout the package:
   every input with one whole-grid ``Mollification`` and hands the results
   to ``measure``.  The apply stage reads a held transform and never
   writes into it, so each component is transformed once, by its first
-  FFT convolution, and every later one applies its kernel spectrum to
-  that transform, with the bits of transforming afresh.  Its vacuum and
+  FFT convolution, and every later one applies its kernel to that
+  transform, with the bits of transforming afresh.  Its vacuum and
   slice-constancy tests also run once.  Over one axis the held transform
   is the whole one; over more, each rung still transforms the first axis
   (time, for a space-time kernel) in the apply stage.
@@ -672,8 +678,10 @@ class Mollification:
     ``read`` gives; the FFT branch feeds it to the forward transform a
     block of time rows at a time, so no array of the read box is made.
 
-    The spectrum is as large as the (cut) input, so keep one object per
-    call, and drop it after its last convolution.
+    Keep one object per call, so the kernel is transformed once.  Over
+    more than one axis it holds only the kernel's first stage, (2k + 1) x
+    columns complex (``_KernelPencils``), so a call need not drop it
+    before the arithmetic that follows.
     """
 
     def __init__(self, kernel: MollifierKernel, grid: GridSpec, box=None, *,
@@ -849,8 +857,8 @@ class _Source:
     def repeats_first_slice(self) -> bool:
         return repeats_first_slice(self.values)
 
-    def fft(self, values, spectrum: np.ndarray,
-            shape: tuple[int, ...], keep) -> np.ndarray:
+    def fft(self, values, spectrum, shape: tuple[int, ...],
+            keep) -> np.ndarray:
         """``_fft_convolve(values, ...)``, for ``values`` the slices of
         this source that ``_slicewise`` convolves."""
         if self._spectra is None:
@@ -971,7 +979,7 @@ def ladder(kernels, fields, measure) -> list:
     ``Field``, or a ``HeldField`` the caller already holds) is held for
     the whole ladder, so it is transformed once.  Each rung mollifies
     every field with one whole-grid ``Mollification``, which it drops,
-    and with it the kernel spectrum, before ``measure`` runs; it drops
+    and with it the kernel's transform, before ``measure`` runs; it drops
     the mollified fields once ``measure`` returns, before the next rung
     convolves.
     """
@@ -1042,16 +1050,15 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]):
     """Spectrum of the centred stencil, zero-padded and wrapped to ``shape``,
-    laid out for ``_fft_convolve``.
+    in the form ``_apply`` multiplies in.
 
     Its values are those of ``np.fft.rfftn``.  Over one axis it is that 1-D
-    spectrum; over more, row ``c`` holds the pencil of the first axis at
-    flat column ``c`` of the others, shape ``(columns, shape[0])``.  Only
-    the first-axis rows the stencil occupies go through ``_forward``; the
-    pencils are zero elsewhere, so an exact zero may differ in sign from
-    ``rfftn``'s, and every other value is bit for bit the same.
+    spectrum, an array.  Over more it is ``_KernelPencils``: only the
+    first-axis rows the stencil occupies go through ``_forward``, and the
+    first axis's pencils are made from them a block at a time, never held
+    whole.
     """
     wrapped = [np.arange(-(n - 1) // 2, (n - 1) // 2 + 1) % s
                for n, s in zip(weights.shape, shape)]
@@ -1061,10 +1068,38 @@ def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return _forward(kfull, shape)
     rows = np.zeros(weights.shape[:1] + shape[1:])
     rows[(slice(None),) + np.ix_(*wrapped[1:])] = weights
-    part = _forward(rows, shape).reshape(len(rows), -1)
-    spec = np.zeros((part.shape[1], shape[0]), complex)
-    spec[:, wrapped[0]] = part.T
-    return np.fft.fft(spec, axis=-1, out=spec)
+    return _KernelPencils(_forward(rows, shape).reshape(len(rows), -1))
+
+
+class _KernelPencils:
+    """A kernel over more than one axis, kept as its first-stage transform.
+
+    ``rows`` is the ``_forward`` transform of the 2k + 1 first-axis rows
+    the stencil occupies, offsets -k to k: one row per offset, one column
+    per pencil of the first axis, ``(2k + 1, columns)`` complex, where the
+    whole spectrum would be ``(columns, n)``.  ``block(c0, c1, out)``
+    makes the pencils of columns ``[c0, c1)`` in ``out``: offset j at
+    place j mod n, zero elsewhere, and ``fft`` in place.  Each pencil is
+    the one 1-D transform of the same values that a whole spectrum makes,
+    so every value is bit for bit ``rfftn``'s, except that an exact zero
+    may differ in sign.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+    def block(self, c0: int, c1: int, out: np.ndarray) -> np.ndarray:
+        k = len(self.rows) // 2
+        n = out.shape[1]
+        out[:, :k + 1] = self.rows[k:, c0:c1].T  # offsets 0 to k
+        out[:, k + 1:n - k] = 0.0
+        out[:, n - k:] = self.rows[:k, c0:c1].T  # offsets -k to -1
+        return np.fft.fft(out, axis=-1, out=out)
 
 
 def _forward(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -1113,8 +1148,8 @@ _PENCIL_BLOCK = 64
 _ROW_BLOCK = 64
 
 
-def _fft_convolve(values: np.ndarray, spectrum: np.ndarray,
-                  shape: tuple[int, ...], keep=None) -> np.ndarray:
+def _fft_convolve(values: np.ndarray, spectrum, shape: tuple[int, ...],
+                  keep=None) -> np.ndarray:
     """Circular convolution over the trailing ``len(shape)`` axes of
     ``values``, zero-padded to ``shape``, with the kernel whose
     ``_kernel_spectrum`` is ``spectrum``; only the kept box is returned,
@@ -1128,8 +1163,8 @@ def _fft_convolve(values: np.ndarray, spectrum: np.ndarray,
                   consume=True)
 
 
-def _apply(spec: np.ndarray, spectrum: np.ndarray, shape: tuple[int, ...],
-           keep=None, consume: bool = False) -> np.ndarray:
+def _apply(spec: np.ndarray, spectrum, shape: tuple[int, ...], keep=None,
+           consume: bool = False) -> np.ndarray:
     """The kept box of the convolution whose ``_forward`` transform is
     ``spec``, with the kernel whose ``_kernel_spectrum`` is ``spectrum``
     (see ``_fft_convolve``), as a fresh contiguous array.
@@ -1142,9 +1177,11 @@ def _apply(spec: np.ndarray, spectrum: np.ndarray, shape: tuple[int, ...],
     the same elementwise one.  With more than one axis, each block of
     ``_PENCIL_BLOCK`` columns of the first axis's pencils is gathered once
     into one reused buffer, zero-filled past the input rows, and goes
-    through ``fft``, the product and ``ifft`` in place; only its kept rows
-    are copied out.  The other axes are inverted on the kept rows alone,
-    ``_ROW_BLOCK`` rows at a time, straight into the kept box.
+    through ``fft``, the product with the kernel's pencils of those
+    columns (made in a second reused buffer, ``_KernelPencils.block``) and
+    ``ifft`` in place; only its kept rows are copied out.  The other axes
+    are inverted on the kept rows alone, ``_ROW_BLOCK`` rows at a time,
+    straight into the kept box.
     """
     lead = spec.ndim - len(shape)
     if keep is None:
@@ -1159,7 +1196,7 @@ def _apply(spec: np.ndarray, spectrum: np.ndarray, shape: tuple[int, ...],
     n, rows, first = shape[0], spec.shape[lead], keep[0]
     cols = spec.reshape(-1, rows, len(spectrum))
     step = min(_PENCIL_BLOCK, len(spectrum))
-    buf = np.empty((step, n), complex)
+    buf, pencils = np.empty((2, step, n), complex)
     # the kept rows after the first axis's inverse: in the consumed
     # transform, or apart from the one that is only read
     apart = None if consume else np.empty((len(range(n)[first]),
@@ -1172,7 +1209,7 @@ def _apply(spec: np.ndarray, spectrum: np.ndarray, shape: tuple[int, ...],
             block[:, :rows] = part[:, c0:c1].T
             block[:, rows:] = 0.0
             np.fft.fft(block, axis=-1, out=block)
-            block *= spectrum[c0:c1]
+            block *= spectrum.block(c0, c1, pencils[:c1 - c0])
             np.fft.ifft(block, axis=-1, out=block)
             kept[:, c0:c1] = block[:, first].T
         _invert_rows(kept.reshape((-1,) + spec.shape[lead + 1:]), box,

@@ -176,7 +176,6 @@ def pressure_commutator(rho: Field, law: PressureLaw,
     require_nonnegative(rho, "rho")
     moll = Mollification(kernel, rho.grid)
     p_moll, rho_moll = moll(rho.map(law.p)), moll(rho)
-    del moll  # free the kernel spectrum before the arithmetic
     return p_moll - rho_moll.map(law.p)
 
 

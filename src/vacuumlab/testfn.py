@@ -101,6 +101,20 @@ def _fill(values, grid: GridSpec) -> np.ndarray:
 
 
 PAIR_ROWS = 64  # the time rows ``TestFunction.pair`` weighs at a time
+
+
+def _c_ordered(values: np.ndarray) -> np.ndarray:
+    """``values``, or a C-contiguous copy when its memory order is not C
+    order.  A sum walks memory order, and a pairwise sum's bits depend on
+    the order it walks: ``np.array`` of a time broadcast keeps the
+    stride-0 axis innermost, for one.  A view in C order, such as a box
+    cut from a C-contiguous array, is summed as it is."""
+    strides = [abs(s) for s, n in zip(values.strides, values.shape) if n > 1]
+    if strides == sorted(strides, reverse=True):
+        return values
+    return np.ascontiguousarray(values)
+
+
 # (value, derivative) callables of one axis
 Factor = tuple[Callable, Callable]
 # the factor of every axis past the end of ``factors``
@@ -167,11 +181,11 @@ class TestFunction:
         derivative, is evaluated once per call on its own axis, and a block
         multiplies their slices in axis order from 1.0, as ``phi_values``
         does.  The components are then summed (one component is read as a
-        view), the grid is summed and the sum is multiplied by
-        ``cell_volume``.  ``grid`` may be a box sub-grid: phi is read at
-        its root's coordinates.  A NaN or infinity anywhere in the weighed
-        values reaches the sum, so a non-finite result raises
-        ``ValueError``.
+        view), the grid is summed in C order (see ``_c_ordered``) and the
+        sum is multiplied by ``cell_volume``.  ``grid`` may be a box
+        sub-grid: phi is read at its root's coordinates.  A NaN or infinity
+        anywhere in the weighed values reaches the sum, so a non-finite
+        result raises ``ValueError``.
         """
         mesh = _open_mesh(grid)
         # (axis, 1 for the derivative) -> that factor on that axis
@@ -190,7 +204,7 @@ class TestFunction:
                     weight = weight * (f[rows] if k == 0 and np.ndim(f) else f)
                 values[rows, ..., j] *= weight
         dot = values[..., 0] if len(axes) == 1 else values.sum(axis=-1)
-        total = float(dot.sum() * grid.cell_volume)
+        total = float(_c_ordered(dot).sum() * grid.cell_volume)
         if not np.isfinite(total):
             raise ValueError("the pairing with phi is not finite")
         return total

@@ -1,3 +1,4 @@
+import gc
 import operator
 import os
 import subprocess
@@ -1341,8 +1342,9 @@ class TestFFTEngine:
     ])
     def test_kernel_spectrum_equals_the_whole_array_transform(self, wshape,
                                                                shape):
-        # the old construction: the whole zero-padded array through
-        # ``_forward``, ``fft`` along the first axis and a transposed copy
+        # the whole zero-padded array through ``_forward``, ``fft`` along
+        # the first axis and a transposed copy, one pencil per row; over
+        # more than one axis every block of pencils is made and stacked
         weights = np.random.default_rng(len(shape)).random(wshape)
         kfull = np.zeros(shape)
         kfull[np.ix_(*[np.arange(-(n // 2), n // 2 + 1) % s
@@ -1352,6 +1354,14 @@ class TestFFTEngine:
             want = np.ascontiguousarray(
                 np.fft.fft(want, axis=0).reshape(shape[0], -1).T)
         got = grids._kernel_spectrum(weights, shape)
+        if len(shape) > 1:
+            assert got.rows.shape == (wshape[0], len(want))
+            step = grids._PENCIL_BLOCK
+            got = np.concatenate([
+                got.block(c0, min(c0 + step, len(got)),
+                          np.empty((min(step, len(got) - c0), shape[0]),
+                                   complex))
+                for c0 in range(0, len(got), step)])
         assert got.shape == want.shape and got.flags.c_contiguous
         assert (got == want).all()
         # bit for bit wherever the value is not zero (a zero may differ in
@@ -1359,6 +1369,35 @@ class TestFFTEngine:
         nonzero = want.view(float) != 0.0
         assert (got.view(np.int64)[nonzero]
                 == want.view(np.int64)[nonzero]).all()
+
+    def test_mollification_keeps_only_the_first_stage_transform(self):
+        # after an FFT convolution a space-time Mollification holds no
+        # array larger than its kernel's first-stage transform, (2k + 1)
+        # x columns, where the whole spectrum is columns x n
+        g = GridSpec(1, (512, 512), (1.0, 1.0))
+        ker = make_mollifier(0.15, 2, g)  # 153 x 153 nodes
+        moll = Mollification(ker, g)
+        f = Field(g, 1.5 + np.sin(2 * np.pi * g.meshgrid()[1]))
+        moll(f)
+        first_stage = moll._spectrum.rows
+        assert first_stage.shape == (153, 257)
+        whole = 257 * moll._fft_shape[0] * 16
+        assert whole > 3 * first_stage.nbytes
+        held, seen, todo = [], set(), [moll]
+        while todo:  # every array the object reaches, not through a class
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                held.append(obj)
+            elif isinstance(obj, (dict, list, tuple, grids._KernelPencils,
+                                  Mollification, GridSpec)):
+                todo.extend(gc.get_referents(obj))
+        assert any(np.shares_memory(a, first_stage) for a in held)
+        assert max(a.nbytes for a in held) == first_stage.nbytes
 
 
 class TestCalculus:

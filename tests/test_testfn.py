@@ -478,6 +478,23 @@ class TestPair:
         assert boxed == pytest.approx(whole, rel=1e-13, abs=1e-16)
         assert abs(whole) > 1e-3
 
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_sum_does_not_depend_on_the_layout(self, components):
+        # ``np.array`` of a time broadcast keeps the stride-0 axis
+        # innermost, so its copy is not C-ordered; the pairing sums the
+        # weighed values in C order all the same, with the bits of the
+        # C-ordered copy
+        g = GridSpec(1, (64, 128), (1.0, 1.0))
+        tf = spacetime_bump((0.5, 0.5), (0.3, 0.3))
+        axes = (None, 1)[:components]
+        rng = np.random.default_rng(components)
+        first = rng.standard_normal((1,) + g.shape[1:] + (components,))
+        broadcast = np.broadcast_to(first, g.shape + (components,))
+        copied = np.array(broadcast)
+        assert not copied.flags.c_contiguous
+        want = tf.pair(np.array(broadcast, order="C"), g, axes)
+        assert tf.pair(copied, g, axes).hex() == want.hex()
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_values_raise(self, small_grid, bad):
         tf = spacetime_bump((0.5, 0.5), (0.3, 0.3))
