@@ -13,17 +13,20 @@ a block of time rows at a time, each mollified field is made just before
 the first term that reads it and dropped after the last, and the kernel
 is held until the last convolution, as its first-stage transform alone
 (``grids._KernelPencils``): 3.4 MiB at 2048^2 and epsilon = 2^-4, where
-its whole spectrum would take 22.8 MiB.  The mollified energy balance
-(``energy.mollified_energy_balance``) takes its LHS from the same rung,
-so a rung holds at most three mollified fields besides the terms'
-temporaries.
+its whole spectrum would take 22.8 MiB.  Each convolution returns its
+box in the memory of the spectrum it consumed, and the rung forms its
+products, differences and weights in arrays it owns, overwriting them a
+block of rows at a time.  The mollified energy balance
+(``energy.mollified_energy_balance``) takes its LHS from the same rung.
+A rung peaks at r1, with four arrays of its box alive: u_e, rho_e, the
+defect and the defect's time difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from operator import iadd, imul, isub
+from operator import iadd, imul
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .grids import (
     GridSpec,
     Mollification,
     MollifierKernel,
+    _ROW_BLOCK,
     _central_diff,
     _require_finite,
     div,
@@ -187,7 +191,29 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
     and s lets rho_e go once p(rho_e) is formed; p(rho)_e comes last, the
     ``Mollification`` (and the kernel's transform it holds) is dropped,
     and r3 follows.  The densities are built on the plain arrays, in
-    place wherever an operand is no longer needed.  Each term is
+    arrays the rung owns wherever an operand is no longer needed; the
+    elementwise steps run ``_ROW_BLOCK`` time rows at a time, and a
+    spatial difference writes back over its input a block of time rows at
+    a time (``_central_diff(..., overwrite=True)``), all with the bits of
+    the whole-array steps.  (rho u)_e and each (rho u_i u_j)_e are taken
+    writable (``Mollification._owned_product``), and the steps overwrite:
+
+    * r2: (rho u_i u_j)_e with the tensor entry m_e,i u_e,j - (rho u_i
+      u_j)_e, then with its difference along x_j; row i's entries are
+      summed into its first, which is multiplied by u_e,i, and the rows
+      are summed into the first row's;
+    * the defect: (rho u)_e with rho_e u_e - (rho u)_e, once ``lhs`` has
+      read it; r1's time difference of it is a fresh array (it loses the
+      stencil's rows), multiplied by u_e in place;
+    * s: each defect component with its difference along its axis,
+      summed into the first, which is weighed by P'(rho_e) and zeroed on
+      the vacuum;
+    * r3: p(rho_e), a fresh array, with p(rho_e) - p(rho)_e, then with
+      its difference along the last spatial axis (the others are fresh),
+      each multiplied by u_e in place and summed into the first.
+
+    The peak that stays is r1's: u_e, rho_e, the defect and its time
+    difference.  Each term is
     ``TestFunction.pair`` of the density's view on phi's support box of
     the kept grid, the same nodes whether that grid is the whole interior
     or a box.  r1 loses the time stencil's rows at
@@ -213,15 +239,16 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
 
     u_e = moll(u)
     grid, u_e = u_e.grid, u_e.values
-    m_e = moll.product(lambda rows, i: r[rows] * v[rows, ..., i], d).values
+    m_e = moll._owned_product(lambda rows, i: r[rows] * v[rows, ..., i], d)
     nt = grid.shape[0]
+    blocks = [slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, nt, _ROW_BLOCK)]
     support = phi.support(grid) or ((0, 0),) * len(grid.shape)
     space = tuple(slice(lo, hi) for lo, hi in support[1:])
 
-    def diff(vals, axis):
-        return _central_diff(vals, axis, grid.spacings[axis])[0]
+    def diff(vals, axis, overwrite=True):
+        return _central_diff(vals, axis, grid.spacings[axis], overwrite)[0]
 
-    # imul, isub and iadd work in place on fresh arrays, and
+    # imul and iadd work in place on arrays the rung owns, and
     # reduce(iadd, ...) sums the per-component arrays into the first
     def pair(dens, trim=0):
         # dens lacks ``trim`` rows at both ends of grid
@@ -234,10 +261,14 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
                         grid.subgrid(((t0, t1),) + support[1:]), (None,))
 
     def tensor(i, j):
-        # (rho u_i u_j)_e, mollified just before its one use
-        mm_ij = moll.product(lambda rows, _: r[rows] * v[rows, ..., i]
-                             * v[rows, ..., j], 1).values[..., 0]
-        return isub(m_e[..., i] * u_e[..., j], mm_ij)
+        # (rho u_i u_j)_e, mollified just before its one use, becomes the
+        # entry m_e,i u_e,j - (rho u_i u_j)_e
+        mm = moll._owned_product(lambda rows, _: r[rows] * v[rows, ..., i]
+                                 * v[rows, ..., j], 1)[..., 0]
+        for rows in blocks:
+            np.subtract(m_e[rows, ..., i] * u_e[rows, ..., j], mm[rows],
+                        out=mm[rows])
+        return mm
 
     def r2_row(i):
         return imul(reduce(iadd, (diff(tensor(i, j), 1 + j) for j in range(d))),
@@ -248,8 +279,11 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
 
     rho_e = moll(rho).values
     lhs_value = None if lhs is None else lhs(rho_e, u_e, m_e, grid)
-    defect = isub(rho_e * u_e, m_e)
+    # the defect rho_e u_e - (rho u)_e, formed into (rho u)_e
+    defect = m_e
     del m_e
+    for rows in blocks:
+        np.subtract(rho_e[rows] * u_e[rows], defect[rows], out=defect[rows])
 
     # r1 = u_e . d_t(defect)
     dt_defect, trim = _central_diff(defect, 0, grid.dt)
@@ -261,7 +295,8 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
     # s = P'(rho_e) div(defect), set to 0 on the numerical vacuum
     s_dens = reduce(iadd, (diff(defect[..., i], 1 + i) for i in range(d)))
     del defect
-    s_dens *= law.dpotential(rho_e[..., 0])
+    for rows in blocks:
+        s_dens[rows] *= law.dpotential(rho_e[rows, ..., 0])
     if not np.isfinite(s_dens).all():
         raise ValueError("s integrand is not finite")
     np.copyto(s_dens, 0.0, where=rho_e[..., 0] <= atol)
@@ -271,9 +306,9 @@ def _energy_rung(rho: Field, u: Field, law: PressureLaw,
     # r3 = u_e . grad(p(rho_e) - p(rho)_e)
     p_comm = law.p(rho_e[..., 0])
     del rho_e
-    isub(p_comm, moll.product(pressure, 1).values[..., 0])
+    p_comm -= moll.product(pressure, 1).values[..., 0]
     del moll
-    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j), u_e[..., j])
+    r3 = pair(reduce(iadd, (imul(diff(p_comm, 1 + j, j == d - 1), u_e[..., j])
                             for j in range(d))))
 
     report = CommutatorReport({"r1": r1, "r2": r2, "r3": r3, "s": s},

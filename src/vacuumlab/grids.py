@@ -33,8 +33,12 @@ Conventions used throughout the package:
   inverses of the other axes on the kept rows alone:
   a caller passes the range it keeps on every transformed axis, the
   other rows of the first axis are never inverted, and the last inverses
-  run ``_ROW_BLOCK`` kept rows at a time, straight into a contiguous
-  array of the kept box.  Every 1-D transform runs in the order
+  run ``_ROW_BLOCK`` kept rows at a time into a contiguous array of the
+  kept box.  A transform that nothing else reads (``_fft_convolve``) is
+  consumed: the box is written from the start of its own memory, each
+  block inverted into a temporary first, and the transform is then
+  shrunk to the box, so a convolution never holds a spectrum and its box
+  apart.  Every 1-D transform runs in the order
   ``rfftn`` and ``irfftn`` use and the product is the same elementwise
   one, so the result equals ``irfftn(rfftn(v) * K)`` cut to the box, bit
   for bit; neither a full complex spectrum of the padded field nor a
@@ -624,19 +628,23 @@ class Mollification:
     ``|w| <= DBL_EPSILON``, as ``ndimage.convolve`` does, and runs the
     rest as one ``np.convolve`` per distinct kernel row along the last
     axis (a row over ``_DOT_TAPS`` = 10,000 taps in pieces, so no BLAS
-    dot product is threaded), rolled into place along the leading axes;
-    the field therefore stays exactly zero wherever the kept weights see
-    only zeros.  Every other component uses the circular FFT, the faster
-    branch: the kernel spectrum is built by the first component that
-    takes it (a call that only sums directly builds none), and every
-    later one is multiplied by it; rounding leaves values of order 1e-16
-    where direct summation gives zeros.  The FFT branch hands the engine
-    (``_fft_convolve``) the range it keeps on every axis the kernel
-    spans; only the kept rows of the first (time for a space-time
-    kernel) go through the inverse transforms of the other axes, which
-    write the kept box straight into the array the result then holds.
-    The result is ``irfftn(rfftn(...) * spectrum)`` cut down, bit for
-    bit, and each component is scanned for finiteness once.
+    dot product is threaded), added into place along the leading axes
+    slice by slice; the field therefore stays exactly zero wherever the
+    kept weights see only zeros.  Every other component uses the
+    circular FFT, the faster branch: the kernel spectrum is built by the
+    first component that takes it (a call that only sums directly builds
+    none), and every later one is multiplied by it; rounding leaves
+    values of order 1e-16 where direct summation gives zeros.  The FFT
+    branch hands the engine (``_fft_convolve``) the range it keeps on
+    every axis the kernel spans; only the kept rows of the first (time
+    for a space-time kernel) go through the inverse transforms of the
+    other axes, which write the kept box from the start of the
+    transform's own memory; the transform is then shrunk to the box, and
+    the result holds that.  The result is ``irfftn(rfftn(...) *
+    spectrum)`` cut down, bit for bit, and each component is scanned for
+    finiteness once.  A caller that overwrites a mollified product takes
+    its values writable, before ``Field._wrap`` makes them read-only
+    (``_owned_product``).
 
     A purely spatial kernel convolves a field whose time slices all have
     the same bits once, on its first slice (see ``_slicewise``), and
@@ -788,21 +796,35 @@ class Mollification:
         (see ``_forward``), so no array of ``input_grid`` is made; the
         vacuum test, the slice-repeat test and the direct branch form it
         whole, once."""
+        return self._mollify(self._formed(form, components))
+
+    def _owned_product(self, form, components: int) -> np.ndarray:
+        """``product``'s values, before ``Field._wrap`` makes them
+        read-only, for a caller that overwrites them: writable, and held
+        by nothing else.  The engine's kept box, the direct branch's
+        result and an array of several components are the call's own and
+        come as they are; a broadcast slice is copied out."""
+        vals = self._mollified(self._formed(form, components))
+        return vals if vals.flags.writeable else vals.copy()
+
+    def _formed(self, form, components: int) -> list:
         shape = self.input_grid.shape
-        return self._mollify([_Source(_Rows(lambda rows, c=c: form(rows, c),
-                                            shape))
-                              for c in range(components)])
+        return [_Source(_Rows(lambda rows, c=c: form(rows, c), shape))
+                for c in range(components)]
 
     def _mollify(self, sources) -> Field:
+        return Field._wrap(self._output_grid, self._mollified(sources))
+
+    def _mollified(self, sources) -> np.ndarray:
         if len(sources) == 1:
-            # the engine's kept box, or a broadcast slice, is wrapped as it
-            # is; several components are copied into one array
-            vals = self._convolve(sources[0])[..., None]
-        else:
-            vals = np.empty(self._output_grid.shape + (len(sources),))
-            for c, source in enumerate(sources):
-                vals[..., c] = self._convolve(source)
-        return Field._wrap(self._output_grid, vals)
+            # the engine's kept box (a view of the transform it was
+            # inverted in), or a broadcast slice, as it is; several
+            # components are copied into one array
+            return self._convolve(sources[0])[..., None]
+        vals = np.empty(self._output_grid.shape + (len(sources),))
+        for c, source in enumerate(sources):
+            vals[..., c] = self._convolve(source)
+        return vals
 
 
 class _Rows:
@@ -1006,7 +1028,8 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
     support, convolves the field's wrapped lines, laid end to end, once
     per distinct row by ``np.convolve`` (in pieces: see ``_LOOP_TAPS``);
     the result is added rolled by every offset of that row along the
-    leading axes.
+    leading axes, as slices (``_roll_pieces``), in the order a sum of
+    ``np.roll`` copies takes, so with its bits.
     """
     w = np.where(np.abs(weights) > np.finfo(float).eps, weights, 0.0)
     c = w.shape[-1] // 2
@@ -1039,15 +1062,38 @@ def _direct_convolve(values: np.ndarray, weights: np.ndarray,
             line = part if line is None else np.add(line, part, out=line)
         line = line.reshape(padded)[..., :n]
         for steps in offsets:
-            # with no leading axes there is one row and one offset, so the
-            # line itself, made contiguous, can become the result
-            term = (np.roll(line, steps, axis=lead) if lead
-                    else np.ascontiguousarray(line))
-            if out is None:
-                out = term
+            # the line rolled by ``steps`` along the leading axes, added
+            # (the first term copied) piece by piece, with no rolled copy
+            pieces = _roll_pieces(line.shape, steps, lead)
+            if out is None and not lead:
+                # with no leading axes there is one row and one offset, so
+                # the line itself, made contiguous, can become the result
+                out = np.ascontiguousarray(line)
+            elif out is None:
+                out = np.empty(line.shape)
+                for dst, src in pieces:
+                    out[dst] = line[src]
             else:
-                out += term
+                for dst, src in pieces:
+                    out[dst] += line[src]
     return out
+
+
+def _roll_pieces(shape: tuple[int, ...], steps, axes) -> list:
+    """Pairs ``(dst, src)`` of index tuples such that ``y[dst] = x[src]``
+    over every pair gives ``y = np.roll(x, steps, axis=axes)``: one
+    rectangular piece per combination of the two parts each rolled axis
+    splits into (one part for a roll by 0)."""
+    rolls = dict(zip(axes, steps))
+    pieces = [((), ())]
+    for axis, n in enumerate(shape):
+        k = rolls.get(axis, 0) % n
+        parts = [(slice(k, n), slice(0, n - k))]
+        if k:
+            parts.append((slice(0, k), slice(n - k, n)))
+        pieces = [(dst + (d,), src + (s,))
+                  for dst, src in pieces for d, s in parts]
+    return pieces
 
 
 def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, ...]):
@@ -1154,40 +1200,61 @@ def _fft_convolve(values: np.ndarray, spectrum, shape: tuple[int, ...],
     ``values``, zero-padded to ``shape``, with the kernel whose
     ``_kernel_spectrum`` is ``spectrum``; only the kept box is returned,
     ``keep`` holding one slice per transformed axis (all of each when
-    None), as a fresh contiguous array.  Leading axes are kept whole.
+    None), C-contiguous.  Leading axes are kept whole.
 
     Both stages once: ``_apply`` of the ``_forward`` transform, which
-    nothing else reads, so ``_apply`` may consume it.
+    nothing else reads, so ``_apply`` consumes it and writes the box from
+    the start of its memory.  The transform is then shrunk to the box
+    (``ndarray.resize``), and the result is a view of it: the call never
+    holds a spectrum and a box apart.  Should anything else still refer
+    to the transform, the resize refuses and the box is copied out.
     """
-    return _apply(_forward(values, shape), spectrum, shape, keep,
-                  consume=True)
+    spec = _forward(values, shape)
+    dims = _apply(spec, spectrum, shape, keep, consume=True).shape
+    try:
+        spec.resize(-(-math.prod(dims) // 2), refcheck=True)
+    except ValueError:  # another reference to the transform
+        return _real_box(spec, dims).copy()
+    return _real_box(spec, dims)
+
+
+def _real_box(spec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The real array of shape ``dims`` laid from the start of the
+    C-contiguous complex array ``spec``'s memory, as a view."""
+    return spec.reshape(-1).view(float)[:math.prod(dims)].reshape(dims)
 
 
 def _apply(spec: np.ndarray, spectrum, shape: tuple[int, ...], keep=None,
            consume: bool = False) -> np.ndarray:
     """The kept box of the convolution whose ``_forward`` transform is
     ``spec``, with the kernel whose ``_kernel_spectrum`` is ``spectrum``
-    (see ``_fft_convolve``), as a fresh contiguous array.
+    (see ``_fft_convolve``), C-contiguous.
 
     ``spec`` is only read, so a ladder can apply every rung's spectrum to
-    one held transform; with ``consume`` its storage takes the product
-    (over one axis) or the first axis's kept rows (over more), as one
-    spectrum less of memory.  Every 1-D transform runs in the order
-    ``rfftn`` and ``irfftn`` use, on the same pencils, and the product is
-    the same elementwise one.  With more than one axis, each block of
-    ``_PENCIL_BLOCK`` columns of the first axis's pencils is gathered once
-    into one reused buffer, zero-filled past the input rows, and goes
-    through ``fft``, the product with the kernel's pencils of those
-    columns (made in a second reused buffer, ``_KernelPencils.block``) and
-    ``ifft`` in place; only its kept rows are copied out.  The other axes
-    are inverted on the kept rows alone, ``_ROW_BLOCK`` rows at a time,
-    straight into the kept box.
+    one held transform, and the box is a fresh array.  With ``consume``
+    ``spec`` (C-contiguous) takes its own inverse: its storage takes the
+    product (over one axis) or the first axis's kept rows (over more),
+    and the box is written from the start of its memory, a view of
+    ``spec`` that ``_fft_convolve`` then shrinks ``spec`` to.  Every 1-D
+    transform runs in the order ``rfftn`` and ``irfftn`` use, on the same
+    pencils, and the product is the same elementwise one.  With more
+    than one axis, each block of ``_PENCIL_BLOCK`` columns of the first
+    axis's pencils is gathered once into one reused buffer, zero-filled
+    past the input rows, and goes through ``fft``, the product with the
+    kernel's pencils of those columns (made in a second reused buffer,
+    ``_KernelPencils.block``) and ``ifft`` in place; only its kept rows
+    are copied out.  The other axes are inverted on the kept rows alone,
+    ``_ROW_BLOCK`` rows at a time, into the kept box (``_invert_rows``).
+    Each leading slice's box starts at or before the slice it is
+    inverted from, so a consumed transform is overwritten only where it
+    has been read.
     """
     lead = spec.ndim - len(shape)
     if keep is None:
         keep = (slice(None),) * len(shape)
-    out = np.empty(spec.shape[:lead] + tuple(
-        len(range(n)[k]) for n, k in zip(shape, keep)))
+    dims = spec.shape[:lead] + tuple(
+        len(range(n)[k]) for n, k in zip(shape, keep))
+    out = _real_box(spec, dims) if consume else np.empty(dims)
     if len(shape) == 1:
         spec = np.multiply(spec, spectrum, out=spec if consume else None)
         rows = spec.reshape(-1, spec.shape[-1])
@@ -1223,15 +1290,26 @@ def _invert_rows(spec: np.ndarray, out: np.ndarray, shape: tuple[int, ...],
     of ``spec`` (``ifft`` along all but the last, from the first, then
     ``irfft``), each axis cut to its ``keep`` once it is inverted, in
     blocks of ``_ROW_BLOCK`` rows along axis 0.  Every 1-D inverse reads
-    one pencil, so a block gives the bits of the whole array.  When the
-    last axis is kept whole, ``irfft`` writes into ``out`` itself."""
-    whole = range(shape[-1])[keep[-1]] == range(shape[-1])
+    one pencil, so a block gives the bits of the whole array.
+
+    ``out`` may share ``spec``'s memory, C-contiguous from ``spec``'s
+    start or before it: each block is then inverted into a temporary
+    before its kept values are written.  A row of ``out`` is shorter than
+    one of ``spec``: no more nodes on a middle axis, and on the last at
+    most ``shape[-1]`` reals of 8 bytes against ``shape[-1] // 2 + 1``
+    complex values of 16.  So output row i starts at or before input row
+    i, and a block's writes reach only rows it has read.  Into an ``out``
+    apart from ``spec``, a last axis kept whole is inverted by ``irfft``
+    straight into ``out``.
+    """
+    straight = (range(shape[-1])[keep[-1]] == range(shape[-1])
+                and not np.may_share_memory(spec, out))
     for r0 in range(0, len(spec), _ROW_BLOCK):
         block = spec[r0:r0 + _ROW_BLOCK]
         for a in range(1, len(shape)):
             block = np.fft.ifft(block, shape[a - 1], axis=a)
             block = block[(slice(None),) * a + (keep[a - 1],)]
-        if whole:
+        if straight:
             np.fft.irfft(block, shape[-1], axis=-1,
                          out=out[r0:r0 + _ROW_BLOCK])
         else:
@@ -1287,8 +1365,8 @@ STENCIL_REACH = max(map(abs, _STENCIL))
 _FD_BLOCK_BYTES = 1 << 18
 
 
-def _central_diff(vals: np.ndarray, axis: int,
-                  h: float) -> tuple[np.ndarray, int]:
+def _central_diff(vals: np.ndarray, axis: int, h: float,
+                  overwrite: bool = False) -> tuple[np.ndarray, int]:
     """4th-order central difference along ``axis``: values and trim.
 
     Axis 0 is time and not periodic: the result loses ``STENCIL_REACH``
@@ -1296,7 +1374,14 @@ def _central_diff(vals: np.ndarray, axis: int,
     ``c * vals[i + off]`` is one multiply of shifted slices into a reused
     temporary, and the terms are summed in ``_STENCIL`` order starting
     from 0, so the result equals the sum of rolled copies bit for bit.
+
+    With ``overwrite`` (a spatial axis only) the result is ``vals``
+    itself: each block of time slices is summed in a second temporary,
+    and the last step, the division by ``h``, writes it back over the
+    slices it read, with the same bits.
     """
+    if overwrite and axis == 0:
+        raise ValueError("a time difference cannot overwrite its input")
     trim = STENCIL_REACH if axis == 0 else 0
     n = vals.shape[axis]
     if n <= 2 * trim:
@@ -1305,11 +1390,15 @@ def _central_diff(vals: np.ndarray, axis: int,
     def along(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    out = np.empty((vals.shape[0] - 2 * trim,) + vals.shape[1:])
+    out = vals if overwrite else np.empty((vals.shape[0] - 2 * trim,)
+                                          + vals.shape[1:])
     step = max(1, min(len(out), _FD_BLOCK_BYTES // out[0].nbytes))
     tmp = np.empty((step,) + out.shape[1:])
+    back = np.empty_like(tmp) if overwrite else None
     for a in range(0, out.shape[0], step):
         block = out[a:a + step]
+        if overwrite:
+            block = back[:len(block)]
         scratch = tmp[:len(block)]
         for i, (off, c) in enumerate(_STENCIL.items()):
             dst = scratch if i else block
@@ -1321,7 +1410,7 @@ def _central_diff(vals: np.ndarray, axis: int,
                 np.multiply(rows[along(k, n)], c, out=dst[along(0, n - k)])
                 np.multiply(rows[along(0, k)], c, out=dst[along(n - k, n)])
             block += scratch if i else 0.0  # 0 + first term: -0.0 -> +0.0
-        block /= h
+        np.divide(block, h, out=out[a:a + step])  # or over the slices read
     return out, trim
 
 

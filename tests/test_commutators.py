@@ -249,10 +249,11 @@ class TestArrayCommutatorsOracle:
             lambda cls, grid, values: built.append(grid) or wrap(cls, grid,
                                                                  values)))
         energy_commutators(rho, u, law, ker, phi)
-        # the only fields are the mollified ones: u, rho u, the four
-        # components of rho u (x) u one at a time, rho and p(rho); the
-        # products and phi are taken as plain arrays, a few rows at a time
-        assert built == [kept] * 8
+        # the only fields are the mollified ones the rung only reads: u,
+        # rho and p(rho); rho u and the four components of rho u (x) u are
+        # taken as the writable arrays they are overwritten in, and the
+        # products and phi as plain arrays, a few rows at a time
+        assert built == [kept] * 3
 
 
 def _unwindowed(rho, u, law, ker, phi):

@@ -1146,6 +1146,40 @@ sys.stdout.buffer.write(out.tobytes())
         assert np.max(np.abs(out - oracle)) <= 1e-13 * max(vals.max(), 1e-300)
 
 
+# values shape, axes, stencil shape and the nonzero rows of the stencil
+# (one row repeated, so ``_direct_convolve`` makes one line and adds it at
+# every offset); the offsets include 0 and negative ones
+ROLLED_CASES = {
+    "1-lead": ((9, 11), (0, 1), (5, 7), [(0,), (2,), (3,)]),
+    "1-lead-time-leading": ((4, 9, 11), (1, 2), (5, 7), [(4,), (0,), (2,)]),
+    "2-lead": ((6, 9, 11), (0, 1, 2), (3, 5, 7),
+               [(0, 1), (1, 2), (1, 0), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", ROLLED_CASES.values(),
+                         ids=ROLLED_CASES.keys())
+def test_direct_offsets_add_as_rolled_copies_bitwise(case):
+    # the reference adds np.roll copies of the line, the first as it is;
+    # the line is the same stencil row's convolution with no leading offset
+    vshape, axes, wshape, rows = case
+    rng = np.random.default_rng(len(rows))
+    values, row = rng.random(vshape), 0.1 + rng.random(wshape[-1])
+    weights = np.zeros(wshape)
+    for idx in rows:
+        weights[idx] = row
+    line = grids._direct_convolve(
+        values, row.reshape((1,) * (len(axes) - 1) + row.shape), axes)
+    want = None
+    for idx in sorted(rows):  # the stencil's C order, as the terms are added
+        steps = tuple(i - n // 2 for i, n in zip(idx, wshape))
+        term = np.roll(line, steps, axis=axes[:-1])
+        want = term if want is None else operator.iadd(want, term)
+    got = grids._direct_convolve(values, weights, axes)
+    assert got.shape == want.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
 def _box(keep, shape):
     """``keep`` as one slice per transformed axis: a single slice keeps
     those rows of the first axis and all of the others."""
@@ -1230,6 +1264,72 @@ class TestFFTEngine:
         want = _rfftn_oracle(values, weights, shape, box)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    # values shape, transform shape, stencil shape, kept range per axis;
+    # every box but the ones that keep x whole has an odd node count
+    IN_PLACE = {
+        "1-axis": ((45,), (45,), (7,), (slice(2, 43),)),
+        "1-axis-leading": ((6, 48), (48,), (9,), (slice(3, 40),)),
+        "1-axis-leading-whole": ((6, 47), (50,), (7,), (slice(None),)),
+        "1-axis-two-leading": ((2, 3, 30), (32,), (5,), (slice(1, 28),)),
+        "2-axes": ((40, 64), (40, 64), (9, 11), (slice(4, 37), slice(3, 60))),
+        "2-axes-whole-x": ((37, 53), (40, 54), (9, 11),
+                           (slice(4, 33), slice(None))),
+        "2-axes-leading": ((3, 40, 20), (40, 20), (7, 9),
+                           (slice(3, 36), slice(1, 18))),
+        "2-axes-leading-whole-x": ((3, 40, 23), (45, 23), (7, 9),
+                                   (slice(5, 30), slice(None))),
+        "3-axes": ((12, 19, 15), (15, 20, 16), (5, 7, 9),
+                   (slice(2, 9), slice(1, 18), slice(2, 15))),
+    }
+
+    @staticmethod
+    def in_place_case(case):
+        vshape, shape, wshape, keep = case
+        rng = np.random.default_rng(len(vshape) * 100 + vshape[-1])
+        values, weights = rng.standard_normal(vshape), rng.random(wshape)
+        return values, grids._kernel_spectrum(weights, shape), shape, keep
+
+    @pytest.mark.parametrize("row_block", [None, 1, 5])
+    @pytest.mark.parametrize("case", IN_PLACE.values(), ids=IN_PLACE.keys())
+    def test_consumed_transform_equals_the_read_one_bitwise(
+            self, case, row_block, monkeypatch):
+        # _fft_convolve inverts the transform in its own memory, _apply
+        # without ``consume`` into a fresh box; the blocks of 1 and 5 rows
+        # interleave many reads and writes of the shared memory
+        if row_block is not None:
+            monkeypatch.setattr(grids, "_ROW_BLOCK", row_block)
+        values, spectrum, shape, keep = self.in_place_case(case)
+        want = grids._apply(grids._forward(values, shape), spectrum, shape,
+                            keep)
+        got = grids._fft_convolve(values, spectrum, shape, keep)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("case", IN_PLACE.values(), ids=IN_PLACE.keys())
+    def test_result_holds_only_its_box(self, case):
+        # the transform is shrunk to the box, rounded up to whole complex
+        # values: 8 bytes more for an odd node count
+        got = grids._fft_convolve(*self.in_place_case(case))
+        assert got.flags.writeable
+        base = got
+        while base.base is not None:
+            base = base.base
+        assert got.nbytes <= base.nbytes <= got.nbytes + 8
+
+    def test_a_transform_held_elsewhere_is_copied_out(self, monkeypatch):
+        # the resize refuses while another reference holds the transform;
+        # the box is then copied out of it, with the same bits
+        values, spectrum, shape, keep = self.in_place_case(
+            self.IN_PLACE["2-axes"])
+        want = grids._fft_convolve(values, spectrum, shape, keep)
+        held, forward = [], grids._forward
+        monkeypatch.setattr(grids, "_forward", lambda *args: (
+            held.append(forward(*args)) or held[-1]))
+        got = grids._fft_convolve(values, spectrum, shape, keep)
+        assert got.base is None and got.flags.c_contiguous
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert held[0].shape == (40, 33)  # not shrunk
 
     @settings(max_examples=40, deadline=None)
     @given(lead=st.integers(0, 1), sizes=st.lists(st.integers(5, 24),
@@ -1468,6 +1568,29 @@ def test_central_diff_matches_rolled_stencil_bitwise(shape, order, block_rows,
         assert got[1] == want[1]
         assert got[0].shape == want[0].shape
         assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+@pytest.mark.parametrize("shape", [(12, 16, 2), (10, 12, 14, 3)])
+def test_central_diff_overwrite_equals_the_fresh_difference_bitwise(
+        shape, block_rows, monkeypatch):
+    # written back over its input, a block of time slices at a time, on a
+    # contiguous array and on a strided component view
+    rng = np.random.default_rng(len(shape))
+    vals = rng.standard_normal(shape)
+    vals[..., 0] = np.where(rng.random(shape[:-1]) < 0.5, -0.0, 0.0)
+    if block_rows is not None:
+        monkeypatch.setattr(grids, "_FD_BLOCK_BYTES", block_rows * vals[0].nbytes)
+    for axis in range(1, len(shape) - 1):
+        for view in (lambda a: a, lambda a: a[..., 1]):
+            want = grids._central_diff(view(vals), axis, 0.1)
+            work = vals.copy()
+            got = grids._central_diff(view(work), axis, 0.1, overwrite=True)
+            assert got[1] == want[1] == 0
+            assert np.shares_memory(got[0], work)
+            assert (got[0].view(np.int64) == want[0].view(np.int64)).all()
+    with pytest.raises(ValueError, match="time difference"):
+        grids._central_diff(vals, 0, 0.1, overwrite=True)
 
 
 class TestSerialization:
